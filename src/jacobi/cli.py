@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,10 +21,10 @@ import numpy as np
 from . import __version__
 from .cycles import AT_INFINITY, cycle_contains, cycle_through, is_flat, mobius_fit
 from .errors import JacobiError, NoFit
-from .geom import admissibility_report
+from .geom import AdmissibilityReport, screen
 from .frames import equivalent_reduced
 from .matcurve import PRESET_NAMES, SampleGrid, curve_from_json, preset_curve
-from .pipeline import analyze
+from .pipeline import complete
 from .reconstruct import curve_from_frame, integrate_frame, prescription_from_json
 from .symspace import LagrangianChartPoint
 
@@ -119,16 +118,27 @@ def _offset_reduced(curve, grid, reduced):
         return reduced
     from dataclasses import replace
 
+    from scipy.integrate import trapezoid
     from scipy.interpolate import CubicSpline
 
     z = CubicSpline(reduced.ts, reduced.zeta)
     prefix = np.linspace(ts[0], grid.t0, 33)
-    offset = float(np.trapezoid(z(prefix), prefix))
+    offset = float(trapezoid(z(prefix), prefix))
     return replace(reduced, arclength=reduced.arclength + offset)
 
 
-def _strict_factor(args):
-    return 0.1 if args.strict else 1.0
+TOLERANCES = ("tol_adm", "tol_equiv", "tol_flat", "tol_member", "tol_resid")
+
+
+def _apply_strict(args):
+    """--strict tightens every tolerance 10x, here and nowhere else."""
+    if getattr(args, "strict", False):
+        for name in TOLERANCES:
+            setattr(args, name, 0.1 * getattr(args, name))
+
+
+def _screen(curve, args):
+    return screen(curve, _grid_for(curve, args), adm_tol=args.tol_adm)
 
 
 def _reduced_payload(reduced):
@@ -144,9 +154,9 @@ def _reduced_payload(reduced):
 
 def cmd_analyze(args):
     curve = _load_curve(args)
-    grid = _grid_for(curve, args)
-    s = _strict_factor(args)
-    report = admissibility_report(curve, grid, adm_tol=args.tol_adm * s)
+    scr = _screen(curve, args)
+    grid = scr.grid
+    report = AdmissibilityReport.of(scr)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -154,8 +164,7 @@ def cmd_analyze(args):
         payload = {"admissibility": report.to_dict(), "curve": curve.name}
         _emit_json(payload, out / "analysis.json" if out else None)
         return 2
-    ana = analyze(curve, grid, adm_tol=args.tol_adm * s)
-    reduced = _offset_reduced(curve, grid, ana.reduced)
+    reduced = _offset_reduced(curve, grid, complete(scr).reduced)
     payload = {
         "curve": curve.name,
         "grid": {"t0": grid.t0, "t1": grid.t1, "m": grid.m},
@@ -176,16 +185,10 @@ def cmd_compare(args):
             return preset_curve(spec_str)
         return curve_from_json(json.loads(Path(spec_str).read_text()))
 
-    a_curve, b_curve = load(args.a), load(args.b)
-    s = _strict_factor(args)
-
-    def run(curve):
-        grid = _grid_for(curve, args)
-        rep = admissibility_report(curve, grid, adm_tol=args.tol_adm * s)
-        return rep, grid
-
-    rep_a, grid_a = run(a_curve)
-    rep_b, grid_b = run(b_curve)
+    # both sides are screened before either is completed, so a failed
+    # screen exits 2 even where the other side would raise later
+    scr_a, scr_b = _screen(load(args.a), args), _screen(load(args.b), args)
+    rep_a, rep_b = AdmissibilityReport.of(scr_a), AdmissibilityReport.of(scr_b)
     out = Path(args.out) / "compare.json" if args.out else None
     if out:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -194,11 +197,9 @@ def cmd_compare(args):
             {"verdict": "inadmissible",
              "a": rep_a.to_dict(), "b": rep_b.to_dict()}, out)
         return 2
-    ana_a = analyze(a_curve, grid_a)
-    ana_b = analyze(b_curve, grid_b)
-    red_a = _offset_reduced(a_curve, grid_a, ana_a.reduced)
-    red_b = _offset_reduced(b_curve, grid_b, ana_b.reduced)
-    tol = args.tol_equiv * s
+    red_a, red_b = (_offset_reduced(scr.curve, scr.grid, complete(scr).reduced)
+                    for scr in (scr_a, scr_b))
+    tol = args.tol_equiv
     verdict, eps, k_dev, s_dev = equivalent_reduced(red_a, red_b, tol=tol)
     _emit_json(
         {
@@ -313,7 +314,6 @@ def build_parser():
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", default="json,csv")
         sp.add_argument("--strict", action="store_true")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--tol-adm", type=float, default=1e-10)
         sp.add_argument("--tol-equiv", type=float, default=1e-4)
         sp.add_argument("--tol-flat", type=float, default=1e-8)
@@ -347,13 +347,9 @@ def build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("JACOBI_NUM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
+    _apply_strict(args)
     try:
         return args.func(args)
     except JacobiError as e:

@@ -22,7 +22,6 @@ from .errors import (
     InflectionPoint,
     MonotonicityFailure,
     RegularityFailure,
-    RepeatedEigenvalues,
     SingularParameter,
 )
 from .matcurve import CurveJet
@@ -36,7 +35,6 @@ from .symspace import (
 )
 
 RIC_SYM_TOL = 1e-8
-EIG_GAP_TOL = 1e-7
 
 
 def scalar_schwarzian(f1, f2, f3):
@@ -76,39 +74,35 @@ class RicciData:
     eigvecs: np.ndarray
 
 
-def ricci(j: CurveJet, require_distinct=False, gap_tol=EIG_GAP_TOL):
+def ricci(j: CurveJet):
     """Diagonalize the curvature operator with S'-orthonormal eigenvectors.
 
     Requires S' positive definite (monotone curve).  A curve with negative
     definite S' should be negated first (the Schwarzian is even: the spectrum
-    is unchanged, only the normalization is affected).
+    is unchanged, only the normalization is affected).  Whether the spectrum
+    is distinct is judged by the admissibility screen (geom.screen).
     """
     sch = matrix_schwarzian(j)
     vel_eigs = np.linalg.eigvalsh(j.S1)
     if vel_eigs[0] <= 0:
         if vel_eigs[-1] < 0:
             raise MonotonicityFailure(
-                f"S' negative definite at t={j.t}; negate the curve first"
+                j.t, f"S' negative definite at t={j.t}; negate the curve first"
             )
-        raise MonotonicityFailure(f"S' indefinite or singular at t={j.t}")
+        raise MonotonicityFailure(j.t, f"S' indefinite or singular at t={j.t}")
     # S' * Sch = S''' - 1.5 S'' (S')^(-1) S'' is symmetric by construction;
     # asymmetry beyond roundoff means a corrupted jet.
     a = j.S1 @ sch
     asym = _maxabs(a - a.T)
     if asym > 1e-6 * max(1.0, _maxabs(a)):
         raise ComplexEigenvalues(
-            f"velocity-weighted curvature asymmetric ({asym:g}) at t={j.t}"
+            j.t, f"velocity-weighted curvature asymmetric ({asym:g}) at t={j.t}"
         )
     a = 0.5 * (a + a.T)
     try:
         mu, m = scipy.linalg.eigh(a, j.S1)
     except np.linalg.LinAlgError as e:  # pragma: no cover - defensive
-        raise ComplexEigenvalues(str(e))
-    if require_distinct and mu.size > 1:
-        diam = max(mu[-1] - mu[0], 1.0)
-        gap = float(np.min(np.diff(mu)))
-        if gap < gap_tol * diam:
-            raise RepeatedEigenvalues(gap)
+        raise ComplexEigenvalues(j.t, str(e))
     return RicciData(
         t=j.t,
         schwarzian=sch,

@@ -31,12 +31,20 @@ class InvalidTransform(JacobiError):
     """Matrix does not satisfy the (conformal) symplectic condition."""
 
 
-class RegularityFailure(JacobiError):
-    """det S'(t) = 0 within the condition gate at some parameter value."""
+class AtParameter(JacobiError):
+    """A failure at the parameter value `t`; `message` is the default text."""
+
+    message = "failure at t={t!r}"
 
     def __init__(self, t, msg=None):
         self.t = t
-        super().__init__(msg or f"curve velocity singular at t={t!r}")
+        super().__init__(msg or self.message.format(t=t))
+
+
+class RegularityFailure(AtParameter):
+    """det S'(t) = 0 within the condition gate at some parameter value."""
+
+    message = "curve velocity singular at t={t!r}"
 
 
 class DomainError(JacobiError):
@@ -55,28 +63,30 @@ class InflectionPoint(JacobiError):
     """S'' correction singular: the derivative curve leaves the chart."""
 
 
-class ComplexEigenvalues(JacobiError):
+class ComplexEigenvalues(AtParameter):
     """Curvature spectrum not real; monotonicity or numerics broke down."""
 
 
-class RepeatedEigenvalues(JacobiError):
+class RepeatedEigenvalues(AtParameter):
     """Curvature eigenvalue gap below tolerance."""
 
-    def __init__(self, gap, msg=None):
+    def __init__(self, t, gap, msg=None):
         self.gap = gap
-        super().__init__(msg or f"eigenvalue gap {gap!r} below tolerance")
+        super().__init__(
+            t, msg or f"eigenvalue gap {gap:g} below tolerance at t={t!r}"
+        )
 
 
-class MonotonicityFailure(JacobiError):
+class MonotonicityFailure(AtParameter):
     """Velocity form indefinite: the frame theory does not apply."""
 
+    message = "velocity form not definite of constant sign at t={t!r}"
 
-class NotAdmissible(JacobiError):
+
+class NotAdmissible(AtParameter):
     """Arc element vanishes: det(R - (1/n) tr R * Id) = 0 at some t."""
 
-    def __init__(self, t, msg=None):
-        self.t = t
-        super().__init__(msg or f"curve not admissible at t={t!r}")
+    message = "curve not admissible at t={t!r}"
 
 
 class NormalizationViolation(JacobiError):
@@ -88,12 +98,10 @@ class NormalizationViolation(JacobiError):
         super().__init__(msg or f"normalization invariant {value!r} at t={t!r}")
 
 
-class EigenCrossing(JacobiError):
+class EigenCrossing(AtParameter):
     """Ascending eigenvalue order would swap frame columns between samples."""
 
-    def __init__(self, t, msg=None):
-        self.t = t
-        super().__init__(msg or f"eigenvalue crossing near t={t!r}")
+    message = "eigenvalue crossing near t={t!r}"
 
 
 class StructureViolation(JacobiError):

@@ -73,7 +73,7 @@ def _fix_signs(ms, ts, min_overlap=0.2):
     return fixed
 
 
-def frenet_frame(jets, ricci_series, arc: ArcData, frame_tol=1e-7):
+def frenet_frame(jets, ricci_series, arc: ArcData):
     """Assemble the moving frame at every sample.
 
     Column order is by ascending curvature eigenvalue; the complement is
@@ -88,7 +88,7 @@ def frenet_frame(jets, ricci_series, arc: ArcData, frame_tol=1e-7):
         s0 = derivative_curve(j, zeta_ratio=arc.zeta1[i] / arc.zeta[i])
         s = LagrangianChartPoint(j.S)
         fr = frame_from_chart_pair(ms[i], s, s0)
-        ok, resid = is_symplectic_frame(space, fr, tol=frame_tol)
+        _, resid = is_symplectic_frame(space, fr)
         n = j.n
         mbars.append(fr.F[:n, n:])
         frames.append(fr)

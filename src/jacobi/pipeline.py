@@ -5,9 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .curvature import ricci
 from .frames import (
     FrenetFrame,
     ReducedCartan,
@@ -20,9 +17,9 @@ from .geom import (
     AbsoluteCurvature,
     ArcData,
     absolute_curvature,
-    zeta_series,
+    screen,
 )
-from .matcurve import SampleGrid, negated_curve, sample_curve
+from .matcurve import SampleGrid
 
 
 @dataclass
@@ -41,26 +38,28 @@ class Analysis:
     reduced: ReducedCartan
 
 
-def analyze(curve, grid, adm_tol=ADM_TOL, frame_tol=1e-7):
+def analyze(curve, grid, adm_tol=ADM_TOL):
     """Run the full invariant pipeline; raises typed errors on failure.
 
-    A curve with negative definite velocity is negated up front (spectrum
-    unchanged, normalization then well-posed); `flipped` records this.
+    The first stage is the admissibility screen (geom.screen), which samples
+    the curve once, negates it when its velocity is negative definite
+    (`flipped`) and raises the screen's error if a step fails; `complete`
+    runs the frame stages on its outputs.
     """
-    jets = sample_curve(curve, grid)
-    flipped = False
-    if np.linalg.eigvalsh(jets[0].S1)[-1] < 0:
-        flipped = True
-        curve = negated_curve(curve)
-        jets = sample_curve(curve, grid)
-    ricci_series = [ricci(j, require_distinct=True) for j in jets]
-    arc = zeta_series(jets, adm_tol=adm_tol)
-    abscurv = absolute_curvature(jets, arc, ricci_series)
-    frame = frenet_frame(jets, ricci_series, arc, frame_tol=frame_tol)
-    cartan = cartan_matrix(frame, arc, ricci_series)
-    reduced = reduced_invariants(cartan, arc)
+    return complete(screen(curve, grid, adm_tol=adm_tol))
+
+
+def complete(scr):
+    """Frame stages of the pipeline on the outputs of a passed screen;
+    re-raises the error a failed screen recorded."""
+    if scr.error is not None:
+        raise scr.error
+    abscurv = absolute_curvature(scr.ricci_series, scr.arc)
+    frame = frenet_frame(scr.jets, scr.ricci_series, scr.arc)
+    cartan = cartan_matrix(frame, scr.arc, scr.ricci_series)
+    reduced = reduced_invariants(cartan, scr.arc)
     return Analysis(
-        curve=curve, grid=grid, flipped=flipped, jets=jets,
-        ricci_series=ricci_series, arc=arc, abscurv=abscurv,
+        curve=scr.curve, grid=scr.grid, flipped=scr.flipped, jets=scr.jets,
+        ricci_series=scr.ricci_series, arc=scr.arc, abscurv=abscurv,
         frame=frame, cartan=cartan, reduced=reduced,
     )

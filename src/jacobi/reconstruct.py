@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatch, SymplecticityLoss
 from .frames import equivalent_reduced
@@ -210,10 +210,8 @@ class RoundtripReport:
 def arc_uniform_prescription(analysis, m=None):
     """Resample an analysis onto a uniform arc-parameter grid.
 
-    The cumulative arclength is inverted with monotone (PCHIP)
-    interpolation; Sigma and K are spline-resampled as functions of
-    arclength; the initial frame is the analysis frame at the left endpoint
-    (arclength zero).
+    Sigma and K are spline-resampled as functions of arclength; the initial
+    frame is the analysis frame at the left endpoint (arclength zero).
     """
     rc = analysis.reduced
     ell = rc.arclength
@@ -223,16 +221,12 @@ def arc_uniform_prescription(analysis, m=None):
     kd = CubicSpline(ell, rc.Kdiag)(tau)
     sg = CubicSpline(ell, rc.Sigma.reshape(ell.size, -1))(tau)
     n = rc.n
-    # keep PchipInterpolator available for callers needing t(ell) itself
-    arc_to_t = PchipInterpolator(ell, rc.ts)
-    p = InvariantPrescription(
+    return InvariantPrescription(
         ts=tau,
         Sigma=sg.reshape(m, n, n),
         Kdiag=kd,
         F0=analysis.frame.frames[0],
     )
-    p.arc_to_t = arc_to_t
-    return p
 
 
 def roundtrip(curve, grid, tol=1e-3, resid_max=RESID_MAX, trim=3):

@@ -111,6 +111,23 @@ class TestCompare:
         assert code == 2
         assert json.loads(out)["verdict"] == "inadmissible"
 
+    def test_tol_adm_reaches_the_pipeline(self, capsys, tmp_path):
+        # t = 0.001 u shrinks the admissibility determinant by 1e-12, below
+        # the default tolerance: only a looser --tol-adm admits the curve
+        spec = {"n": 2, "kind": "preset", "name": "paper-6.2-ex1",
+                "reparam": {"type": "affine", "a": 0.001,
+                            "domain": [0, 1000]}}
+        f = tmp_path / "slow.json"
+        f.write_text(json.dumps(spec))
+        code, _, _ = run(capsys, "compare", str(f), str(f))
+        assert code == 2
+        code, out, err = run(capsys, "compare", str(f), str(f),
+                             "--tol-adm", "1e-30")
+        assert code == 0, err
+        assert json.loads(out)["verdict"] == "equivalent"
+        code, _, _ = run(capsys, "analyze", str(f), "--tol-adm", "1e-30")
+        assert code == 0
+
     def test_transformed_curve_equivalent(self, capsys, tmp_path):
         from jacobi.symspace import random_csp
 
@@ -258,6 +275,16 @@ class TestPresets:
 
 
 class TestStrict:
+    def test_strict_tightens_flatness(self, capsys):
+        # the first preset's Schwarzian has sup norm 2: flat at tolerance 3,
+        # not at the strict 0.3
+        argv = ["cycle", "--preset", "paper-6.2-ex1", "--t0", "0", "--t1",
+                "1", "--tol-flat", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["flat"] is True
+        code, out, _ = run(capsys, *argv, "--strict")
+        assert code == 0 and json.loads(out)["flat"] is False
+
     def test_strict_equivalence_tightening(self, capsys, tmp_path):
         # build a slightly perturbed table of the first preset: within the
         # base tolerance but outside the 10x tighter strict tolerance

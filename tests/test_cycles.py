@@ -17,6 +17,7 @@ from jacobi.errors import (
     NotGeneralPosition,
     ZeroDirection,
 )
+from jacobi.curvature import ricci
 from jacobi.geom import zeta_series
 from jacobi.matcurve import (
     SampleGrid,
@@ -79,9 +80,10 @@ class TestIsFlat:
         assert not is_flat(preset_curve("paper-6.2-ex1"), unit_grid)
 
     def test_flat_curve_is_inadmissible(self, unit_grid):
-        c = scalar_mobius_curve(2.0, 1.0, 1.0, 3.0, np.diag([1.0, -1.0]))
+        # definite direction: the Ricci data needs a monotone curve
+        c = scalar_mobius_curve(2.0, 1.0, 1.0, 3.0, np.diag([1.0, 2.0]))
         with pytest.raises(NotAdmissible):
-            zeta_series(sample_curve(c, unit_grid))
+            zeta_series([ricci(j) for j in sample_curve(c, unit_grid)])
 
 
 class TestMobiusFit:

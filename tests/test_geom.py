@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobi.curvature import ricci
-from jacobi.errors import NotAdmissible
+from jacobi.errors import JacobiError, NotAdmissible, RepeatedEigenvalues
 from jacobi.geom import (
+    SCREEN_ERRORS,
+    SCREEN_STEPS,
     absolute_curvature,
     admissibility_report,
     centered_schwarzian_det,
@@ -18,72 +22,84 @@ from jacobi.matcurve import (
 )
 from jacobi.pipeline import analyze
 
-from .conftest import admissible_quartics
+from .conftest import admissible_quartics, random_quartic
+
+
+def ricci_series(curve, grid):
+    return [ricci(j) for j in sample_curve(curve, grid)]
+
+
+def tan_curve(a):
+    """diag(tan(a_i t)/a_i): constant curvature spectrum 2 a_i^2."""
+
+    def entry(ai):
+        def jet(t):
+            tn = np.tan(ai * t)
+            s2 = 1.0 + tn**2
+            return tn / ai, s2, 2 * ai * s2 * tn, 2 * ai**2 * s2 * (s2 + 2 * tn**2)
+
+        return jet
+
+    return curve_from_scalars([entry(ai) for ai in a], (-1.0, 1.2))
 
 
 class TestZetaSeries:
     @pytest.mark.parametrize("name", ["paper-6.2-ex1", "paper-6.2-ex2"])
     def test_presets_are_arc_parametrized(self, name, unit_grid):
-        jets = sample_curve(preset_curve(name), unit_grid)
-        arc = zeta_series(jets)
+        arc = zeta_series(ricci_series(preset_curve(name), unit_grid))
         assert np.max(np.abs(arc.zeta - 1.0)) <= 1e-12
         assert np.max(np.abs(arc.sphi)) <= 1e-8
         assert np.all(np.diff(arc.arclength) > 0)
         assert arc.arclength[-1] == pytest.approx(1.0, abs=1e-10)
 
     def test_affine_line_not_admissible(self, unit_grid):
-        jets = sample_curve(preset_curve("affine-line"), unit_grid)
+        rs = ricci_series(preset_curve("affine-line"), unit_grid)
         with pytest.raises(NotAdmissible):
-            zeta_series(jets)
+            zeta_series(rs)
 
     def test_sphi_definition_holds_pointwise(self, unit_grid):
         curves = admissible_quartics(range(10), want=3)
         for c in curves:
-            jets = sample_curve(c, unit_grid)
-            arc = zeta_series(jets)
+            arc = zeta_series(ricci_series(c, unit_grid))
             ref = arc.zeta2 / arc.zeta - 1.5 * (arc.zeta1 / arc.zeta) ** 2
             assert np.array_equal(arc.sphi, ref)
 
 
 class TestAbsoluteCurvature:
     def test_first_preset(self, unit_grid):
-        jets = sample_curve(preset_curve("paper-6.2-ex1"), unit_grid)
-        arc = zeta_series(jets)
-        ac = absolute_curvature(jets, arc)
+        rs = ricci_series(preset_curve("paper-6.2-ex1"), unit_grid)
+        ac = absolute_curvature(rs, zeta_series(rs))
         assert np.max(np.abs(ac.k - np.array([-2.0, 0.0]))) <= 1e-8
         prod = np.prod(np.abs(ac.k - ac.kbar[:, None]), axis=1)
         assert np.max(np.abs(prod - 1.0)) <= 1e-12
 
     def test_second_preset(self, unit_grid):
-        jets = sample_curve(preset_curve("paper-6.2-ex2"), unit_grid)
-        arc = zeta_series(jets)
-        ac = absolute_curvature(jets, arc)
+        rs = ricci_series(preset_curve("paper-6.2-ex2"), unit_grid)
+        ac = absolute_curvature(rs, zeta_series(rs))
         assert np.max(np.abs(ac.k - np.array([0.0, 2.0]))) <= 1e-8
 
     def test_normalization_on_random_corpus(self, coarse_grid):
         for c in admissible_quartics(range(20), want=8):
-            jets = sample_curve(c, coarse_grid)
-            arc = zeta_series(jets)
-            ac = absolute_curvature(jets, arc)
+            rs = ricci_series(c, coarse_grid)
+            ac = absolute_curvature(rs, zeta_series(rs))
             prod = np.prod(np.abs(ac.k - ac.kbar[:, None]), axis=1)
             assert np.max(np.abs(prod - 1.0)) <= 1e-5, c.name
 
     def test_sign_patterns_recorded(self, unit_grid):
-        jets = sample_curve(preset_curve("paper-6.2-ex1"), unit_grid)
-        arc = zeta_series(jets)
-        ac = absolute_curvature(jets, arc)
+        rs = ricci_series(preset_curve("paper-6.2-ex1"), unit_grid)
+        ac = absolute_curvature(rs, zeta_series(rs))
         assert np.array_equal(ac.sign_patterns[0], [-1, 1])
 
 
 class TestArclength:
     def test_additivity(self):
         c = preset_curve("paper-6.2-ex2")
-        jets = sample_curve(c, SampleGrid(0.0, 1.0, 201))
-        whole = zeta_series(jets).arclength[-1]
+        whole = zeta_series(
+            ricci_series(c, SampleGrid(0.0, 1.0, 201))).arclength[-1]
         first = zeta_series(
-            sample_curve(c, SampleGrid(0.0, 0.5, 101))).arclength[-1]
+            ricci_series(c, SampleGrid(0.0, 0.5, 101))).arclength[-1]
         second = zeta_series(
-            sample_curve(c, SampleGrid(0.5, 1.0, 101))).arclength[-1]
+            ricci_series(c, SampleGrid(0.5, 1.0, 101))).arclength[-1]
         assert first + second == pytest.approx(whole, abs=1e-8)
 
 
@@ -124,11 +140,56 @@ class TestAdmissibilityReport:
         assert rep.admissible
         assert rep.velocity_sign == -1 and rep.flipped
 
+    def test_near_gap_spectrum_accepted_by_screen_and_pipeline(self):
+        # gap 7.2e-8 against diameter 0.54: above EIG_GAP_TOL * diam, so the
+        # spectrum is distinct for the screen and for analyze alike
+        c, grid = tan_curve([0.3, 0.3 + 6e-8, 0.6]), SampleGrid(0.0, 1.0, 51)
+        rep = admissibility_report(c, grid)
+        assert rep.admissible
+        assert rep.min_eig_gap == pytest.approx(7.2e-8, rel=1e-6)
+        analyze(c, grid)
+
+    def test_gap_below_tolerance_rejected_by_screen_and_pipeline(self):
+        # gap 3.6e-8 < EIG_GAP_TOL * 0.54
+        c, grid = tan_curve([0.3, 0.3 + 3e-8, 0.6]), SampleGrid(0.0, 1.0, 51)
+        rep = admissibility_report(c, grid)
+        assert rep.first_failure == "spectrum-distinct"
+        assert rep.failure_t == 0.0
+        with pytest.raises(RepeatedEigenvalues):
+            analyze(c, grid)
+
     def test_report_serializes(self, unit_grid):
         rep = admissibility_report(preset_curve("affine-line"), unit_grid)
         d = rep.to_dict()
         assert d["admissible"] is False
         assert isinstance(d["messages"], list)
+
+
+def _screen_vs_pipeline(c, grid):
+    rep = admissibility_report(c, grid)
+    try:
+        analyze(c, grid)
+    except SCREEN_ERRORS as e:
+        assert not rep.admissible, c.name
+        assert rep.first_failure == SCREEN_STEPS[type(e)], c.name
+        assert rep.failure_t == e.t
+        return
+    except JacobiError:  # a later stage: the screen has passed
+        pass
+    assert rep.admissible, c.name
+
+
+class TestScreenMatchesPipeline:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 60), st.sampled_from([2, 3]))
+    def test_random_quartics(self, seed, n):
+        _screen_vs_pipeline(random_quartic(seed, n=n), SampleGrid(0.0, 1.0, 31))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.2, 0.4), st.floats(0.5, 0.7), st.floats(-9.0, -6.0))
+    def test_near_gap_tan_family(self, a1, a3, log_delta):
+        c = tan_curve([a1, a1 + 10.0**log_delta, a3])
+        _screen_vs_pipeline(c, SampleGrid(0.0, 1.0, 31))
 
 
 class TestFlipInvariance:
