@@ -23,7 +23,8 @@ from .cycles import AT_INFINITY, cycle_contains, cycle_through, is_flat, mobius_
 from .errors import JacobiError, NoFit
 from .geom import AdmissibilityReport, screen
 from .frames import equivalent_reduced
-from .matcurve import PRESET_NAMES, SampleGrid, curve_from_json, preset_curve
+from .matcurve import (PRESET_NAMES, TABLE_TRIM, SampleGrid, curve_from_json,
+                       preset_curve, sample_curve)
 from .pipeline import complete
 from .reconstruct import curve_from_frame, integrate_frame, prescription_from_json
 from .symspace import LagrangianChartPoint
@@ -79,12 +80,6 @@ def _load_curve(args):
     if not args.input:
         raise JacobiError("no curve given: pass INPUT.json or --preset NAME")
     return curve_from_json(json.loads(Path(args.input).read_text()))
-
-
-# Table curves use one-sided derivative stencils at this many boundary
-# nodes, where the third-derivative error is orders of magnitude worse than
-# in the interior; default grids skip them.
-TABLE_TRIM = 3
 
 
 def _grid_for(curve, args):
@@ -277,11 +272,8 @@ def cmd_cycle(args):
     flat = is_flat(curve, grid, tol=args.tol_flat)
     payload = {"curve": curve.name, "flat": flat}
     if flat:
-        from .matcurve import sample_curve
-
-        jets = sample_curve(curve, grid)
         try:
-            coeffs, direction, resid = mobius_fit(jets)
+            coeffs, direction, resid = mobius_fit(sample_curve(curve, grid))
             payload["mobius"] = {"coeffs": list(coeffs),
                                  "direction": direction,
                                  "residual": resid}

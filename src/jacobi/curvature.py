@@ -8,6 +8,9 @@ The central object is the matrix Schwarzian
 whose spectrum (for monotone curves) is real: S' S(S) = S''' - (3/2) S'' (S')^(-1) S''
 is symmetric whenever the jet matrices are, so the operator is self-adjoint
 with respect to the velocity form.
+
+matrix_schwarzian, ricci and derivative_curve take one jet or a jet series;
+a series gives each sample's numbers, or the earliest failing sample's error.
 """
 
 from __future__ import annotations
@@ -19,22 +22,22 @@ import scipy.linalg
 
 from .errors import (
     ComplexEigenvalues,
+    Gates,
     InflectionPoint,
     MonotonicityFailure,
     RegularityFailure,
     SingularParameter,
 )
-from .matcurve import CurveJet
+from .matcurve import CurveJet, Series
 from .symspace import (
     COND_MAX,
     LagrangianChartPoint,
+    _matrix_maxabs,
     _maxabs,
     chart_translate_invert,
-    solve_gated,
+    inv_gated,
     symmetrize,
 )
-
-RIC_SYM_TOL = 1e-8
 
 
 def scalar_schwarzian(f1, f2, f3):
@@ -50,28 +53,36 @@ def matrix_schwarzian(j: CurveJet):
     Not symmetric in general; it is similar to a symmetric matrix via the
     velocity form (see ricci).
     """
-    try:
-        a = solve_gated(j.S1, j.S3, exc=RegularityFailure, what="S'")
-        b = solve_gated(j.S1, j.S2, exc=RegularityFailure, what="S'")
-    except RegularityFailure:
-        raise RegularityFailure(j.t)
+    ts = np.atleast_1d(j.t)
+    Gates().check(np.linalg.cond(j.S1) > COND_MAX,
+                  lambda i: RegularityFailure(ts[i])).raise_error()
+    a = np.linalg.solve(j.S1, j.S3)
+    b = np.linalg.solve(j.S1, j.S2)
     return a - 1.5 * b @ b
 
 
 @dataclass(frozen=True)
-class RicciData:
-    """Spectral data of the curvature operator at one parameter value.
+class RicciData(Series):
+    """Spectral data of the curvature operator at one parameter or a series.
 
     `schwarzian` is the operator's matrix in the moving basis; `eigvecs` M is
     normalized against the velocity form: M^T S' M = Id, eigenvalues
     ascending.
     """
 
-    t: float
+    t: float | np.ndarray
     schwarzian: np.ndarray
-    ric: float
+    ric: float | np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
+
+
+def _not_monotone(t, vel_eigs):
+    t = float(t)
+    if vel_eigs[-1] < 0:
+        return MonotonicityFailure(t, f"S' negative definite at t={t}; "
+                                      "negate the curve first")
+    return MonotonicityFailure(t, f"S' indefinite or singular at t={t}")
 
 
 def ricci(j: CurveJet):
@@ -82,31 +93,37 @@ def ricci(j: CurveJet):
     is unchanged, only the normalization is affected).  Whether the spectrum
     is distinct is judged by the admissibility screen (geom.screen).
     """
-    sch = matrix_schwarzian(j)
+    if np.ndim(j.t) == 0:
+        return ricci(j[None])[0]
+    gates = Gates()
+    sch = gates.run(matrix_schwarzian, j.t, j)
+    j = j[:gates.stop]
     vel_eigs = np.linalg.eigvalsh(j.S1)
-    if vel_eigs[0] <= 0:
-        if vel_eigs[-1] < 0:
-            raise MonotonicityFailure(
-                j.t, f"S' negative definite at t={j.t}; negate the curve first"
-            )
-        raise MonotonicityFailure(j.t, f"S' indefinite or singular at t={j.t}")
+    gates.check(vel_eigs[:, 0] <= 0,
+                lambda i: _not_monotone(j.t[i], vel_eigs[i]))
+    j, sch = j[:gates.stop], sch[:gates.stop]
     # S' * Sch = S''' - 1.5 S'' (S')^(-1) S'' is symmetric by construction;
     # asymmetry beyond roundoff means a corrupted jet.
     a = j.S1 @ sch
-    asym = _maxabs(a - a.T)
-    if asym > 1e-6 * max(1.0, _maxabs(a)):
-        raise ComplexEigenvalues(
-            j.t, f"velocity-weighted curvature asymmetric ({asym:g}) at t={j.t}"
-        )
-    a = 0.5 * (a + a.T)
-    try:
-        mu, m = scipy.linalg.eigh(a, j.S1)
-    except np.linalg.LinAlgError as e:  # pragma: no cover - defensive
-        raise ComplexEigenvalues(j.t, str(e))
+    asym = _matrix_maxabs(a - a.swapaxes(-1, -2))
+    gates.check(asym > 1e-6 * np.maximum(1.0, _matrix_maxabs(a)),
+                lambda i: ComplexEigenvalues(
+                    j.t[i], f"velocity-weighted curvature asymmetric "
+                    f"({asym[i]:g}) at t={float(j.t[i])}"))
+    a = (0.5 * (a + a.swapaxes(-1, -2)))[:gates.stop]
+    mu, m = np.empty(a.shape[:-1]), np.empty(a.shape)
+    # one generalized problem per sample: scipy's eigh takes no stacks
+    for i in range(len(a)):
+        try:
+            mu[i], m[i] = scipy.linalg.eigh(a[i], j.S1[i])
+        except np.linalg.LinAlgError as e:  # pragma: no cover - defensive
+            gates.stop, gates.error = i, ComplexEigenvalues(j.t[i], str(e))
+            break
+    gates.raise_error()
     return RicciData(
         t=j.t,
         schwarzian=sch,
-        ric=float(np.trace(sch)),
+        ric=np.trace(sch, axis1=-2, axis2=-1),
         eigvals=mu,
         eigvecs=m,
     )
@@ -120,19 +137,17 @@ def derivative_curve(j: CurveJet, zeta_ratio=None):
     denominator S'' - (zeta'/zeta) S' yields the derivative subspace of the
     arc-reparametrized curve (what the Frenet complement spans).
     """
-    corr = j.S2 if zeta_ratio is None else j.S2 - zeta_ratio * j.S1
-    try:
-        x = solve_gated(corr, j.S1, exc=InflectionPoint,
-                        what="second-derivative correction")
-    except InflectionPoint:
-        raise InflectionPoint(
-            f"derivative curve leaves the chart at t={j.t}"
-        )
-    s0 = j.S - 2.0 * j.S1 @ x
+    corr = j.S2
+    if zeta_ratio is not None:
+        corr = j.S2 - np.asarray(zeta_ratio)[..., None, None] * j.S1
+    ts = np.atleast_1d(j.t)
+    Gates().check(np.linalg.cond(corr) > COND_MAX,
+                  lambda i: InflectionPoint(ts[i])).raise_error()
+    s0 = j.S - 2.0 * j.S1 @ np.linalg.solve(corr, j.S1)
     return LagrangianChartPoint(symmetrize(s0, strict=False))
 
 
-def verify_derivative_curve(curve, tau, h=1e-3, cond_max=COND_MAX):
+def verify_derivative_curve(curve, tau, h=1e-3):
     """Residual of the defining property of the derivative subspace.
 
     Re-chart the curve at its point tau with the derivative subspace at
@@ -144,14 +159,12 @@ def verify_derivative_curve(curve, tau, h=1e-3, cond_max=COND_MAX):
     j0 = curve.jet(tau)
     s_tau = LagrangianChartPoint(j0.S)
     s0 = derivative_curve(j0)
-    c0 = chart_translate_invert(s0, s_tau, cond_max=cond_max).S
+    c0 = chart_translate_invert(s0, s_tau).S
 
     def rechart(t):
         s = LagrangianChartPoint(curve.jet(t, check_regular=False).S)
-        inv = chart_translate_invert(s, s_tau, cond_max=cond_max).S
-        from .symspace import inv_gated
-
-        return inv_gated(inv - c0, cond_max=cond_max, what="re-chart")
+        inv = chart_translate_invert(s, s_tau).S
+        return inv_gated(inv - c0, what="re-chart")
 
     sm = rechart(tau - h)
     sp = rechart(tau + h)

@@ -28,10 +28,10 @@ FIT_TOL = 1e-8
 AT_INFINITY = "at-infinity"
 
 
-def line_classify(direction, cond_max=COND_MAX):
+def line_classify(direction):
     """'regular' iff the symmetric direction matrix is invertible.
 
-    The determinant is compared against ||direction||^n / cond_max so the
+    The determinant is compared against ||direction||^n / COND_MAX so the
     verdict is scale-free.
     """
     d = symmetrize(np.asarray(direction, dtype=float), strict=False)
@@ -40,7 +40,7 @@ def line_classify(direction, cond_max=COND_MAX):
         raise ZeroDirection("direction matrix is zero")
     n = d.shape[0]
     det = abs(np.linalg.det(d))
-    return "regular" if det > nd**n / cond_max else "singular"
+    return "regular" if det > nd**n / COND_MAX else "singular"
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,10 @@ class Cycle:
 
 def is_flat(curve, grid, tol=1e-8):
     """True iff sup_t ||Schwarzian(S)||_inf <= tol over the grid."""
-    jets = sample_curve(curve, grid)
-    return max(_maxabs(matrix_schwarzian(j)) for j in jets) <= tol
+    return _maxabs(matrix_schwarzian(sample_curve(curve, grid))) <= tol
 
 
-def mobius_fit(jets, fit_tol=FIT_TOL):
+def mobius_fit(jets):
     """Fit S(t) = ((a t + b)/(c t + d)) S1 to samples of a flat curve.
 
     The common direction S1 is the dominant rank-1 structure of the sample
@@ -73,11 +72,10 @@ def mobius_fit(jets, fit_tol=FIT_TOL):
     Returns ((a, b, c, d), S1, residual); coefficients are normalized to
     unit max-magnitude with positive leading entry.
     """
-    if len(jets) < 4:
+    ts, mats = jets.t, jets.S
+    if ts.size < 4:
         raise NoFit(np.inf, "need at least 4 samples")
-    ts = np.array([j.t for j in jets])
-    mats = [j.S for j in jets]
-    diffs = np.stack([(m - mats[0]).ravel() for m in mats[1:]])
+    diffs = (mats[1:] - mats[0]).reshape(ts.size - 1, -1)
     _, svals, vt = np.linalg.svd(diffs, full_matrices=False)
     if svals[0] < 1e-300:
         raise NoFit(np.inf, "samples are constant")
@@ -87,13 +85,10 @@ def mobius_fit(jets, fit_tol=FIT_TOL):
         direction = -direction
     direction = symmetrize(direction, strict=False)
     dnorm2 = float(np.sum(direction * direction))
-    scale = max(_maxabs(m) for m in mats)
-    lam = np.empty(ts.size)
-    proj_resid = 0.0
-    for i, m in enumerate(mats):
-        lam[i] = float(np.sum(m * direction)) / dnorm2
-        proj_resid = max(proj_resid, _maxabs(m - lam[i] * direction))
-    if proj_resid > fit_tol * max(1.0, scale):
+    scale = _maxabs(mats)
+    lam = np.sum(mats * direction, axis=(1, 2)) / dnorm2
+    proj_resid = _maxabs(mats - lam[:, None, None] * direction)
+    if proj_resid > FIT_TOL * max(1.0, scale):
         raise NoFit(proj_resid, "samples are not scalar multiples of one "
                                 "direction")
     # lam(t) (c t + d) - (a t + b) = 0: homogeneous least squares in (a,b,c,d)
@@ -109,12 +104,12 @@ def mobius_fit(jets, fit_tol=FIT_TOL):
         raise NoFit(np.inf, "fitted denominator vanishes on the samples")
     resid = float(np.max(np.abs((a * ts + b) / den - lam)))
     resid = max(resid, proj_resid / max(1.0, scale))
-    if resid > fit_tol:
+    if resid > FIT_TOL:
         raise NoFit(resid)
     return (a, b, c, d), direction, resid
 
 
-def cycle_through(L1, L2, L3, cond_max=COND_MAX):
+def cycle_through(L1, L2, L3):
     """The unique cycle through three pairwise-transverse chart points.
 
     L3 plays the role of the point at infinity; L1 and L2 are re-charted
@@ -125,20 +120,20 @@ def cycle_through(L1, L2, L3, cond_max=COND_MAX):
     pts = [L1, L2, L3]
     for i in range(3):
         for j in range(i + 1, 3):
-            if np.linalg.cond(pts[i].S - pts[j].S) > cond_max:
+            if np.linalg.cond(pts[i].S - pts[j].S) > COND_MAX:
                 raise NotGeneralPosition(i + 1, j + 1)
-    base = chart_translate_invert(L1, L3, cond_max=cond_max).S
-    other = chart_translate_invert(L2, L3, cond_max=cond_max).S
+    base = chart_translate_invert(L1, L3).S
+    other = chart_translate_invert(L2, L3).S
     direction = other - base
     return Cycle(
         infinity=L3,
         base=base,
         direction=direction,
-        regular=line_classify(direction, cond_max=cond_max) == "regular",
+        regular=line_classify(direction) == "regular",
     )
 
 
-def cycle_contains(cycle, L, tol=1e-8, cond_max=COND_MAX):
+def cycle_contains(cycle, L, tol=1e-8):
     """Membership test: infinity itself, or collinearity in the cycle chart.
 
     `L` is a chart point or the AT_INFINITY sentinel.  A chart point is
@@ -152,7 +147,7 @@ def cycle_contains(cycle, L, tol=1e-8, cond_max=COND_MAX):
         L.S - cycle.infinity.S
     ) <= tol * max(1.0, _maxabs(cycle.infinity.S)):
         return True
-    x = chart_translate_invert(L, cycle.infinity, cond_max=cond_max).S
+    x = chart_translate_invert(L, cycle.infinity).S
     offset = x - cycle.base
     d = cycle.direction
     lam = float(np.sum(offset * d) / np.sum(d * d))

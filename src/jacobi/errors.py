@@ -6,6 +6,8 @@ the condition gate is numerics, and both are reported explicitly instead of
 being propagated as LinAlgError.
 """
 
+import numpy as np
+
 
 class JacobiError(Exception):
     """Base class for all package errors."""
@@ -32,13 +34,44 @@ class InvalidTransform(JacobiError):
 
 
 class AtParameter(JacobiError):
-    """A failure at the parameter value `t`; `message` is the default text."""
+    """A failure at the float parameter `t`; `message` is the default text."""
 
     message = "failure at t={t!r}"
 
     def __init__(self, t, msg=None):
-        self.t = t
-        super().__init__(msg or self.message.format(t=t))
+        self.t = float(t)
+        super().__init__(msg or self.message.format_map(vars(self)))
+
+
+class Gates:
+    """The error of a computation gated sample by sample over a series:
+    each gate looks only at the samples that passed the gates before it
+    (the first `stop`), so the error kept is that of the earliest failing
+    sample and, there, of the gate a single sample meets first."""
+
+    stop = None
+    error = None
+
+    def check(self, bad, error):
+        """Keep error(i) for the first sample i before `stop` with bad[i]."""
+        hit = np.flatnonzero(np.atleast_1d(bad)[: self.stop])
+        if hit.size:
+            self.stop = int(hit[0])
+            self.error = error(self.stop)
+        return self
+
+    def run(self, fn, ts, *series):
+        """fn(*series) on the samples before `stop`; an AtParameter error at
+        one of the parameters `ts` is kept and fn re-run before its sample."""
+        try:
+            return fn(*(s[: self.stop] for s in series))
+        except AtParameter as e:
+            self.stop, self.error = int(np.searchsorted(ts, e.t)), e
+            return fn(*(s[: self.stop] for s in series))
+
+    def raise_error(self):
+        if self.error is not None:
+            raise self.error
 
 
 class RegularityFailure(AtParameter):
@@ -59,8 +92,10 @@ class SingularParameter(JacobiError):
     """Change of parameter with vanishing first derivative."""
 
 
-class InflectionPoint(JacobiError):
+class InflectionPoint(AtParameter):
     """S'' correction singular: the derivative curve leaves the chart."""
+
+    message = "derivative curve leaves the chart at t={t!r}"
 
 
 class ComplexEigenvalues(AtParameter):
@@ -70,11 +105,11 @@ class ComplexEigenvalues(AtParameter):
 class RepeatedEigenvalues(AtParameter):
     """Curvature eigenvalue gap below tolerance."""
 
+    message = "eigenvalue gap {gap:g} below tolerance at t={t!r}"
+
     def __init__(self, t, gap, msg=None):
         self.gap = gap
-        super().__init__(
-            t, msg or f"eigenvalue gap {gap:g} below tolerance at t={t!r}"
-        )
+        super().__init__(t, msg)
 
 
 class MonotonicityFailure(AtParameter):
@@ -104,10 +139,6 @@ class EigenCrossing(AtParameter):
     message = "eigenvalue crossing near t={t!r}"
 
 
-class StructureViolation(JacobiError):
-    """Computed Cartan matrix does not have the reduced block shape."""
-
-
 class GridMismatch(JacobiError):
     """Invariant series defined on incompatible grids."""
 
@@ -116,8 +147,8 @@ class SymplecticityLoss(JacobiError):
     """Frame integration residual exceeded the cap even after refinement."""
 
     def __init__(self, residual, msg=None):
-        self.residual = residual
-        super().__init__(msg or f"symplecticity residual {residual!r}")
+        self.residual = float(residual)
+        super().__init__(msg or f"symplecticity residual {self.residual!r}")
 
 
 class NotGeneralPosition(JacobiError):

@@ -17,19 +17,18 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .curvature import derivative_curve
-from .errors import EigenCrossing, GridMismatch, StructureViolation
-from .geom import ArcData
+from .errors import EigenCrossing, Gates, GridMismatch
+from .geom import AbsoluteCurvature, ArcData
 from .matcurve import finite_diff
 from .symspace import (
     LagrangianChartPoint,
     SymplecticSpace,
-    _maxabs,
     frame_from_chart_pair,
     is_symplectic_frame,
 )
 
 SIGN_TOL = 1e-6
-BLOCK_TOL = 1e-6
+MIN_OVERLAP = 0.2
 
 
 @dataclass(frozen=True)
@@ -39,38 +38,29 @@ class FrenetFrame:
     M[i] holds the velocity-orthonormal eigenvector basis at ts[i]
     (M^T S' M = Id), Mbar[i] the complementary basis spanning the derivative
     subspace, frames[i] the assembled 2n x 2n symplectic frame, residuals[i]
-    its symplecticity defect.
+    its symplecticity defect; arrays with the sample axis first.
     """
 
     ts: np.ndarray
-    M: list
-    Mbar: list
-    frames: list
+    M: np.ndarray
+    Mbar: np.ndarray
+    frames: np.ndarray
     residuals: np.ndarray
 
 
-def _fix_signs(ms, ts, min_overlap=0.2):
+def _fix_signs(ms, ts):
     """Make eigenvector columns continuous in t; first sample gets the
-    convention that each column's largest-magnitude entry is positive."""
-    fixed = []
-    m0 = ms[0].copy()
-    for c in range(m0.shape[1]):
-        lead = np.argmax(np.abs(m0[:, c]))
-        if m0[lead, c] < 0:
-            m0[:, c] = -m0[:, c]
-    fixed.append(m0)
-    for i in range(1, len(ms)):
-        mi = ms[i].copy()
-        prev = fixed[-1]
-        for c in range(mi.shape[1]):
-            v, w = mi[:, c], prev[:, c]
-            cosang = v @ w / (np.linalg.norm(v) * np.linalg.norm(w))
-            if abs(cosang) < min_overlap:
-                raise EigenCrossing(ts[i])
-            if cosang < 0:
-                mi[:, c] = -mi[:, c]
-        fixed.append(mi)
-    return fixed
+    convention that each column's largest-magnitude entry is positive.
+    The signs are cumulative products of the signs of consecutive column
+    overlaps; an overlap below MIN_OVERLAP is an eigenvalue crossing."""
+    first = ms[0][np.argmax(np.abs(ms[0]), axis=0), np.arange(ms.shape[-1])]
+    norms = np.linalg.norm(ms, axis=1)
+    cosang = (np.einsum("mic,mic->mc", ms[1:], ms[:-1])
+              / (norms[1:] * norms[:-1]))
+    Gates().check(np.any(np.abs(cosang) < MIN_OVERLAP, axis=1),
+                  lambda i: EigenCrossing(ts[i + 1])).raise_error()
+    flips = np.where(np.concatenate([first[None], cosang]) < 0, -1.0, 1.0)
+    return ms * np.cumprod(flips, axis=0)[:, None, :]
 
 
 def frenet_frame(jets, ricci_series, arc: ArcData):
@@ -81,48 +71,30 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     (second-derivative correction by zeta'/zeta).
     """
     ts = arc.ts
-    ms = _fix_signs([rd.eigvecs for rd in ricci_series], ts)
-    space = SymplecticSpace(jets[0].n)
-    mbars, frames, residuals = [], [], []
-    for i, j in enumerate(jets):
-        s0 = derivative_curve(j, zeta_ratio=arc.zeta1[i] / arc.zeta[i])
-        s = LagrangianChartPoint(j.S)
-        fr = frame_from_chart_pair(ms[i], s, s0)
-        _, resid = is_symplectic_frame(space, fr)
-        n = j.n
-        mbars.append(fr.F[:n, n:])
-        frames.append(fr)
-        residuals.append(resid)
-    return FrenetFrame(ts=ts, M=ms, Mbar=mbars, frames=frames,
-                       residuals=np.array(residuals))
+    ms = _fix_signs(ricci_series.eigvecs, ts)
+    # a failure of the frame pair before the first inflection point wins
+    gates = Gates()
+    s0 = gates.run(derivative_curve, ts, jets, arc.zeta1 / arc.zeta)
+    k = gates.stop
+    fr = frame_from_chart_pair(ms[:k], LagrangianChartPoint(jets.S[:k]), s0)
+    gates.raise_error()
+    n = jets.n
+    _, residuals = is_symplectic_frame(SymplecticSpace(n), fr)
+    return FrenetFrame(ts=ts, M=ms, Mbar=fr.F[:, :n, n:], frames=fr.F,
+                       residuals=residuals)
 
 
-def cartan_matrix(ff: FrenetFrame, arc: ArcData, ricci_series):
-    """Structure matrix series of the frame in the arc parameter.
-
-    Blocks per sample: upper-left/lower-right (1/2zeta) skew(M^(-1) M'),
-    upper-right -(1/(2 zeta^2)) (diag(mu) - sphi Id), lower-left Id.
-    M' is finite-differenced from the sign-continuous M series.
-    """
-    ms = ff.M
-    h = float(arc.ts[1] - arc.ts[0])
-    mprime = finite_diff(ms, h, 1)
-    out = []
-    n = ms[0].shape[0]
-    for i in range(len(ms)):
-        a = np.linalg.solve(ms[i], mprime[i])
-        sigma = (a - a.T) / (2.0 * arc.zeta[i])
-        mu = ricci_series[i].eigvals
-        kblock = -(np.diag(mu) - arc.sphi[i] * np.eye(n)) / (
-            2.0 * arc.zeta[i] ** 2
-        )
-        c = np.zeros((2 * n, 2 * n))
-        c[:n, :n] = sigma
-        c[:n, n:] = kblock
-        c[n:, :n] = np.eye(n)
-        c[n:, n:] = sigma
-        out.append(c)
-    return out
+def cartan_matrix(Sigma, Kdiag):
+    """Structure matrix C = [[Sigma, diag K], [Id, Sigma]] of the frame in
+    the arc parameter, from Sigma (..., n, n) and the K diagonal (..., n)."""
+    Kdiag = np.asarray(Kdiag, dtype=float)
+    n = Kdiag.shape[-1]
+    c = np.zeros(Kdiag.shape[:-1] + (2 * n, 2 * n))
+    c[..., :n, :n] = Sigma
+    c[..., n:, n:] = Sigma
+    c[..., n:, :n] = np.eye(n)
+    c[..., np.arange(n), n + np.arange(n)] = Kdiag
+    return c
 
 
 def arc_normalized_frames(ff: FrenetFrame, arc: ArcData):
@@ -130,17 +102,15 @@ def arc_normalized_frames(ff: FrenetFrame, arc: ArcData):
 
     The f columns scale by sqrt(zeta) and the fbar columns by 1/sqrt(zeta)
     (the product pairing is preserved).  This series satisfies
-    dF/dt = zeta(t) F C(t) with the Cartan matrix built by cartan_matrix;
-    the unscaled frames satisfy it only where zeta is constant.
+    dF/dt = zeta(t) F C(t), C = cartan_matrix of Sigma before its canonical
+    signs; the unscaled frames satisfy it only where zeta is constant.
     """
-    out = []
-    for fr, z in zip(ff.frames, arc.zeta):
-        n = fr.n
-        f = fr.F.copy()
-        f[:, :n] *= np.sqrt(z)
-        f[:, n:] /= np.sqrt(z)
-        out.append(f)
-    return out
+    n = ff.M.shape[-1]
+    root = np.sqrt(arc.zeta)[:, None, None]
+    f = ff.frames.copy()
+    f[..., :n] *= root
+    f[..., n:] /= root
+    return f
 
 
 @dataclass(frozen=True)
@@ -163,39 +133,24 @@ class ReducedCartan:
         return -2.0 * self.Kdiag
 
 
-def reduced_invariants(c_series, arc: ArcData, block_tol=BLOCK_TOL,
-                       sign_tol=SIGN_TOL):
-    """Extract and canonicalize (Sigma, K) from a Cartan matrix series.
+def reduced_invariants(ff: FrenetFrame, arc: ArcData,
+                       abscurv: AbsoluteCurvature):
+    """Canonical blocks (Sigma, K) of the frame's Cartan matrix
+    C = cartan_matrix(Sigma, K): Sigma = skew(M^(-1) M') / (2 zeta), M'
+    finite-differenced from the sign-continuous M series, and K = -k/2 =
+    -(diag(mu) - sphi Id) / (2 zeta^2) from the absolute curvatures.
 
     Sign freedom: replacing a frame column f_i by -f_i conjugates Sigma by a
     +-1 diagonal matrix.  Canonical choice: walk pairs (i, j) in order; at
-    the first sample where |Sigma_ij| exceeds sign_tol, fix the relative
+    the first sample where |Sigma_ij| exceeds SIGN_TOL, fix the relative
     sign so the entry is >= 0 (a greedy spanning tree over the index graph;
     conflicts cannot arise because each edge is fixed at most once).
     """
-    m = len(c_series)
-    n = c_series[0].shape[0] // 2
-    sig = np.empty((m, n, n))
-    kd = np.empty((m, n))
-    eye = np.eye(n)
-    for i, c in enumerate(c_series):
-        ul, ur = c[:n, :n], c[:n, n:]
-        ll, lr = c[n:, :n], c[n:, n:]
-        if _maxabs(ll - eye) > block_tol:
-            raise StructureViolation(
-                f"lower-left block differs from Id by {_maxabs(ll - eye):g}"
-            )
-        if _maxabs(ul - lr) > block_tol:
-            raise StructureViolation("diagonal blocks differ")
-        if _maxabs(ul + ul.T) > 1e-9 * max(1.0, _maxabs(ul)):
-            raise StructureViolation("upper-left block not skew")
-        offdiag = ur - np.diag(np.diag(ur))
-        if _maxabs(offdiag) > block_tol:
-            raise StructureViolation(
-                f"curvature block not diagonal ({_maxabs(offdiag):g})"
-            )
-        sig[i] = 0.5 * (ul - ul.T)
-        kd[i] = np.diag(ur)
+    ms = ff.M
+    a = np.linalg.solve(ms, finite_diff(ms, arc.h, 1))
+    sig = (a - a.swapaxes(-1, -2)) / (2.0 * arc.zeta)[:, None, None]
+    kd = -abscurv.k / 2
+    n = kd.shape[1]
 
     # canonical signs
     eps = np.ones(n)
@@ -205,7 +160,7 @@ def reduced_invariants(c_series, arc: ArcData, block_tol=BLOCK_TOL,
         for jx in range(i + 1, n):
             if fixed[i] and not fixed[jx]:
                 series = sig[:, i, jx]
-                big = np.nonzero(np.abs(series) > sign_tol)[0]
+                big = np.nonzero(np.abs(series) > SIGN_TOL)[0]
                 if big.size:
                     eps[jx] = eps[i] * np.sign(series[big[0]])
                 fixed[jx] = True
@@ -213,6 +168,8 @@ def reduced_invariants(c_series, arc: ArcData, block_tol=BLOCK_TOL,
     sig = np.einsum("ij,mjk,kl->mil", d, sig, d)
     return ReducedCartan(ts=arc.ts, arclength=arc.arclength, zeta=arc.zeta,
                          Sigma=sig, Kdiag=kd)
+
+
 
 
 def _resample(rc: ReducedCartan, ell):

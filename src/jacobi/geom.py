@@ -11,9 +11,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .curvature import ricci
+from .curvature import RicciData, ricci
 from .errors import (
     ComplexEigenvalues,
+    Gates,
     JacobiError,
     MonotonicityFailure,
     NormalizationViolation,
@@ -52,24 +53,30 @@ class ArcData:
 
 def centered_schwarzian_det(sch):
     """det(Sch - (tr Sch / n) Id) — the admissibility determinant."""
-    n = sch.shape[0]
-    return float(np.linalg.det(sch - (np.trace(sch) / n) * np.eye(n)))
+    n = sch.shape[-1]
+    tr = np.trace(sch, axis1=-2, axis2=-1)
+    return np.linalg.det(sch - (tr / n)[..., None, None] * np.eye(n))
+
+
+def _libm_pow(x, p):
+    """x ** p elementwise through the C library's pow.  numpy's array power
+    can round differently in the last bit (SIMD kernels on some CPUs, x * x
+    for p = 2), and the arc element feeds every artifact."""
+    return np.array([float(v) ** p for v in x])
 
 
 def zeta_series(ricci_series, adm_tol=ADM_TOL):
     """Arc element and derived scalars from the Schwarzians of a sampled
     curve (the RicciData series of its grid)."""
-    ts = np.array([rd.t for rd in ricci_series])
+    ts = ricci_series.t
     h = ts[1] - ts[0]
-    n = ricci_series[0].eigvals.size
-    zeta = np.empty(ts.size)
-    for i, rd in enumerate(ricci_series):
-        det = centered_schwarzian_det(rd.schwarzian)
-        if abs(det) < adm_tol:
-            raise NotAdmissible(rd.t)
-        zeta[i] = abs(det) ** (1.0 / (2 * n))
-    zeta1 = np.array(finite_diff(list(zeta), h, 1), dtype=float)
-    zeta2 = np.array(finite_diff(list(zeta), h, 2), dtype=float)
+    n = ricci_series.eigvals.shape[-1]
+    det = np.abs(centered_schwarzian_det(ricci_series.schwarzian))
+    Gates().check(det < adm_tol,
+                  lambda i: NotAdmissible(ts[i])).raise_error()
+    zeta = _libm_pow(det, 1.0 / (2 * n))
+    zeta1 = finite_diff(zeta, h, 1)
+    zeta2 = finite_diff(zeta, h, 2)
     sphi = zeta2 / zeta - 1.5 * (zeta1 / zeta) ** 2
     arclength = np.concatenate(
         [[0.0], cumulative_trapezoid(zeta, ts)]
@@ -94,20 +101,20 @@ class AbsoluteCurvature:
     sign_patterns: np.ndarray
 
 
-def absolute_curvature(ricci_series, arc, norm_tol=NORM_TOL):
+def absolute_curvature(ricci_series, arc):
     """Eigenvalue curvatures of the arc-reparametrized curve.
 
     The centered product prod |k_i - kbar| equals
     prod |mu_i - mean mu| / zeta^(2n), which is 1 up to roundoff by the very
-    definition of zeta; a violation beyond norm_tol means the eigen and
+    definition of zeta; a violation beyond NORM_TOL means the eigen and
     determinant paths disagree numerically.
     """
-    k = np.array([(rd.eigvals - arc.sphi[i]) / arc.zeta[i] ** 2
-                  for i, rd in enumerate(ricci_series)])
+    k = ((ricci_series.eigvals - arc.sphi[:, None])
+         / _libm_pow(arc.zeta, 2)[:, None])
     kbar = k.mean(axis=1)
     prod = np.prod(np.abs(k - kbar[:, None]), axis=1)
     worst = int(np.argmax(np.abs(prod - 1.0)))
-    if abs(prod[worst] - 1.0) > norm_tol:
+    if abs(prod[worst] - 1.0) > NORM_TOL:
         raise NormalizationViolation(float(arc.ts[worst]), float(prod[worst]))
     signs = np.sign(k - kbar[:, None]).astype(int)
     return AbsoluteCurvature(ts=arc.ts, k=k, kbar=kbar, sign_patterns=signs)
@@ -128,18 +135,18 @@ SCREEN_ERRORS = tuple(SCREEN_STEPS)
 class Screen:
     """Outputs of the admissibility screen, the first stage of analyze.
 
-    `jets` are the grid samples, negated when the velocity form is negative
-    definite (`flipped`; the spectrum is unchanged, the normalization then
-    well-posed).  `error` is the typed error of the first failed step; the
-    fields of the later steps are then left unset.
+    `jets` is the grid's jet series, negated when the velocity form is
+    negative definite (`flipped`; the spectrum is unchanged, the
+    normalization then well-posed).  `error` is the typed error of the first
+    failed step; the fields of the later steps are then left unset.
     """
 
     curve: object
     grid: object
     velocity_sign: int = 0  # +1, -1, or 0 (indefinite/singular)
     flipped: bool = False
-    jets: list | None = None
-    ricci_series: list | None = None
+    jets: CurveJet | None = None
+    ricci_series: RicciData | None = None
     min_eig_gap: float | None = None
     arc: ArcData | None = None
     error: JacobiError | None = None
@@ -155,35 +162,32 @@ def screen(curve, grid, adm_tol=ADM_TOL):
     collapsed spectrum (diameter 0, e.g. scalar multiples of the identity
     or flat curves) is left to the arc-element step, which it always fails
     with the more informative verdict.  Failures of these steps are
-    recorded in `error`, not raised.
+    recorded in `error`, not raised: that of the earliest failing sample.
     """
     scr = Screen(curve, grid)
     try:
         jets = sample_curve(curve, grid)
-        ev = np.linalg.eigvalsh(np.array([j.S1 for j in jets]))
+        ev = np.linalg.eigvalsh(jets.S1)
         sign = np.where(ev[:, 0] > 0, 1, np.where(ev[:, -1] < 0, -1, 0))
-        bad = np.flatnonzero((sign == 0) | (sign != sign[0]))
-        if bad.size:
-            raise MonotonicityFailure(jets[bad[0]].t)
+        Gates().check((sign == 0) | (sign != sign[0]),
+                      lambda i: MonotonicityFailure(jets.t[i])).raise_error()
         scr.velocity_sign = int(sign[0])
         if scr.velocity_sign < 0:
             scr.flipped = True
-            jets = [CurveJet(j.t, -j.S, -j.S1, -j.S2, -j.S3) for j in jets]
+            jets = CurveJet(jets.t, -jets.S, -jets.S1, -jets.S2, -jets.S3)
         scr.jets = jets
-        ricci_series, gaps = [], []
-        for j in jets:
-            rd = ricci(j)
-            mu = rd.eigvals
-            if mu.size > 1:
-                gap = float(np.min(np.diff(mu)))
-                if gap < EIG_GAP_TOL * float(mu[-1] - mu[0]):
-                    scr.min_eig_gap = gap
-                    raise RepeatedEigenvalues(j.t, gap)
-                gaps.append(gap)
-            ricci_series.append(rd)
-        scr.ricci_series = ricci_series
-        scr.min_eig_gap = min(gaps, default=None)
-        scr.arc = zeta_series(ricci_series, adm_tol=adm_tol)
+        gates = Gates()
+        rs = gates.run(ricci, jets.t, jets)
+        mu = rs.eigvals
+        if mu.shape[1] > 1:
+            gap = np.min(np.diff(mu, axis=1), axis=1)
+            gates.check(gap < EIG_GAP_TOL * (mu[:, -1] - mu[:, 0]),
+                        lambda i: RepeatedEigenvalues(jets.t[i], float(gap[i])))
+            scr.min_eig_gap = (float(np.min(gap)) if gates.error is None
+                               else getattr(gates.error, "gap", None))
+        gates.raise_error()
+        scr.ricci_series = rs
+        scr.arc = zeta_series(rs, adm_tol=adm_tol)
     except SCREEN_ERRORS as e:
         scr.error = e
     return scr

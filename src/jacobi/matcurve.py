@@ -4,13 +4,14 @@ A curve is the chart-coordinate picture of a smooth curve of Lagrangian
 subspaces: t maps to the span of [I; S(t)].  Evaluators return the value and
 the first three derivatives; nothing in the pipeline differentiates S beyond
 order 3 (higher-order quantities are reached through scalar series that are
-finite-differenced on grids).
+finite-differenced on grids).  A sampled curve is one CurveJet whose fields
+carry a leading sample axis.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,8 @@ from .errors import (
     TooFewSamples,
 )
 from .symspace import COND_MAX, symmetrize
+
+JET_SYM_TOL = 1e-8
 
 # Five-point stencil coefficients on a uniform grid, exact rationals over the
 # printed denominators.  Rows: offsets / weights.  Interior rows are central;
@@ -48,10 +51,18 @@ STENCILS = {
 # where the stencil error propagates into twice-differentiated scalars.
 STENCIL_3_WIDE = ([-3, -2, -1, 1, 2, 3], [1, -8, 13, -13, 8, -1], 8.0)
 
+# Table curves take derivatives from one-sided (or, for the third, five-point)
+# rows at this many nodes on each end, where their error is orders of
+# magnitude worse than in the interior; analyses of tables skip them.
+TABLE_TRIM = 3
 
-def _stencil_row(values, offsets, weights, denom, i, h, order):
-    acc = sum(w * values[i + o] for o, w in zip(offsets, weights))
-    return acc / (denom * h**order)
+
+def _stencil(values, row, start, stop, hk):
+    """The stencil `row` applied at every i in [start, stop): the sum of
+    w * values[i + o] in the row's order over denom * hk."""
+    offsets, weights, denom = row
+    return sum(w * values[start + o:stop + o]
+               for o, w in zip(offsets, weights)) / (denom * hk)
 
 
 def finite_diff(values, h, order=1):
@@ -60,38 +71,24 @@ def finite_diff(values, h, order=1):
     Five-point central stencils in the interior, one-sided five-point rows at
     the two boundary points on each end (coefficients in STENCILS).  `order`
     may be 1, 2 or 3; the classic contract is orders 1 and 2, order 3 is used
-    internally for table-kind curves.
+    internally for table-kind curves.  Samples run along the first axis.
     """
     if order not in STENCILS:
         raise ValueError(f"unsupported derivative order {order}")
-    values = [np.asarray(v, dtype=float) for v in values]
+    values = np.asarray(values, dtype=float)
     m = len(values)
     if m < 5:
         raise TooFewSamples(f"need >= 5 samples, got {m}")
-    st = STENCILS[order]
-    out = []
-    for i in range(m):
-        if i == 0:
-            key = "left0"
-        elif i == 1:
-            key = "left1"
-        elif i == m - 1:
-            key = "right0"
-        elif i == m - 2:
-            key = "right1"
-        else:
-            key = "central"
-        if key.startswith("right"):
-            # mirror of the matching left row
-            offsets, weights, denom = st["left" + key[-1]]
-            sign = (-1.0) ** order
-            row = sum(
-                sign * w * values[i - o] for o, w in zip(offsets, weights)
-            ) / (denom * h**order)
-            out.append(row)
-        else:
-            offsets, weights, denom = st[key]
-            out.append(_stencil_row(values, offsets, weights, denom, i, h, order))
+    st, hk, sign = STENCILS[order], h**order, (-1.0) ** order
+    out = np.empty_like(values)
+    out[2:m - 2] = _stencil(values, st["central"], 2, m - 2, hk)
+    for i in (0, 1):
+        row = st[f"left{i}"]
+        out[i] = _stencil(values, row, i, i + 1, hk)[0]
+        # the right end mirrors the matching left row
+        offsets, weights, denom = row
+        mirrored = (offsets, [sign * w for w in weights], denom)
+        out[m - 1 - i] = _stencil(values[::-1], mirrored, i, i + 1, hk)[0]
     return out
 
 
@@ -118,11 +115,20 @@ class SampleGrid:
         return np.linspace(self.t0, self.t1, self.m)
 
 
-@dataclass(frozen=True)
-class CurveJet:
-    """One sample of a curve: value and first three derivatives at t."""
+class Series:
+    """Record of fields with a leading sample axis; indexing indexes each."""
 
-    t: float
+    def __getitem__(self, i):
+        return type(self)(*(np.asarray(getattr(self, f.name))[i]
+                            for f in fields(self)))
+
+
+@dataclass(frozen=True)
+class CurveJet(Series):
+    """Value and first three derivatives of a curve at t: one sample, or a
+    series (t of shape (m,), matrices (m, n, n))."""
+
+    t: float | np.ndarray
     S: np.ndarray
     S1: np.ndarray
     S2: np.ndarray
@@ -130,7 +136,7 @@ class CurveJet:
 
     @property
     def n(self):
-        return self.S.shape[0]
+        return self.S.shape[-1]
 
 
 class SymmetricMatrixCurve:
@@ -148,7 +154,7 @@ class SymmetricMatrixCurve:
         self.kind = kind
         self.name = name
 
-    def jet(self, t, check_regular=True, sym_tol=1e-8):
+    def jet(self, t, check_regular=True):
         t = float(t)
         if not (self.domain[0] <= t <= self.domain[1]):
             raise DomainError(
@@ -157,7 +163,7 @@ class SymmetricMatrixCurve:
         mats = [np.asarray(m, dtype=float) for m in self._eval(t)]
         if len(mats) != 4 or any(m.shape != (self.n, self.n) for m in mats):
             raise InvalidDimension("evaluator must return four n x n matrices")
-        mats = [symmetrize(m, tol=sym_tol) for m in mats]
+        mats = [symmetrize(m, tol=JET_SYM_TOL) for m in mats]
         jet = CurveJet(t, *mats)
         if check_regular and (
             abs(np.linalg.det(jet.S1)) < 1e-300
@@ -168,12 +174,15 @@ class SymmetricMatrixCurve:
 
 
 def sample_curve(curve, grid, check_regular=True):
-    """Evaluate the curve on the grid; fails at the first irregular point."""
+    """Jet series on the grid; fails at the first irregular point."""
     if grid.t0 < curve.domain[0] or grid.t1 > curve.domain[1]:
         raise DomainError(
             f"grid [{grid.t0}, {grid.t1}] outside curve domain {curve.domain}"
         )
-    return [curve.jet(t, check_regular=check_regular) for t in grid.points]
+    ts = grid.points
+    jets = [curve.jet(t, check_regular=check_regular) for t in ts]
+    return CurveJet(ts, *(np.array(mats) for mats in
+                          zip(*((j.S, j.S1, j.S2, j.S3) for j in jets))))
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +271,14 @@ def table_curve(ts, S_values, name=None):
     h = ts[1] - ts[0]
     if np.max(np.abs(np.diff(ts) - h)) > 1e-9 * max(1.0, abs(h)):
         raise DomainError("table nodes must be uniformly spaced")
-    values = [symmetrize(np.asarray(s, dtype=float), strict=False) for s in S_values]
-    n = values[0].shape[0]
+    values = symmetrize(np.asarray(S_values, dtype=float), strict=False)
+    n = values.shape[-1]
     d1 = finite_diff(values, h, 1)
     d2 = finite_diff(values, h, 2)
     d3 = finite_diff(values, h, 3)
     # interior third derivatives upgraded to the O(h^4) wide stencil; the
-    # 3 one-sided rows at each end keep the five-point O(h^2) values
-    offsets, weights, denom = STENCIL_3_WIDE
-    for i in range(3, len(values) - 3):
-        d3[i] = sum(
-            w * values[i + o] for o, w in zip(offsets, weights)
-        ) / (denom * h**3)
+    # TABLE_TRIM rows at each end keep the five-point O(h^2) values
+    d3[3:-3] = _stencil(values, STENCIL_3_WIDE, 3, len(values) - 3, h**3)
 
     def evaluator(t):
         i = int(round((t - ts[0]) / h))
@@ -283,7 +288,6 @@ def table_curve(ts, S_values, name=None):
 
     c = SymmetricMatrixCurve(n, evaluator, (ts[0], ts[-1]), kind="table", name=name)
     c.table_ts = ts
-    c.table_values = values
     return c
 
 
@@ -514,8 +518,5 @@ def curve_to_table_json(curve, grid):
         "kind": "table",
         "name": curve.name,
         "domain": [grid.t0, grid.t1],
-        "samples": {
-            "t": [j.t for j in jets],
-            "S": [j.S.tolist() for j in jets],
-        },
+        "samples": {"t": jets.t.tolist(), "S": jets.S.tolist()},
     }

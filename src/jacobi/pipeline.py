@@ -5,13 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frames import (
-    FrenetFrame,
-    ReducedCartan,
-    cartan_matrix,
-    frenet_frame,
-    reduced_invariants,
-)
+from .curvature import RicciData
+from .frames import FrenetFrame, ReducedCartan, frenet_frame, reduced_invariants
 from .geom import (
     ADM_TOL,
     AbsoluteCurvature,
@@ -24,17 +19,15 @@ from .matcurve import SampleGrid
 
 @dataclass
 class Analysis:
-    """Everything computed for one curve over one grid."""
+    """Everything computed for one curve over one grid, as sample series."""
 
     curve: object
     grid: SampleGrid
     flipped: bool
-    jets: list
-    ricci_series: list
+    ricci_series: RicciData
     arc: ArcData
     abscurv: AbsoluteCurvature
     frame: FrenetFrame
-    cartan: list
     reduced: ReducedCartan
 
 
@@ -56,10 +49,9 @@ def complete(scr):
         raise scr.error
     abscurv = absolute_curvature(scr.ricci_series, scr.arc)
     frame = frenet_frame(scr.jets, scr.ricci_series, scr.arc)
-    cartan = cartan_matrix(frame, scr.arc, scr.ricci_series)
-    reduced = reduced_invariants(cartan, scr.arc)
+    reduced = reduced_invariants(frame, scr.arc, abscurv)
     return Analysis(
-        curve=scr.curve, grid=scr.grid, flipped=scr.flipped, jets=scr.jets,
+        curve=scr.curve, grid=scr.grid, flipped=scr.flipped,
         ricci_series=scr.ricci_series, arc=scr.arc, abscurv=abscurv,
-        frame=frame, cartan=cartan, reduced=reduced,
+        frame=frame, reduced=reduced,
     )

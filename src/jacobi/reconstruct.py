@@ -18,9 +18,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatch, SymplecticityLoss
-from .frames import equivalent_reduced
+from .frames import cartan_matrix, equivalent_reduced
 from .geom import NORM_TOL
-from .matcurve import SampleGrid, table_curve
+from .matcurve import TABLE_TRIM, SampleGrid, table_curve
 from .pipeline import analyze
 from .symspace import (
     COND_MAX,
@@ -90,13 +90,7 @@ class InvariantPrescription:
         kd = CubicSpline(self.ts, self.Kdiag)
 
         def c_at(tau):
-            s = sig(tau).reshape(n, n)
-            c = np.zeros((2 * n, 2 * n))
-            c[:n, :n] = s
-            c[:n, n:] = np.diag(kd(tau))
-            c[n:, :n] = np.eye(n)
-            c[n:, n:] = s
-            return c
+            return cartan_matrix(sig(tau).reshape(n, n), kd(tau))
 
         return c_at
 
@@ -166,7 +160,7 @@ def integrate_frame(p: InvariantPrescription, substeps=1,
     return [SymplecticFrame(f) for f in frames], resid
 
 
-def curve_from_frame(frames, cond_max=COND_MAX):
+def curve_from_frame(frames):
     """Chart points S = B A^(-1) along a frame series.
 
     Samples where the A block is singular are chart exits: the point list
@@ -177,7 +171,7 @@ def curve_from_frame(frames, cond_max=COND_MAX):
         f = fr.F if isinstance(fr, SymplecticFrame) else np.asarray(fr)
         n = f.shape[0] // 2
         a, b = f[:n, :n], f[n:, :n]
-        if np.linalg.cond(a) > cond_max:
+        if np.linalg.cond(a) > COND_MAX:
             points.append(None)
             continue
         s = np.linalg.solve(a.T, b.T).T
@@ -225,16 +219,16 @@ def arc_uniform_prescription(analysis, m=None):
         ts=tau,
         Sigma=sg.reshape(m, n, n),
         Kdiag=kd,
-        F0=analysis.frame.frames[0],
+        F0=SymplecticFrame(analysis.frame.frames[0]),
     )
 
 
-def roundtrip(curve, grid, tol=1e-3, resid_max=RESID_MAX, trim=3):
+def roundtrip(curve, grid, tol=1e-3, resid_max=RESID_MAX):
     """Analyze, rebuild from the extracted invariants, re-analyze, compare.
 
     The rebuilt curve is a sampled table; its derivative stencils are
-    one-sided at the first/last `trim` nodes with markedly worse error, so
-    re-analysis runs on the interior window.  Arclength alignment is exact:
+    one-sided at the first/last TABLE_TRIM nodes with markedly worse error,
+    so re-analysis runs on the interior window.  Arclength alignment is exact:
     the table parameter is the original curve's arclength, so the interior
     re-analysis enters the comparison with its arclength offset by the trim.
     """
@@ -248,7 +242,7 @@ def roundtrip(curve, grid, tol=1e-3, resid_max=RESID_MAX, trim=3):
             f"segments: {segments}"
         )
     rebuilt = table_curve(p.ts, [pt.S for pt in points], name="reconstructed")
-    m = p.ts.size
+    m, trim = p.ts.size, TABLE_TRIM
     regrid = SampleGrid(p.ts[trim], p.ts[m - 1 - trim], m - 2 * trim)
     ana2 = analyze(rebuilt, regrid)
     reduced2 = replace(

@@ -3,7 +3,8 @@
 Everything is expressed relative to one fixed symplectic basis: the form is
 J = [[0, I], [-I, 0]], Lagrangian subspaces are stored either as chart
 coordinates (a symmetric n x n matrix S, the subspace being the column span
-of [I; S]) or as frames [X; Y].  All operations are pure.
+of [I; S]) or as frames [X; Y].  All operations are pure; matrices may carry
+a leading sample axis, and the per-sample functions then act on each sample.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    Gates,
     InvalidBasis,
     InvalidDimension,
     InvalidTransform,
@@ -31,27 +33,38 @@ def _maxabs(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def solve_gated(a, b, cond_max=COND_MAX, exc=NotTransverse, what="matrix"):
+def _matrix_maxabs(a):
+    """Max-abs entry of each matrix (the last two axes)."""
+    return np.max(np.abs(a), axis=(-2, -1))
+
+
+def _singular(exc, what):
+    return exc(f"{what} is singular (condition number above {COND_MAX:g})")
+
+
+def solve_gated(a, b, exc=NotTransverse, what="matrix"):
     """Solve a x = b, raising `exc` when a is singular past the cond gate."""
     a = np.asarray(a, dtype=float)
-    if np.linalg.cond(a) > cond_max:
-        raise exc(f"{what} is singular (condition number above {cond_max:g})")
+    if np.any(np.linalg.cond(a) > COND_MAX):
+        raise _singular(exc, what)
     return np.linalg.solve(a, b)
 
 
-def inv_gated(a, cond_max=COND_MAX, exc=NotTransverse, what="matrix"):
+def inv_gated(a, exc=NotTransverse, what="matrix"):
     a = np.asarray(a, dtype=float)
-    return solve_gated(a, np.eye(a.shape[0]), cond_max=cond_max, exc=exc, what=what)
+    eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+    return solve_gated(a, eye, exc=exc, what=what)
 
 
 def symmetrize(s, tol=SYM_TOL, strict=True):
     """Return (s + s^T)/2; asymmetry beyond `tol` is an error when strict."""
     s = np.asarray(s, dtype=float)
-    resid = _maxabs(s - s.T)
-    scale = max(1.0, _maxabs(s))
-    if strict and resid > tol * scale:
-        raise InvalidBasis(f"asymmetry {resid:g} exceeds tolerance {tol:g}")
-    return 0.5 * (s + s.T)
+    if strict:
+        resid = np.atleast_1d(_matrix_maxabs(s - s.swapaxes(-1, -2)))
+        bad = resid > tol * np.maximum(1.0, _matrix_maxabs(s))
+        Gates().check(bad, lambda i: InvalidBasis(
+            f"asymmetry {resid[i]:g} exceeds tolerance {tol:g}")).raise_error()
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -89,7 +102,7 @@ class LagrangianChartPoint:
 
     @property
     def n(self):
-        return self.S.shape[0]
+        return self.S.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -126,44 +139,43 @@ class SymplecticFrame:
 
     def __post_init__(self):
         f = np.asarray(self.F, dtype=float)
-        if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 2:
+        if f.ndim < 2 or f.shape[-1] != f.shape[-2] or f.shape[-1] % 2:
             raise InvalidDimension("frame matrix must be square of even size")
         object.__setattr__(self, "F", f)
 
     @property
     def n(self):
-        return self.F.shape[0] // 2
+        return self.F.shape[-1] // 2
 
     def lagrangian_blocks(self):
         """(A, B, Abar, Bbar) with f = e A + ebar B, fbar = e Abar + ebar Bbar."""
         n = self.n
         return (
-            self.F[:n, :n],
-            self.F[n:, :n],
-            self.F[:n, n:],
-            self.F[n:, n:],
+            self.F[..., :n, :n],
+            self.F[..., n:, :n],
+            self.F[..., :n, n:],
+            self.F[..., n:, n:],
         )
 
 
 def is_symplectic_frame(space, F, tol=FRAME_TOL):
     """Check F^T J F = J; returns (verdict, max-abs residual)."""
     f = F.F if isinstance(F, SymplecticFrame) else np.asarray(F, dtype=float)
-    if f.shape != (space.dim, space.dim):
+    if f.shape[-2:] != (space.dim, space.dim):
         raise InvalidDimension(
             f"expected a {space.dim}x{space.dim} matrix, got {f.shape}"
         )
-    residual = _maxabs(f.T @ space.J @ f - space.J)
+    residual = _matrix_maxabs(f.swapaxes(-1, -2) @ space.J @ f - space.J)
     return residual <= tol, residual
 
 
-def lagrangian_from_frame(fr, cond_max=COND_MAX):
+def lagrangian_from_frame(fr):
     """Chart coordinate S = Y X^(-1) of the span of [X; Y]."""
-    s = solve_gated(fr.X.T, fr.Y.T, cond_max=cond_max, exc=NotInChart,
-                    what="frame X block").T
+    s = solve_gated(fr.X.T, fr.Y.T, exc=NotInChart, what="frame X block").T
     return LagrangianChartPoint(symmetrize(s, strict=False))
 
 
-def complete_symplectic_basis(M, S, Sbar, cond_max=COND_MAX):
+def complete_symplectic_basis(M, S, Sbar):
     """Unique complement Mbar = (Sbar - S)^(-1) (M^T)^(-1).
 
     The columns of M are a basis of the subspace with chart coordinate S;
@@ -171,35 +183,39 @@ def complete_symplectic_basis(M, S, Sbar, cond_max=COND_MAX):
     is symplectic: M^T (Sbar - S) Mbar = Id.
     """
     M = np.asarray(M, dtype=float)
-    if np.linalg.cond(M) > cond_max:
-        raise InvalidBasis("basis matrix M is singular")
     diff = Sbar.S - S.S
-    mt_inv = np.linalg.solve(M.T, np.eye(M.shape[0]))
-    return solve_gated(diff, mt_inv, cond_max=cond_max, what="Sbar - S")
+    gates = Gates()
+    gates.check(np.linalg.cond(M) > COND_MAX,
+                lambda i: InvalidBasis("basis matrix M is singular"))
+    gates.check(np.linalg.cond(diff) > COND_MAX,
+                lambda i: _singular(NotTransverse, "Sbar - S"))
+    gates.raise_error()
+    eye = np.broadcast_to(np.eye(M.shape[-1]), M.shape)
+    return np.linalg.solve(diff, np.linalg.solve(M.swapaxes(-1, -2), eye))
 
 
-def frame_from_chart_pair(M, S, Sbar, cond_max=COND_MAX):
+def frame_from_chart_pair(M, S, Sbar):
     """Symplectic frame with f spanning S (basis M) and fbar spanning Sbar."""
-    Mbar = complete_symplectic_basis(M, S, Sbar, cond_max=cond_max)
-    n = M.shape[0]
-    F = np.zeros((2 * n, 2 * n))
-    F[:n, :n] = M
-    F[n:, :n] = S.S @ M
-    F[:n, n:] = Mbar
-    F[n:, n:] = Sbar.S @ Mbar
+    Mbar = complete_symplectic_basis(M, S, Sbar)
+    n = M.shape[-1]
+    F = np.zeros(M.shape[:-2] + (2 * n, 2 * n))
+    F[..., :n, :n] = M
+    F[..., n:, :n] = S.S @ M
+    F[..., :n, n:] = Mbar
+    F[..., n:, n:] = Sbar.S @ Mbar
     return SymplecticFrame(F)
 
 
-def chart_translate_invert(S, S_ref, cond_max=COND_MAX):
+def chart_translate_invert(S, S_ref):
     """Coordinate (S - S_ref)^(-1) of the same subspace in the chart at S_ref.
 
     Not an involution: the inverse transform is S_ref + T^(-1).
     """
-    t = inv_gated(S.S - S_ref.S, cond_max=cond_max, what="S - S_ref")
+    t = inv_gated(S.S - S_ref.S, what="S - S_ref")
     return LagrangianChartPoint(symmetrize(t, strict=False))
 
 
-def apply_symplectic(g, S, frame_tol=FRAME_TOL, cond_max=COND_MAX):
+def apply_symplectic(g, S):
     """Fractional-linear action of a (conformal) symplectic map on a chart.
 
     With g = [[P, Q], [R, T]] in n x n blocks, S maps to (R + T S)(P + Q S)^(-1).
@@ -213,7 +229,7 @@ def apply_symplectic(g, S, frame_tol=FRAME_TOL, cond_max=COND_MAX):
     space = SymplecticSpace(n)
     gjg = g.T @ space.J @ g
     scale = np.trace(gjg[:n, n:]) / n
-    if abs(scale) < 1e-12 or _maxabs(gjg - scale * space.J) > frame_tol * max(
+    if abs(scale) < 1e-12 or _maxabs(gjg - scale * space.J) > FRAME_TOL * max(
         1.0, _maxabs(gjg)
     ):
         raise InvalidTransform("matrix is not conformal symplectic")
@@ -221,8 +237,7 @@ def apply_symplectic(g, S, frame_tol=FRAME_TOL, cond_max=COND_MAX):
     R, T = g[n:, :n], g[n:, n:]
     num = R + T @ S.S
     den = P + Q @ S.S
-    out = solve_gated(den.T, num.T, cond_max=cond_max, exc=NotInChart,
-                      what="P + Q S").T
+    out = solve_gated(den.T, num.T, exc=NotInChart, what="P + Q S").T
     return LagrangianChartPoint(symmetrize(out, strict=False))
 
 

@@ -296,11 +296,9 @@ class TestStrict:
             "name": "perturbed",
             "domain": [0.0, 1.0],
             "samples": {
-                "t": [j.t for j in jets],
-                "S": [
-                    (j.S + 5e-6 * np.sin(4 * j.t) * np.eye(2)).tolist()
-                    for j in jets
-                ],
+                "t": jets.t.tolist(),
+                "S": (jets.S + 5e-6 * np.sin(4 * jets.t)[:, None, None]
+                      * np.eye(2)).tolist(),
             },
         }
         f = tmp_path / "table.json"

@@ -12,8 +12,12 @@ from jacobi.curvature import (
     verify_derivative_curve,
 )
 from jacobi.errors import (
+    ComplexEigenvalues,
+    Gates,
     InflectionPoint,
+    JacobiError,
     MonotonicityFailure,
+    RegularityFailure,
     SingularParameter,
 )
 from jacobi.matcurve import (
@@ -205,6 +209,78 @@ class TestDerivativeCurve:
                      np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(InflectionPoint):
             derivative_curve(j)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except JacobiError as e:
+        return None, e
+
+
+class TestSeriesMatchesSamples:
+    """On a jet series the curvature functions give, sample by sample, the
+    single-jet results bit for bit, or the error of the earliest failing
+    sample."""
+
+    CASES = (
+        (matrix_schwarzian, lambda r: [r]),
+        (ricci, lambda r: [r.schwarzian, r.ric, r.eigvals, r.eigvecs]),
+        (derivative_curve, lambda r: [r.S]),
+        (lambda j, ratio: derivative_curve(j, ratio), lambda r: [r.S]),
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
+    def test_random_quartics(self, seed, n):
+        c = random_quartic(seed, n=n)
+        grid = SampleGrid(0.0, 1.0, 21)
+        jets = sample_curve(c, grid)
+        ratio = np.sin(7.0 * grid.points + seed)
+        for fn, arrays in self.CASES:
+            extra = (ratio,) if fn.__name__ == "<lambda>" else ()
+            series, err = _outcome(fn, jets, *extra)
+            singles = [_outcome(fn, c.jet(t), *(r[i] for r in extra))
+                       for i, t in enumerate(grid.points)]
+            first = next((e for _, e in singles if e is not None), None)
+            if first is not None:
+                assert type(err) is type(first)
+                assert (err.t, str(err)) == (first.t, str(first))
+                continue
+            assert err is None
+            for i, (single, _) in enumerate(singles):
+                for a, b in zip(arrays(series), arrays(single)):
+                    assert np.array_equal(a[i], b)
+
+
+class TestGates:
+    def test_earliest_sample_wins_then_first_gate(self):
+        ts = np.linspace(0.0, 1.0, 6)
+        gates = Gates()
+        gates.check(np.arange(6) >= 3, lambda i: RegularityFailure(ts[i]))
+        # a later gate sees only samples 0-2; its failure at 1 wins
+        gates.check(np.arange(6) >= 1, lambda i: ComplexEigenvalues(ts[i]))
+        # a gate failing at the same sample loses to the earlier gate
+        gates.check(np.arange(6) >= 1, lambda i: MonotonicityFailure(ts[i]))
+        assert gates.stop == 1
+        with pytest.raises(ComplexEigenvalues) as exc:
+            gates.raise_error()
+        assert exc.value.t == ts[1]
+
+    def test_run_reruns_on_the_samples_before_the_failure(self):
+        ts = np.linspace(0.0, 1.0, 6)
+        calls = []
+
+        def fn(x):
+            calls.append(len(x))
+            if len(x) > 4:
+                raise RegularityFailure(ts[4])
+            return 2 * x
+
+        gates = Gates()
+        assert np.array_equal(gates.run(fn, ts, ts), 2 * ts[:4])
+        assert calls == [6, 4] and gates.stop == 4
+        assert isinstance(gates.error, RegularityFailure)
 
 
 class TestVerifyDerivativeCurve:

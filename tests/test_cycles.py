@@ -83,7 +83,7 @@ class TestIsFlat:
         # definite direction: the Ricci data needs a monotone curve
         c = scalar_mobius_curve(2.0, 1.0, 1.0, 3.0, np.diag([1.0, 2.0]))
         with pytest.raises(NotAdmissible):
-            zeta_series([ricci(j) for j in sample_curve(c, unit_grid)])
+            zeta_series(ricci(sample_curve(c, unit_grid)))
 
 
 class TestMobiusFit:

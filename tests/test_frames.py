@@ -1,19 +1,37 @@
+import itertools
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from jacobi.errors import GridMismatch, StructureViolation
+from jacobi.errors import EigenCrossing, GridMismatch
 from jacobi.frames import (
     arc_normalized_frames,
+    cartan_matrix,
     equivalent_reduced,
     reduced_invariants,
 )
-from jacobi.geom import zeta_series
-from jacobi.matcurve import SampleGrid, finite_diff, preset_curve, sample_curve
+from jacobi.matcurve import finite_diff, preset_curve, sample_curve
 from jacobi.pipeline import analyze
-from jacobi.symspace import SymplecticSpace, is_symplectic_frame
 
 from .conftest import admissible_quartics
+
+
+def ode_residuals(ana, fs, h):
+    """|dF/dt - zeta F C| per interior sample, C = cartan_matrix(Sigma, K)
+    of the reduced invariant, for the frame series fs with its columns
+    signed as the canonical Sigma needs (the sign pattern with the smallest
+    residual)."""
+    c = cartan_matrix(ana.reduced.Sigma, ana.reduced.Kdiag)
+    zeta = ana.arc.zeta[:, None, None]
+    best = None
+    for eps in itertools.product((1.0, -1.0), repeat=ana.reduced.n):
+        f = fs * np.concatenate([eps, eps])
+        resid = np.max(np.abs(finite_diff(f, h, 1) - zeta * f @ c),
+                       axis=(1, 2))[2:-2]
+        if best is None or np.max(resid) < np.max(best):
+            best = resid
+    return best
 
 
 class TestFrenetFrame:
@@ -39,8 +57,9 @@ class TestFrenetFrame:
         # (S')^(-1) = M M^T for the normalized eigenbasis
         for c in admissible_quartics(range(8), want=3):
             ana = analyze(c, coarse_grid)
-            for j, m in zip(ana.jets, ana.frame.M):
-                lhs = np.linalg.inv(j.S1)
+            jets = sample_curve(c, coarse_grid)
+            for s1, m in zip(jets.S1, ana.frame.M):
+                lhs = np.linalg.inv(s1)
                 assert np.max(np.abs(lhs - m @ m.T)) <= 1e-8 * max(
                     1.0, np.max(np.abs(lhs))
                 )
@@ -52,6 +71,11 @@ class TestFrenetFrame:
             for c in range(2):
                 assert ms[i][:, c] @ ms[i - 1][:, c] > 0
 
+    def test_eigen_crossing_message_reads_plain_float(self):
+        e = EigenCrossing(np.float64(0.395))
+        assert e.t == 0.395 and type(e.t) is float
+        assert str(e) == "eigenvalue crossing near t=0.395"
+
 
 class TestCartanMatrix:
     def test_first_preset_constant(self, unit_grid):
@@ -59,7 +83,8 @@ class TestCartanMatrix:
         ref = np.zeros((4, 4))
         ref[:2, 2:] = np.diag([1.0, 0.0])
         ref[2:, :2] = np.eye(2)
-        for c in ana.cartan[2:-2]:
+        cm = cartan_matrix(ana.reduced.Sigma, ana.reduced.Kdiag)
+        for c in cm[2:-2]:
             assert np.max(np.abs(c - ref)) <= 1e-7
 
     def test_second_preset_constant(self, unit_grid):
@@ -67,7 +92,8 @@ class TestCartanMatrix:
         ref = np.zeros((4, 4))
         ref[:2, 2:] = np.diag([0.0, -1.0])
         ref[2:, :2] = np.eye(2)
-        for c in ana.cartan[2:-2]:
+        cm = cartan_matrix(ana.reduced.Sigma, ana.reduced.Kdiag)
+        for c in cm[2:-2]:
             assert np.max(np.abs(c - ref)) <= 1e-7
 
     def test_defining_ode_residual(self, unit_grid):
@@ -75,11 +101,8 @@ class TestCartanMatrix:
         # finite-differencing the frame series (interior rows only)
         for name in ("paper-6.2-ex1", "paper-6.2-ex2"):
             ana = analyze(preset_curve(name), unit_grid)
-            fs = [fr.F for fr in ana.frame.frames]
-            dfs = finite_diff(fs, unit_grid.h, 1)
-            for i in range(2, len(fs) - 2):
-                resid = dfs[i] - ana.arc.zeta[i] * fs[i] @ ana.cartan[i]
-                assert np.max(np.abs(resid)) <= 1e-4, (name, i)
+            resid = ode_residuals(ana, ana.frame.frames, unit_grid.h)
+            assert np.max(resid) <= 1e-4, (name, np.argmax(resid) + 2)
 
     def test_defining_ode_residual_random(self, coarse_grid):
         # general curves are not arc-parametrized: the ODE is satisfied by
@@ -87,11 +110,8 @@ class TestCartanMatrix:
         for c in admissible_quartics(range(10), want=3):
             ana = analyze(c, coarse_grid)
             fs = arc_normalized_frames(ana.frame, ana.arc)
-            dfs = finite_diff(fs, coarse_grid.h, 1)
-            scale = max(np.max(np.abs(f)) for f in fs)
-            for i in range(2, len(fs) - 2):
-                resid = dfs[i] - ana.arc.zeta[i] * fs[i] @ ana.cartan[i]
-                assert np.max(np.abs(resid)) <= 5e-3 * scale, c.name
+            resid = ode_residuals(ana, fs, coarse_grid.h)
+            assert np.max(resid) <= 5e-3 * np.max(np.abs(fs)), c.name
 
 
 class TestReducedInvariants:
@@ -118,23 +138,16 @@ class TestReducedInvariants:
             prod = np.prod(np.abs(d - d.mean(axis=1, keepdims=True)), axis=1)
             assert np.max(np.abs(prod - 1.0)) <= 1e-5
 
-    def test_structure_violation(self, unit_grid):
-        ana = analyze(preset_curve("paper-6.2-ex1"), unit_grid)
-        bad = [c.copy() for c in ana.cartan]
-        bad[3][2:, :2] = 2 * np.eye(2)
-        with pytest.raises(StructureViolation):
-            reduced_invariants(bad, ana.arc)
-
     def test_sign_canonicalization(self, unit_grid):
-        ana = analyze(preset_curve("paper-6.2-ex1"), unit_grid)
-        flipped = [c.copy() for c in ana.cartan]
-        for c in flipped:
-            # conjugating by diag(1, -1) flips the off-diagonal signs
-            d = np.diag([1.0, -1.0, 1.0, -1.0])
-            c[:] = d @ c @ d
-        rc = reduced_invariants(flipped, ana.arc)
-        # Sigma is zero here, so canonicalization leaves everything equal
-        assert np.allclose(rc.Kdiag, ana.reduced.Kdiag)
+        for c in [preset_curve("paper-6.2-ex1")] + admissible_quartics(
+                range(10), n=3, want=2):
+            ana = analyze(c, unit_grid)
+            for eps in itertools.product((1.0, -1.0), repeat=ana.reduced.n):
+                # flipping frame columns conjugates Sigma by diag(eps)
+                flipped = replace(ana.frame, M=ana.frame.M * np.array(eps))
+                rc = reduced_invariants(flipped, ana.arc, ana.abscurv)
+                assert np.allclose(rc.Sigma, ana.reduced.Sigma, atol=1e-12)
+                assert np.array_equal(rc.Kdiag, ana.reduced.Kdiag)
 
 
 class TestEquivalentReduced:
@@ -176,6 +189,9 @@ def test_block_structure_everywhere(coarse_grid):
     for c in admissible_quartics(range(6), want=2):
         ana = analyze(c, coarse_grid)
         n = 2
-        for cm in ana.cartan:
-            assert np.max(np.abs(cm[n:, :n] - np.eye(n))) <= 1e-6
-            assert np.max(np.abs(cm[:n, :n] - cm[n:, n:])) <= 1e-6
+        sig = ana.reduced.Sigma
+        assert np.array_equal(sig, -np.swapaxes(sig, 1, 2))
+        for cm in cartan_matrix(sig, ana.reduced.Kdiag):
+            assert np.array_equal(cm[n:, :n], np.eye(n))
+            assert np.array_equal(cm[:n, :n], cm[n:, n:])
+            assert np.array_equal(cm[:n, n:], np.diag(np.diag(cm[:n, n:])))

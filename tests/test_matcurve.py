@@ -77,8 +77,8 @@ class TestFiniteDiff:
         sin = [[[0.0, 0.5], [0.0, 0.1]], [[0.0, 0.1], [0.0, 0.6]]]
         c = fourier_curve(cos, sin, (-1.0, 2.0), omega=w)
         jets = sample_curve(c, grid, check_regular=False)
-        d = finite_diff([j.S for j in jets], grid.h, 1)
-        err = max(np.max(np.abs(di - j.S1)) for di, j in zip(d, jets))
+        d = finite_diff(jets.S, grid.h, 1)
+        err = np.max(np.abs(d - jets.S1))
         assert err <= 50.0 * w**5 * grid.h**4
 
 
@@ -110,10 +110,10 @@ class TestPresets:
         # S'(t) = diag(e^(-2t), (1+t)^(-2))
         c = preset_curve("paper-6.2-ex1")
         jets = sample_curve(c, SampleGrid(0.0, 1.0, 101))
-        assert len(jets) == 101
-        for j in jets:
-            ref = np.diag([np.exp(-2 * j.t), (1 + j.t) ** -2])
-            assert np.allclose(j.S1, ref, atol=1e-12)
+        assert jets.t.shape == (101,) and jets.S1.shape == (101, 2, 2)
+        for t, s1 in zip(jets.t, jets.S1):
+            ref = np.diag([np.exp(-2 * t), (1 + t) ** -2])
+            assert np.allclose(s1, ref, atol=1e-12)
 
     def test_second_preset_velocity(self):
         c = preset_curve("paper-6.2-ex2")
@@ -128,11 +128,8 @@ class TestPresets:
             grid = SampleGrid(0.1, 0.9, 81)
             jets = sample_curve(c, grid)
             for order, attr in ((1, "S1"), (2, "S2")):
-                d = finite_diff([j.S for j in jets], grid.h, order)
-                err = max(
-                    np.max(np.abs(d[i] - getattr(jets[i], attr)))
-                    for i in range(2, len(jets) - 2)
-                )
+                d = finite_diff(jets.S, grid.h, order)
+                err = np.max(np.abs(d - getattr(jets, attr))[2:-2])
                 assert err < 1e-6, (name, order, err)
 
     def test_affine_line_jets(self):
@@ -168,9 +165,8 @@ def test_jets_deterministic():
     g = SampleGrid(0.0, 1.0, 31)
     a = sample_curve(c, g)
     b = sample_curve(c, g)
-    for ja, jb in zip(a, b):
-        assert np.array_equal(ja.S, jb.S)
-        assert np.array_equal(ja.S3, jb.S3)
+    assert np.array_equal(a.S, b.S)
+    assert np.array_equal(a.S3, b.S3)
 
 
 class TestPolynomialCurve:
@@ -217,12 +213,9 @@ class TestTransformedCurve:
         # the order-3 five-point stencil is only O(h^2), hence the wider gate
         for order, attr, tol in ((1, "S1", 1e-5), (2, "S2", 1e-4),
                                  (3, "S3", 2e-2)):
-            d = finite_diff([j.S for j in jets], grid.h, order)
+            d = finite_diff(jets.S, grid.h, order)
             # skip the one-sided boundary rows; compare interior only
-            err = max(
-                np.max(np.abs(d[i] - getattr(jets[i], attr)))
-                for i in range(2, len(jets) - 2)
-            )
+            err = np.max(np.abs(d - getattr(jets, attr))[2:-2])
             assert err < tol, (seed, order, err)
 
 
@@ -244,11 +237,8 @@ class TestReparametrizedCurve:
         )
         grid = SampleGrid(0.15, 0.85, 71)
         jets = sample_curve(rc, grid, check_regular=False)
-        d = finite_diff([j.S for j in jets], grid.h, 1)
-        err = max(
-            np.max(np.abs(d[i] - jets[i].S1))
-            for i in range(2, len(jets) - 2)
-        )
+        d = finite_diff(jets.S, grid.h, 1)
+        err = np.max(np.abs(d - jets.S1)[2:-2])
         assert err < 1e-6
 
 
