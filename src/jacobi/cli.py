@@ -19,14 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cycles import AT_INFINITY, cycle_contains, cycle_through, is_flat, mobius_fit
+from .cycles import (FLAT_TOL, MEMBER_TOL, cycle_contains, cycle_through,
+                     is_flat, mobius_fit)
 from .errors import JacobiError, NoFit
-from .geom import AdmissibilityReport, screen
-from .frames import equivalent_reduced
+from .geom import ADM_TOL, AdmissibilityReport, screen
+from .frames import EQUIV_TOL, equivalent_reduced
 from .matcurve import (PRESET_NAMES, TABLE_TRIM, SampleGrid, curve_from_json,
                        preset_curve, sample_curve)
 from .pipeline import complete
-from .reconstruct import curve_from_frame, integrate_frame, prescription_from_json
+from .reconstruct import (RESID_MAX, curve_from_frame, integrate_frame,
+                          prescription_from_json)
 from .symspace import LagrangianChartPoint
 
 FLOAT_FMT = "%.12e"
@@ -122,14 +124,12 @@ def _offset_reduced(curve, grid, reduced):
     return replace(reduced, arclength=reduced.arclength + offset)
 
 
-TOLERANCES = ("tol_adm", "tol_equiv", "tol_flat", "tol_member", "tol_resid")
-
-
 def _apply_strict(args):
-    """--strict tightens every tolerance 10x, here and nowhere else."""
+    """--strict tightens the subcommand's tolerances 10x, here only."""
     if getattr(args, "strict", False):
-        for name in TOLERANCES:
-            setattr(args, name, 0.1 * getattr(args, name))
+        for name, value in vars(args).items():
+            if name.startswith("tol_"):
+                setattr(args, name, 0.1 * value)
 
 
 def _screen(curve, args):
@@ -214,24 +214,22 @@ def cmd_compare(args):
 def cmd_reconstruct(args):
     p = prescription_from_json(json.loads(Path(args.input).read_text()))
     frames, resid = integrate_frame(p, resid_max=args.tol_resid)
-    points, segments = curve_from_frame(frames)
-    first = next((pt for pt in points if pt is not None), None)
-    n = p.n
+    S, segments = curve_from_frame(frames)
     table = {
-        "n": n,
+        "n": p.n,
         "kind": "table",
         "name": "reconstructed",
         "domain": [p.ts[0], p.ts[-1]],
         "samples": {
             "t": list(p.ts),
-            "S": [None if pt is None else pt.S for pt in points],
+            "S": [None if np.isnan(s).all() else s for s in S],
         },
     }
     report = {
         "warnings": p.warnings,
         "symplecticity_residual": resid,
         "segments": segments,
-        "in_chart_samples": sum(pt is not None for pt in points),
+        "in_chart_samples": sum(j - i + 1 for i, j in segments),
     }
     out = Path(args.out) if args.out else None
     if out:
@@ -240,7 +238,7 @@ def cmd_reconstruct(args):
         _emit_json(report, out / "reconstruct.json")
     else:
         _emit_json({"curve": table, "report": report})
-    return 0 if first is not None else 1
+    return 0 if segments else 1
 
 
 def cmd_cycle(args):
@@ -296,41 +294,47 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("input", nargs="?", help="curve JSON file")
-            sp.add_argument("--preset", choices=PRESET_NAMES)
+    def window(sp):
         sp.add_argument("--t0", type=float, default=None)
         sp.add_argument("--t1", type=float, default=None)
         sp.add_argument("-m", type=int, default=201)
+
+    def curve_input(sp):
+        sp.add_argument("input", nargs="?", help="curve JSON file")
+        sp.add_argument("--preset", choices=PRESET_NAMES)
+        window(sp)
+
+    def outputs_and_tolerances(sp, **tolerances):
+        # each --tol-* default is the module constant it overrides
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", default="json,csv")
         sp.add_argument("--strict", action="store_true")
-        sp.add_argument("--tol-adm", type=float, default=1e-10)
-        sp.add_argument("--tol-equiv", type=float, default=1e-4)
-        sp.add_argument("--tol-flat", type=float, default=1e-8)
-        sp.add_argument("--tol-member", type=float, default=1e-8)
-        sp.add_argument("--tol-resid", type=float, default=1e-6)
+        for name, default in tolerances.items():
+            sp.add_argument("--" + name.replace("_", "-"), type=float,
+                            default=default)
 
     sp = sub.add_parser("analyze", help="run the invariant pipeline")
-    common(sp)
+    curve_input(sp)
+    sp.add_argument("--format", default="json,csv")
+    outputs_and_tolerances(sp, tol_adm=ADM_TOL)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("compare", help="test two curves for equivalence")
     sp.add_argument("a", help="curve JSON file or preset name")
     sp.add_argument("b", help="curve JSON file or preset name")
-    common(sp, needs_input=False)
+    window(sp)
+    outputs_and_tolerances(sp, tol_adm=ADM_TOL, tol_equiv=EQUIV_TOL)
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("reconstruct", help="integrate a prescription")
     sp.add_argument("input", help="prescription JSON file")
-    common(sp, needs_input=False)
+    outputs_and_tolerances(sp, tol_resid=RESID_MAX)
     sp.set_defaults(func=cmd_reconstruct)
 
     sp = sub.add_parser("cycle", help="three-point cycles and flatness")
-    common(sp)
+    curve_input(sp)
     sp.add_argument("--points", default=None,
                     help="JSON file with {'points': [S1, S2, S3, ...]}")
+    outputs_and_tolerances(sp, tol_flat=FLAT_TOL, tol_member=MEMBER_TOL)
     sp.set_defaults(func=cmd_cycle)
 
     sp = sub.add_parser("presets", help="list built-in curves")

@@ -24,6 +24,8 @@ from .symspace import (
 )
 
 FIT_TOL = 1e-8
+FLAT_TOL = 1e-8
+MEMBER_TOL = 1e-8
 
 AT_INFINITY = "at-infinity"
 
@@ -58,7 +60,7 @@ class Cycle:
     regular: bool
 
 
-def is_flat(curve, grid, tol=1e-8):
+def is_flat(curve, grid, tol=FLAT_TOL):
     """True iff sup_t ||Schwarzian(S)||_inf <= tol over the grid."""
     return _maxabs(matrix_schwarzian(sample_curve(curve, grid))) <= tol
 
@@ -133,7 +135,7 @@ def cycle_through(L1, L2, L3):
     )
 
 
-def cycle_contains(cycle, L, tol=1e-8):
+def cycle_contains(cycle, L, tol=MEMBER_TOL):
     """Membership test: infinity itself, or collinearity in the cycle chart.
 
     `L` is a chart point or the AT_INFINITY sentinel.  A chart point is

@@ -29,6 +29,7 @@ from .symspace import (
 
 SIGN_TOL = 1e-6
 MIN_OVERLAP = 0.2
+EQUIV_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def _resample(rc: ReducedCartan, ell):
     return kd, sg.reshape(ell.size, n, n)
 
 
-def equivalent_reduced(a: ReducedCartan, b: ReducedCartan, tol=1e-4):
+def equivalent_reduced(a: ReducedCartan, b: ReducedCartan, tol=EQUIV_TOL):
     """Decide equivalence up to +-1 diagonal conjugation of Sigma.
 
     Both invariants are compared as functions of arclength (the invariant

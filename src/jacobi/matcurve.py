@@ -1,28 +1,32 @@
 """Symmetric-matrix curves S(t) with derivative access, sampling, stencils.
 
 A curve is the chart-coordinate picture of a smooth curve of Lagrangian
-subspaces: t maps to the span of [I; S(t)].  Evaluators return the value and
-the first three derivatives; nothing in the pipeline differentiates S beyond
-order 3 (higher-order quantities are reached through scalar series that are
-finite-differenced on grids).  A sampled curve is one CurveJet whose fields
-carry a leading sample axis.
+subspaces: t maps to the span of [I; S(t)].  Evaluators map a vector of
+parameters to the value and the first three derivatives; nothing in the
+pipeline differentiates S beyond order 3 (higher-order quantities are reached
+through scalar series that are finite-differenced on grids).  A sampled curve
+is one CurveJet whose fields carry a leading sample axis.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import zip_longest
+from math import comb
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DomainError,
+    Gates,
     InvalidDimension,
     RegularityFailure,
     TooFewSamples,
 )
-from .symspace import COND_MAX, symmetrize
+from .symspace import COND_MAX, asymmetry_gate, symmetrize
 
 JET_SYM_TOL = 1e-8
 
@@ -143,8 +147,9 @@ class SymmetricMatrixCurve:
     """Smooth map t -> (S, S', S'', S''') of symmetric n x n matrices.
 
     `kind` is one of analytic / preset / polynomial / fourier / table; the
-    evaluator must be pure.  Regularity (det S' != 0) is checked lazily at
-    the points actually queried.
+    evaluator must be pure and maps a parameter vector of shape (m,) to four
+    (m, n, n) arrays.  Regularity (det S' != 0) is checked lazily at the
+    points actually queried.
     """
 
     def __init__(self, n, evaluator: Callable, domain, kind="analytic", name=None):
@@ -154,23 +159,33 @@ class SymmetricMatrixCurve:
         self.kind = kind
         self.name = name
 
+    def jets(self, ts, check_regular=True):
+        """Jet series at the parameters `ts`, the only evaluation path.  Per
+        sample the checks run in the order domain, shape, symmetry and
+        regularity; the earliest failing sample's error is raised, and an
+        error of the evaluator itself comes before all of them."""
+        ts = np.asarray(ts, dtype=float)
+        lo, hi = self.domain
+        gates = Gates().check(~((lo <= ts) & (ts <= hi)), lambda i: DomainError(
+            f"t={float(ts[i])} outside domain [{lo}, {hi}]"))
+        ts = ts[:gates.stop]
+        mats = [np.asarray(a, dtype=float) for a in self._eval(ts)]
+        if [a.shape for a in mats] != [(ts.size, self.n, self.n)] * 4:
+            raise InvalidDimension("evaluator must return four m x n x n arrays")
+        for a in mats:
+            asymmetry_gate(gates, a, JET_SYM_TOL)
+        mats = [symmetrize(a, strict=False) for a in mats]
+        if check_regular:
+            S1 = mats[1][:gates.stop]
+            gates.check((np.abs(np.linalg.det(S1)) < 1e-300)
+                        | (np.linalg.cond(S1) > COND_MAX),
+                        lambda i: RegularityFailure(ts[i]))
+        gates.raise_error()
+        return CurveJet(ts, *mats)
+
     def jet(self, t, check_regular=True):
-        t = float(t)
-        if not (self.domain[0] <= t <= self.domain[1]):
-            raise DomainError(
-                f"t={t} outside domain [{self.domain[0]}, {self.domain[1]}]"
-            )
-        mats = [np.asarray(m, dtype=float) for m in self._eval(t)]
-        if len(mats) != 4 or any(m.shape != (self.n, self.n) for m in mats):
-            raise InvalidDimension("evaluator must return four n x n matrices")
-        mats = [symmetrize(m, tol=JET_SYM_TOL) for m in mats]
-        jet = CurveJet(t, *mats)
-        if check_regular and (
-            abs(np.linalg.det(jet.S1)) < 1e-300
-            or np.linalg.cond(jet.S1) > COND_MAX
-        ):
-            raise RegularityFailure(t)
-        return jet
+        """The jet at one parameter: the one sample of `jets([t])`."""
+        return self.jets([t], check_regular)[0]
 
 
 def sample_curve(curve, grid, check_regular=True):
@@ -179,10 +194,7 @@ def sample_curve(curve, grid, check_regular=True):
         raise DomainError(
             f"grid [{grid.t0}, {grid.t1}] outside curve domain {curve.domain}"
         )
-    ts = grid.points
-    jets = [curve.jet(t, check_regular=check_regular) for t in ts]
-    return CurveJet(ts, *(np.array(mats) for mats in
-                          zip(*((j.S, j.S1, j.S2, j.S3) for j in jets))))
+    return curve.jets(grid.points, check_regular)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +205,17 @@ def curve_from_scalars(entries, domain, kind="analytic", name=None):
     """Diagonal-block curve from scalar jet functions.
 
     `entries` is a list of callables t -> (f, f', f'', f''') placed on the
-    diagonal.
+    diagonal.  Each entry is called per float t, so its scalar powers keep the
+    C library's pow (numpy's array power can differ in the last bit).
     """
     n = len(entries)
 
-    def evaluator(t):
-        jets = [e(t) for e in entries]
-        return tuple(np.diag([j[k] for j in jets]) for k in range(4))
+    def evaluator(ts):
+        vals = np.array([[e(t) for e in entries] for t in ts.tolist()],
+                        dtype=float).reshape(ts.size, n, 4)
+        out = np.zeros((4, ts.size, n, n))
+        out[:, :, range(n), range(n)] = vals.transpose(2, 0, 1)
+        return tuple(out)
 
     return SymmetricMatrixCurve(n, evaluator, domain, kind=kind, name=name)
 
@@ -208,24 +224,17 @@ def polynomial_curve(coeffs, domain, name=None, kind="polynomial"):
     """Curve with polynomial entries; coeffs[i][j] is an ascending
     coefficient list for entry (i, j) (upper triangle is mirrored)."""
     n = len(coeffs)
-    polys = {}
-    for i in range(n):
-        for j in range(n):
-            c = coeffs[i][j] if j < len(coeffs[i]) else []
-            polys[(i, j)] = np.polynomial.Polynomial(c if len(c) else [0.0])
+    entries = [row[j] if j < len(row) and len(row[j]) else [0.0]
+               for row in coeffs for j in range(n)]
+    # per derivative order, entry (i, j)'s coefficients in [:, i, j]; zeros
+    # pad the shorter entries and leave Horner's sums unchanged
+    tensors = [np.array(list(zip_longest(
+        *(npoly.polyder(np.asarray(c, dtype=float), order) for c in entries),
+        fillvalue=0.0))).reshape(-1, n, n) for order in range(4)]
 
-    derivs = [
-        {k: p.deriv(m) if m else p for k, p in polys.items()} for m in range(4)
-    ]
-
-    def evaluator(t):
-        out = []
-        for m in range(4):
-            mat = np.empty((n, n))
-            for (i, j), p in derivs[m].items():
-                mat[i, j] = p(t)
-            out.append(0.5 * (mat + mat.T))
-        return tuple(out)
+    def evaluator(ts):
+        mats = (npoly.polyval(ts[:, None, None], c, tensor=False) for c in tensors)
+        return tuple(0.5 * (m + m.swapaxes(-1, -2)) for m in mats)
 
     return SymmetricMatrixCurve(n, evaluator, domain, kind=kind, name=name)
 
@@ -234,27 +243,16 @@ def fourier_curve(cos_coeffs, sin_coeffs, domain, omega=1.0, name=None):
     """Entries sum_k a_k cos(k w t) + b_k sin(k w t); differentiated exactly."""
     n = len(cos_coeffs)
 
-    def entry_jet(i, j, t):
-        a = cos_coeffs[i][j]
-        b = sin_coeffs[i][j]
-        vals = np.zeros(4)
-        for k, (ak, bk) in enumerate(zip(a, b)):
-            w = k * omega
-            c, s = np.cos(w * t), np.sin(w * t)
-            vals[0] += ak * c + bk * s
-            vals[1] += w * (-ak * s + bk * c)
-            vals[2] += w**2 * (-ak * c - bk * s)
-            vals[3] += w**3 * (ak * s - bk * c)
-        return vals
-
-    def evaluator(t):
-        mats = [np.empty((n, n)) for _ in range(4)]
-        for i in range(n):
-            for j in range(n):
-                vals = entry_jet(i, j, t)
-                for m in range(4):
-                    mats[m][i, j] = vals[m]
-        return tuple(0.5 * (m + m.T) for m in mats)
+    def evaluator(ts):
+        mats = np.zeros((n, n, 4, ts.size))
+        for i, j in np.ndindex(n, n):
+            for k, (a, b) in enumerate(zip(cos_coeffs[i][j], sin_coeffs[i][j])):
+                w = k * omega
+                c, s = np.cos(w * ts), np.sin(w * ts)
+                mats[i, j] += (a * c + b * s, w * (-a * s + b * c),
+                               w**2 * (-a * c - b * s), w**3 * (a * s - b * c))
+        mats = mats.transpose(2, 3, 0, 1)
+        return tuple(0.5 * (m + m.swapaxes(-1, -2)) for m in mats)
 
     return SymmetricMatrixCurve(n, evaluator, domain, kind="fourier", name=name)
 
@@ -280,10 +278,11 @@ def table_curve(ts, S_values, name=None):
     # TABLE_TRIM rows at each end keep the five-point O(h^2) values
     d3[3:-3] = _stencil(values, STENCIL_3_WIDE, 3, len(values) - 3, h**3)
 
-    def evaluator(t):
-        i = int(round((t - ts[0]) / h))
-        if i < 0 or i >= ts.size or abs(ts[i] - t) > 1e-9 * max(1.0, abs(h)):
-            raise DomainError(f"t={t} is not a table node")
+    def evaluator(tq):
+        i = np.clip(np.round((tq - ts[0]) / h).astype(int), 0, ts.size - 1)
+        off = np.abs(ts[i] - tq) > 1e-9 * max(1.0, abs(h))
+        if np.any(off):
+            raise DomainError(f"t={float(tq[np.argmax(off)])} is not a table node")
         return values[i], d1[i], d2[i], d3[i]
 
     c = SymmetricMatrixCurve(n, evaluator, (ts[0], ts[-1]), kind="table", name=name)
@@ -303,16 +302,20 @@ def reparametrized_curve(curve, psi_jet, domain, name=None):
         Sbar'   = psi' S'
         Sbar''  = psi'' S' + psi'^2 S''
         Sbar''' = psi''' S' + 3 psi' psi'' S'' + psi'^3 S'''
+    psi and the scalar factors are computed per float u, for the reason
+    given in `curve_from_scalars`.
     """
 
-    def evaluator(u):
-        p, p1, p2, p3 = psi_jet(u)
-        j = curve.jet(p, check_regular=False)
+    def evaluator(us):
+        f = np.array([(p, p1, p2, p1**2, p3, 3 * p1 * p2, p1**3) for p, p1, p2, p3
+                      in map(psi_jet, us.tolist())], dtype=float).reshape(-1, 7)
+        j = curve.jets(f[:, 0], check_regular=False)
+        p1, p2, p11, p3, p12, p111 = f.T[1:, :, None, None]
         return (
             j.S,
             p1 * j.S1,
-            p2 * j.S1 + p1**2 * j.S2,
-            p3 * j.S1 + 3 * p1 * p2 * j.S2 + p1**3 * j.S3,
+            p2 * j.S1 + p11 * j.S2,
+            p3 * j.S1 + p12 * j.S2 + p111 * j.S3,
         )
 
     return SymmetricMatrixCurve(curve.n, evaluator, domain,
@@ -356,11 +359,12 @@ def transformed_curve(curve, g, name=None):
     P, Q = g[:n, :n], g[:n, n:]
     R, T = g[n:, :n], g[n:, n:]
 
-    def evaluator(t):
-        j = curve.jet(t, check_regular=False)
+    def evaluator(ts):
+        j = curve.jets(ts, check_regular=False)
         X = [P + Q @ j.S, Q @ j.S1, Q @ j.S2, Q @ j.S3]
         Y = [R + T @ j.S, T @ j.S1, T @ j.S2, T @ j.S3]
-        Z0 = np.linalg.solve(X[0], np.eye(n))
+        del j
+        Z0 = np.linalg.solve(X[0], np.broadcast_to(np.eye(n), X[0].shape))
         Z1 = -Z0 @ X[1] @ Z0
         Z2 = -(Z1 @ X[1] @ Z0 + Z0 @ X[2] @ Z0 + Z0 @ X[1] @ Z1)
         Z3 = -(
@@ -368,13 +372,12 @@ def transformed_curve(curve, g, name=None):
             + Z1 @ X[2] @ Z0 + Z0 @ X[3] @ Z0 + Z0 @ X[2] @ Z1
             + Z1 @ X[1] @ Z1 + Z0 @ X[2] @ Z1 + Z0 @ X[1] @ Z2
         )
+        del X
         Z = [Z0, Z1, Z2, Z3]
-        from math import comb
-
         out = []
         for m in range(4):
             acc = sum(comb(m, k) * Y[k] @ Z[m - k] for k in range(m + 1))
-            out.append(0.5 * (acc + acc.T))
+            out.append(0.5 * (acc + acc.swapaxes(-1, -2)))
         return tuple(out)
 
     return SymmetricMatrixCurve(n, evaluator, curve.domain,
@@ -476,6 +479,9 @@ def curve_from_json(obj):
     kind = obj.get("kind")
     if kind == "preset":
         curve = preset_curve(obj["name"])
+        # the preset's own domain, before any transform or reparam wraps it
+        if "domain" in obj:
+            curve.domain = (float(obj["domain"][0]), float(obj["domain"][1]))
     elif kind == "polynomial":
         curve = polynomial_curve(obj["entries"], obj["domain"],
                                  name=obj.get("name"))
@@ -505,8 +511,6 @@ def curve_from_json(obj):
         else:
             raise DomainError(f"unknown reparam type {rp['type']!r}")
         curve = reparametrized_curve(curve, jetf, rp["domain"], name=curve.name)
-    if "domain" in obj and kind == "preset":
-        curve.domain = (float(obj["domain"][0]), float(obj["domain"][1]))
     return curve
 
 

@@ -24,7 +24,6 @@ from .matcurve import TABLE_TRIM, SampleGrid, table_curve
 from .pipeline import analyze
 from .symspace import (
     COND_MAX,
-    LagrangianChartPoint,
     SymplecticFrame,
     SymplecticSpace,
     _maxabs,
@@ -33,6 +32,7 @@ from .symspace import (
 )
 
 RESID_MAX = 1e-6
+ROUNDTRIP_TOL = 1e-3
 
 
 @dataclass
@@ -84,13 +84,13 @@ class InvariantPrescription:
         return self.Kdiag.shape[1]
 
     def structure_matrix(self):
-        """C(tau) interpolant (cubic in tau between the given samples)."""
-        n = self.n
-        sig = CubicSpline(self.ts, self.Sigma.reshape(self.ts.size, -1))
+        """C(tau) interpolant (cubic in tau between the given samples); tau
+        may be one value or an array of them."""
+        sig = CubicSpline(self.ts, self.Sigma)
         kd = CubicSpline(self.ts, self.Kdiag)
 
         def c_at(tau):
-            return cartan_matrix(sig(tau).reshape(n, n), kd(tau))
+            return cartan_matrix(sig(tau), kd(tau))
 
         return c_at
 
@@ -117,76 +117,65 @@ def prescription_from_json(obj):
     if k.ndim == 1:
         k = np.broadcast_to(k, (m, n)).copy()
     elif k.ndim == 3:
-        k = np.array([np.diag(ki) for ki in k])
+        k = k.diagonal(axis1=1, axis2=2).copy()
     f0 = SymplecticFrame(np.asarray(obj["F0"], dtype=float).reshape(2 * n, 2 * n))
     return InvariantPrescription(ts=ts, Sigma=sig, Kdiag=k, F0=f0)
 
 
 def _rk4(f0, c_at, ts, substeps):
-    frames = [f0]
-    resid_track = []
-    space = SymplecticSpace(f0.shape[0] // 2)
-    f = f0
-    for i in range(ts.size - 1):
-        h = (ts[i + 1] - ts[i]) / substeps
-        tau = ts[i]
-        for _ in range(substeps):
-            k1 = f @ c_at(tau)
-            k2 = (f + 0.5 * h * k1) @ c_at(tau + 0.5 * h)
-            k3 = (f + 0.5 * h * k2) @ c_at(tau + 0.5 * h)
-            k4 = (f + h * k3) @ c_at(tau + h)
-            f = f + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            tau += h
-        frames.append(f)
-        _, resid = is_symplectic_frame(space, f)
-        resid_track.append(resid)
-    return frames, (max(resid_track) if resid_track else 0.0)
+    """Classical RK4, `substeps` steps per grid interval, with C evaluated in
+    one call at the step starts tau_k = tau_(k-1) + h and midpoints."""
+    h = (ts[1:] - ts[:-1]) / substeps
+    taus = [ts[:-1]]
+    for _ in range(substeps):
+        taus += [taus[-1] + 0.5 * h, taus[-1] + h]
+    c = c_at(np.stack(taus, axis=1))
+    frames = np.empty((ts.size,) + f0.shape)
+    f = frames[0] = f0
+    for i, hi in enumerate(h):
+        for c1, c2, c4 in zip(c[i, :-1:2], c[i, 1::2], c[i, 2::2]):
+            k1 = f @ c1
+            k2 = (f + 0.5 * hi * k1) @ c2
+            k3 = (f + 0.5 * hi * k2) @ c2
+            k4 = (f + hi * k3) @ c4
+            f = f + (hi / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        frames[i + 1] = f
+    _, resid = is_symplectic_frame(SymplecticSpace(f0.shape[0] // 2), frames[1:])
+    return frames, (max(resid) if resid.size else 0.0)
 
 
-def integrate_frame(p: InvariantPrescription, substeps=1,
-                    resid_max=RESID_MAX):
+def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     """RK4 integration of the frame ODE over the prescription grid.
 
-    Returns (frames, max_residual).  If the symplecticity residual exceeds
-    resid_max, the integration is re-run once at 4x substeps before raising
-    SymplecticityLoss.
+    Returns (frames (m, 2n, 2n), max_residual).  If the symplecticity
+    residual exceeds resid_max, the integration is re-run once at 4 steps
+    per interval before raising SymplecticityLoss.
     """
     c_at = p.structure_matrix()
-    frames, resid = _rk4(p.F0.F, c_at, p.ts, substeps)
+    frames, resid = _rk4(p.F0.F, c_at, p.ts, 1)
     if resid > resid_max:
-        frames, resid = _rk4(p.F0.F, c_at, p.ts, 4 * substeps)
+        frames, resid = _rk4(p.F0.F, c_at, p.ts, 4)
         if resid > resid_max:
             raise SymplecticityLoss(resid)
-    return [SymplecticFrame(f) for f in frames], resid
+    return frames, resid
 
 
 def curve_from_frame(frames):
-    """Chart points S = B A^(-1) along a frame series.
+    """Chart points S = B A^(-1) along a frame stack (m, 2n, 2n).
 
-    Samples where the A block is singular are chart exits: the point list
-    holds None there and `segments` lists the maximal in-chart index ranges.
+    Returns (S, segments): S (m, n, n) is NaN at the chart exits, where the
+    A block is singular; `segments` lists the maximal in-chart index ranges.
     """
-    points = []
-    for fr in frames:
-        f = fr.F if isinstance(fr, SymplecticFrame) else np.asarray(fr)
-        n = f.shape[0] // 2
-        a, b = f[:n, :n], f[n:, :n]
-        if np.linalg.cond(a) > COND_MAX:
-            points.append(None)
-            continue
-        s = np.linalg.solve(a.T, b.T).T
-        points.append(LagrangianChartPoint(symmetrize(s, strict=False)))
-    segments = []
-    start = None
-    for i, pt in enumerate(points):
-        if pt is not None and start is None:
-            start = i
-        if pt is None and start is not None:
-            segments.append((start, i - 1))
-            start = None
-    if start is not None:
-        segments.append((start, len(points) - 1))
-    return points, segments
+    n = frames.shape[-1] // 2
+    a, b = frames[:, :n, :n], frames[:, n:, :n]
+    inside = ~(np.linalg.cond(a) > COND_MAX)
+    S = np.full(a.shape, np.nan)
+    S[inside] = symmetrize(np.linalg.solve(
+        a[inside].swapaxes(-1, -2), b[inside].swapaxes(-1, -2)
+    ).swapaxes(-1, -2), strict=False)
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], inside, [0]])))
+    segments = [(int(i), int(j) - 1) for i, j in zip(edges[::2], edges[1::2])]
+    return S, segments
 
 
 @dataclass
@@ -201,7 +190,7 @@ class RoundtripReport:
     warnings: list
 
 
-def arc_uniform_prescription(analysis, m=None):
+def arc_uniform_prescription(analysis):
     """Resample an analysis onto a uniform arc-parameter grid.
 
     Sigma and K are spline-resampled as functions of arclength; the initial
@@ -209,21 +198,16 @@ def arc_uniform_prescription(analysis, m=None):
     """
     rc = analysis.reduced
     ell = rc.arclength
-    if m is None:
-        m = rc.ts.size
-    tau = np.linspace(0.0, ell[-1], m)
-    kd = CubicSpline(ell, rc.Kdiag)(tau)
-    sg = CubicSpline(ell, rc.Sigma.reshape(ell.size, -1))(tau)
-    n = rc.n
+    tau = np.linspace(0.0, ell[-1], ell.size)
     return InvariantPrescription(
         ts=tau,
-        Sigma=sg.reshape(m, n, n),
-        Kdiag=kd,
+        Sigma=CubicSpline(ell, rc.Sigma)(tau),
+        Kdiag=CubicSpline(ell, rc.Kdiag)(tau),
         F0=SymplecticFrame(analysis.frame.frames[0]),
     )
 
 
-def roundtrip(curve, grid, tol=1e-3, resid_max=RESID_MAX):
+def roundtrip(curve, grid):
     """Analyze, rebuild from the extracted invariants, re-analyze, compare.
 
     The rebuilt curve is a sampled table; its derivative stencils are
@@ -234,22 +218,22 @@ def roundtrip(curve, grid, tol=1e-3, resid_max=RESID_MAX):
     """
     ana = analyze(curve, grid)
     p = arc_uniform_prescription(ana)
-    frames, resid = integrate_frame(p, resid_max=resid_max)
-    points, segments = curve_from_frame(frames)
-    if len(segments) != 1 or segments[0] != (0, len(points) - 1):
+    frames, resid = integrate_frame(p)
+    S, segments = curve_from_frame(frames)
+    m, trim = p.ts.size, TABLE_TRIM
+    if segments != [(0, m - 1)]:
         raise GridMismatch(
             "reconstructed curve leaves the chart inside the window; "
             f"segments: {segments}"
         )
-    rebuilt = table_curve(p.ts, [pt.S for pt in points], name="reconstructed")
-    m, trim = p.ts.size, TABLE_TRIM
+    rebuilt = table_curve(p.ts, S, name="reconstructed")
     regrid = SampleGrid(p.ts[trim], p.ts[m - 1 - trim], m - 2 * trim)
     ana2 = analyze(rebuilt, regrid)
     reduced2 = replace(
         ana2.reduced, arclength=ana2.reduced.arclength + p.ts[trim]
     )
     verdict, eps, k_dev, s_dev = equivalent_reduced(
-        ana.reduced, reduced2, tol=tol
+        ana.reduced, reduced2, tol=ROUNDTRIP_TOL
     )
     return RoundtripReport(
         equivalent=verdict, sign_pattern=eps, k_deviation=k_dev,

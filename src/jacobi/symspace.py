@@ -56,14 +56,19 @@ def inv_gated(a, exc=NotTransverse, what="matrix"):
     return solve_gated(a, eye, exc=exc, what=what)
 
 
+def asymmetry_gate(gates, s, tol):
+    """Add to `gates` the samples of s whose asymmetry exceeds `tol`."""
+    resid = np.atleast_1d(_matrix_maxabs(s - s.swapaxes(-1, -2)))
+    bad = resid > tol * np.maximum(1.0, _matrix_maxabs(s))
+    return gates.check(bad, lambda i: InvalidBasis(
+        f"asymmetry {resid[i]:g} exceeds tolerance {tol:g}"))
+
+
 def symmetrize(s, tol=SYM_TOL, strict=True):
     """Return (s + s^T)/2; asymmetry beyond `tol` is an error when strict."""
     s = np.asarray(s, dtype=float)
     if strict:
-        resid = np.atleast_1d(_matrix_maxabs(s - s.swapaxes(-1, -2)))
-        bad = resid > tol * np.maximum(1.0, _matrix_maxabs(s))
-        Gates().check(bad, lambda i: InvalidBasis(
-            f"asymmetry {resid[i]:g} exceeds tolerance {tol:g}")).raise_error()
+        asymmetry_gate(Gates(), s, tol).raise_error()
     return 0.5 * (s + s.swapaxes(-1, -2))
 
 

@@ -87,12 +87,12 @@ def test_02_second_example_reproduction(unit_grid):
         F0=SymplecticFrame(F0),
     )
     frames, _ = integrate_frame(p)
-    points, segments = curve_from_frame(frames)
+    S, segments = curve_from_frame(frames)
     assert segments == [(0, ts.size - 1)]
-    for t, pt in zip(ts, points):
+    for t, s in zip(ts, S):
         ref = np.diag([t / (1.0 + t),
                        np.sin(t) / (np.cos(t) + np.sin(t))])
-        assert np.max(np.abs(pt.S - ref)) <= 1e-6
+        assert np.max(np.abs(s - ref)) <= 1e-6
 
 
 def test_03_derivative_curve_defining_property():
@@ -206,13 +206,13 @@ def test_09_cycles_of_flat_curves(unit_grid):
     s1 = np.array([[1.8, 0.4], [0.4, 1.1]])
     det = 2.0 * 5.0 - 1.0 * 1.0
 
-    def evaluator(t):
-        den = t + 5.0
-        f = (2.0 * t + 1.0) / den
+    def evaluator(ts):
+        den = ts + 5.0
+        f = (2.0 * ts + 1.0) / den
         f1 = det / den**2
         f2 = -2.0 * det / den**3
         f3 = 6.0 * det / den**4
-        return f * s1, f1 * s1, f2 * s1, f3 * s1
+        return tuple(x[:, None, None] * s1 for x in (f, f1, f2, f3))
 
     flat = SymmetricMatrixCurve(2, evaluator, (0.0, 1.0), name="flat")
     assert is_flat(flat, unit_grid)

@@ -311,3 +311,35 @@ class TestStrict:
         capsys.readouterr()
         assert loose == 0
         assert strict == 3
+
+
+class TestFlags:
+    # each subcommand takes only the flags it reads
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "P.json", "-m", "5"],
+        ["reconstruct", "P.json", "--t0", "0"],
+        ["reconstruct", "P.json", "--tol-adm", "1e-10"],
+        ["analyze", "--preset", "paper-6.2-ex1", "--tol-equiv", "1e-4"],
+        ["analyze", "--preset", "paper-6.2-ex1", "--tol-resid", "1e-6"],
+        ["compare", "paper-6.2-ex1", "paper-6.2-ex2", "--format", "json"],
+        ["compare", "paper-6.2-ex1", "paper-6.2-ex2", "--tol-flat", "1e-8"],
+        ["cycle", "--preset", "affine-line", "--tol-adm", "1e-10"],
+        ["cycle", "--preset", "affine-line", "--format", "json"],
+    ])
+    def test_flag_the_subcommand_ignores_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+
+    def test_tolerance_defaults_are_the_module_constants(self):
+        from jacobi.cli import build_parser
+        from jacobi.cycles import FLAT_TOL, MEMBER_TOL
+        from jacobi.frames import EQUIV_TOL
+        from jacobi.geom import ADM_TOL
+        from jacobi.reconstruct import RESID_MAX
+
+        parse = build_parser().parse_args
+        args = parse(["compare", "a", "b"])
+        assert (args.tol_adm, args.tol_equiv) == (ADM_TOL, EQUIV_TOL)
+        args = parse(["cycle"])
+        assert (args.tol_flat, args.tol_member) == (FLAT_TOL, MEMBER_TOL)
+        assert parse(["reconstruct", "P.json"]).tol_resid == RESID_MAX

@@ -35,14 +35,13 @@ def scalar_mobius_curve(a, b, c, d, direction, domain=(0.0, 1.0)):
     direction = np.asarray(direction, dtype=float)
     det = a * d - b * c
 
-    def evaluator(t):
-        den = c * t + d
-        f = (a * t + b) / den
+    def evaluator(ts):
+        den = c * ts + d
+        f = (a * ts + b) / den
         f1 = det / den**2
         f2 = -2 * det * c / den**3
         f3 = 6 * det * c**2 / den**4
-        return (f * direction, f1 * direction, f2 * direction,
-                f3 * direction)
+        return tuple(x[:, None, None] * direction for x in (f, f1, f2, f3))
 
     return SymmetricMatrixCurve(direction.shape[0], evaluator, domain,
                                 kind="analytic", name="scalar-mobius")

@@ -1,12 +1,15 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobi.errors import DomainError, RegularityFailure, TooFewSamples
+from jacobi.errors import (DomainError, InvalidDimension, RegularityFailure,
+                           TooFewSamples)
 from jacobi.matcurve import (
+    JET_SYM_TOL,
     PRESET_NAMES,
     SampleGrid,
     SymmetricMatrixCurve,
@@ -24,7 +27,8 @@ from jacobi.matcurve import (
     table_curve,
     transformed_curve,
 )
-from jacobi.symspace import random_csp
+from jacobi.matcurve import _exp_decay_entry, _mobius_entry
+from jacobi.symspace import random_csp, symmetrize
 
 
 class TestFiniteDiff:
@@ -143,8 +147,8 @@ class TestPresets:
 def test_constant_curve_fails_regularity():
     c = SymmetricMatrixCurve(
         2,
-        lambda t: (np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
-                   np.zeros((2, 2))),
+        lambda ts: (np.broadcast_to(np.eye(2), (ts.size, 2, 2)),
+                    *np.zeros((3, ts.size, 2, 2))),
         (0.0, 1.0),
     )
     with pytest.raises(RegularityFailure) as exc:
@@ -278,3 +282,227 @@ class TestJsonLoading:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             curve_from_json({"n": 2, "kind": "mystery", "domain": [0, 1]})
+
+
+def test_preset_domain_is_set_before_reparam():
+    # the preset's "domain" bounds t; the reparam's "domain" bounds u
+    obj = {"n": 2, "kind": "preset", "name": "paper-6.2-ex1",
+           "domain": [0, 1],
+           "reparam": {"type": "affine", "a": 0.5, "domain": [0, 2]}}
+    c = curve_from_json(obj)
+    assert c.domain == (0.0, 2.0)
+    jets = sample_curve(c, SampleGrid(0.0, 2.0, 21))
+    ref = sample_curve(preset_curve("paper-6.2-ex1"), SampleGrid(0.0, 1.0, 21))
+    assert np.allclose(jets.S, ref.S)
+    # t = 10 u leaves the preset's [0, 1] past u = 0.1
+    obj["reparam"] = {"type": "affine", "a": 10, "domain": [0, 0.2]}
+    c = curve_from_json(obj)
+    assert c.domain == (0.0, 0.2)
+    sample_curve(c, SampleGrid(0.0, 0.1, 11))
+    with pytest.raises(DomainError, match="outside domain"):
+        sample_curve(c, SampleGrid(0.0, 0.2, 11))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_evaluator_must_return_stacked_jets(m):
+    # (n, n) matrices for a vector of m parameters are rejected, also when
+    # m = n and they would broadcast
+    c = SymmetricMatrixCurve(2, lambda ts: (np.eye(2),) * 4, (0.0, 1.0))
+    with pytest.raises(InvalidDimension):
+        c.jets(np.linspace(0.0, 1.0, m))
+
+
+class TestVectorisedEvaluators:
+    """`jets` on a parameter vector equals, bit for bit, the jets of the
+    former per-t evaluators below, symmetrized one t at a time."""
+
+    @staticmethod
+    def per_t(evaluator, ts):
+        rows = [[symmetrize(np.asarray(a, dtype=float), tol=JET_SYM_TOL)
+                 for a in evaluator(float(t))] for t in ts]
+        return [np.array(mats) for mats in zip(*rows)]
+
+    @staticmethod
+    def polynomial_ref(coeffs):
+        n = len(coeffs)
+        polys = {}
+        for i in range(n):
+            for j in range(n):
+                c = coeffs[i][j] if j < len(coeffs[i]) else []
+                polys[(i, j)] = np.polynomial.Polynomial(c if len(c) else [0.0])
+        derivs = [{k: p.deriv(m) if m else p for k, p in polys.items()}
+                  for m in range(4)]
+
+        def evaluator(t):
+            out = []
+            for m in range(4):
+                mat = np.empty((n, n))
+                for (i, j), p in derivs[m].items():
+                    mat[i, j] = p(t)
+                out.append(0.5 * (mat + mat.T))
+            return tuple(out)
+
+        return evaluator
+
+    @staticmethod
+    def fourier_ref(cos_coeffs, sin_coeffs, omega):
+        n = len(cos_coeffs)
+
+        def entry_jet(i, j, t):
+            vals = np.zeros(4)
+            for k, (ak, bk) in enumerate(zip(cos_coeffs[i][j], sin_coeffs[i][j])):
+                w = k * omega
+                c, s = np.cos(w * t), np.sin(w * t)
+                vals[0] += ak * c + bk * s
+                vals[1] += w * (-ak * s + bk * c)
+                vals[2] += w**2 * (-ak * c - bk * s)
+                vals[3] += w**3 * (ak * s - bk * c)
+            return vals
+
+        def evaluator(t):
+            mats = [np.empty((n, n)) for _ in range(4)]
+            for i in range(n):
+                for j in range(n):
+                    vals = entry_jet(i, j, t)
+                    for m in range(4):
+                        mats[m][i, j] = vals[m]
+            return tuple(0.5 * (m + m.T) for m in mats)
+
+        return evaluator
+
+    @staticmethod
+    def scalars_ref(entries):
+        def evaluator(t):
+            jets = [e(t) for e in entries]
+            return tuple(np.diag([j[k] for j in jets]) for k in range(4))
+
+        return evaluator
+
+    @staticmethod
+    def symmetric_jet(evaluator):
+        # the inner jet of the per-t composites: the symmetrized evaluator
+        return lambda t: [symmetrize(np.asarray(a, dtype=float),
+                                     tol=JET_SYM_TOL) for a in evaluator(t)]
+
+    @classmethod
+    def transformed_ref(cls, inner, g, n):
+        inner = cls.symmetric_jet(inner)
+        P, Q = g[:n, :n], g[:n, n:]
+        R, T = g[n:, :n], g[n:, n:]
+
+        def evaluator(t):
+            S = inner(t)
+            X = [P + Q @ S[0], Q @ S[1], Q @ S[2], Q @ S[3]]
+            Y = [R + T @ S[0], T @ S[1], T @ S[2], T @ S[3]]
+            Z0 = np.linalg.solve(X[0], np.eye(n))
+            Z1 = -Z0 @ X[1] @ Z0
+            Z2 = -(Z1 @ X[1] @ Z0 + Z0 @ X[2] @ Z0 + Z0 @ X[1] @ Z1)
+            Z3 = -(
+                Z2 @ X[1] @ Z0 + Z1 @ X[2] @ Z0 + Z1 @ X[1] @ Z1
+                + Z1 @ X[2] @ Z0 + Z0 @ X[3] @ Z0 + Z0 @ X[2] @ Z1
+                + Z1 @ X[1] @ Z1 + Z0 @ X[2] @ Z1 + Z0 @ X[1] @ Z2
+            )
+            Z = [Z0, Z1, Z2, Z3]
+            out = []
+            for m in range(4):
+                acc = sum(comb(m, k) * Y[k] @ Z[m - k] for k in range(m + 1))
+                out.append(0.5 * (acc + acc.T))
+            return tuple(out)
+
+        return evaluator
+
+    @classmethod
+    def reparametrized_ref(cls, inner, psi_jet):
+        inner = cls.symmetric_jet(inner)
+
+        def evaluator(u):
+            p, p1, p2, p3 = psi_jet(u)
+            S, S1, S2, S3 = inner(float(p))
+            return (S, p1 * S1, p2 * S1 + p1**2 * S2,
+                    p3 * S1 + 3 * p1 * p2 * S2 + p1**3 * S3)
+
+        return evaluator
+
+    def assert_bitwise(self, curve, evaluator, ts):
+        jets = curve.jets(ts, check_regular=False)
+        for got, want in zip((jets.S, jets.S1, jets.S2, jets.S3),
+                             self.per_t(evaluator, ts)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    coefficient = st.floats(-3.0, 3.0, allow_subnormal=False)
+    entry = st.lists(coefficient, max_size=6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_polynomial_ragged_and_empty(self, n, data):
+        rows = st.lists(self.entry, max_size=n)
+        coeffs = data.draw(st.lists(rows, min_size=n, max_size=n))
+        ts = np.linspace(data.draw(st.floats(-2.0, 0.0)),
+                         data.draw(st.floats(0.1, 2.0)),
+                         data.draw(st.integers(1, 30)))
+        self.assert_bitwise(polynomial_curve(coeffs, (-2.0, 2.0)),
+                            self.polynomial_ref(coeffs), ts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.floats(0.3, 4.0), st.data())
+    def test_fourier(self, n, omega, data):
+        block = st.lists(st.lists(self.entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n)
+        cos_c, sin_c = data.draw(block), data.draw(block)
+        ts = np.linspace(-1.5, 1.5, data.draw(st.integers(1, 30)))
+        self.assert_bitwise(fourier_curve(cos_c, sin_c, (-2.0, 2.0), omega),
+                            self.fourier_ref(cos_c, sin_c, omega), ts)
+
+    @classmethod
+    def bases(cls, seed):
+        """A random quartic and the first preset, each with its reference."""
+        rng = np.random.default_rng(seed)
+        coeffs = [[list(rng.normal(size=5)) for _ in range(2)]
+                  for _ in range(2)]
+        return [
+            (polynomial_curve(coeffs, (-5.0, 5.0)), cls.polynomial_ref(coeffs)),
+            (preset_curve("paper-6.2-ex1"),
+             cls.scalars_ref([_exp_decay_entry, _mobius_entry])),
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.floats(0.3, 2.0), st.floats(0.05, 0.5))
+    def test_transformed_by_random_csp(self, seed, scale, ham_scale):
+        g = random_csp(seed, scale=scale, n=2, ham_scale=ham_scale)
+        ts = np.linspace(0.0, 1.0, 17)
+        for base, ref in self.bases(seed):
+            self.assert_bitwise(transformed_curve(base, g),
+                                self.transformed_ref(ref, g, 2), ts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.floats(0.2, 2.0), st.floats(0.4, 1.0),
+           st.one_of(st.just(0), st.integers(1, 2)))
+    def test_affine_reparametrized(self, seed, a, b, int_a):
+        # an integer slope, as JSON may give it, scales like its float
+        psi = affine_reparam(int_a or a, b)
+        ts = np.linspace(0.0, 1.0, 17)
+        for base, ref in self.bases(seed):
+            self.assert_bitwise(reparametrized_curve(base, psi, (0.0, 1.0)),
+                                self.reparametrized_ref(ref, psi), ts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.floats(0.5, 2.0), st.floats(0.4, 1.0),
+           st.floats(0.0, 0.3), st.floats(0.5, 5.0))
+    def test_sine_reparametrized(self, seed, a, b, eps, omega):
+        psi = sine_reparam(a, b, eps, omega)
+        ts = np.linspace(0.0, 1.0, 17)
+        for base, ref in self.bases(seed):
+            self.assert_bitwise(reparametrized_curve(base, psi, (0.0, 1.0)),
+                                self.reparametrized_ref(ref, psi), ts)
+
+
+def test_evaluator_error_comes_before_the_gates():
+    # the constant table fails regularity at its first node, but the query
+    # also holds a parameter off the nodes: the evaluator's error is raised
+    ts = np.linspace(0.0, 1.0, 11)
+    c = table_curve(ts, [np.eye(2)] * 11)
+    with pytest.raises(RegularityFailure):
+        c.jets(ts[:3])
+    with pytest.raises(DomainError, match="not a table node"):
+        c.jets([ts[0], 0.123])

@@ -74,9 +74,10 @@ class TestIntegrateFrame:
         # f_1 = (cosh + sinh) e_1 + sinh ebar_1,  f_2 = (1+t) e_2 + t ebar_2
         p = constant_prescription([1.0, 0.0])
         frames, resid = integrate_frame(p)
+        assert frames.shape == (p.ts.size, 4, 4)
         assert resid <= 1e-6
         t = 1.0
-        f = frames[-1].F
+        f = frames[-1]
         ref_f1 = np.array([np.cosh(t) + np.sinh(t), 0.0, np.sinh(t), 0.0])
         ref_f2 = np.array([0.0, 1 + t, 0.0, t])
         assert np.max(np.abs(f[:, 0] - ref_f1)) <= 1e-7
@@ -87,7 +88,7 @@ class TestIntegrateFrame:
         p = constant_prescription([0.0, -1.0])
         frames, resid = integrate_frame(p)
         t = 1.0
-        f = frames[-1].F
+        f = frames[-1]
         ref_f2 = np.array([0.0, np.cos(t) + np.sin(t), 0.0, np.sin(t)])
         assert np.max(np.abs(f[:, 1] - ref_f2)) <= 1e-7
 
@@ -98,7 +99,7 @@ class TestIntegrateFrame:
         frames, _ = integrate_frame(p)
         t = 1.0
         f0, fbar0 = F0_STANDARD[:, :2], F0_STANDARD[:, 2:]
-        f = frames[-1].F
+        f = frames[-1]
         assert np.max(np.abs(f[:, :2] - (f0 + t * fbar0))) <= 1e-9
         assert np.max(np.abs(f[:, 2:] - fbar0)) <= 1e-9
 
@@ -119,38 +120,39 @@ class TestIntegrateFrame:
 
 class TestCurveFromFrame:
     def test_identity_frame(self):
-        points, segments = curve_from_frame([SymplecticFrame(np.eye(4))] * 3)
+        S, segments = curve_from_frame(np.stack([np.eye(4)] * 3))
         assert segments == [(0, 2)]
-        for pt in points:
-            assert np.allclose(pt.S, 0.0)
+        assert S.shape == (3, 2, 2)
+        assert np.allclose(S, 0.0)
 
     def test_first_example_curve(self):
         p = constant_prescription([1.0, 0.0])
         frames, _ = integrate_frame(p)
-        points, segments = curve_from_frame(frames)
-        assert segments == [(0, len(points) - 1)]
-        for t, pt in zip(p.ts[::100], [points[i] for i in range(0, 1001, 100)]):
+        S, segments = curve_from_frame(frames)
+        assert segments == [(0, len(S) - 1)]
+        for t, s in zip(p.ts[::100], S[::100]):
             ref = np.diag([np.sinh(t) / (np.cosh(t) + np.sinh(t)),
                            t / (1 + t)])
-            assert np.max(np.abs(pt.S - ref)) <= 1e-9
+            assert np.max(np.abs(s - ref)) <= 1e-9
 
     def test_second_example_curve(self):
         p = constant_prescription([0.0, -1.0])
         frames, _ = integrate_frame(p)
-        points, _ = curve_from_frame(frames)
+        S, _ = curve_from_frame(frames)
         t = p.ts[-1]
         ref = np.diag([t / (1 + t),
                        np.sin(t) / (np.cos(t) + np.sin(t))])
-        assert np.max(np.abs(points[-1].S - ref)) <= 1e-9
+        assert np.max(np.abs(S[-1] - ref)) <= 1e-9
 
     def test_chart_exit_segmentation(self):
         # a frame with singular A block in the middle splits the series
-        good = SymplecticFrame(np.eye(4))
+        good = np.eye(4)
         bad = np.eye(4)
         bad[0, 0] = 0.0
         bad[2, 0] = 1.0  # column moved out of the chart: A singular
-        points, segments = curve_from_frame([good.F, bad, good.F])
-        assert points[1] is None
+        S, segments = curve_from_frame(np.stack([good, bad, good]))
+        assert np.isnan(S[1]).all()
+        assert np.allclose(S[[0, 2]], 0.0)
         assert segments == [(0, 0), (2, 2)]
 
     def test_velocity_identity_along_reconstruction(self):
@@ -158,10 +160,10 @@ class TestCurveFromFrame:
         p = constant_prescription([1.0, 0.0])
         frames, _ = integrate_frame(p)
         h = p.ts[1] - p.ts[0]
-        points, _ = curve_from_frame(frames)
+        S, _ = curve_from_frame(frames)
         for i in range(100, 901, 200):
-            sprime = (points[i + 1].S - points[i - 1].S) / (2 * h)
-            a = frames[i].F[:2, :2]
+            sprime = (S[i + 1] - S[i - 1]) / (2 * h)
+            a = frames[i, :2, :2]
             ref = np.linalg.inv(a @ a.T)
             assert np.max(np.abs(sprime - ref)) <= 1e-5
 
@@ -170,7 +172,7 @@ class TestCurveFromFrame:
         p = constant_prescription([0.0, -1.0])
         frames, _ = integrate_frame(p)
         for fr in frames[::100]:
-            a, _, abar, _ = fr.lagrangian_blocks()
+            a, _, abar, _ = SymplecticFrame(fr).lagrangian_blocks()
             x = np.linalg.solve(a, abar)
             assert np.max(np.abs(x - x.T)) <= 1e-7
 
@@ -208,9 +210,9 @@ class TestRoundtrip:
         results = []
         for presc in (p, p2):
             frames, _ = integrate_frame(presc)
-            points, segs = curve_from_frame(frames)
+            S, segs = curve_from_frame(frames)
             assert len(segs) == 1
-            tab = table_curve(presc.ts, [pt.S for pt in points])
+            tab = table_curve(presc.ts, S)
             grid = SampleGrid(presc.ts[3], presc.ts[-4], presc.ts.size - 6)
             results.append(analyze(tab, grid).reduced)
         verdict, _, k_dev, _ = equivalent_reduced(*results, tol=1e-3)
