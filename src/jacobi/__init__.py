@@ -62,15 +62,11 @@ from .reconstruct import (
     roundtrip,
 )
 from .symspace import (
-    LagrangianChartPoint,
-    LagrangianFrame,
-    SymplecticFrame,
     SymplecticSpace,
     apply_symplectic,
     chart_translate_invert,
     complete_symplectic_basis,
     frame_from_chart_pair,
     is_symplectic_frame,
-    lagrangian_from_frame,
     random_csp,
 )

@@ -21,15 +21,15 @@ import numpy as np
 from . import __version__
 from .cycles import (FLAT_TOL, MEMBER_TOL, cycle_contains, cycle_through,
                      is_flat, mobius_fit)
-from .errors import JacobiError, NoFit
+from .errors import InvalidDimension, JacobiError, NoFit
 from .geom import ADM_TOL, AdmissibilityReport, screen
 from .frames import EQUIV_TOL, equivalent_reduced
 from .matcurve import (PRESET_NAMES, TABLE_TRIM, SampleGrid, curve_from_json,
-                       preset_curve, sample_curve)
+                       preset_curve, require_keys, sample_curve)
 from .pipeline import complete
 from .reconstruct import (RESID_MAX, curve_from_frame, integrate_frame,
                           prescription_from_json)
-from .symspace import LagrangianChartPoint
+from .symspace import symmetrize
 
 FLOAT_FMT = "%.12e"
 
@@ -247,8 +247,13 @@ def cmd_cycle(args):
         out.parent.mkdir(parents=True, exist_ok=True)
     if args.points:
         data = json.loads(Path(args.points).read_text())
-        pts = [LagrangianChartPoint(np.asarray(p, dtype=float))
-               for p in data["points"]]
+        require_keys(data, ("points",), "a points file")
+        pts = [np.asarray(p, dtype=float) for p in data["points"]]
+        for i, p in enumerate(pts, 1):
+            if p.ndim != 2 or p.shape != (len(pts[0]),) * 2:
+                raise InvalidDimension(f"point {i} has shape {p.shape}; points "
+                                       "must be square matrices of one size")
+        pts = [symmetrize(p) for p in pts]
         if len(pts) < 3:
             raise JacobiError("need at least three points")
         cyc = cycle_through(pts[0], pts[1], pts[2])
@@ -257,7 +262,7 @@ def cmd_cycle(args):
         _emit_json(
             {
                 "regular": cyc.regular,
-                "infinity": cyc.infinity.S,
+                "infinity": cyc.infinity,
                 "base": cyc.base,
                 "direction": cyc.direction,
                 "extra_points_contained": members,

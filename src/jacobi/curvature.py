@@ -31,7 +31,6 @@ from .errors import (
 from .matcurve import CurveJet, Series
 from .symspace import (
     COND_MAX,
-    LagrangianChartPoint,
     _matrix_maxabs,
     _maxabs,
     chart_translate_invert,
@@ -144,7 +143,7 @@ def derivative_curve(j: CurveJet, zeta_ratio=None):
     Gates().check(np.linalg.cond(corr) > COND_MAX,
                   lambda i: InflectionPoint(ts[i])).raise_error()
     s0 = j.S - 2.0 * j.S1 @ np.linalg.solve(corr, j.S1)
-    return LagrangianChartPoint(symmetrize(s0, strict=False))
+    return symmetrize(s0, strict=False)
 
 
 def verify_derivative_curve(curve, tau, h=1e-3):
@@ -157,12 +156,9 @@ def verify_derivative_curve(curve, tau, h=1e-3):
     {tau - h, tau, tau + h} (St~(tau) = 0 by construction).
     """
     j0 = curve.jet(tau)
-    s_tau = LagrangianChartPoint(j0.S)
-    s0 = derivative_curve(j0)
-    c0 = chart_translate_invert(s0, s_tau).S
-    s = LagrangianChartPoint(
-        curve.jets([tau - h, tau + h], check_regular=False).S)
-    sm, sp = inv_gated(chart_translate_invert(s, s_tau).S - c0, what="re-chart")
+    c0 = chart_translate_invert(derivative_curve(j0), j0.S)
+    s = curve.jets([tau - h, tau + h], check_regular=False).S
+    sm, sp = inv_gated(chart_translate_invert(s, j0.S) - c0, what="re-chart")
     # St~(tau) = 0, so the central second difference reduces to (sm + sp)/h^2
     return _maxabs(sm + sp) / h**2
 

@@ -15,13 +15,7 @@ import numpy as np
 from .curvature import matrix_schwarzian
 from .errors import NoFit, NotGeneralPosition, ZeroDirection
 from .matcurve import sample_curve
-from .symspace import (
-    COND_MAX,
-    LagrangianChartPoint,
-    _maxabs,
-    chart_translate_invert,
-    symmetrize,
-)
+from .symspace import COND_MAX, _maxabs, chart_translate_invert, symmetrize
 
 FIT_TOL = 1e-8
 FLAT_TOL = 1e-8
@@ -54,7 +48,7 @@ class Cycle:
     there.
     """
 
-    infinity: LagrangianChartPoint
+    infinity: np.ndarray
     base: np.ndarray
     direction: np.ndarray
     regular: bool
@@ -112,7 +106,8 @@ def mobius_fit(jets):
 
 
 def cycle_through(L1, L2, L3):
-    """The unique cycle through three pairwise-transverse chart points.
+    """The unique cycle through three pairwise-transverse chart points
+    (symmetric n x n arrays).
 
     L3 plays the role of the point at infinity; L1 and L2 are re-charted
     there ((L - L3)^(-1)), giving the line's base point and direction.  The
@@ -122,10 +117,10 @@ def cycle_through(L1, L2, L3):
     pts = [L1, L2, L3]
     for i in range(3):
         for j in range(i + 1, 3):
-            if np.linalg.cond(pts[i].S - pts[j].S) > COND_MAX:
+            if np.linalg.cond(pts[i] - pts[j]) > COND_MAX:
                 raise NotGeneralPosition(i + 1, j + 1)
-    base = chart_translate_invert(L1, L3).S
-    other = chart_translate_invert(L2, L3).S
+    base = chart_translate_invert(L1, L3)
+    other = chart_translate_invert(L2, L3)
     direction = other - base
     return Cycle(
         infinity=L3,
@@ -138,18 +133,16 @@ def cycle_through(L1, L2, L3):
 def cycle_contains(cycle, L, tol=MEMBER_TOL):
     """Membership test: infinity itself, or collinearity in the cycle chart.
 
-    `L` is a chart point or the AT_INFINITY sentinel.  A chart point is
-    re-charted at the cycle's infinity; it belongs iff its offset from the
-    base is a scalar multiple of the direction (least-squares scalar,
-    residual below tol relative to the line scale).
+    `L` is a chart point (a symmetric array) or the AT_INFINITY sentinel.
+    A chart point is re-charted at the cycle's infinity; it belongs iff its
+    offset from the base is a scalar multiple of the direction (least-squares
+    scalar, residual below tol relative to the line scale).
     """
     if L is AT_INFINITY:
         return True
-    if isinstance(L, LagrangianChartPoint) and _maxabs(
-        L.S - cycle.infinity.S
-    ) <= tol * max(1.0, _maxabs(cycle.infinity.S)):
+    if _maxabs(L - cycle.infinity) <= tol * max(1.0, _maxabs(cycle.infinity)):
         return True
-    x = chart_translate_invert(L, cycle.infinity).S
+    x = chart_translate_invert(L, cycle.infinity)
     offset = x - cycle.base
     d = cycle.direction
     lam = float(np.sum(offset * d) / np.sum(d * d))

@@ -33,6 +33,10 @@ class InvalidTransform(JacobiError):
     """Matrix does not satisfy the (conformal) symplectic condition."""
 
 
+class MissingKey(JacobiError):
+    """A JSON input lacks a key its kind requires."""
+
+
 class AtParameter(JacobiError):
     """A failure at the float parameter `t`; `message` is the default text."""
 

@@ -20,12 +20,8 @@ from .curvature import derivative_curve
 from .errors import EigenCrossing, Gates, GridMismatch
 from .geom import AbsoluteCurvature, ArcData
 from .matcurve import finite_diff
-from .symspace import (
-    LagrangianChartPoint,
-    SymplecticSpace,
-    frame_from_chart_pair,
-    is_symplectic_frame,
-)
+from .symspace import (SymplecticSpace, frame_from_chart_pair,
+                       is_symplectic_frame)
 
 SIGN_TOL = 1e-6
 MIN_OVERLAP = 0.2
@@ -77,11 +73,11 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     gates = Gates()
     s0 = gates.run(derivative_curve, ts, jets, arc.zeta1 / arc.zeta)
     k = gates.stop
-    fr = frame_from_chart_pair(ms[:k], LagrangianChartPoint(jets.S[:k]), s0)
+    fr = frame_from_chart_pair(ms[:k], jets.S[:k], s0)
     gates.raise_error()
     n = jets.n
     _, residuals = is_symplectic_frame(SymplecticSpace(n), fr)
-    return FrenetFrame(ts=ts, M=ms, Mbar=fr.F[:, :n, n:], frames=fr.F,
+    return FrenetFrame(ts=ts, M=ms, Mbar=fr[:, :n, n:], frames=fr,
                        residuals=residuals)
 
 

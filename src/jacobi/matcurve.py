@@ -23,10 +23,12 @@ from .errors import (
     DomainError,
     Gates,
     InvalidDimension,
+    MissingKey,
     RegularityFailure,
     TooFewSamples,
 )
-from .symspace import COND_MAX, asymmetry_gate, symmetrize
+from .symspace import (COND_MAX, asymmetry_gate, conformal_symplectic,
+                       symmetrize)
 
 JET_SYM_TOL = 1e-8
 
@@ -222,7 +224,9 @@ def curve_from_scalars(entries, domain, kind="analytic", name=None):
 
 def polynomial_curve(coeffs, domain, name=None, kind="polynomial"):
     """Curve with polynomial entries; coeffs[i][j] is an ascending
-    coefficient list for entry (i, j) (upper triangle is mirrored)."""
+    coefficient list for entry (i, j).  The curve is symmetrized: its entry
+    (i, j) is the mean of the polynomials given at (i, j) and (j, i), so a
+    matrix given by its upper triangle alone has its off-diagonal halved."""
     n = len(coeffs)
     entries = [row[j] if j < len(row) and len(row[j]) else [0.0]
                for row in coeffs for j in range(n)]
@@ -240,13 +244,15 @@ def polynomial_curve(coeffs, domain, name=None, kind="polynomial"):
 
 
 def fourier_curve(cos_coeffs, sin_coeffs, domain, omega=1.0, name=None):
-    """Entries sum_k a_k cos(k w t) + b_k sin(k w t); differentiated exactly."""
+    """Entries sum_k a_k cos(k w t) + b_k sin(k w t); differentiated exactly.
+    The shorter of an entry's cos and sin lists is padded with zeros."""
     n = len(cos_coeffs)
 
     def evaluator(ts):
         mats = np.zeros((n, n, 4, ts.size))
         for i, j in np.ndindex(n, n):
-            for k, (a, b) in enumerate(zip(cos_coeffs[i][j], sin_coeffs[i][j])):
+            for k, (a, b) in enumerate(zip_longest(
+                    cos_coeffs[i][j], sin_coeffs[i][j], fillvalue=0.0)):
                 w = k * omega
                 c, s = np.cos(w * ts), np.sin(w * ts)
                 mats[i, j] += (a * c + b * s, w * (-a * s + b * c),
@@ -352,10 +358,11 @@ def transformed_curve(curve, g, name=None):
     X = P + Q S and Y = R + T S, and the chart point is Sg = Y X^(-1).
     Derivatives of Sg come from the product rule with Z = X^(-1):
     Z' = -Z X' Z and so on; X and Y are affine in S so their derivatives are
-    Q S^(k) and T S^(k).
+    Q S^(k) and T S^(k).  A g that is not conformal symplectic raises
+    InvalidTransform here, before any evaluation.
     """
-    g = np.asarray(g, dtype=float)
     n = curve.n
+    g = conformal_symplectic(g, n)
     P, Q = g[:n, :n], g[:n, n:]
     R, T = g[n:, :n], g[n:, n:]
 
@@ -382,16 +389,6 @@ def transformed_curve(curve, g, name=None):
 
     return SymmetricMatrixCurve(n, evaluator, curve.domain,
                                 kind="analytic", name=name)
-
-
-def negated_curve(curve):
-    """S -> -S (the monotonicity flip: replacing the form by its negative)."""
-
-    def evaluator(t):
-        return tuple(-m for m in curve._eval(t))
-
-    return SymmetricMatrixCurve(curve.n, evaluator, curve.domain,
-                                kind=curve.kind, name=curve.name)
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +462,36 @@ PRESET_NAMES = ("paper-6.2-ex1", "paper-6.2-ex2", "affine-line", "scalar-tan-blo
 # JSON loading (CLI surface)
 
 
+# the keys each curve kind reads; "a.b" is key b of the object at key a
+REQUIRED_KEYS = {"preset": ("name",), "polynomial": ("entries", "domain"),
+                 "fourier": ("entries.cos", "entries.sin", "domain"),
+                 "table": ("samples.t", "samples.S")}
+
+
+def require_keys(obj, paths, what):
+    """Raise MissingKey naming the first of the key paths `obj` lacks."""
+    for path in paths:
+        node = obj
+        for key in path.split("."):
+            if not isinstance(node, dict) or key not in node:
+                raise MissingKey(f"{what} needs the key {path!r}")
+            node = node[key]
+
+
 def curve_from_json(obj):
     """Load a curve from its JSON description.
 
     Schema: { "n": int, "kind": "preset"|"polynomial"|"fourier"|"table",
     "name"?: str, "entries"?: ..., "samples"?: {"t": [...], "S": [...]},
-    "domain": [t0, t1] }.  Optional extensions: "transform" (2n x 2n matrix
-    applied as a conformal symplectic map) and "reparam"
-    ({"type": "affine"|"sine", ...}).
+    "domain": [t0, t1] }; the keys each kind needs are in REQUIRED_KEYS.
+    Optional extensions: "transform" (2n x 2n conformal symplectic matrix,
+    checked when the curve is built) and "reparam"
+    ({"type": "affine"|"sine", "domain": [u0, u1], ...}).
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
     kind = obj.get("kind")
+    require_keys(obj, REQUIRED_KEYS.get(kind, ()), f"a {kind} curve")
     if kind == "preset":
         curve = preset_curve(obj["name"])
         # the preset's own domain, before any transform or reparam wraps it
@@ -503,7 +518,9 @@ def curve_from_json(obj):
                                   name=curve.name)
     if "reparam" in obj:
         rp = obj["reparam"]
+        require_keys(rp, ("type", "domain"), "a reparam")
         if rp["type"] == "affine":
+            require_keys(rp, ("a",), "an affine reparam")
             jetf = affine_reparam(rp["a"], rp.get("b", 0.0))
         elif rp["type"] == "sine":
             jetf = sine_reparam(rp.get("a", 1.0), rp.get("b", 0.0),

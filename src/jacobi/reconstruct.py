@@ -17,14 +17,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import GridMismatch, SymplecticityLoss
+from .errors import GridMismatch, InvalidDimension, SymplecticityLoss
 from .frames import cartan_matrix, equivalent_reduced
 from .geom import NORM_TOL
-from .matcurve import TABLE_TRIM, SampleGrid, table_curve
+from .matcurve import TABLE_TRIM, SampleGrid, require_keys, table_curve
 from .pipeline import analyze
 from .symspace import (
     COND_MAX,
-    SymplecticFrame,
     SymplecticSpace,
     _maxabs,
     is_symplectic_frame,
@@ -40,7 +39,7 @@ class InvariantPrescription:
     """Invariant data on a uniform tau grid, plus the initial frame.
 
     Sigma: (m, n, n) skew series; Kdiag: (m, n) diagonal entries of the
-    curvature block; F0: symplectic initial condition.  Validation is
+    curvature block; F0: (2n, 2n) symplectic initial frame.  Validation is
     non-fatal: hypothesis violations (repeated curvatures, centered product
     away from 1) are recorded in `warnings` and integration proceeds — the
     reconstructed curve simply will not re-analyze to the given data.
@@ -49,13 +48,14 @@ class InvariantPrescription:
     ts: np.ndarray
     Sigma: np.ndarray
     Kdiag: np.ndarray
-    F0: SymplecticFrame
+    F0: np.ndarray
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
         self.Sigma = np.asarray(self.Sigma, dtype=float)
         self.Kdiag = np.asarray(self.Kdiag, dtype=float)
+        self.F0 = np.asarray(self.F0, dtype=float)
         m = self.ts.size
         n = self.Kdiag.shape[1]
         if self.Sigma.shape != (m, n, n) or self.Kdiag.shape != (m, n):
@@ -98,10 +98,15 @@ class InvariantPrescription:
 def prescription_from_json(obj):
     """Build a prescription from { n, grid, Sigma, K, F0 } JSON data.
 
-    Sigma and K may each be a constant matrix (broadcast over the grid) or a
-    per-sample series; K is given as a full diagonal matrix or a diagonal
-    vector; F0 is the 2n x 2n initial frame, row-major.
+    Sigma is a constant n x n matrix (broadcast over the grid) or an
+    m x n x n series.  K is constant, as a diagonal vector (n) or a full
+    diagonal matrix (n x n), or per sample, as diagonal vectors (m x n) or
+    matrices (m x n x n); when m = n, an n x n K is the constant matrix.
+    F0 is the 2n x 2n initial frame, row-major (4n^2 numbers).  Any other
+    shape raises InvalidDimension, and a missing key MissingKey.
     """
+    require_keys(obj, ("n", "grid.t0", "grid.t1", "grid.m", "K", "F0"),
+                 "a prescription")
     n = int(obj["n"])
     g = obj["grid"]
     grid = SampleGrid(float(g["t0"]), float(g["t1"]), int(g["m"]))
@@ -109,17 +114,19 @@ def prescription_from_json(obj):
     m = ts.size
 
     sig = np.asarray(obj.get("Sigma", np.zeros((n, n))), dtype=float)
-    if sig.ndim == 2:
-        sig = np.broadcast_to(sig, (m, n, n)).copy()
     k = np.asarray(obj["K"], dtype=float)
-    if k.ndim == 2:
-        k = np.diag(k)
-    if k.ndim == 1:
-        k = np.broadcast_to(k, (m, n)).copy()
-    elif k.ndim == 3:
-        k = k.diagonal(axis1=1, axis2=2).copy()
-    f0 = SymplecticFrame(np.asarray(obj["F0"], dtype=float).reshape(2 * n, 2 * n))
-    return InvariantPrescription(ts=ts, Sigma=sig, Kdiag=k, F0=f0)
+    f0 = np.asarray(obj["F0"], dtype=float).ravel()
+    for name, a, shapes in (("Sigma", sig, [(n, n), (m, n, n)]),
+                            ("K", k, [(n,), (n, n), (m, n), (m, n, n)]),
+                            ("F0", f0, [(4 * n * n,)])):
+        if a.shape not in shapes:
+            raise InvalidDimension(
+                f"{name} has shape {a.shape}; expected one of {shapes}")
+    if k.shape in [(n, n), (m, n, n)]:
+        k = k.diagonal(axis1=-2, axis2=-1)
+    return InvariantPrescription(
+        ts=ts, Sigma=np.broadcast_to(sig, (m, n, n)).copy(),
+        Kdiag=np.broadcast_to(k, (m, n)).copy(), F0=f0.reshape(2 * n, 2 * n))
 
 
 def _rk4(f0, c_at, ts, substeps):
@@ -152,9 +159,9 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     per interval before raising SymplecticityLoss.
     """
     c_at = p.structure_matrix()
-    frames, resid = _rk4(p.F0.F, c_at, p.ts, 1)
+    frames, resid = _rk4(p.F0, c_at, p.ts, 1)
     if resid > resid_max:
-        frames, resid = _rk4(p.F0.F, c_at, p.ts, 4)
+        frames, resid = _rk4(p.F0, c_at, p.ts, 4)
         if resid > resid_max:
             raise SymplecticityLoss(resid)
     return frames, resid
@@ -203,7 +210,7 @@ def arc_uniform_prescription(analysis):
         ts=tau,
         Sigma=CubicSpline(ell, rc.Sigma)(tau),
         Kdiag=CubicSpline(ell, rc.Kdiag)(tau),
-        F0=SymplecticFrame(analysis.frame.frames[0]),
+        F0=analysis.frame.frames[0],
     )
 
 

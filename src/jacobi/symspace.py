@@ -3,8 +3,9 @@
 Everything is expressed relative to one fixed symplectic basis: the form is
 J = [[0, I], [-I, 0]], Lagrangian subspaces are stored either as chart
 coordinates (a symmetric n x n matrix S, the subspace being the column span
-of [I; S]) or as frames [X; Y].  All operations are pure; matrices may carry
-a leading sample axis, and the per-sample functions then act on each sample.
+of [I; S]); a symplectic frame is its 2n x 2n coordinate matrix.  Both are
+plain arrays.  All operations are pure; matrices may carry a leading sample
+axis, and the per-sample functions then act on each sample.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
 )
 
 SYM_TOL = 1e-10
-ISO_TOL = 1e-9
 FRAME_TOL = 1e-8
 COND_MAX = 1e12
 
@@ -96,88 +96,15 @@ class SymplecticSpace:
         return 2 * self.n
 
 
-@dataclass(frozen=True)
-class LagrangianChartPoint:
-    """Chart coordinate S of a Lagrangian subspace: the span of [I; S]."""
-
-    S: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", symmetrize(self.S))
-
-    @property
-    def n(self):
-        return self.S.shape[-1]
-
-
-@dataclass(frozen=True)
-class LagrangianFrame:
-    """Column span of [X; Y]; isotropy X^T Y = Y^T X is enforced."""
-
-    X: np.ndarray
-    Y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.Y, dtype=float)
-        if x.shape != y.shape or x.shape[0] != x.shape[1]:
-            raise InvalidDimension("X and Y must be square of equal size")
-        resid = _maxabs(x.T @ y - y.T @ x)
-        scale = max(1.0, _maxabs(x) * max(1.0, _maxabs(y)))
-        if resid > ISO_TOL * scale:
-            raise InvalidBasis(f"isotropy residual {resid:g}")
-        if np.linalg.matrix_rank(np.vstack([x, y])) < x.shape[0]:
-            raise InvalidBasis("frame columns are linearly dependent")
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "Y", y)
-
-    @property
-    def n(self):
-        return self.X.shape[0]
-
-
-@dataclass(frozen=True)
-class SymplecticFrame:
-    """2n x 2n coordinate matrix of a symplectic basis (f, fbar)."""
-
-    F: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.F, dtype=float)
-        if f.ndim < 2 or f.shape[-1] != f.shape[-2] or f.shape[-1] % 2:
-            raise InvalidDimension("frame matrix must be square of even size")
-        object.__setattr__(self, "F", f)
-
-    @property
-    def n(self):
-        return self.F.shape[-1] // 2
-
-    def lagrangian_blocks(self):
-        """(A, B, Abar, Bbar) with f = e A + ebar B, fbar = e Abar + ebar Bbar."""
-        n = self.n
-        return (
-            self.F[..., :n, :n],
-            self.F[..., n:, :n],
-            self.F[..., :n, n:],
-            self.F[..., n:, n:],
-        )
-
-
 def is_symplectic_frame(space, F, tol=FRAME_TOL):
     """Check F^T J F = J; returns (verdict, max-abs residual)."""
-    f = F.F if isinstance(F, SymplecticFrame) else np.asarray(F, dtype=float)
+    f = np.asarray(F, dtype=float)
     if f.shape[-2:] != (space.dim, space.dim):
         raise InvalidDimension(
             f"expected a {space.dim}x{space.dim} matrix, got {f.shape}"
         )
     residual = _matrix_maxabs(f.swapaxes(-1, -2) @ space.J @ f - space.J)
     return residual <= tol, residual
-
-
-def lagrangian_from_frame(fr):
-    """Chart coordinate S = Y X^(-1) of the span of [X; Y]."""
-    s = solve_gated(fr.X.T, fr.Y.T, exc=NotInChart, what="frame X block").T
-    return LagrangianChartPoint(symmetrize(s, strict=False))
 
 
 def complete_symplectic_basis(M, S, Sbar):
@@ -188,7 +115,7 @@ def complete_symplectic_basis(M, S, Sbar):
     is symplectic: M^T (Sbar - S) Mbar = Id.
     """
     M = np.asarray(M, dtype=float)
-    diff = Sbar.S - S.S
+    diff = Sbar - S
     gates = Gates()
     gates.check(np.linalg.cond(M) > COND_MAX,
                 lambda i: InvalidBasis("basis matrix M is singular"))
@@ -200,15 +127,16 @@ def complete_symplectic_basis(M, S, Sbar):
 
 
 def frame_from_chart_pair(M, S, Sbar):
-    """Symplectic frame with f spanning S (basis M) and fbar spanning Sbar."""
+    """Symplectic frame matrix (..., 2n, 2n) with f spanning S (basis M) and
+    fbar spanning Sbar."""
     Mbar = complete_symplectic_basis(M, S, Sbar)
     n = M.shape[-1]
     F = np.zeros(M.shape[:-2] + (2 * n, 2 * n))
     F[..., :n, :n] = M
-    F[..., n:, :n] = S.S @ M
+    F[..., n:, :n] = S @ M
     F[..., :n, n:] = Mbar
-    F[..., n:, n:] = Sbar.S @ Mbar
-    return SymplecticFrame(F)
+    F[..., n:, n:] = Sbar @ Mbar
+    return F
 
 
 def chart_translate_invert(S, S_ref):
@@ -216,19 +144,14 @@ def chart_translate_invert(S, S_ref):
 
     Not an involution: the inverse transform is S_ref + T^(-1).
     """
-    t = inv_gated(S.S - S_ref.S, what="S - S_ref")
-    return LagrangianChartPoint(symmetrize(t, strict=False))
+    t = inv_gated(S - S_ref, what="S - S_ref")
+    return symmetrize(t, strict=False)
 
 
-def apply_symplectic(g, S):
-    """Fractional-linear action of a (conformal) symplectic map on a chart.
-
-    With g = [[P, Q], [R, T]] in n x n blocks, S maps to (R + T S)(P + Q S)^(-1).
-    g may scale the form by a nonzero constant (conformal maps act on
-    Lagrangian subspaces exactly like symplectic ones).
-    """
+def conformal_symplectic(g, n):
+    """g as a float array, checked to be a 2n x 2n conformal symplectic map:
+    g^T J g = s J with s nonzero."""
     g = np.asarray(g, dtype=float)
-    n = S.n
     if g.shape != (2 * n, 2 * n):
         raise InvalidDimension(f"expected {2*n}x{2*n} transform, got {g.shape}")
     space = SymplecticSpace(n)
@@ -238,12 +161,24 @@ def apply_symplectic(g, S):
         1.0, _maxabs(gjg)
     ):
         raise InvalidTransform("matrix is not conformal symplectic")
+    return g
+
+
+def apply_symplectic(g, S):
+    """Fractional-linear action of a (conformal) symplectic map on a chart.
+
+    With g = [[P, Q], [R, T]] in n x n blocks, S maps to (R + T S)(P + Q S)^(-1).
+    g may scale the form by a nonzero constant (conformal maps act on
+    Lagrangian subspaces exactly like symplectic ones).
+    """
+    n = S.shape[-1]
+    g = conformal_symplectic(g, n)
     P, Q = g[:n, :n], g[:n, n:]
     R, T = g[n:, :n], g[n:, n:]
-    num = R + T @ S.S
-    den = P + Q @ S.S
+    num = R + T @ S
+    den = P + Q @ S
     out = solve_gated(den.T, num.T, exc=NotInChart, what="P + Q S").T
-    return LagrangianChartPoint(symmetrize(out, strict=False))
+    return symmetrize(out, strict=False)
 
 
 def random_hamiltonian(rng, n, scale=1.0):

@@ -41,7 +41,7 @@ from jacobi.reconstruct import (
     integrate_frame,
     roundtrip,
 )
-from jacobi.symspace import LagrangianChartPoint, SymplecticFrame, random_csp
+from jacobi.symspace import random_csp
 
 from .conftest import ROUNDTRIP_SEEDS, admissible_quartics, random_quartic
 
@@ -84,7 +84,7 @@ def test_02_second_example_reproduction(unit_grid):
         ts=ts,
         Sigma=np.zeros((ts.size, 2, 2)),
         Kdiag=np.broadcast_to([0.0, -1.0], (ts.size, 2)).copy(),
-        F0=SymplecticFrame(F0),
+        F0=F0,
     )
     frames, _ = integrate_frame(p)
     S, segments = curve_from_frame(frames)
@@ -182,7 +182,7 @@ def test_07_reconstruction_roundtrip(unit_grid):
         ts=ts,
         Sigma=np.zeros((ts.size, 2, 2)),
         Kdiag=np.broadcast_to([1.0, 0.0], (ts.size, 2)).copy(),
-        F0=SymplecticFrame(F0),
+        F0=F0,
     )
     _, resid = integrate_frame(p)
     assert resid <= 1e-6
@@ -228,7 +228,7 @@ def test_09_cycles_of_flat_curves(unit_grid):
         assert np.max(np.abs(lam * direction - ref * s1)) <= 1e-8
 
     # any three general-position samples determine the same cycle
-    samples = [LagrangianChartPoint(flat.jet(t).S)
+    samples = [flat.jet(t).S
                for t in np.linspace(0.0, 1.0, 5)]
     for i, j, k in itertools.combinations(range(5), 3):
         cyc = cycle_through(samples[i], samples[j], samples[k])

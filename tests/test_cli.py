@@ -146,6 +146,27 @@ class TestCompare:
         assert code == 0
         assert json.loads(out)["verdict"] == "equivalent"
 
+    def test_non_conformal_transform_is_an_error(self, capsys, tmp_path):
+        g = np.eye(4)
+        g[0, 1] = 0.3
+        spec = {"n": 2, "kind": "preset", "name": "paper-6.2-ex1",
+                "transform": g.tolist()}
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "compare", "paper-6.2-ex1", str(f))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "InvalidTransform"
+
+    def test_missing_domain_is_an_error(self, capsys, tmp_path):
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps({"n": 2, "kind": "polynomial",
+                                 "entries": [[[0, 1], [0]], [[0], [0, 2]]]}))
+        code, _, err = run(capsys, "compare", "paper-6.2-ex1", str(f))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MissingKey"
+        assert "'domain'" in payload["message"]
+
 
 class TestReconstruct:
     def prescription(self, tmp_path, kdiag, m=201):
@@ -264,6 +285,19 @@ class TestCycle:
         code, _, err = run(capsys, "cycle", "--points", str(f))
         assert code == 1
         assert json.loads(err)["error"] == "NotGeneralPosition"
+
+    @pytest.mark.parametrize("points,bad", [
+        ([np.zeros((2, 3)), np.eye(2), 2 * np.eye(2)], 1),
+        ([np.zeros((2, 2)), np.eye(3), 2 * np.eye(2)], 2),
+    ])
+    def test_malformed_points_error(self, capsys, tmp_path, points, bad):
+        f = tmp_path / "points.json"
+        f.write_text(json.dumps({"points": [p.tolist() for p in points]}))
+        code, _, err = run(capsys, "cycle", "--points", str(f))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidDimension"
+        assert payload["message"].startswith(f"point {bad} ")
 
 
 class TestPresets:

@@ -1,4 +1,5 @@
 import json
+from itertools import zip_longest
 from math import comb
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobi.errors import (DomainError, InvalidDimension, RegularityFailure,
-                           TooFewSamples)
+from jacobi.errors import (DomainError, InvalidDimension, InvalidTransform,
+                           MissingKey, RegularityFailure, TooFewSamples)
 from jacobi.matcurve import (
     JET_SYM_TOL,
     PRESET_NAMES,
@@ -183,6 +184,20 @@ class TestPolynomialCurve:
         assert j.S3[1, 1] == pytest.approx(12.0)
         assert j.S2[0, 1] == pytest.approx(0.0)
 
+    def test_entry_is_mean_of_the_two_triangles(self):
+        # an upper-triangle-only matrix gets its off-diagonal halved
+        c = polynomial_curve([[[0, 1], [0, 0, 1]], [[], [0, 2]]], (0.0, 2.0))
+        assert c.jet(1.0).S[0, 1] == 0.5
+
+
+class TestFourierCurve:
+    def test_shorter_coefficient_list_is_zero_padded(self):
+        cos = [[[0.0, 1.0, 0.5], [0.0]], [[0.0], [0.0]]]
+        sin = [[[0.0, 0.0], [0.0]], [[0.0], [0.0]]]
+        j = fourier_curve(cos, sin, (-1.0, 1.0)).jet(0.3, check_regular=False)
+        assert j.S[0, 0] == pytest.approx(np.cos(0.3) + 0.5 * np.cos(0.6))
+        assert j.S3[0, 0] == pytest.approx(np.sin(0.3) + 4.0 * np.sin(0.6))
+
 
 class TestTableCurve:
     def test_derivatives_from_samples(self):
@@ -221,6 +236,15 @@ class TestTransformedCurve:
             # skip the one-sided boundary rows; compare interior only
             err = np.max(np.abs(d - getattr(jets, attr))[2:-2])
             assert err < tol, (seed, order, err)
+
+    def test_map_must_be_conformal_symplectic(self):
+        base = preset_curve("paper-6.2-ex1")
+        g = np.eye(4)
+        g[0, 1] = 0.3
+        with pytest.raises(InvalidTransform):
+            transformed_curve(base, g)
+        with pytest.raises(InvalidDimension):
+            transformed_curve(base, np.eye(6))
 
 
 class TestReparametrizedCurve:
@@ -282,6 +306,21 @@ class TestJsonLoading:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             curve_from_json({"n": 2, "kind": "mystery", "domain": [0, 1]})
+
+    @pytest.mark.parametrize("obj,key", [
+        ({"kind": "polynomial", "entries": [[[0, 1]]]}, "domain"),
+        ({"kind": "preset"}, "name"),
+        ({"kind": "fourier", "entries": {"cos": [[[0, 1]]]},
+          "domain": [0, 1]}, "entries.sin"),
+        ({"kind": "table", "samples": {"t": [0, 1]}}, "samples.S"),
+        ({"kind": "preset", "name": "paper-6.2-ex1",
+          "reparam": {"type": "affine", "domain": [0, 1]}}, "a"),
+        ({"kind": "preset", "name": "paper-6.2-ex1",
+          "reparam": {"type": "sine"}}, "domain"),
+    ])
+    def test_missing_key_is_named(self, obj, key):
+        with pytest.raises(MissingKey, match=f"'{key}'"):
+            curve_from_json(obj)
 
 
 def test_preset_domain_is_set_before_reparam():
@@ -350,7 +389,9 @@ class TestVectorisedEvaluators:
 
         def entry_jet(i, j, t):
             vals = np.zeros(4)
-            for k, (ak, bk) in enumerate(zip(cos_coeffs[i][j], sin_coeffs[i][j])):
+            # the shorter of the cos and sin lists is padded with zeros
+            for k, (ak, bk) in enumerate(zip_longest(
+                    cos_coeffs[i][j], sin_coeffs[i][j], fillvalue=0.0)):
                 w = k * omega
                 c, s = np.cos(w * t), np.sin(w * t)
                 vals[0] += ak * c + bk * s

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from jacobi.errors import JacobiError, SymplecticityLoss
+from jacobi.errors import (InvalidDimension, JacobiError, MissingKey,
+                           SymplecticityLoss)
 from jacobi.frames import equivalent_reduced
 from jacobi.matcurve import SampleGrid, preset_curve
 from jacobi.pipeline import analyze
@@ -13,7 +14,7 @@ from jacobi.reconstruct import (
     prescription_from_json,
     roundtrip,
 )
-from jacobi.symspace import SymplecticFrame, SymplecticSpace, is_symplectic_frame
+from jacobi.symspace import SymplecticSpace, is_symplectic_frame
 
 from .conftest import admissible_quartics
 
@@ -31,7 +32,7 @@ def constant_prescription(kdiag, m=1001, t1=1.0, f0=None):
         ts=ts,
         Sigma=np.zeros((m, 2, 2)),
         Kdiag=np.broadcast_to(np.asarray(kdiag, float), (m, 2)).copy(),
-        F0=SymplecticFrame(F0_STANDARD if f0 is None else f0),
+        F0=F0_STANDARD if f0 is None else f0,
     )
 
 
@@ -66,6 +67,51 @@ class TestPrescriptionValidation:
         assert p.ts.size == 101
         assert np.allclose(p.Kdiag, [1.0, 0.0])
         assert p.warnings == []
+
+    def test_json_per_sample_k_vectors(self):
+        # an (m, n) series of diagonal vectors, not one n x n matrix
+        k = [[-0.5 - 0.005 * i, 0.5 + 0.005 * i] for i in range(21)]
+        obj = {"n": 2, "grid": {"t0": 0.0, "t1": 1.0, "m": 21}, "K": k,
+               "F0": F0_STANDARD.ravel().tolist()}
+        p = prescription_from_json(obj)
+        assert np.array_equal(p.Kdiag, k)
+        assert np.array_equal(p.Kdiag[-1], [-0.6, 0.6])
+
+    def test_json_k_and_sigma_shapes(self):
+        base = {"n": 2, "grid": {"t0": 0.0, "t1": 1.0, "m": 7},
+                "F0": F0_STANDARD.tolist()}
+        kd = np.array([-0.5, 0.5])
+        for k in (kd, np.diag(kd), np.tile(kd, (7, 1)),
+                  np.tile(np.diag(kd), (7, 1, 1))):
+            p = prescription_from_json({**base, "K": k.tolist()})
+            assert np.array_equal(p.Kdiag, np.tile(kd, (7, 1)))
+        sig = np.array([[0.0, 0.1], [-0.1, 0.0]])
+        for s in (sig, np.tile(sig, (7, 1, 1))):
+            p = prescription_from_json({**base, "K": kd.tolist(),
+                                        "Sigma": s.tolist()})
+            assert np.array_equal(p.Sigma, np.tile(sig, (7, 1, 1)))
+
+    def test_json_missing_key_is_named(self):
+        obj = {"n": 2, "grid": {"t0": 0.0, "t1": 1.0}, "K": [-0.5, 0.5],
+               "F0": F0_STANDARD.tolist()}
+        with pytest.raises(MissingKey, match="'grid.m'"):
+            prescription_from_json(obj)
+
+    @pytest.mark.parametrize("key,value", [
+        ("K", np.zeros(3)),
+        ("K", np.zeros((6, 2))),
+        ("K", np.zeros((7, 3, 3))),
+        ("Sigma", np.zeros(2)),
+        ("Sigma", np.zeros((6, 2, 2))),
+        ("F0", np.eye(3)),
+        ("F0", np.zeros(17)),
+    ])
+    def test_json_other_shapes_rejected(self, key, value):
+        obj = {"n": 2, "grid": {"t0": 0.0, "t1": 1.0, "m": 7},
+               "K": [-0.5, 0.5], "F0": F0_STANDARD.tolist()}
+        obj[key] = value.tolist()
+        with pytest.raises(InvalidDimension, match=key):
+            prescription_from_json(obj)
 
 
 class TestIntegrateFrame:
@@ -172,8 +218,7 @@ class TestCurveFromFrame:
         p = constant_prescription([0.0, -1.0])
         frames, _ = integrate_frame(p)
         for fr in frames[::100]:
-            a, _, abar, _ = SymplecticFrame(fr).lagrangian_blocks()
-            x = np.linalg.solve(a, abar)
+            x = np.linalg.solve(fr[:2, :2], fr[:2, 2:])
             assert np.max(np.abs(x - x.T)) <= 1e-7
 
 
@@ -205,7 +250,7 @@ class TestRoundtrip:
         g = random_csp(4, scale=1.0, n=2, ham_scale=0.2)
         p2 = InvariantPrescription(
             ts=p.ts, Sigma=p.Sigma, Kdiag=p.Kdiag,
-            F0=SymplecticFrame(g @ p.F0.F),
+            F0=g @ p.F0,
         )
         results = []
         for presc in (p, p2):

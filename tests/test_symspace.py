@@ -10,19 +10,17 @@ from jacobi.errors import (
     NotInChart,
     NotTransverse,
 )
+from jacobi.reconstruct import curve_from_frame
 from jacobi.symspace import (
-    LagrangianChartPoint,
-    LagrangianFrame,
-    SymplecticFrame,
     SymplecticSpace,
     apply_symplectic,
     chart_translate_invert,
     complete_symplectic_basis,
     frame_from_chart_pair,
     is_symplectic_frame,
-    lagrangian_from_frame,
     random_csp,
     random_hamiltonian,
+    symmetrize,
 )
 
 
@@ -73,45 +71,49 @@ class TestIsSymplecticFrame:
             is_symplectic_frame(sp, np.eye(6), 1e-8)
 
 
-class TestLagrangianFromFrame:
+def chart_of_frame(x, y):
+    """Chart read-off of the span of [X; Y]: the one row of curve_from_frame
+    on a one-frame stack whose first column block is [X; Y]."""
+    n = x.shape[0]
+    f = np.eye(2 * n)
+    f[:n, :n], f[n:, :n] = x, y
+    S, segments = curve_from_frame(f[None])
+    return S[0], segments
+
+
+class TestChartOfFrame:
     def test_canonical_frame(self):
         s0 = np.array([[2.0, 1.0], [1.0, 3.0]])
-        fr = LagrangianFrame(np.eye(2), s0)
-        assert np.allclose(lagrangian_from_frame(fr).S, s0)
+        s, segments = chart_of_frame(np.eye(2), s0)
+        assert np.allclose(s, s0) and segments == [(0, 0)]
 
     def test_scale_invariance(self):
         s0 = np.array([[2.0, 1.0], [1.0, 3.0]])
-        fr = LagrangianFrame(2 * np.eye(2), 2 * s0)
-        assert np.allclose(lagrangian_from_frame(fr).S, s0)
+        s, _ = chart_of_frame(2 * np.eye(2), 2 * s0)
+        assert np.allclose(s, s0)
 
     def test_sheared_frame_recovers_chart_point(self):
         s0 = np.array([[2.0, 1.0], [1.0, 3.0]])
         x = np.array([[1.0, 1.0], [0.0, 1.0]])
-        fr = LagrangianFrame(x, s0 @ x)
-        assert np.allclose(lagrangian_from_frame(fr).S, s0, atol=1e-12)
+        s, _ = chart_of_frame(x, s0 @ x)
+        assert np.allclose(s, s0, atol=1e-12)
 
-    def test_singular_x_rejected(self):
-        fr = object.__new__(LagrangianFrame)
-        object.__setattr__(fr, "X", np.array([[1.0, 0.0], [0.0, 0.0]]))
-        object.__setattr__(fr, "Y", np.zeros((2, 2)))
-        with pytest.raises(NotInChart):
-            lagrangian_from_frame(fr)
-
-    def test_isotropy_enforced(self):
-        with pytest.raises(InvalidBasis):
-            LagrangianFrame(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    def test_singular_x_leaves_the_chart(self):
+        s, segments = chart_of_frame(np.array([[1.0, 0.0], [0.0, 0.0]]),
+                                     np.zeros((2, 2)))
+        assert np.isnan(s).all() and segments == []
 
 
 class TestCompleteBasis:
     def test_standard_pair(self):
-        s = LagrangianChartPoint(np.zeros((2, 2)))
-        sbar = LagrangianChartPoint(np.eye(2))
+        s = np.zeros((2, 2))
+        sbar = np.eye(2)
         assert np.allclose(complete_symplectic_basis(np.eye(2), s, sbar),
                            np.eye(2))
 
     def test_scaled_pair(self):
-        s = LagrangianChartPoint(np.zeros((2, 2)))
-        sbar = LagrangianChartPoint(2 * np.eye(2))
+        s = np.zeros((2, 2))
+        sbar = 2 * np.eye(2)
         assert np.allclose(complete_symplectic_basis(np.eye(2), s, sbar),
                            0.5 * np.eye(2))
 
@@ -120,68 +122,62 @@ class TestCompleteBasis:
         sp = SymplecticSpace(3)
         for _ in range(25):
             a = rng.normal(size=(3, 3))
-            s = LagrangianChartPoint(0.5 * (a + a.T))
+            s = 0.5 * (a + a.T)
             b = rng.normal(size=(3, 3))
-            sbar = LagrangianChartPoint(0.5 * (b + b.T) + 4 * np.eye(3))
+            sbar = 0.5 * (b + b.T) + 4 * np.eye(3)
             m = rng.normal(size=(3, 3)) + 2 * np.eye(3)
             fr = frame_from_chart_pair(m, s, sbar)
             ok, resid = is_symplectic_frame(sp, fr, 1e-8)
             assert ok, resid
 
     def test_not_transverse(self):
-        s = LagrangianChartPoint(np.eye(2))
+        s = np.eye(2)
         with pytest.raises(NotTransverse):
             complete_symplectic_basis(np.eye(2), s, s)
 
 
 class TestChartTranslateInvert:
     def test_basic(self):
-        out = chart_translate_invert(
-            LagrangianChartPoint(2 * np.eye(2)),
-            LagrangianChartPoint(np.eye(2)),
-        )
-        assert np.allclose(out.S, np.eye(2))
+        out = chart_translate_invert(2 * np.eye(2), np.eye(2))
+        assert np.allclose(out, np.eye(2))
 
     def test_diagonal(self):
-        out = chart_translate_invert(
-            LagrangianChartPoint(np.diag([3.0, 5.0])),
-            LagrangianChartPoint(np.eye(2)),
-        )
-        assert np.allclose(out.S, np.diag([0.5, 0.25]))
+        out = chart_translate_invert(np.diag([3.0, 5.0]), np.eye(2))
+        assert np.allclose(out, np.diag([0.5, 0.25]))
 
     def test_re_translation_identity(self):
         # not an involution; the inverse map is S_ref + T^(-1)
-        s = LagrangianChartPoint(np.array([[3.0, 1.0], [1.0, 4.0]]))
-        ref = LagrangianChartPoint(np.diag([1.0, 1.0]))
+        s = np.array([[3.0, 1.0], [1.0, 4.0]])
+        ref = np.diag([1.0, 1.0])
         t = chart_translate_invert(s, ref)
-        back = ref.S + np.linalg.inv(t.S)
-        assert np.allclose(back, s.S, atol=1e-12)
+        back = ref + np.linalg.inv(t)
+        assert np.allclose(back, s, atol=1e-12)
 
 
 class TestApplySymplectic:
     def test_identity(self):
-        s = LagrangianChartPoint(np.array([[1.0, 0.5], [0.5, 2.0]]))
-        assert np.allclose(apply_symplectic(np.eye(4), s).S, s.S)
+        s = np.array([[1.0, 0.5], [0.5, 2.0]])
+        assert np.allclose(apply_symplectic(np.eye(4), s), s)
 
     def test_j_inverts(self):
         # g = J sends S to -S^(-1); with S = 2 Id the image is -Id/2
         sp = SymplecticSpace(2)
-        s = LagrangianChartPoint(2 * np.eye(2))
+        s = 2 * np.eye(2)
         out = apply_symplectic(sp.J, s)
-        assert np.allclose(out.S, -0.5 * np.eye(2))
+        assert np.allclose(out, -0.5 * np.eye(2))
 
     def test_output_symmetric_for_random_group_elements(self):
         for seed in range(100):
             g = random_csp(seed, scale=1.0, n=2, ham_scale=0.5)
-            s = LagrangianChartPoint(np.array([[1.0, 0.3], [0.3, 2.0]]))
+            s = np.array([[1.0, 0.3], [0.3, 2.0]])
             try:
                 out = apply_symplectic(g, s)
             except NotInChart:
                 continue
-            assert np.max(np.abs(out.S - out.S.T)) <= 1e-10
+            assert np.max(np.abs(out - out.T)) <= 1e-10
 
     def test_non_symplectic_rejected(self):
-        s = LagrangianChartPoint(np.eye(2))
+        s = np.eye(2)
         with pytest.raises(InvalidTransform):
             apply_symplectic(np.diag([1.0, 2.0, 3.0, 4.0]), s)
 
@@ -190,14 +186,14 @@ class TestApplySymplectic:
     def test_composition_law(self, seed1, seed2):
         g1 = random_csp(seed1, scale=1.0, n=2, ham_scale=0.4)
         g2 = random_csp(seed2, scale=1.0, n=2, ham_scale=0.4)
-        s = LagrangianChartPoint(np.array([[0.7, 0.2], [0.2, 1.1]]))
+        s = np.array([[0.7, 0.2], [0.2, 1.1]])
         try:
             lhs = apply_symplectic(g2, apply_symplectic(g1, s))
             rhs = apply_symplectic(g2 @ g1, s)
         except NotInChart:
             return
-        assert np.max(np.abs(lhs.S - rhs.S)) <= 1e-8 * max(
-            1.0, np.max(np.abs(rhs.S))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(
+            1.0, np.max(np.abs(rhs))
         )
 
 
@@ -226,21 +222,12 @@ class TestRandomCsp:
             random_csp(0, scale=0.0)
 
 
-def test_chart_point_symmetrizes_noise():
+def test_symmetrize_removes_noise():
     noisy = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]])
-    pt = LagrangianChartPoint(noisy)
-    assert np.array_equal(pt.S, pt.S.T)
+    s = symmetrize(noisy)
+    assert np.array_equal(s, s.T)
 
 
-def test_chart_point_rejects_gross_asymmetry():
+def test_symmetrize_rejects_gross_asymmetry():
     with pytest.raises(InvalidBasis):
-        LagrangianChartPoint(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_symplectic_frame_blocks_roundtrip():
-    rng = np.random.default_rng(11)
-    f = rng.normal(size=(6, 6))
-    fr = SymplecticFrame(f)
-    a, b, abar, bbar = fr.lagrangian_blocks()
-    rebuilt = np.block([[a, abar], [b, bbar]])
-    assert np.array_equal(rebuilt, f)
+        symmetrize(np.array([[1.0, 1.0], [0.0, 1.0]]))
