@@ -81,7 +81,7 @@ def chart_of_frame(x, y):
     return S[0], segments
 
 
-class TestChartOfFrame:
+class TestLagrangianFromFrame:
     def test_canonical_frame(self):
         s0 = np.array([[2.0, 1.0], [1.0, 3.0]])
         s, segments = chart_of_frame(np.eye(2), s0)
@@ -98,10 +98,19 @@ class TestChartOfFrame:
         s, _ = chart_of_frame(x, s0 @ x)
         assert np.allclose(s, s0, atol=1e-12)
 
-    def test_singular_x_leaves_the_chart(self):
+    def test_singular_x_rejected(self):
+        # a singular X is outside the chart: NaN row, no segment
         s, segments = chart_of_frame(np.array([[1.0, 0.0], [0.0, 0.0]]),
                                      np.zeros((2, 2)))
         assert np.isnan(s).all() and segments == []
+
+    def test_isotropy_enforced(self):
+        # [X; Y] with X^T Y not symmetric is no Lagrangian block of a
+        # symplectic frame
+        f = np.eye(4)
+        f[2:, :2] = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        ok, resid = is_symplectic_frame(SymplecticSpace(2), f)
+        assert not ok and resid == pytest.approx(2.0)
 
 
 class TestCompleteBasis:
@@ -222,12 +231,27 @@ class TestRandomCsp:
             random_csp(0, scale=0.0)
 
 
-def test_symmetrize_removes_noise():
+def test_chart_point_symmetrizes_noise():
     noisy = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]])
     s = symmetrize(noisy)
     assert np.array_equal(s, s.T)
 
 
-def test_symmetrize_rejects_gross_asymmetry():
+def test_chart_point_rejects_gross_asymmetry():
     with pytest.raises(InvalidBasis):
         symmetrize(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_symplectic_frame_blocks_roundtrip():
+    # frame_from_chart_pair lays out [[M, Mbar], [S M, Sbar Mbar]]; the
+    # blocks are plain slices of the (2n, 2n) array
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(2, 3, 3))
+    s, sbar = 0.5 * (a + a.T), 0.5 * (b + b.T) + 4 * np.eye(3)
+    m = rng.normal(size=(3, 3)) + 2 * np.eye(3)
+    f = frame_from_chart_pair(m, s, sbar)
+    blk, bb, abar, bbar = f[:3, :3], f[3:, :3], f[:3, 3:], f[3:, 3:]
+    assert np.array_equal(blk, m)
+    assert np.array_equal(bb, s @ m)
+    assert np.array_equal(bbar, sbar @ abar)
+    assert np.array_equal(np.block([[blk, abar], [bb, bbar]]), f)
