@@ -25,7 +25,8 @@ from .errors import InvalidDimension, JacobiError, NoFit
 from .geom import ADM_TOL, AdmissibilityReport, screen
 from .frames import EQUIV_TOL, equivalent_reduced
 from .matcurve import (PRESET_NAMES, TABLE_TRIM, SampleGrid, curve_from_json,
-                       preset_curve, require_keys, sample_curve)
+                       json_array, preset_curve, require_keys, sample_curve,
+                       spline)
 from .pipeline import complete
 from .reconstruct import (RESID_MAX, curve_from_frame, integrate_frame,
                           prescription_from_json)
@@ -115,12 +116,9 @@ def _offset_reduced(curve, grid, reduced):
         return reduced
     from dataclasses import replace
 
-    from scipy.integrate import trapezoid
-    from scipy.interpolate import CubicSpline
-
-    z = CubicSpline(reduced.ts, reduced.zeta)
-    prefix = np.linspace(ts[0], grid.t0, 33)
-    offset = float(trapezoid(z(prefix), prefix))
+    x = np.linspace(ts[0], grid.t0, 33)
+    y = spline(reduced.ts, reduced.zeta)(x)
+    offset = float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
     return replace(reduced, arclength=reduced.arclength + offset)
 
 
@@ -248,7 +246,10 @@ def cmd_cycle(args):
     if args.points:
         data = json.loads(Path(args.points).read_text())
         require_keys(data, ("points",), "a points file")
-        pts = [np.asarray(p, dtype=float) for p in data["points"]]
+        if not isinstance(data["points"], list):
+            raise InvalidDimension("points must be a list of matrices")
+        pts = [json_array(p, f"point {i}")
+               for i, p in enumerate(data["points"], 1)]
         for i, p in enumerate(pts, 1):
             if p.ndim != 2 or p.shape != (len(pts[0]),) * 2:
                 raise InvalidDimension(f"point {i} has shape {p.shape}; points "

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ComplexEigenvalues,
@@ -34,7 +33,9 @@ from .symspace import (
     _matrix_maxabs,
     _maxabs,
     chart_translate_invert,
+    definite_eigh,
     inv_gated,
+    sym_cond,
     symmetrize,
 )
 
@@ -53,7 +54,7 @@ def matrix_schwarzian(j: CurveJet):
     velocity form (see ricci).
     """
     ts = np.atleast_1d(j.t)
-    Gates().check(np.linalg.cond(j.S1) > COND_MAX,
+    Gates().check(sym_cond(j.S1) > COND_MAX,
                   lambda i: RegularityFailure(ts[i])).raise_error()
     a = np.linalg.solve(j.S1, j.S3)
     b = np.linalg.solve(j.S1, j.S2)
@@ -109,15 +110,17 @@ def ricci(j: CurveJet):
                 lambda i: ComplexEigenvalues(
                     j.t[i], f"velocity-weighted curvature asymmetric "
                     f"({asym[i]:g}) at t={float(j.t[i])}"))
-    a = (0.5 * (a + a.swapaxes(-1, -2)))[:gates.stop]
-    mu, m = np.empty(a.shape[:-1]), np.empty(a.shape)
-    # one generalized problem per sample: scipy's eigh takes no stacks
-    for i in range(len(a)):
-        try:
-            mu[i], m[i] = scipy.linalg.eigh(a[i], j.S1[i])
-        except np.linalg.LinAlgError as e:  # pragma: no cover - defensive
-            gates.stop, gates.error = i, ComplexEigenvalues(j.t[i], str(e))
-            break
+    a, s1 = (0.5 * (a + a.swapaxes(-1, -2)))[:gates.stop], j.S1[:gates.stop]
+    try:
+        mu, m = definite_eigh(a, s1)
+    except np.linalg.LinAlgError:
+        # a stacked call fails as a whole: report its earliest failing sample
+        for i in range(len(a)):
+            try:
+                definite_eigh(a[i], s1[i])
+            except np.linalg.LinAlgError as e:
+                raise ComplexEigenvalues(j.t[i], str(e)) from None
+        raise
     gates.raise_error()
     return RicciData(
         t=j.t,
@@ -140,7 +143,7 @@ def derivative_curve(j: CurveJet, zeta_ratio=None):
     if zeta_ratio is not None:
         corr = j.S2 - np.asarray(zeta_ratio)[..., None, None] * j.S1
     ts = np.atleast_1d(j.t)
-    Gates().check(np.linalg.cond(corr) > COND_MAX,
+    Gates().check(sym_cond(corr) > COND_MAX,
                   lambda i: InflectionPoint(ts[i])).raise_error()
     s0 = j.S - 2.0 * j.S1 @ np.linalg.solve(corr, j.S1)
     return symmetrize(s0, strict=False)

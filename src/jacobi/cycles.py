@@ -15,7 +15,8 @@ import numpy as np
 from .curvature import matrix_schwarzian
 from .errors import NoFit, NotGeneralPosition, ZeroDirection
 from .matcurve import sample_curve
-from .symspace import COND_MAX, _maxabs, chart_translate_invert, symmetrize
+from .symspace import (COND_MAX, _maxabs, chart_translate_invert, sym_cond,
+                       symmetrize)
 
 FIT_TOL = 1e-8
 FLAT_TOL = 1e-8
@@ -117,7 +118,7 @@ def cycle_through(L1, L2, L3):
     pts = [L1, L2, L3]
     for i in range(3):
         for j in range(i + 1, 3):
-            if np.linalg.cond(pts[i] - pts[j]) > COND_MAX:
+            if sym_cond(pts[i] - pts[j]) > COND_MAX:
                 raise NotGeneralPosition(i + 1, j + 1)
     base = chart_translate_invert(L1, L3)
     other = chart_translate_invert(L2, L3)

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .curvature import derivative_curve
 from .errors import EigenCrossing, Gates, GridMismatch
 from .geom import AbsoluteCurvature, ArcData
-from .matcurve import finite_diff
+from .matcurve import finite_diff, spline
 from .symspace import (SymplecticSpace, frame_from_chart_pair,
                        is_symplectic_frame)
 
@@ -171,8 +170,8 @@ def reduced_invariants(ff: FrenetFrame, arc: ArcData,
 
 def _resample(rc: ReducedCartan, ell):
     """Evaluate K and Sigma as functions of arclength at the points ell."""
-    kd = CubicSpline(rc.arclength, rc.Kdiag)(ell)
-    sg = CubicSpline(rc.arclength, rc.Sigma.reshape(rc.ts.size, -1))(ell)
+    kd = spline(rc.arclength, rc.Kdiag)(ell)
+    sg = spline(rc.arclength, rc.Sigma.reshape(rc.ts.size, -1))(ell)
     n = rc.n
     return kd, sg.reshape(ell.size, n, n)
 

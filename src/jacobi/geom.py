@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .curvature import RicciData, ricci
 from .errors import (
@@ -78,9 +77,9 @@ def zeta_series(ricci_series, adm_tol=ADM_TOL):
     zeta1 = finite_diff(zeta, h, 1)
     zeta2 = finite_diff(zeta, h, 2)
     sphi = zeta2 / zeta - 1.5 * (zeta1 / zeta) ** 2
+    # cumulative trapezoid in scipy's summation order
     arclength = np.concatenate(
-        [[0.0], cumulative_trapezoid(zeta, ts)]
-    )
+        [[0.0], np.cumsum(np.diff(ts) * (zeta[1:] + zeta[:-1]) / 2.0)])
     return ArcData(ts=ts, zeta=zeta, zeta1=zeta1, zeta2=zeta2, sphi=sphi,
                    arclength=arclength)
 

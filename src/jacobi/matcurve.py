@@ -28,7 +28,7 @@ from .errors import (
     TooFewSamples,
 )
 from .symspace import (COND_MAX, asymmetry_gate, conformal_symplectic,
-                       symmetrize)
+                       sym_cond, symmetrize)
 
 JET_SYM_TOL = 1e-8
 
@@ -69,6 +69,15 @@ def _stencil(values, row, start, stop, hk):
     offsets, weights, denom = row
     return sum(w * values[start + o:stop + o]
                for o, w in zip(offsets, weights)) / (denom * hk)
+
+
+def spline(x, y):
+    """Not-a-knot cubic spline through the samples y, whose first axis runs
+    along x.  scipy is imported at the first call: analysis needs numpy
+    only."""
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(x, y)
 
 
 def finite_diff(values, h, order=1):
@@ -180,7 +189,7 @@ class SymmetricMatrixCurve:
         if check_regular:
             S1 = mats[1][:gates.stop]
             gates.check((np.abs(np.linalg.det(S1)) < 1e-300)
-                        | (np.linalg.cond(S1) > COND_MAX),
+                        | (sym_cond(S1) > COND_MAX),
                         lambda i: RegularityFailure(ts[i]))
         gates.raise_error()
         return CurveJet(ts, *mats)
@@ -269,13 +278,16 @@ def table_curve(ts, S_values, name=None):
     Evaluation is restricted to the table nodes.  Accuracy of S''' is O(h^2),
     which is what limits re-analysis of reconstructed curves.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts, values = np.asarray(ts, dtype=float), np.asarray(S_values, dtype=float)
+    if ts.ndim != 1 or values.shape != (ts.size,) + values.shape[-1:] * 2:
+        raise InvalidDimension(f"a table of {ts.size} nodes needs samples of "
+                               f"shape (m, n, n); got {values.shape}")
     if ts.size < 7:
         raise TooFewSamples("table needs at least 7 samples")
     h = ts[1] - ts[0]
     if np.max(np.abs(np.diff(ts) - h)) > 1e-9 * max(1.0, abs(h)):
         raise DomainError("table nodes must be uniformly spaced")
-    values = symmetrize(np.asarray(S_values, dtype=float), strict=False)
+    values = symmetrize(values, strict=False)
     n = values.shape[-1]
     d1 = finite_diff(values, h, 1)
     d2 = finite_diff(values, h, 2)
@@ -478,12 +490,23 @@ def require_keys(obj, paths, what):
             node = node[key]
 
 
+def json_array(value, key):
+    """A JSON value as a float array; a ragged or non-numeric value raises
+    InvalidDimension naming its `key`."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidDimension(
+            f"{key} is not a rectangular array of numbers") from None
+
+
 def curve_from_json(obj):
     """Load a curve from its JSON description.
 
     Schema: { "n": int, "kind": "preset"|"polynomial"|"fourier"|"table",
     "name"?: str, "entries"?: ..., "samples"?: {"t": [...], "S": [...]},
-    "domain": [t0, t1] }; the keys each kind needs are in REQUIRED_KEYS.
+    "domain": [t0, t1] }; the keys each kind needs are in REQUIRED_KEYS, and
+    an "n" that disagrees with the curve raises InvalidDimension.
     Optional extensions: "transform" (2n x 2n conformal symplectic matrix,
     checked when the curve is built) and "reparam"
     ({"type": "affine"|"sine", "domain": [u0, u1], ...}).
@@ -509,12 +532,17 @@ def curve_from_json(obj):
             name=obj.get("name"),
         )
     elif kind == "table":
-        curve = table_curve(obj["samples"]["t"], obj["samples"]["S"],
+        curve = table_curve(json_array(obj["samples"]["t"], "samples.t"),
+                            json_array(obj["samples"]["S"], "samples.S"),
                             name=obj.get("name"))
     else:
         raise DomainError(f"unknown curve kind {kind!r}")
+    if obj.get("n", curve.n) != curve.n:
+        raise InvalidDimension(f"n is {obj['n']!r} but the curve has "
+                               f"{curve.n}x{curve.n} matrices")
     if "transform" in obj:
-        curve = transformed_curve(curve, np.asarray(obj["transform"], float),
+        curve = transformed_curve(curve, json_array(obj["transform"],
+                                                    "transform"),
                                   name=curve.name)
     if "reparam" in obj:
         rp = obj["reparam"]

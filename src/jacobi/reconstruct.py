@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatch, InvalidDimension, SymplecticityLoss
 from .frames import cartan_matrix, equivalent_reduced
 from .geom import NORM_TOL
-from .matcurve import TABLE_TRIM, SampleGrid, require_keys, table_curve
+from .matcurve import (TABLE_TRIM, SampleGrid, json_array, require_keys,
+                       spline, table_curve)
 from .pipeline import analyze
 from .symspace import (
     COND_MAX,
@@ -86,8 +86,8 @@ class InvariantPrescription:
     def structure_matrix(self):
         """C(tau) interpolant (cubic in tau between the given samples); tau
         may be one value or an array of them."""
-        sig = CubicSpline(self.ts, self.Sigma)
-        kd = CubicSpline(self.ts, self.Kdiag)
+        sig = spline(self.ts, self.Sigma)
+        kd = spline(self.ts, self.Kdiag)
 
         def c_at(tau):
             return cartan_matrix(sig(tau), kd(tau))
@@ -113,9 +113,9 @@ def prescription_from_json(obj):
     ts = grid.points
     m = ts.size
 
-    sig = np.asarray(obj.get("Sigma", np.zeros((n, n))), dtype=float)
-    k = np.asarray(obj["K"], dtype=float)
-    f0 = np.asarray(obj["F0"], dtype=float).ravel()
+    sig = json_array(obj.get("Sigma", np.zeros((n, n))), "Sigma")
+    k = json_array(obj["K"], "K")
+    f0 = json_array(obj["F0"], "F0").ravel()
     for name, a, shapes in (("Sigma", sig, [(n, n), (m, n, n)]),
                             ("K", k, [(n,), (n, n), (m, n), (m, n, n)]),
                             ("F0", f0, [(4 * n * n,)])):
@@ -208,8 +208,8 @@ def arc_uniform_prescription(analysis):
     tau = np.linspace(0.0, ell[-1], ell.size)
     return InvariantPrescription(
         ts=tau,
-        Sigma=CubicSpline(ell, rc.Sigma)(tau),
-        Kdiag=CubicSpline(ell, rc.Kdiag)(tau),
+        Sigma=spline(ell, rc.Sigma)(tau),
+        Kdiag=spline(ell, rc.Kdiag)(tau),
         F0=analysis.frame.frames[0],
     )
 

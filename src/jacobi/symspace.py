@@ -38,6 +38,28 @@ def _matrix_maxabs(a):
     return np.max(np.abs(a), axis=(-2, -1))
 
 
+def sym_cond(a):
+    """2-norm condition number of symmetric matrices (the last two axes),
+    from their eigenvalues.  As with np.linalg.cond, a singular matrix gives
+    inf and a matrix holding a NaN gives NaN."""
+    a = np.asarray(a, dtype=float)
+    ev = np.abs(np.linalg.eigvalsh(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = ev.max(axis=-1) / ev.min(axis=-1)
+    return np.where(np.isnan(a).any(axis=(-2, -1)), np.nan,
+                    np.where(np.isnan(c), np.inf, c))
+
+
+def definite_eigh(a, b):
+    """Ascending mu and M with a M = b M diag(mu), M^T b M = Id, on stacks of
+    symmetric a and positive definite b (else LinAlgError): LAPACK sygvd's
+    reduction b = L L^T, (mu, V) = eigh(L^(-1) a L^(-T)), M = L^(-T) V."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(b))
+    c = l_inv @ a @ l_inv.swapaxes(-1, -2)
+    mu, v = np.linalg.eigh(0.5 * (c + c.swapaxes(-1, -2)))
+    return mu, l_inv.swapaxes(-1, -2) @ v
+
+
 def _singular(exc, what):
     return exc(f"{what} is singular (condition number above {COND_MAX:g})")
 
@@ -119,7 +141,7 @@ def complete_symplectic_basis(M, S, Sbar):
     gates = Gates()
     gates.check(np.linalg.cond(M) > COND_MAX,
                 lambda i: InvalidBasis("basis matrix M is singular"))
-    gates.check(np.linalg.cond(diff) > COND_MAX,
+    gates.check(sym_cond(diff) > COND_MAX,
                 lambda i: _singular(NotTransverse, "Sbar - S"))
     gates.raise_error()
     eye = np.broadcast_to(np.eye(M.shape[-1]), M.shape)

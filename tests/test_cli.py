@@ -300,6 +300,61 @@ class TestCycle:
         assert payload["message"].startswith(f"point {bad} ")
 
 
+class TestRaggedJson:
+    """A ragged or non-numeric JSON array exits 1 with InvalidDimension
+    naming its key, never with a traceback."""
+
+    RAGGED = [[1.0, 2.0], [3.0]]
+
+    def error(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidDimension"
+        return payload["message"]
+
+    def test_points(self, capsys, tmp_path):
+        f = tmp_path / "points.json"
+        f.write_text(json.dumps({"points": [np.eye(2).tolist(), self.RAGGED,
+                                            (2 * np.eye(2)).tolist()]}))
+        assert self.error(capsys, "cycle", "--points", str(f)).startswith(
+            "point 2 ")
+
+    @pytest.mark.parametrize("key", ["K", "Sigma", "F0"])
+    def test_prescription_blocks(self, capsys, tmp_path, key):
+        spec = {"n": 2, "grid": {"t0": 0.0, "t1": 1.0, "m": 21},
+                "K": [0.0, -1.0], "F0": np.eye(4).tolist(), key: self.RAGGED}
+        f = tmp_path / "prescription.json"
+        f.write_text(json.dumps(spec))
+        assert self.error(capsys, "reconstruct", str(f)).startswith(key + " ")
+
+    def test_transform(self, capsys, tmp_path):
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps({"n": 2, "kind": "preset",
+                                 "name": "paper-6.2-ex1",
+                                 "transform": self.RAGGED}))
+        assert self.error(capsys, "analyze", str(f)).startswith("transform ")
+
+    def test_table_samples(self, capsys, tmp_path):
+        ts = np.linspace(0.0, 1.0, 9)
+        samples = [np.diag([t, 2 * t]).tolist() for t in ts]
+        samples[4] = self.RAGGED
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps({"n": 2, "kind": "table", "samples":
+                                 {"t": ts.tolist(), "S": samples}}))
+        assert self.error(capsys, "analyze", str(f)).startswith("samples.S ")
+
+    def test_reconstructed_table_with_chart_exits(self, capsys, tmp_path):
+        # reconstruct writes null for samples outside the chart
+        ts = np.linspace(0.0, 1.0, 9)
+        samples = [None] + [np.diag([t, 2 * t]).tolist() for t in ts[1:]]
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps({"n": 2, "kind": "table", "samples":
+                                 {"t": ts.tolist(), "S": samples}}))
+        assert self.error(capsys, "compare", "paper-6.2-ex1",
+                          str(f)).startswith("samples.S ")
+
+
 class TestPresets:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "presets")

@@ -283,6 +283,34 @@ class TestGates:
         assert isinstance(gates.error, RegularityFailure)
 
 
+    def test_failed_stacked_eigensolve_reports_its_earliest_sample(
+            self, monkeypatch):
+        # a stacked LAPACK call fails as a whole; ricci re-runs it sample by
+        # sample to name the earliest failure, as on a single jet
+        from jacobi import curvature
+
+        real = curvature.definite_eigh
+        poisoned = {3, 5}
+
+        def fake(a, b):
+            idx = np.atleast_1d(np.round((b[..., 0, 0] - 1) * 1e3)).astype(int)
+            if poisoned & set(idx.tolist()):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real(a, b)
+
+        monkeypatch.setattr(curvature, "definite_eigh", fake)
+        ts = np.linspace(0.0, 1.0, 8)
+        s1 = np.eye(2) + np.arange(8)[:, None, None] * np.diag([1e-3, 0.0])
+        jets = CurveJet(ts, np.zeros((8, 2, 2)), s1,
+                        np.zeros((8, 2, 2)), np.tile(np.diag([1.0, 2.0]),
+                                                     (8, 1, 1)))
+        with pytest.raises(ComplexEigenvalues) as exc:
+            ricci(jets)
+        assert exc.value.t == ts[3]
+        assert "not positive definite" in str(exc.value)
+        assert ricci(jets[:3]).eigvals.shape == (3, 2)
+
+
 class TestVerifyDerivativeCurve:
     def test_first_preset(self):
         c = preset_curve("paper-6.2-ex1")

@@ -303,6 +303,33 @@ class TestJsonLoading:
         ref = transformed_curve(preset_curve("paper-6.2-ex1"), g)
         assert np.allclose(c.jet(0.3).S, ref.jet(0.3).S)
 
+    def test_n_must_match_the_curve(self):
+        obj = {"n": 3, "kind": "polynomial",
+               "entries": [[[0.0, 1.0], [0.0]], [[0.0], [0.0, 2.0]]],
+               "domain": [0.0, 1.0]}
+        with pytest.raises(InvalidDimension, match="n is 3"):
+            curve_from_json(obj)
+        with pytest.raises(InvalidDimension, match="n is 3"):
+            curve_from_json({"n": 3, "kind": "preset",
+                             "name": "paper-6.2-ex1"})
+
+    def test_n_may_be_absent(self):
+        obj = {"kind": "polynomial",
+               "entries": [[[0.0, 1.0], [0.0]], [[0.0], [0.0, 2.0]]],
+               "domain": [0.0, 1.0]}
+        assert curve_from_json(obj).n == 2
+
+    @pytest.mark.parametrize("t,S", [
+        (np.linspace(0, 1, 9), np.zeros((8, 2, 2))),
+        (np.linspace(0, 1, 9), np.zeros((9, 2, 3))),
+        (np.linspace(0, 1, 9), np.zeros(9)),
+        (np.zeros((9, 1)), np.zeros((9, 2, 2))),
+    ])
+    def test_table_sample_shapes_checked(self, t, S):
+        with pytest.raises(InvalidDimension, match="shape"):
+            curve_from_json({"kind": "table", "samples": {
+                "t": t.tolist(), "S": S.tolist()}})
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             curve_from_json({"n": 2, "kind": "mystery", "domain": [0, 1]})

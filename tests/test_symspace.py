@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacobi.errors import (
@@ -16,10 +17,12 @@ from jacobi.symspace import (
     apply_symplectic,
     chart_translate_invert,
     complete_symplectic_basis,
+    definite_eigh,
     frame_from_chart_pair,
     is_symplectic_frame,
     random_csp,
     random_hamiltonian,
+    sym_cond,
     symmetrize,
 )
 
@@ -255,3 +258,65 @@ def test_symplectic_frame_blocks_roundtrip():
     assert np.array_equal(bb, s @ m)
     assert np.array_equal(bbar, sbar @ abar)
     assert np.array_equal(np.block([[blk, abar], [bb, bbar]]), f)
+
+
+def symmetric_stack(rng, m, n):
+    a = rng.normal(size=(m, n, n))
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def spd_stack(rng, m, n):
+    """Positive definite matrices with condition numbers at most 10."""
+    q, _ = np.linalg.qr(rng.normal(size=(m, n, n)))
+    d = rng.uniform(0.5, 5.0, size=(m, n))
+    return (q * d[:, None, :]) @ q.swapaxes(-1, -2)
+
+
+class TestDefiniteEigh:
+    """The stacked Cholesky reduction against LAPACK's generalized solver,
+    sample by sample."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 6]))
+    def test_matches_scipy_generalized_eigh(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a, b = symmetric_stack(rng, 8, n), spd_stack(rng, 8, n)
+        mu, m = definite_eigh(a, b)
+        for i in range(len(a)):
+            ref_mu, ref_m = scipy.linalg.eigh(a[i], b[i])
+            scale = np.max(np.abs(ref_mu))
+            # eigenvectors are defined up to sign only where the spectrum
+            # is separated
+            assume(np.min(np.diff(ref_mu)) > 1e-3 * scale)
+            assert np.max(np.abs(mu[i] - ref_mu)) <= 1e-12 * scale
+            signs = np.sign(np.sum(m[i] * ref_m, axis=0))
+            assert np.max(np.abs(m[i] * signs - ref_m)) <= 1e-10
+        eye = np.eye(n)
+        assert np.max(np.abs(m.swapaxes(-1, -2) @ b @ m - eye)) <= 1e-12
+        resid = a @ m - b @ m * mu[:, None, :]
+        assert np.max(np.abs(resid)) <= 1e-12 * max(1.0, np.max(np.abs(mu)))
+
+    def test_indefinite_pencil_rejected(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            definite_eigh(np.eye(2)[None], np.diag([1.0, -1.0])[None])
+
+
+class TestSymCond:
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_matches_numpy_cond(self, n):
+        rng = np.random.default_rng(n)
+        a = symmetric_stack(rng, 50, n)
+        a[::5] *= 1e-6  # scale does not matter
+        a[1] = spd_stack(rng, 1, n)[0]
+        ref = np.linalg.cond(a)
+        assert np.max(np.abs(sym_cond(a) - ref) / ref) <= 1e-10
+
+    def test_singular_and_zero_matrices_are_infinite(self):
+        stack = np.array([np.zeros((2, 2)), np.diag([1.0, 0.0]),
+                          np.diag([0.0, -3.0]), np.eye(2)])
+        assert sym_cond(stack).tolist() == [np.inf, np.inf, np.inf, 1.0]
+        assert sym_cond(np.zeros((3, 3))) == np.inf
+
+    def test_nan_stays_nan(self):
+        out = sym_cond(np.array([[[np.nan, 0.0], [0.0, 1.0]], np.eye(2)]))
+        assert np.isnan(out[0]) and out[1] == 1.0
