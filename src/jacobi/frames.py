@@ -137,10 +137,10 @@ def reduced_invariants(ff: FrenetFrame, arc: ArcData,
     -(diag(mu) - sphi Id) / (2 zeta^2) from the absolute curvatures.
 
     Sign freedom: replacing a frame column f_i by -f_i conjugates Sigma by a
-    +-1 diagonal matrix.  Canonical choice: walk pairs (i, j) in order; at
-    the first sample where |Sigma_ij| exceeds SIGN_TOL, fix the relative
-    sign so the entry is >= 0 (a greedy spanning tree over the index graph;
-    conflicts cannot arise because each edge is fixed at most once).
+    +-1 diagonal matrix.  Canonical choice: walk pairs (i, j) in order; if
+    i, j are not yet joined and |Sigma_ij| exceeds SIGN_TOL somewhere, flip
+    j's component so the entry at the first such sample is >= 0 and join
+    them (a greedy spanning forest: no conflicts, components are disjoint).
     """
     ms = ff.M
     a = np.linalg.solve(ms, finite_diff(ms, arc.h, 1))
@@ -150,30 +150,33 @@ def reduced_invariants(ff: FrenetFrame, arc: ArcData,
 
     # canonical signs
     eps = np.ones(n)
-    fixed = np.zeros(n, dtype=bool)
-    fixed[0] = True
+    comp = np.arange(n)
     for i in range(n):
         for jx in range(i + 1, n):
-            if fixed[i] and not fixed[jx]:
-                series = sig[:, i, jx]
-                big = np.nonzero(np.abs(series) > SIGN_TOL)[0]
-                if big.size:
-                    eps[jx] = eps[i] * np.sign(series[big[0]])
-                fixed[jx] = True
-    d = np.diag(eps)
-    sig = np.einsum("ij,mjk,kl->mil", d, sig, d)
+            if comp[i] == comp[jx]:
+                continue
+            big = np.flatnonzero(np.abs(sig[:, i, jx]) > SIGN_TOL)
+            if big.size:
+                joined = comp == comp[jx]
+                eps[joined] *= eps[i] * eps[jx] * np.sign(sig[big[0], i, jx])
+                comp[joined] = comp[i]
+    sig = np.einsum("ij,mjk,kl->mil", np.diag(eps), sig, np.diag(eps))
     return ReducedCartan(ts=arc.ts, arclength=arc.arclength, zeta=arc.zeta,
                          Sigma=sig, Kdiag=kd)
 
 
+def invariant_spline(x, Sigma, Kdiag):
+    """One cubic spline through the Sigma (m, n, n) and K diagonal (m, n)
+    series along x, fitted on their (m, n^2 + n) column stack; returns the
+    function mapping query points to (Sigma, Kdiag) there."""
+    n = Kdiag.shape[-1]
+    fit = spline(x, np.concatenate([Sigma.reshape(len(x), n * n), Kdiag], 1))
 
+    def at(q):
+        y = fit(q)
+        return y[..., :n * n].reshape(y.shape[:-1] + (n, n)), y[..., n * n:]
 
-def _resample(rc: ReducedCartan, ell):
-    """Evaluate K and Sigma as functions of arclength at the points ell."""
-    kd = spline(rc.arclength, rc.Kdiag)(ell)
-    sg = spline(rc.arclength, rc.Sigma.reshape(rc.ts.size, -1))(ell)
-    n = rc.n
-    return kd, sg.reshape(ell.size, n, n)
+    return at
 
 
 def equivalent_reduced(a: ReducedCartan, b: ReducedCartan, tol=EQUIV_TOL):
@@ -193,20 +196,16 @@ def equivalent_reduced(a: ReducedCartan, b: ReducedCartan, tol=EQUIV_TOL):
     ell = a.arclength[mask]
     if ell.size < 5:
         raise GridMismatch("arclength overlap too short to compare")
-    ka, sa = _resample(a, ell)
-    kb, sb = _resample(b, ell)
+    sa, ka = invariant_spline(a.arclength, a.Sigma, a.Kdiag)(ell)
+    sb, kb = invariant_spline(b.arclength, b.Sigma, b.Kdiag)(ell)
     k_dev = float(np.max(np.abs(ka - kb)))
     if k_dev > tol:
         return False, None, k_dev, None
-    best = None
-    best_dev = np.inf
+    best, best_dev = None, np.inf
     for bits in range(2 ** (n - 1)):
-        eps = np.ones(n)
-        for i in range(1, n):
-            if bits >> (i - 1) & 1:
-                eps[i] = -1.0
-        d = np.diag(eps)
-        dev = float(np.max(np.abs(sa - np.einsum("ij,mjk,kl->mil", d, sb, d))))
+        # bit i - 1 of `bits` flips column i; column 0 is never flipped
+        eps = 1.0 - 2.0 * ((bits << 1) >> np.arange(n) & 1)
+        dev = float(np.max(np.abs(sa - sb * np.outer(eps, eps))))
         if dev < best_dev:
             best_dev, best = dev, eps
     if best_dev <= tol:

@@ -1,13 +1,14 @@
 """Reconstruction of a curve from its invariants.
 
-Given skew Sigma(tau), diagonal K(tau) in the arc parameter and a symplectic
-initial basis F0, integrate the linear frame ODE
+Given skew Sigma(tau), diagonal K(tau) in the arc parameter (one joint
+spline) and a symplectic initial basis F0, integrate the linear frame ODE
 
     dF/dtau = F [[Sigma, K], [Id, Sigma]]
 
-with classical RK4, read the curve off as S = B A^(-1) from the frame's
-first column block [A; B], and close the loop: analyze -> reconstruct ->
-re-analyze must reproduce the invariants.
+with classical RK4 step maps F <- F + F D formed for all intervals at once,
+read the curve off as S = B A^(-1) from the frame's first column block
+[A; B], and close the loop: analyze -> reconstruct -> re-analyze must
+reproduce the invariants.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GridMismatch, InvalidDimension, SymplecticityLoss
-from .frames import cartan_matrix, equivalent_reduced
+from .frames import cartan_matrix, equivalent_reduced, invariant_spline
 from .geom import NORM_TOL
 from .matcurve import (TABLE_TRIM, SampleGrid, json_array, require_keys,
-                       spline, table_curve)
+                       table_curve)
 from .pipeline import analyze
 from .symspace import (
     COND_MAX,
@@ -86,13 +87,8 @@ class InvariantPrescription:
     def structure_matrix(self):
         """C(tau) interpolant (cubic in tau between the given samples); tau
         may be one value or an array of them."""
-        sig = spline(self.ts, self.Sigma)
-        kd = spline(self.ts, self.Kdiag)
-
-        def c_at(tau):
-            return cartan_matrix(sig(tau), kd(tau))
-
-        return c_at
+        at = invariant_spline(self.ts, self.Sigma, self.Kdiag)
+        return lambda tau: cartan_matrix(*at(tau))
 
 
 def prescription_from_json(obj):
@@ -131,22 +127,27 @@ def prescription_from_json(obj):
 
 def _rk4(f0, c_at, ts, substeps):
     """Classical RK4, `substeps` steps per grid interval, with C evaluated in
-    one call at the step starts tau_k = tau_(k-1) + h and midpoints."""
+    one call at the step starts tau_k = tau_(k-1) + h and midpoints.  A step
+    is linear, F <- F + F D: every interval's D is formed on the stack (its
+    substeps compose as D + D' + D D'), and only the product is a loop."""
     h = (ts[1:] - ts[:-1]) / substeps
     taus = [ts[:-1]]
     for _ in range(substeps):
         taus += [taus[-1] + 0.5 * h, taus[-1] + h]
-    c = c_at(np.stack(taus, axis=1))
+    c = c_at(np.stack(taus, axis=1)).swapaxes(0, 1)
+    hs = h[:, None, None]
+    eye = np.eye(f0.shape[0])
+    d = None
+    for c1, c2, c4 in zip(c[:-1:2], c[1::2], c[2::2]):
+        q2 = (eye + 0.5 * hs * c1) @ c2
+        q3 = (eye + 0.5 * hs * q2) @ c2
+        q4 = (eye + hs * q3) @ c4
+        step = (hs / 6.0) * (c1 + 2 * q2 + 2 * q3 + q4)
+        d = step if d is None else d + step + d @ step
     frames = np.empty((ts.size,) + f0.shape)
     f = frames[0] = f0
-    for i, hi in enumerate(h):
-        for c1, c2, c4 in zip(c[i, :-1:2], c[i, 1::2], c[i, 2::2]):
-            k1 = f @ c1
-            k2 = (f + 0.5 * hi * k1) @ c2
-            k3 = (f + 0.5 * hi * k2) @ c2
-            k4 = (f + hi * k3) @ c4
-            f = f + (hi / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        frames[i + 1] = f
+    for i, di in enumerate(d):
+        f = frames[i + 1] = f + f @ di
     _, resid = is_symplectic_frame(SymplecticSpace(f0.shape[0] // 2), frames[1:])
     return frames, (max(resid) if resid.size else 0.0)
 
@@ -206,12 +207,9 @@ def arc_uniform_prescription(analysis):
     rc = analysis.reduced
     ell = rc.arclength
     tau = np.linspace(0.0, ell[-1], ell.size)
-    return InvariantPrescription(
-        ts=tau,
-        Sigma=spline(ell, rc.Sigma)(tau),
-        Kdiag=spline(ell, rc.Kdiag)(tau),
-        F0=analysis.frame.frames[0],
-    )
+    sig, kd = invariant_spline(ell, rc.Sigma, rc.Kdiag)(tau)
+    return InvariantPrescription(ts=tau, Sigma=sig, Kdiag=kd,
+                                 F0=analysis.frame.frames[0])
 
 
 def roundtrip(curve, grid):

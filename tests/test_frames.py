@@ -1,17 +1,22 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobi.errors import EigenCrossing, GridMismatch
 from jacobi.frames import (
     arc_normalized_frames,
     cartan_matrix,
     equivalent_reduced,
+    invariant_spline,
     reduced_invariants,
 )
-from jacobi.matcurve import finite_diff, preset_curve, sample_curve
+from jacobi.geom import ArcData
+from jacobi.matcurve import finite_diff, preset_curve, sample_curve, spline
 from jacobi.pipeline import analyze
 
 from .conftest import admissible_quartics
@@ -148,6 +153,74 @@ class TestReducedInvariants:
                 rc = reduced_invariants(flipped, ana.arc, ana.abscurv)
                 assert np.allclose(rc.Sigma, ana.reduced.Sigma, atol=1e-12)
                 assert np.array_equal(rc.Kdiag, ana.reduced.Kdiag)
+
+    def test_sign_walk_joins_only_at_nonzero_entries(self):
+        # M rotates in the (1, 2) plane, so Sigma_01 = Sigma_02 = 0 and only
+        # the pair (1, 2) can fix the sign of column 2: Sigma_12 = +0.5
+        # whichever sign column 2 comes in with
+        for s2 in (1.0, -1.0):
+            rc = reduced_invariants(*synthetic_frame(rotation_m(0.5), s2))
+            assert np.allclose(rc.Sigma[:, 1, 2], 0.5, atol=1e-9)
+            assert np.max(np.abs(rc.Sigma[:, 0, 1:])) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.3, -0.7]), min_size=6,
+                    max_size=6),
+           st.lists(st.sampled_from([1.0, -1.0]), min_size=4, max_size=4))
+    def test_canonical_sigma_ignores_column_signs(self, upper, eps):
+        # M = exp(tW) for a skew W with some zero entries: flipping frame
+        # columns leaves the canonical Sigma unchanged, whatever the pattern
+        # of pairs that can fix a sign
+        from scipy.linalg import expm
+
+        w = np.zeros((4, 4))
+        w[np.triu_indices(4, 1)] = upper
+        w -= w.T
+        ms = np.stack([expm(t * w) for t in np.linspace(0.0, 1.0, 101)])
+        ref = reduced_invariants(*synthetic_frame(ms)).Sigma
+        rc = reduced_invariants(*synthetic_frame(ms * np.array(eps)))
+        assert np.allclose(rc.Sigma, ref, atol=1e-12)
+
+
+def rotation_m(rate, m=101):
+    """(m, 3, 3) series diag(1, R(rate t)) on [0, 1]."""
+    th = rate * np.linspace(0.0, 1.0, m)
+    ms = np.zeros((m, 3, 3))
+    ms[:, 0, 0] = 1.0
+    ms[:, 1, 1] = ms[:, 2, 2] = np.cos(th)
+    ms[:, 2, 1] = np.sin(th)
+    ms[:, 1, 2] = -np.sin(th)
+    return ms
+
+
+def synthetic_frame(ms, s_last=1.0):
+    """reduced_invariants arguments for the eigenvector series ms on [0, 1]
+    with zeta = 1 and fixed distinct curvatures; the last column of ms is
+    multiplied by s_last."""
+    m, n = ms.shape[:2]
+    ms = ms.copy()
+    ms[:, :, -1] *= s_last
+    ts = np.linspace(0.0, 1.0, m)
+    one, zero = np.ones(m), np.zeros(m)
+    arc = ArcData(ts=ts, zeta=one, zeta1=zero, zeta2=zero, sphi=zero,
+                  arclength=ts)
+    k = np.tile(np.arange(n, dtype=float), (m, 1))
+    return SimpleNamespace(M=ms), arc, SimpleNamespace(k=k)
+
+
+class TestInvariantSpline:
+    @pytest.mark.parametrize("m,n", [(41, 2), (201, 3), (41, 4), (201, 6)])
+    def test_equals_separate_splines(self, m, n):
+        rng = np.random.default_rng(m * 10 + n)
+        x = np.sort(rng.uniform(0.0, 2.0, m))
+        sig = rng.normal(size=(m, n, n))
+        sig -= sig.swapaxes(1, 2)
+        kd = rng.normal(size=(m, n))
+        q = rng.uniform(x[0], x[-1], (7, 3))
+        s_at, k_at = invariant_spline(x, sig, kd)(q)
+        assert np.array_equal(s_at, spline(x, sig)(q))
+        assert np.array_equal(k_at, spline(x, kd)(q))
+        assert s_at.shape == (7, 3, n, n) and k_at.shape == (7, 3, n)
 
 
 class TestEquivalentReduced:

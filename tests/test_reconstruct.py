@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobi.errors import (InvalidDimension, JacobiError, MissingKey,
                            SymplecticityLoss)
@@ -8,6 +10,7 @@ from jacobi.matcurve import SampleGrid, preset_curve
 from jacobi.pipeline import analyze
 from jacobi.reconstruct import (
     InvariantPrescription,
+    _rk4,
     arc_uniform_prescription,
     curve_from_frame,
     integrate_frame,
@@ -114,6 +117,67 @@ class TestPrescriptionValidation:
             prescription_from_json(obj)
 
 
+def rk4_per_step(f0, c_at, ts, substeps):
+    """Reference RK4: the same stage times as `_rk4`, the stages taken one
+    step at a time on the frame itself."""
+    h = (ts[1:] - ts[:-1]) / substeps
+    taus = [ts[:-1]]
+    for _ in range(substeps):
+        taus += [taus[-1] + 0.5 * h, taus[-1] + h]
+    c = c_at(np.stack(taus, axis=1))
+    frames = np.empty((ts.size,) + f0.shape)
+    f = frames[0] = f0
+    for i, hi in enumerate(h):
+        for c1, c2, c4 in zip(c[i, :-1:2], c[i, 1::2], c[i, 2::2]):
+            k1 = f @ c1
+            k2 = (f + 0.5 * hi * k1) @ c2
+            k3 = (f + 0.5 * hi * k2) @ c2
+            k4 = (f + hi * k3) @ c4
+            f = f + (hi / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        frames[i + 1] = f
+    return frames
+
+
+def smooth_prescription(seed, n, m):
+    """Sigma and K as random trigonometric polynomials on a random interval,
+    from a random conformal symplectic initial frame."""
+    from jacobi.symspace import random_csp
+
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, rng.uniform(0.5, 2.0), m)
+    waves = np.stack([np.ones(m), np.sin(ts), np.cos(2.0 * ts)], axis=1)
+    sig = np.einsum("mw,wij->mij", waves, rng.normal(size=(3, n, n)))
+    kd = waves @ rng.normal(size=(3, n))
+    return InvariantPrescription(ts=ts, Sigma=sig - sig.swapaxes(1, 2),
+                                 Kdiag=kd, F0=random_csp(seed, n=n))
+
+
+class TestStackedRK4:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
+           st.integers(5, 60), st.sampled_from([1, 4]))
+    def test_matches_per_step_loop(self, seed, n, m, substeps):
+        p = smooth_prescription(seed, n, m)
+        c_at = p.structure_matrix()
+        ref = rk4_per_step(p.F0, c_at, p.ts, substeps)
+        frames, _ = _rk4(p.F0, c_at, p.ts, substeps)
+        assert np.max(np.abs(frames - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_fourth_order_on_constant_k(self):
+        # Sigma = 0, K = diag(1, -1): F(1) = exp(C) blockwise, cosh/sinh in
+        # the first index pair and cos/sin in the second
+        c, s = np.cosh(1.0), np.sinh(1.0)
+        exact = np.array([[c, 0, s, 0], [0, np.cos(1.0), 0, -np.sin(1.0)],
+                          [s, 0, c, 0], [0, np.sin(1.0), 0, np.cos(1.0)]])
+        errors = []
+        for m in (11, 21, 41, 81):
+            p = constant_prescription([1.0, -1.0], m=m, f0=np.eye(4))
+            frames, _ = _rk4(p.F0, p.structure_matrix(), p.ts, 1)
+            errors.append(np.max(np.abs(frames[-1] - exact)))
+        rates = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all((rates > 3.8) & (rates < 4.2)), rates
+
+
 class TestIntegrateFrame:
     def test_first_example_closed_form(self):
         # Sigma = 0, K = diag(1, 0):
@@ -157,6 +221,17 @@ class TestIntegrateFrame:
             for fr in frames[:: 100]:
                 ok, r = is_symplectic_frame(sp, fr, tol=1e-6)
                 assert ok, r
+
+    def test_retry_at_four_substeps_succeeds(self):
+        # on a coarse grid the residual is truncation error, so 4 substeps
+        # lower it: a cap between the two residuals takes the retry
+        p = constant_prescription([1.0, -1.0], m=11)
+        c_at = p.structure_matrix()
+        _, r1 = _rk4(p.F0, c_at, p.ts, 1)
+        f4, r4 = _rk4(p.F0, c_at, p.ts, 4)
+        assert r4 < 1e-2 * r1
+        frames, resid = integrate_frame(p, resid_max=np.sqrt(r1 * r4))
+        assert np.array_equal(frames, f4) and resid == r4
 
     def test_residual_cap_enforced(self):
         p = constant_prescription([1.0, 0.0], m=51)
