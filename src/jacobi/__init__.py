@@ -62,11 +62,11 @@ from .reconstruct import (
     roundtrip,
 )
 from .symspace import (
-    SymplecticSpace,
     apply_symplectic,
     chart_translate_invert,
     complete_symplectic_basis,
     frame_from_chart_pair,
     is_symplectic_frame,
     random_csp,
+    symplectic_form,
 )

@@ -22,7 +22,7 @@ from . import __version__
 from .cycles import (FLAT_TOL, MEMBER_TOL, cycle_contains, cycle_through,
                      is_flat, mobius_fit)
 from .errors import InvalidDimension, JacobiError, NoFit
-from .geom import ADM_TOL, AdmissibilityReport, screen
+from .geom import ADM_TOL, screen
 from .frames import EQUIV_TOL, equivalent_reduced
 from .matcurve import (PRESET_NAMES, TABLE_TRIM, SampleGrid, curve_from_json,
                        json_array, preset_curve, require_keys, sample_curve,
@@ -149,19 +149,19 @@ def cmd_analyze(args):
     curve = _load_curve(args)
     scr = _screen(curve, args)
     grid = scr.grid
-    report = AdmissibilityReport.of(scr)
+    report = scr.report()
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    if not report.admissible:
-        payload = {"admissibility": report.to_dict(), "curve": curve.name}
+    if not report["admissible"]:
+        payload = {"admissibility": report, "curve": curve.name}
         _emit_json(payload, out / "analysis.json" if out else None)
         return 2
     reduced = _offset_reduced(curve, grid, complete(scr).reduced)
     payload = {
         "curve": curve.name,
         "grid": {"t0": grid.t0, "t1": grid.t1, "m": grid.m},
-        "admissibility": report.to_dict(),
+        "admissibility": report,
         "invariants": _reduced_payload(reduced),
     }
     formats = args.format.split(",")
@@ -181,14 +181,12 @@ def cmd_compare(args):
     # both sides are screened before either is completed, so a failed
     # screen exits 2 even where the other side would raise later
     scr_a, scr_b = _screen(load(args.a), args), _screen(load(args.b), args)
-    rep_a, rep_b = AdmissibilityReport.of(scr_a), AdmissibilityReport.of(scr_b)
+    rep_a, rep_b = scr_a.report(), scr_b.report()
     out = Path(args.out) / "compare.json" if args.out else None
     if out:
         out.parent.mkdir(parents=True, exist_ok=True)
-    if not (rep_a.admissible and rep_b.admissible):
-        _emit_json(
-            {"verdict": "inadmissible",
-             "a": rep_a.to_dict(), "b": rep_b.to_dict()}, out)
+    if not (rep_a["admissible"] and rep_b["admissible"]):
+        _emit_json({"verdict": "inadmissible", "a": rep_a, "b": rep_b}, out)
         return 2
     red_a, red_b = (_offset_reduced(scr.curve, scr.grid, complete(scr).reduced)
                     for scr in (scr_a, scr_b))

@@ -26,18 +26,14 @@ AT_INFINITY = "at-infinity"
 
 
 def line_classify(direction):
-    """'regular' iff the symmetric direction matrix is invertible.
-
-    The determinant is compared against ||direction||^n / COND_MAX so the
-    verdict is scale-free.
+    """'regular' iff the symmetric direction matrix is invertible: its
+    condition number is at most COND_MAX, the scale-free gate every chart
+    solve uses.
     """
     d = symmetrize(np.asarray(direction, dtype=float), strict=False)
-    nd = _maxabs(d)
-    if nd < 1e-300:
+    if _maxabs(d) < 1e-300:
         raise ZeroDirection("direction matrix is zero")
-    n = d.shape[0]
-    det = abs(np.linalg.det(d))
-    return "regular" if det > nd**n / COND_MAX else "singular"
+    return "regular" if sym_cond(d) <= COND_MAX else "singular"
 
 
 @dataclass(frozen=True)

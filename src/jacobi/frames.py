@@ -19,8 +19,7 @@ from .curvature import derivative_curve
 from .errors import EigenCrossing, Gates, GridMismatch
 from .geom import AbsoluteCurvature, ArcData
 from .matcurve import finite_diff, spline
-from .symspace import (SymplecticSpace, frame_from_chart_pair,
-                       is_symplectic_frame)
+from .symspace import frame_from_chart_pair, is_symplectic_frame
 
 SIGN_TOL = 1e-6
 MIN_OVERLAP = 0.2
@@ -75,7 +74,7 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     fr = frame_from_chart_pair(ms[:k], jets.S[:k], s0)
     gates.raise_error()
     n = jets.n
-    _, residuals = is_symplectic_frame(SymplecticSpace(n), fr)
+    _, residuals = is_symplectic_frame(fr)
     return FrenetFrame(ts=ts, M=ms, Mbar=fr[:, :n, n:], frames=fr,
                        residuals=residuals)
 

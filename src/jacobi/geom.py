@@ -6,7 +6,7 @@ admissibility screen that gates the whole pipeline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,6 +150,25 @@ class Screen:
     arc: ArcData | None = None
     error: JacobiError | None = None
 
+    def report(self):
+        """The screen's verdict as the artifacts' `admissibility` dict.
+
+        `first_failure` names the failed step: velocity-definite,
+        spectrum-distinct or arc-element; `flipped` records whether the
+        curve had to be negated before the later steps.
+        """
+        e, arc = self.error, self.arc
+        return {
+            "admissible": e is None,
+            "velocity_sign": self.velocity_sign,
+            "flipped": self.flipped,
+            "first_failure": None if e is None else SCREEN_STEPS[type(e)],
+            "failure_t": None if e is None else e.t,
+            "min_eig_gap": self.min_eig_gap,
+            "min_zeta": None if arc is None else float(np.min(arc.zeta)),
+            "messages": [] if e is None else [str(e)],
+        }
+
 
 def screen(curve, grid, adm_tol=ADM_TOL):
     """Sample the curve once and run the four-step admissibility screen.
@@ -192,43 +211,6 @@ def screen(curve, grid, adm_tol=ADM_TOL):
     return scr
 
 
-@dataclass
-class AdmissibilityReport:
-    """Result of the admissibility screen (see `screen`) over a sample grid.
-
-    `first_failure` names the failed step: velocity-definite,
-    spectrum-distinct or arc-element.  `flipped` records whether the curve
-    had to be negated (negative definite velocity) before the later steps.
-    """
-
-    admissible: bool
-    velocity_sign: int  # +1, -1, or 0 (indefinite/singular)
-    flipped: bool
-    first_failure: str | None
-    failure_t: float | None
-    min_eig_gap: float | None
-    min_zeta: float | None
-    messages: list = field(default_factory=list)
-
-    @classmethod
-    def of(cls, scr):
-        """The report of a screen's outputs or of the error it recorded."""
-        e = scr.error
-        return cls(
-            admissible=e is None,
-            velocity_sign=scr.velocity_sign,
-            flipped=scr.flipped,
-            first_failure=None if e is None else SCREEN_STEPS[type(e)],
-            failure_t=None if e is None else e.t,
-            min_eig_gap=scr.min_eig_gap,
-            min_zeta=None if scr.arc is None else float(np.min(scr.arc.zeta)),
-            messages=[] if e is None else [str(e)],
-        )
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def admissibility_report(curve, grid, adm_tol=ADM_TOL):
+def admissibility_report(curve, grid):
     """Run the screen without raising; failures become report content."""
-    return AdmissibilityReport.of(screen(curve, grid, adm_tol=adm_tol))
+    return screen(curve, grid).report()

@@ -159,8 +159,9 @@ class SymmetricMatrixCurve:
 
     `kind` is one of analytic / preset / polynomial / fourier / table; the
     evaluator must be pure and maps a parameter vector of shape (m,) to four
-    (m, n, n) arrays.  Regularity (det S' != 0) is checked lazily at the
-    points actually queried.
+    (m, n, n) arrays.  Regularity (S' invertible, i.e. cond(S') at most
+    COND_MAX: a scale-free test, so c S is regular wherever S is) is checked
+    lazily at the points actually queried.
     """
 
     def __init__(self, n, evaluator: Callable, domain, kind="analytic", name=None):
@@ -188,8 +189,7 @@ class SymmetricMatrixCurve:
         mats = [symmetrize(a, strict=False) for a in mats]
         if check_regular:
             S1 = mats[1][:gates.stop]
-            gates.check((np.abs(np.linalg.det(S1)) < 1e-300)
-                        | (sym_cond(S1) > COND_MAX),
+            gates.check(sym_cond(S1) > COND_MAX,
                         lambda i: RegularityFailure(ts[i]))
         gates.raise_error()
         return CurveJet(ts, *mats)
@@ -231,7 +231,7 @@ def curve_from_scalars(entries, domain, kind="analytic", name=None):
     return SymmetricMatrixCurve(n, evaluator, domain, kind=kind, name=name)
 
 
-def polynomial_curve(coeffs, domain, name=None, kind="polynomial"):
+def polynomial_curve(coeffs, domain, name=None):
     """Curve with polynomial entries; coeffs[i][j] is an ascending
     coefficient list for entry (i, j).  The curve is symmetrized: its entry
     (i, j) is the mean of the polynomials given at (i, j) and (j, i), so a
@@ -249,7 +249,8 @@ def polynomial_curve(coeffs, domain, name=None, kind="polynomial"):
         mats = (npoly.polyval(ts[:, None, None], c, tensor=False) for c in tensors)
         return tuple(0.5 * (m + m.swapaxes(-1, -2)) for m in mats)
 
-    return SymmetricMatrixCurve(n, evaluator, domain, kind=kind, name=name)
+    return SymmetricMatrixCurve(n, evaluator, domain, kind="polynomial",
+                                name=name)
 
 
 def fourier_curve(cos_coeffs, sin_coeffs, domain, omega=1.0, name=None):

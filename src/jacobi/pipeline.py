@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 from .curvature import RicciData
 from .frames import FrenetFrame, ReducedCartan, frenet_frame, reduced_invariants
-from .geom import (
-    ADM_TOL,
-    AbsoluteCurvature,
-    ArcData,
-    absolute_curvature,
-    screen,
-)
+from .geom import AbsoluteCurvature, ArcData, absolute_curvature, screen
 from .matcurve import SampleGrid
 
 
@@ -31,7 +25,7 @@ class Analysis:
     reduced: ReducedCartan
 
 
-def analyze(curve, grid, adm_tol=ADM_TOL):
+def analyze(curve, grid):
     """Run the full invariant pipeline; raises typed errors on failure.
 
     The first stage is the admissibility screen (geom.screen), which samples
@@ -39,7 +33,7 @@ def analyze(curve, grid, adm_tol=ADM_TOL):
     (`flipped`) and raises the screen's error if a step fails; `complete`
     runs the frame stages on its outputs.
     """
-    return complete(screen(curve, grid, adm_tol=adm_tol))
+    return complete(screen(curve, grid))
 
 
 def complete(scr):

@@ -19,17 +19,11 @@ import numpy as np
 
 from .errors import GridMismatch, InvalidDimension, SymplecticityLoss
 from .frames import cartan_matrix, equivalent_reduced, invariant_spline
-from .geom import NORM_TOL
+from .geom import EIG_GAP_TOL, NORM_TOL
 from .matcurve import (TABLE_TRIM, SampleGrid, json_array, require_keys,
                        table_curve)
 from .pipeline import analyze
-from .symspace import (
-    COND_MAX,
-    SymplecticSpace,
-    _maxabs,
-    is_symplectic_frame,
-    symmetrize,
-)
+from .symspace import COND_MAX, _maxabs, is_symplectic_frame, symmetrize
 
 RESID_MAX = 1e-6
 ROUNDTRIP_TOL = 1e-3
@@ -71,10 +65,15 @@ class InvariantPrescription:
                 "centered curvature product deviates from 1 "
                 f"(max dev {np.max(np.abs(prod - 1.0)):.3e})"
             )
-        if n > 1 and np.min(np.diff(np.sort(d, axis=1), axis=1)) < 1e-9:
+        # the screen's gap rule; <= keeps a fully collapsed spectrum
+        ds = np.sort(d, axis=1)
+        gap = np.min(np.diff(ds, axis=1), axis=1, initial=np.inf)
+        if np.any(gap <= EIG_GAP_TOL * (ds[:, -1] - ds[:, 0])):
             self.warnings.append("curvatures are not distinct everywhere")
-        space = SymplecticSpace(n)
-        ok, resid = is_symplectic_frame(space, self.F0)
+        if self.F0.shape != (2 * n, 2 * n):
+            raise InvalidDimension(
+                f"expected a {2 * n}x{2 * n} F0, got {self.F0.shape}")
+        ok, resid = is_symplectic_frame(self.F0)
         if not ok:
             self.warnings.append(
                 f"initial frame symplecticity residual {resid:.3e}"
@@ -148,7 +147,7 @@ def _rk4(f0, c_at, ts, substeps):
     f = frames[0] = f0
     for i, di in enumerate(d):
         f = frames[i + 1] = f + f @ di
-    _, resid = is_symplectic_frame(SymplecticSpace(f0.shape[0] // 2), frames[1:])
+    _, resid = is_symplectic_frame(frames[1:])
     return frames, (max(resid) if resid.size else 0.0)
 
 

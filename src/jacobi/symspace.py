@@ -10,8 +10,6 @@ axis, and the per-sample functions then act on each sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import (
@@ -72,10 +70,10 @@ def solve_gated(a, b, exc=NotTransverse, what="matrix"):
     return np.linalg.solve(a, b)
 
 
-def inv_gated(a, exc=NotTransverse, what="matrix"):
+def inv_gated(a, what="matrix"):
     a = np.asarray(a, dtype=float)
     eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
-    return solve_gated(a, eye, exc=exc, what=what)
+    return solve_gated(a, eye, what=what)
 
 
 def asymmetry_gate(gates, s, tol):
@@ -94,38 +92,28 @@ def symmetrize(s, tol=SYM_TOL, strict=True):
     return 0.5 * (s + s.swapaxes(-1, -2))
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
-    """R^(2n) with the standard symplectic form."""
-
-    n: int
-    J: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidDimension(
-                "half-dimension must be >= 2 (the invariant theory "
-                "degenerates for n = 1)"
-            )
-        n = self.n
-        j = np.zeros((2 * n, 2 * n))
-        j[:n, n:] = np.eye(n)
-        j[n:, :n] = -np.eye(n)
-        object.__setattr__(self, "J", j)
-
-    @property
-    def dim(self):
-        return 2 * self.n
-
-
-def is_symplectic_frame(space, F, tol=FRAME_TOL):
-    """Check F^T J F = J; returns (verdict, max-abs residual)."""
-    f = np.asarray(F, dtype=float)
-    if f.shape[-2:] != (space.dim, space.dim):
+def symplectic_form(n):
+    """The standard form J = [[0, I], [-I, 0]] on R^(2n)."""
+    if n < 2:
         raise InvalidDimension(
-            f"expected a {space.dim}x{space.dim} matrix, got {f.shape}"
+            "half-dimension must be >= 2 (the invariant theory "
+            "degenerates for n = 1)"
         )
-    residual = _matrix_maxabs(f.swapaxes(-1, -2) @ space.J @ f - space.J)
+    j = np.zeros((2 * n, 2 * n))
+    j[:n, n:] = np.eye(n)
+    j[n:, :n] = -np.eye(n)
+    return j
+
+
+def is_symplectic_frame(F, tol=FRAME_TOL):
+    """Check F^T J F = J, with n read off F's square, even-sized last two
+    axes; returns (verdict, max-abs residual)."""
+    f = np.asarray(F, dtype=float)
+    if f.ndim < 2 or f.shape[-2] != f.shape[-1] or f.shape[-1] % 2:
+        raise InvalidDimension(
+            f"expected a square matrix of even size, got {f.shape}")
+    j = symplectic_form(f.shape[-1] // 2)
+    residual = _matrix_maxabs(f.swapaxes(-1, -2) @ j @ f - j)
     return residual <= tol, residual
 
 
@@ -176,10 +164,10 @@ def conformal_symplectic(g, n):
     g = np.asarray(g, dtype=float)
     if g.shape != (2 * n, 2 * n):
         raise InvalidDimension(f"expected {2*n}x{2*n} transform, got {g.shape}")
-    space = SymplecticSpace(n)
-    gjg = g.T @ space.J @ g
+    j = symplectic_form(n)
+    gjg = g.T @ j @ g
     scale = np.trace(gjg[:n, n:]) / n
-    if abs(scale) < 1e-12 or _maxabs(gjg - scale * space.J) > FRAME_TOL * max(
+    if abs(scale) < 1e-12 or _maxabs(gjg - scale * j) > FRAME_TOL * max(
         1.0, _maxabs(gjg)
     ):
         raise InvalidTransform("matrix is not conformal symplectic")

@@ -10,10 +10,11 @@ from jacobi.matcurve import SampleGrid, polynomial_curve
 ROUNDTRIP_SEEDS = [0, 2, 3, 4, 9, 10, 11, 14, 19, 20]
 
 
-def random_quartic(seed, n=2, domain=(-0.5, 1.5)):
+def random_quartic(seed, n=2, domain=(-0.5, 1.5), scale=1.0):
     """Random monotone quartic matrix curve; dominant linear term keeps S'
     positive definite on [0, 1] for almost all seeds (inadmissible draws are
-    skipped where a corpus is assembled)."""
+    skipped where a corpus is assembled).  Every coefficient is multiplied
+    by `scale`."""
     rng = np.random.default_rng(seed)
 
     def sym(scale):
@@ -24,7 +25,8 @@ def random_quartic(seed, n=2, domain=(-0.5, 1.5)):
     s0, q, r, t4 = sym(0.5), sym(0.6), sym(0.8), sym(0.8)
     coeffs = [
         [
-            [s0[i, j], p[i, j], q[i, j] / 2, r[i, j] / 6, t4[i, j] / 24]
+            [scale * c for c in (s0[i, j], p[i, j], q[i, j] / 2,
+                                 r[i, j] / 6, t4[i, j] / 24)]
             for j in range(n)
         ]
         for i in range(n)

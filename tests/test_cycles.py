@@ -58,6 +58,13 @@ class TestLineClassify:
     def test_scale_free(self):
         assert line_classify(1e-9 * np.diag([1.0, 2.0])) == "regular"
 
+    @pytest.mark.parametrize("diag", [[1.0, 1e-7, 1e-7],
+                                      [1.0, 1e-5, 1e-5, 1e-5]])
+    def test_well_conditioned_direction_is_regular(self, diag):
+        # condition numbers 1e7 and 1e5, far inside COND_MAX, although the
+        # determinant is below ||d||^n / COND_MAX
+        assert line_classify(np.diag(diag)) == "regular"
+
     def test_zero_direction_rejected(self):
         with pytest.raises(ZeroDirection):
             line_classify(np.zeros((2, 2)))

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobi.cli import _stable, main
 from jacobi.curvature import ricci
 from jacobi.errors import JacobiError, NotAdmissible, RepeatedEigenvalues
 from jacobi.geom import (
@@ -110,15 +113,15 @@ class TestArclength:
 class TestAdmissibilityReport:
     def test_first_preset(self, unit_grid):
         rep = admissibility_report(preset_curve("paper-6.2-ex1"), unit_grid)
-        assert rep.admissible
-        assert rep.velocity_sign == 1 and not rep.flipped
-        assert rep.min_eig_gap == pytest.approx(2.0, abs=1e-8)
-        assert rep.min_zeta == pytest.approx(1.0, abs=1e-10)
+        assert rep["admissible"]
+        assert rep["velocity_sign"] == 1 and not rep["flipped"]
+        assert rep["min_eig_gap"] == pytest.approx(2.0, abs=1e-8)
+        assert rep["min_zeta"] == pytest.approx(1.0, abs=1e-10)
 
     def test_affine_line_fails_at_arc_element(self, unit_grid):
         rep = admissibility_report(preset_curve("affine-line"), unit_grid)
-        assert not rep.admissible
-        assert rep.first_failure == "arc-element"
+        assert not rep["admissible"]
+        assert rep["first_failure"] == "arc-element"
 
     def test_indefinite_velocity(self, unit_grid):
         c = curve_from_scalars(
@@ -126,8 +129,8 @@ class TestAdmissibilityReport:
             (-10.0, 10.0),
         )
         rep = admissibility_report(c, unit_grid)
-        assert not rep.admissible
-        assert rep.first_failure == "velocity-definite"
+        assert not rep["admissible"]
+        assert rep["first_failure"] == "velocity-definite"
 
     def test_repeated_eigenvalue_preset(self):
         # the fully collapsed spectrum (both eigenvalues equal 2) kills the
@@ -135,38 +138,49 @@ class TestAdmissibilityReport:
         rep = admissibility_report(
             preset_curve("scalar-tan-block"), SampleGrid(0.1, 1.0, 31)
         )
-        assert not rep.admissible
-        assert rep.first_failure == "arc-element"
+        assert not rep["admissible"]
+        assert rep["first_failure"] == "arc-element"
 
     def test_negative_definite_curve_is_flipped_not_rejected(self, unit_grid):
         c = transformed_curve(preset_curve("paper-6.2-ex1"), NEGATE)
         rep = admissibility_report(c, unit_grid)
-        assert rep.admissible
-        assert rep.velocity_sign == -1 and rep.flipped
+        assert rep["admissible"]
+        assert rep["velocity_sign"] == -1 and rep["flipped"]
 
     def test_near_gap_spectrum_accepted_by_screen_and_pipeline(self):
         # gap 7.2e-8 against diameter 0.54: above EIG_GAP_TOL * diam, so the
         # spectrum is distinct for the screen and for analyze alike
         c, grid = tan_curve([0.3, 0.3 + 6e-8, 0.6]), SampleGrid(0.0, 1.0, 51)
         rep = admissibility_report(c, grid)
-        assert rep.admissible
-        assert rep.min_eig_gap == pytest.approx(7.2e-8, rel=1e-6)
+        assert rep["admissible"]
+        assert rep["min_eig_gap"] == pytest.approx(7.2e-8, rel=1e-6)
         analyze(c, grid)
 
     def test_gap_below_tolerance_rejected_by_screen_and_pipeline(self):
         # gap 3.6e-8 < EIG_GAP_TOL * 0.54
         c, grid = tan_curve([0.3, 0.3 + 3e-8, 0.6]), SampleGrid(0.0, 1.0, 51)
         rep = admissibility_report(c, grid)
-        assert rep.first_failure == "spectrum-distinct"
-        assert rep.failure_t == 0.0
+        assert rep["first_failure"] == "spectrum-distinct"
+        assert rep["failure_t"] == 0.0
         with pytest.raises(RepeatedEigenvalues):
             analyze(c, grid)
 
     def test_report_serializes(self, unit_grid):
         rep = admissibility_report(preset_curve("affine-line"), unit_grid)
-        d = rep.to_dict()
-        assert d["admissible"] is False
-        assert isinstance(d["messages"], list)
+        assert rep["admissible"] is False
+        assert isinstance(rep["messages"], list)
+        assert list(rep) == ["admissible", "velocity_sign", "flipped",
+                             "first_failure", "failure_t", "min_eig_gap",
+                             "min_zeta", "messages"]
+
+    @pytest.mark.parametrize("preset", ["paper-6.2-ex1", "affine-line"])
+    def test_report_is_the_artifact_block(self, preset, unit_grid, capsys):
+        # the dict is what `jacobi analyze` writes, after the fixed-format
+        # float quantization every artifact goes through
+        rep = admissibility_report(preset_curve(preset), unit_grid)
+        main(["analyze", "--preset", preset, "--t0", "0", "--t1", "1"])
+        block = json.loads(capsys.readouterr().out)["admissibility"]
+        assert block == _stable(rep)
 
 
 def _screen_vs_pipeline(c, grid):
@@ -174,13 +188,13 @@ def _screen_vs_pipeline(c, grid):
     try:
         analyze(c, grid)
     except SCREEN_ERRORS as e:
-        assert not rep.admissible, c.name
-        assert rep.first_failure == SCREEN_STEPS[type(e)], c.name
-        assert rep.failure_t == e.t
+        assert not rep["admissible"], c.name
+        assert rep["first_failure"] == SCREEN_STEPS[type(e)], c.name
+        assert rep["failure_t"] == e.t
         return
     except JacobiError:  # a later stage: the screen has passed
         pass
-    assert rep.admissible, c.name
+    assert rep["admissible"], c.name
 
 
 class TestScreenMatchesPipeline:

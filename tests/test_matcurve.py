@@ -29,7 +29,10 @@ from jacobi.matcurve import (
     transformed_curve,
 )
 from jacobi.matcurve import _exp_decay_entry, _mobius_entry
+from jacobi.pipeline import analyze
 from jacobi.symspace import random_csp, symmetrize
+
+from .conftest import random_quartic
 
 
 class TestFiniteDiff:
@@ -155,6 +158,16 @@ def test_constant_curve_fails_regularity():
     with pytest.raises(RegularityFailure) as exc:
         sample_curve(c, SampleGrid(0.0, 1.0, 11))
     assert exc.value.t == 0.0
+
+
+def test_regularity_is_scale_free(unit_grid):
+    # c S is the image of S under the conformal map diag(I, c I), so a tiny
+    # c must neither fail regularity (|det S'| falls below 1e-300 at
+    # c = 1e-151) nor move the invariants
+    k = analyze(random_quartic(0), unit_grid).abscurv.k
+    for c in (1e-151, 1e-160):
+        k_scaled = analyze(random_quartic(0, scale=c), unit_grid).abscurv.k
+        assert np.max(np.abs(k_scaled - k)) <= 1e-9
 
 
 def test_out_of_domain():

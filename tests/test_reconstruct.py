@@ -17,7 +17,7 @@ from jacobi.reconstruct import (
     prescription_from_json,
     roundtrip,
 )
-from jacobi.symspace import SymplecticSpace, is_symplectic_frame
+from jacobi.symspace import is_symplectic_frame
 
 from .conftest import admissible_quartics
 
@@ -51,6 +51,20 @@ class TestPrescriptionValidation:
     def test_repeated_curvature_warned(self):
         p = constant_prescription([0.3, 0.3], m=51)
         assert any("not distinct" in w for w in p.warnings)
+
+    def test_near_gap_judged_against_the_spread(self):
+        # curvatures k = -2K = (-1.2, 1.2 - 7.9e-9, 1.2): the smallest gap
+        # is 7.9e-9, below the screen's EIG_GAP_TOL times the spread 2.4
+        m = 51
+        kd = np.tile([0.6, -0.6 + 3.95e-9, -0.6], (m, 1))
+        p = InvariantPrescription(ts=np.linspace(0.0, 1.0, m),
+                                  Sigma=np.zeros((m, 3, 3)), Kdiag=kd,
+                                  F0=np.eye(6))
+        assert any("not distinct" in w for w in p.warnings)
+
+    def test_f0_of_another_size_rejected(self):
+        with pytest.raises(InvalidDimension):
+            constant_prescription([1.0, 0.0], m=51, f0=np.eye(6))
 
     def test_bad_initial_frame_warned(self):
         f0 = np.eye(4)
@@ -214,12 +228,11 @@ class TestIntegrateFrame:
         assert np.max(np.abs(f[:, 2:] - fbar0)) <= 1e-9
 
     def test_symplecticity_along_trajectory(self):
-        sp = SymplecticSpace(2)
         for kd in ([1.0, 0.0], [0.0, -1.0]):
             frames, resid = integrate_frame(constant_prescription(kd))
             assert resid <= 1e-6
             for fr in frames[:: 100]:
-                ok, r = is_symplectic_frame(sp, fr, tol=1e-6)
+                ok, r = is_symplectic_frame(fr, tol=1e-6)
                 assert ok, r
 
     def test_retry_at_four_substeps_succeeds(self):

@@ -13,7 +13,6 @@ from jacobi.errors import (
 )
 from jacobi.reconstruct import curve_from_frame
 from jacobi.symspace import (
-    SymplecticSpace,
     apply_symplectic,
     chart_translate_invert,
     complete_symplectic_basis,
@@ -24,54 +23,67 @@ from jacobi.symspace import (
     random_hamiltonian,
     sym_cond,
     symmetrize,
+    symplectic_form,
 )
 
 
 def test_form_matrix_is_standard_block():
-    sp = SymplecticSpace(2)
     expected = np.array([
         [0, 0, 1, 0],
         [0, 0, 0, 1],
         [-1, 0, 0, 0],
         [0, -1, 0, 0],
     ], dtype=float)
-    assert np.array_equal(sp.J, expected)
+    assert np.array_equal(symplectic_form(2), expected)
+
+
+def test_form_matrix_layout_n3():
+    j = symplectic_form(3)
+    assert j.shape == (6, 6)
+    assert np.array_equal(j[:3, 3:], np.eye(3))
+    assert np.array_equal(j[3:, :3], -np.eye(3))
+    assert not j[:3, :3].any() and not j[3:, 3:].any()
 
 
 def test_half_dimension_one_rejected():
-    with pytest.raises(InvalidDimension):
-        SymplecticSpace(1)
+    with pytest.raises(InvalidDimension, match="half-dimension must be >= 2"):
+        symplectic_form(1)
 
 
 class TestIsSymplecticFrame:
     def test_identity(self):
-        sp = SymplecticSpace(2)
-        ok, resid = is_symplectic_frame(sp, np.eye(4), 1e-8)
+        ok, resid = is_symplectic_frame(np.eye(4), 1e-8)
         assert ok and resid == 0.0
 
     def test_uniform_scaling_fails(self):
         # F = 2 Id gives F^T J F = 4J; the worst entry of 4J - J is 3
-        sp = SymplecticSpace(2)
-        ok, resid = is_symplectic_frame(sp, 2 * np.eye(4), 1e-8)
+        ok, resid = is_symplectic_frame(2 * np.eye(4), 1e-8)
         assert not ok
         assert resid == pytest.approx(3.0)
 
     def test_shifted_basis(self):
         # columns e_1, e_2, e_1 + ebar_1, e_2 + ebar_2
-        sp = SymplecticSpace(2)
         f = np.array([
             [1, 0, 1, 0],
             [0, 1, 0, 1],
             [0, 0, 1, 0],
             [0, 0, 0, 1],
         ], dtype=float)
-        ok, resid = is_symplectic_frame(sp, f, 1e-10)
+        ok, resid = is_symplectic_frame(f, 1e-10)
         assert ok and resid == 0.0
 
     def test_dimension_mismatch(self):
-        sp = SymplecticSpace(2)
-        with pytest.raises(InvalidDimension):
-            is_symplectic_frame(sp, np.eye(6), 1e-8)
+        # n is read off the frame, so its last two axes must be square and
+        # of even size
+        for shape in [(5, 5), (3, 3, 3), (4, 6), (3, 4, 6), (4,)]:
+            with pytest.raises(InvalidDimension):
+                is_symplectic_frame(np.ones(shape))
+
+    def test_size_defines_n(self):
+        ok, resid = is_symplectic_frame(np.eye(6))
+        assert ok and resid == 0.0
+        with pytest.raises(InvalidDimension, match="half-dimension"):
+            is_symplectic_frame(np.eye(2))
 
 
 def chart_of_frame(x, y):
@@ -112,7 +124,7 @@ class TestLagrangianFromFrame:
         # symplectic frame
         f = np.eye(4)
         f[2:, :2] = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        ok, resid = is_symplectic_frame(SymplecticSpace(2), f)
+        ok, resid = is_symplectic_frame(f)
         assert not ok and resid == pytest.approx(2.0)
 
 
@@ -131,7 +143,6 @@ class TestCompleteBasis:
 
     def test_completed_frame_is_symplectic(self):
         rng = np.random.default_rng(7)
-        sp = SymplecticSpace(3)
         for _ in range(25):
             a = rng.normal(size=(3, 3))
             s = 0.5 * (a + a.T)
@@ -139,7 +150,7 @@ class TestCompleteBasis:
             sbar = 0.5 * (b + b.T) + 4 * np.eye(3)
             m = rng.normal(size=(3, 3)) + 2 * np.eye(3)
             fr = frame_from_chart_pair(m, s, sbar)
-            ok, resid = is_symplectic_frame(sp, fr, 1e-8)
+            ok, resid = is_symplectic_frame(fr, 1e-8)
             assert ok, resid
 
     def test_not_transverse(self):
@@ -173,9 +184,8 @@ class TestApplySymplectic:
 
     def test_j_inverts(self):
         # g = J sends S to -S^(-1); with S = 2 Id the image is -Id/2
-        sp = SymplecticSpace(2)
         s = 2 * np.eye(2)
-        out = apply_symplectic(sp.J, s)
+        out = apply_symplectic(symplectic_form(2), s)
         assert np.allclose(out, -0.5 * np.eye(2))
 
     def test_output_symmetric_for_random_group_elements(self):
@@ -216,18 +226,18 @@ class TestRandomCsp:
 
     @pytest.mark.parametrize("scale,tol", [(1.0, 1e-9), (3.0, 1e-8)])
     def test_conformal_relation(self, scale, tol):
-        sp = SymplecticSpace(2)
+        j = symplectic_form(2)
         for seed in range(100):
             g = random_csp(seed, scale=scale, n=2, ham_scale=0.5)
-            resid = np.max(np.abs(g.T @ sp.J @ g - scale * sp.J))
+            resid = np.max(np.abs(g.T @ j @ g - scale * j))
             assert resid <= tol * max(1.0, np.max(np.abs(g)) ** 2)
 
     def test_hamiltonian_lie_algebra_condition(self):
-        sp = SymplecticSpace(3)
+        j = symplectic_form(3)
         rng = np.random.default_rng(3)
         for _ in range(20):
             h = random_hamiltonian(rng, 3)
-            assert np.allclose(h.T @ sp.J + sp.J @ h, 0.0, atol=1e-12)
+            assert np.allclose(h.T @ j + j @ h, 0.0, atol=1e-12)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(InvalidTransform):
