@@ -35,7 +35,6 @@ from .frames import (
     reduced_invariants,
 )
 from .geom import (
-    AbsoluteCurvature,
     ArcData,
     absolute_curvature,
     admissibility_report,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .geom import ADM_TOL, screen
 from .frames import EQUIV_TOL, equivalent_reduced
 from .matcurve import (PRESET_NAMES, TABLE_TRIM, SampleGrid, curve_from_json,
                        json_array, preset_curve, require_keys, sample_curve,
-                       spline)
+                       spline, table_json)
 from .pipeline import complete
 from .reconstruct import (RESID_MAX, curve_from_frame, integrate_frame,
                           prescription_from_json)
@@ -77,12 +78,20 @@ def _invariant_csv(reduced, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_json(path):
+    """The JSON value in the file at `path`, else a JacobiError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:
+        raise JacobiError(f"{path} is not valid JSON: {e}") from None
+
+
 def _load_curve(args):
     if args.preset:
         return preset_curve(args.preset)
     if not args.input:
         raise JacobiError("no curve given: pass INPUT.json or --preset NAME")
-    return curve_from_json(json.loads(Path(args.input).read_text()))
+    return curve_from_json(_read_json(args.input))
 
 
 def _grid_for(curve, args):
@@ -102,21 +111,18 @@ def _grid_for(curve, args):
     return SampleGrid(t0, t1, args.m)
 
 
-def _offset_reduced(curve, grid, reduced):
-    """Shift the arclength origin back to the table start after trimming.
+def _offset_reduced(ana):
+    """The reduced invariant of a completed Analysis, its arclength origin
+    shifted back to the table start after trimming.
 
     The arc element over the skipped prefix is estimated by extrapolating
     the zeta spline; this keeps arclength-based comparisons aligned with
     analyses that cover the full window.
     """
-    if curve.kind != "table":
+    reduced, curve, t0 = ana.reduced, ana.curve, ana.grid.t0
+    if curve.kind != "table" or t0 <= curve.table_ts[0]:
         return reduced
-    ts = curve.table_ts
-    if grid.t0 <= ts[0]:
-        return reduced
-    from dataclasses import replace
-
-    x = np.linspace(ts[0], grid.t0, 33)
+    x = np.linspace(curve.table_ts[0], t0, 33)
     y = spline(reduced.ts, reduced.zeta)(x)
     offset = float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
     return replace(reduced, arclength=reduced.arclength + offset)
@@ -147,9 +153,9 @@ def _reduced_payload(reduced):
 
 def cmd_analyze(args):
     curve = _load_curve(args)
-    scr = _screen(curve, args)
-    grid = scr.grid
-    report = scr.report()
+    ana = _screen(curve, args)
+    grid = ana.grid
+    report = ana.report()
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -157,7 +163,7 @@ def cmd_analyze(args):
         payload = {"admissibility": report, "curve": curve.name}
         _emit_json(payload, out / "analysis.json" if out else None)
         return 2
-    reduced = _offset_reduced(curve, grid, complete(scr).reduced)
+    reduced = _offset_reduced(complete(ana))
     payload = {
         "curve": curve.name,
         "grid": {"t0": grid.t0, "t1": grid.t1, "m": grid.m},
@@ -176,20 +182,19 @@ def cmd_compare(args):
     def load(spec_str):
         if spec_str in PRESET_NAMES:
             return preset_curve(spec_str)
-        return curve_from_json(json.loads(Path(spec_str).read_text()))
+        return curve_from_json(_read_json(spec_str))
 
     # both sides are screened before either is completed, so a failed
     # screen exits 2 even where the other side would raise later
-    scr_a, scr_b = _screen(load(args.a), args), _screen(load(args.b), args)
-    rep_a, rep_b = scr_a.report(), scr_b.report()
+    ana_a, ana_b = _screen(load(args.a), args), _screen(load(args.b), args)
+    rep_a, rep_b = ana_a.report(), ana_b.report()
     out = Path(args.out) / "compare.json" if args.out else None
     if out:
         out.parent.mkdir(parents=True, exist_ok=True)
     if not (rep_a["admissible"] and rep_b["admissible"]):
         _emit_json({"verdict": "inadmissible", "a": rep_a, "b": rep_b}, out)
         return 2
-    red_a, red_b = (_offset_reduced(scr.curve, scr.grid, complete(scr).reduced)
-                    for scr in (scr_a, scr_b))
+    red_a, red_b = (_offset_reduced(complete(ana)) for ana in (ana_a, ana_b))
     tol = args.tol_equiv
     verdict, eps, k_dev, s_dev = equivalent_reduced(red_a, red_b, tol=tol)
     _emit_json(
@@ -208,19 +213,10 @@ def cmd_compare(args):
 
 
 def cmd_reconstruct(args):
-    p = prescription_from_json(json.loads(Path(args.input).read_text()))
+    p = prescription_from_json(_read_json(args.input))
     frames, resid = integrate_frame(p, resid_max=args.tol_resid)
     S, segments = curve_from_frame(frames)
-    table = {
-        "n": p.n,
-        "kind": "table",
-        "name": "reconstructed",
-        "domain": [p.ts[0], p.ts[-1]],
-        "samples": {
-            "t": list(p.ts),
-            "S": [None if np.isnan(s).all() else s for s in S],
-        },
-    }
+    table = table_json(p.ts, S, "reconstructed")
     report = {
         "warnings": p.warnings,
         "symplecticity_residual": resid,
@@ -242,7 +238,7 @@ def cmd_cycle(args):
     if out:
         out.parent.mkdir(parents=True, exist_ok=True)
     if args.points:
-        data = json.loads(Path(args.points).read_text())
+        data = _read_json(args.points)
         require_keys(data, ("points",), "a points file")
         if not isinstance(data["points"], list):
             raise InvalidDimension("points must be a list of matrices")

@@ -88,9 +88,13 @@ def _not_monotone(t, vel_eigs):
 def ricci(j: CurveJet):
     """Diagonalize the curvature operator with S'-orthonormal eigenvectors.
 
-    Requires S' positive definite (monotone curve).  A curve with negative
-    definite S' should be negated first (the Schwarzian is even: the spectrum
-    is unchanged, only the normalization is affected).  Whether the spectrum
+    Requires S' positive definite (monotone curve).  The eigensolve's
+    Cholesky factor of S' is the test; where it fails, the spectrum of S'
+    at the earliest failing sample tells MonotonicityFailure from
+    ComplexEigenvalues.  The asymmetry gate runs first, so a sample both
+    asymmetric and not monotone reports the asymmetry.  Negate a curve with
+    negative definite S' first (the Schwarzian is even: the spectrum is
+    unchanged, only the normalization is affected).  Whether the spectrum
     is distinct is judged by the admissibility screen (geom.screen).
     """
     if np.ndim(j.t) == 0:
@@ -98,10 +102,6 @@ def ricci(j: CurveJet):
     gates = Gates()
     sch = gates.run(matrix_schwarzian, j.t, j)
     j = j[:gates.stop]
-    vel_eigs = np.linalg.eigvalsh(j.S1)
-    gates.check(vel_eigs[:, 0] <= 0,
-                lambda i: _not_monotone(j.t[i], vel_eigs[i]))
-    j, sch = j[:gates.stop], sch[:gates.stop]
     # S' * Sch = S''' - 1.5 S'' (S')^(-1) S'' is symmetric by construction;
     # asymmetry beyond roundoff means a corrupted jet.
     a = j.S1 @ sch
@@ -119,6 +119,9 @@ def ricci(j: CurveJet):
             try:
                 definite_eigh(a[i], s1[i])
             except np.linalg.LinAlgError as e:
+                vel_eigs = np.linalg.eigvalsh(s1[i])
+                if vel_eigs[0] <= 0:
+                    raise _not_monotone(j.t[i], vel_eigs) from None
                 raise ComplexEigenvalues(j.t[i], str(e)) from None
         raise
     gates.raise_error()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .curvature import derivative_curve
 from .errors import EigenCrossing, Gates, GridMismatch
-from .geom import AbsoluteCurvature, ArcData
+from .geom import ArcData
 from .matcurve import finite_diff, spline
 from .symspace import frame_from_chart_pair, is_symplectic_frame
 
@@ -31,14 +31,13 @@ class FrenetFrame:
     """Sign-continuous frame series along the sample grid.
 
     M[i] holds the velocity-orthonormal eigenvector basis at ts[i]
-    (M^T S' M = Id), Mbar[i] the complementary basis spanning the derivative
-    subspace, frames[i] the assembled 2n x 2n symplectic frame, residuals[i]
-    its symplecticity defect; arrays with the sample axis first.
+    (M^T S' M = Id), frames[i] the 2n x 2n symplectic frame (its upper
+    right block spans the derivative subspace), residuals[i] its
+    symplecticity defect; arrays with the sample axis first.
     """
 
     ts: np.ndarray
     M: np.ndarray
-    Mbar: np.ndarray
     frames: np.ndarray
     residuals: np.ndarray
 
@@ -73,10 +72,8 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     k = gates.stop
     fr = frame_from_chart_pair(ms[:k], jets.S[:k], s0)
     gates.raise_error()
-    n = jets.n
     _, residuals = is_symplectic_frame(fr)
-    return FrenetFrame(ts=ts, M=ms, Mbar=fr[:, :n, n:], frames=fr,
-                       residuals=residuals)
+    return FrenetFrame(ts=ts, M=ms, frames=fr, residuals=residuals)
 
 
 def cartan_matrix(Sigma, Kdiag):
@@ -128,12 +125,11 @@ class ReducedCartan:
         return -2.0 * self.Kdiag
 
 
-def reduced_invariants(ff: FrenetFrame, arc: ArcData,
-                       abscurv: AbsoluteCurvature):
+def reduced_invariants(ff: FrenetFrame, arc: ArcData, k):
     """Canonical blocks (Sigma, K) of the frame's Cartan matrix
     C = cartan_matrix(Sigma, K): Sigma = skew(M^(-1) M') / (2 zeta), M'
     finite-differenced from the sign-continuous M series, and K = -k/2 =
-    -(diag(mu) - sphi Id) / (2 zeta^2) from the absolute curvatures.
+    -(diag(mu) - sphi Id) / (2 zeta^2) from the absolute curvatures k.
 
     Sign freedom: replacing a frame column f_i by -f_i conjugates Sigma by a
     +-1 diagonal matrix.  Canonical choice: walk pairs (i, j) in order; if
@@ -144,7 +140,7 @@ def reduced_invariants(ff: FrenetFrame, arc: ArcData,
     ms = ff.M
     a = np.linalg.solve(ms, finite_diff(ms, arc.h, 1))
     sig = (a - a.swapaxes(-1, -2)) / (2.0 * arc.zeta)[:, None, None]
-    kd = -abscurv.k / 2
+    kd = -k / 2
     n = kd.shape[1]
 
     # canonical signs

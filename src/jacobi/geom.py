@@ -1,7 +1,7 @@
 """Conformally invariant geometry of a monotone curve: the arc element
 zeta(t) dt, the Schwarzian of the arc reparametrization, the absolute
 curvature operator and its eigenvalue curvatures k_i(t), and the
-admissibility screen that gates the whole pipeline.
+admissibility screen that opens an Analysis and gates the pipeline.
 """
 
 from __future__ import annotations
@@ -84,24 +84,10 @@ def zeta_series(ricci_series, adm_tol=ADM_TOL):
                    arclength=arclength)
 
 
-@dataclass(frozen=True)
-class AbsoluteCurvature:
-    """Eigenvalue curvatures of the arc-reparametrized curve.
-
-    k rows are ascending eigenvalues of the absolute curvature operator
-    (1/zeta^2)(Sch - sphi Id), k_i = (mu_i - sphi)/zeta^2; kbar is the
-    per-point mean.  sign_patterns records sign(k_i - kbar) per point (the
-    centered magnitudes multiply to 1, their signs are extra data).
-    """
-
-    ts: np.ndarray
-    k: np.ndarray
-    kbar: np.ndarray
-    sign_patterns: np.ndarray
-
-
 def absolute_curvature(ricci_series, arc):
-    """Eigenvalue curvatures of the arc-reparametrized curve.
+    """Eigenvalue curvatures k (m, n) of the arc-reparametrized curve: rows
+    of ascending eigenvalues k_i = (mu_i - sphi)/zeta^2 of the absolute
+    curvature operator (1/zeta^2)(Sch - sphi Id).
 
     The centered product prod |k_i - kbar| equals
     prod |mu_i - mean mu| / zeta^(2n), which is 1 up to roundoff by the very
@@ -115,8 +101,7 @@ def absolute_curvature(ricci_series, arc):
     worst = int(np.argmax(np.abs(prod - 1.0)))
     if abs(prod[worst] - 1.0) > NORM_TOL:
         raise NormalizationViolation(float(arc.ts[worst]), float(prod[worst]))
-    signs = np.sign(k - kbar[:, None]).astype(int)
-    return AbsoluteCurvature(ts=arc.ts, k=k, kbar=kbar, sign_patterns=signs)
+    return k
 
 
 # The typed errors of the screen and the step each one fails.
@@ -131,13 +116,15 @@ SCREEN_ERRORS = tuple(SCREEN_STEPS)
 
 
 @dataclass
-class Screen:
-    """Outputs of the admissibility screen, the first stage of analyze.
+class Analysis:
+    """Everything computed for one curve over one grid, as sample series.
 
-    `jets` is the grid's jet series, negated when the velocity form is
-    negative definite (`flipped`; the spectrum is unchanged, the
-    normalization then well-posed).  `error` is the typed error of the first
-    failed step; the fields of the later steps are then left unset.
+    `screen` sets the fields up to `error`, `pipeline.complete` the
+    FrenetFrame `frame` and the ReducedCartan `reduced`.  `jets` is the
+    grid's jet series, negated when the velocity form is negative definite
+    (`flipped`; the spectrum is unchanged, the normalization then
+    well-posed).  `error` is the typed error of the first failed step; the
+    fields of the later steps are then left unset.
     """
 
     curve: object
@@ -149,6 +136,8 @@ class Screen:
     min_eig_gap: float | None = None
     arc: ArcData | None = None
     error: JacobiError | None = None
+    frame: object = None
+    reduced: object = None
 
     def report(self):
         """The screen's verdict as the artifacts' `admissibility` dict.
@@ -171,7 +160,7 @@ class Screen:
 
 
 def screen(curve, grid, adm_tol=ADM_TOL):
-    """Sample the curve once and run the four-step admissibility screen.
+    """Open an Analysis: sample the curve once and run the four-step screen.
 
     Steps: (1) velocity form definite of constant sign, (2) curvature
     spectrum real and distinct, (3)+(4) admissibility determinant bounded
@@ -182,18 +171,18 @@ def screen(curve, grid, adm_tol=ADM_TOL):
     with the more informative verdict.  Failures of these steps are
     recorded in `error`, not raised: that of the earliest failing sample.
     """
-    scr = Screen(curve, grid)
+    ana = Analysis(curve, grid)
     try:
         jets = sample_curve(curve, grid)
         ev = np.linalg.eigvalsh(jets.S1)
         sign = np.where(ev[:, 0] > 0, 1, np.where(ev[:, -1] < 0, -1, 0))
         Gates().check((sign == 0) | (sign != sign[0]),
                       lambda i: MonotonicityFailure(jets.t[i])).raise_error()
-        scr.velocity_sign = int(sign[0])
-        if scr.velocity_sign < 0:
-            scr.flipped = True
+        ana.velocity_sign = int(sign[0])
+        if ana.velocity_sign < 0:
+            ana.flipped = True
             jets = CurveJet(jets.t, -jets.S, -jets.S1, -jets.S2, -jets.S3)
-        scr.jets = jets
+        ana.jets = jets
         gates = Gates()
         rs = gates.run(ricci, jets.t, jets)
         mu = rs.eigvals
@@ -201,14 +190,14 @@ def screen(curve, grid, adm_tol=ADM_TOL):
             gap = np.min(np.diff(mu, axis=1), axis=1)
             gates.check(gap < EIG_GAP_TOL * (mu[:, -1] - mu[:, 0]),
                         lambda i: RepeatedEigenvalues(jets.t[i], float(gap[i])))
-            scr.min_eig_gap = (float(np.min(gap)) if gates.error is None
+            ana.min_eig_gap = (float(np.min(gap)) if gates.error is None
                                else getattr(gates.error, "gap", None))
         gates.raise_error()
-        scr.ricci_series = rs
-        scr.arc = zeta_series(rs, adm_tol=adm_tol)
+        ana.ricci_series = rs
+        ana.arc = zeta_series(rs, adm_tol=adm_tol)
     except SCREEN_ERRORS as e:
-        scr.error = e
-    return scr
+        ana.error = e
+    return ana
 
 
 def admissibility_report(curve, grid):

@@ -10,7 +10,6 @@ is one CurveJet whose fields carry a leading sample axis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from itertools import zip_longest
 from math import comb
@@ -309,6 +308,20 @@ def table_curve(ts, S_values, name=None):
     return c
 
 
+def table_json(ts, S, name):
+    """Table-kind JSON object (curve_from_json's input) of the samples S
+    (m, n, n) at the nodes ts; an all-NaN sample (a chart exit) is null."""
+    return {
+        "n": S.shape[-1],
+        "kind": "table",
+        "name": name,
+        "domain": [float(ts[0]), float(ts[-1])],
+        "samples": {"t": ts.tolist(),
+                    "S": [None if np.isnan(s).all() else s.tolist()
+                          for s in S]},
+    }
+
+
 # ---------------------------------------------------------------------------
 # composition with reparametrizations and conformal symplectic maps
 
@@ -434,41 +447,25 @@ def _tan_entry(t):
     return tn, sec2, 2 * sec2 * tn, 2 * sec2 * (sec2 + 2 * tn**2)
 
 
+# the named curves of the docs, the CLI and the tests: (entries, domain)
+PRESETS = {
+    "paper-6.2-ex1": ([_exp_decay_entry, _mobius_entry], (-0.9, 10.0)),
+    "paper-6.2-ex2": ([_mobius_entry, _trig_entry],
+                      (-0.9, 3 * np.pi / 4 - 0.05)),
+    "affine-line": ([lambda t: (t, 1.0, 0.0, 0.0),
+                     lambda t: (2 * t, 2.0, 0.0, 0.0)], (-100.0, 100.0)),
+    # tan(t) * Id: Schwarzian 2 * Id, repeated eigenvalues, inadmissible
+    "scalar-tan-block": ([_tan_entry, _tan_entry], (-1.4, 1.4)),
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
 def preset_curve(name):
-    """Named curves used throughout the docs, the CLI and the test suite."""
-    if name == "paper-6.2-ex1":
-        return curve_from_scalars(
-            [_exp_decay_entry, _mobius_entry],
-            domain=(-0.9, 10.0),
-            kind="preset",
-            name=name,
-        )
-    if name == "paper-6.2-ex2":
-        return curve_from_scalars(
-            [_mobius_entry, _trig_entry],
-            domain=(-0.9, 3 * np.pi / 4 - 0.05),
-            kind="preset",
-            name=name,
-        )
-    if name == "affine-line":
-        return curve_from_scalars(
-            [lambda t: (t, 1.0, 0.0, 0.0), lambda t: (2 * t, 2.0, 0.0, 0.0)],
-            domain=(-100.0, 100.0),
-            kind="preset",
-            name=name,
-        )
-    if name == "scalar-tan-block":
-        # tan(t) * Id: Schwarzian 2 * Id, repeated eigenvalues, inadmissible
-        return curve_from_scalars(
-            [_tan_entry, _tan_entry],
-            domain=(-1.4, 1.4),
-            kind="preset",
-            name=name,
-        )
-    raise DomainError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = ("paper-6.2-ex1", "paper-6.2-ex2", "affine-line", "scalar-tan-block")
+    """The named curve of PRESETS."""
+    if not (isinstance(name, str) and name in PRESETS):
+        raise DomainError(f"unknown preset {name!r}")
+    entries, domain = PRESETS[name]
+    return curve_from_scalars(entries, domain, kind="preset", name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +498,20 @@ def json_array(value, key):
             f"{key} is not a rectangular array of numbers") from None
 
 
+def json_numbers(value, key, shape):
+    """A JSON number (shape ()) or list of numbers as Python floats; a
+    value of another shape, or not finite, raises InvalidDimension naming
+    its `key`."""
+    try:
+        a = np.asarray(value, dtype=float)
+        if a.shape == shape and np.isfinite(a).all():
+            return a.tolist()
+    except (TypeError, ValueError):
+        pass
+    what = f"a list of {shape[0]} finite numbers" if shape else "a finite number"
+    raise InvalidDimension(f"{key} is not {what}")
+
+
 def curve_from_json(obj):
     """Load a curve from its JSON description.
 
@@ -512,24 +523,25 @@ def curve_from_json(obj):
     checked when the curve is built) and "reparam"
     ({"type": "affine"|"sine", "domain": [u0, u1], ...}).
     """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise InvalidDimension("a curve must be a JSON object")
     kind = obj.get("kind")
     require_keys(obj, REQUIRED_KEYS.get(kind, ()), f"a {kind} curve")
     if kind == "preset":
         curve = preset_curve(obj["name"])
         # the preset's own domain, before any transform or reparam wraps it
         if "domain" in obj:
-            curve.domain = (float(obj["domain"][0]), float(obj["domain"][1]))
+            curve.domain = tuple(json_numbers(obj["domain"], "domain", (2,)))
     elif kind == "polynomial":
-        curve = polynomial_curve(obj["entries"], obj["domain"],
+        curve = polynomial_curve(obj["entries"],
+                                 json_numbers(obj["domain"], "domain", (2,)),
                                  name=obj.get("name"))
     elif kind == "fourier":
         curve = fourier_curve(
             obj["entries"]["cos"],
             obj["entries"]["sin"],
-            obj["domain"],
-            omega=obj.get("omega", 1.0),
+            json_numbers(obj["domain"], "domain", (2,)),
+            omega=json_numbers(obj.get("omega", 1.0), "omega", ()),
             name=obj.get("name"),
         )
     elif kind == "table":
@@ -548,25 +560,19 @@ def curve_from_json(obj):
     if "reparam" in obj:
         rp = obj["reparam"]
         require_keys(rp, ("type", "domain"), "a reparam")
+
+        def num(key, default):
+            return json_numbers(rp.get(key, default), "reparam." + key, ())
+
         if rp["type"] == "affine":
             require_keys(rp, ("a",), "an affine reparam")
-            jetf = affine_reparam(rp["a"], rp.get("b", 0.0))
+            jetf = affine_reparam(num("a", None), num("b", 0.0))
         elif rp["type"] == "sine":
-            jetf = sine_reparam(rp.get("a", 1.0), rp.get("b", 0.0),
-                                rp.get("eps", 0.1), rp.get("omega", 1.0))
+            jetf = sine_reparam(num("a", 1.0), num("b", 0.0),
+                                num("eps", 0.1), num("omega", 1.0))
         else:
             raise DomainError(f"unknown reparam type {rp['type']!r}")
-        curve = reparametrized_curve(curve, jetf, rp["domain"], name=curve.name)
+        curve = reparametrized_curve(
+            curve, jetf, json_numbers(rp["domain"], "reparam.domain", (2,)),
+            name=curve.name)
     return curve
-
-
-def curve_to_table_json(curve, grid):
-    """Serialize curve samples as a table-kind JSON object."""
-    jets = sample_curve(curve, grid, check_regular=False)
-    return {
-        "n": curve.n,
-        "kind": "table",
-        "name": curve.name,
-        "domain": [grid.t0, grid.t1],
-        "samples": {"t": jets.t.tolist(), "S": jets.S.tolist()},
-    }

@@ -141,9 +141,8 @@ def test_05_centered_curvature_normalization():
     corpus += admissible_quartics(range(30), grid=grid, want=10)
     for c in corpus:
         ana = analyze(c, grid)
-        k = ana.abscurv.k
-        kbar = ana.abscurv.kbar
-        prod = np.prod(np.abs(k - kbar[:, None]), axis=1)
+        k = ana.reduced.curvatures()
+        prod = np.prod(np.abs(k - k.mean(axis=1, keepdims=True)), axis=1)
         assert np.max(np.abs(prod - 1.0)) <= 1e-5, c.name
 
 

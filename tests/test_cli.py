@@ -355,12 +355,58 @@ class TestRaggedJson:
                           str(f)).startswith("samples.S ")
 
 
+class TestMalformedJson:
+    """An input file that is not JSON, or JSON of the wrong type, exits 1
+    with the error JSON on stderr, never with a traceback."""
+
+    def error(self, capsys, tmp_path, text, *argv):
+        f = tmp_path / "bad.json"
+        f.write_text(text)
+        code, _, err = run(capsys, *(str(f) if a == "BAD" else a
+                                     for a in argv))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        return payload["error"], payload["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "BAD"],
+        ["compare", "BAD", "paper-6.2-ex1"],
+        ["reconstruct", "BAD"],
+        ["cycle", "--points", "BAD"],
+    ])
+    def test_not_json(self, capsys, tmp_path, argv):
+        name, message = self.error(capsys, tmp_path, "{not json", *argv)
+        assert name == "JacobiError"
+        assert message.startswith(str(tmp_path / "bad.json"))
+
+    def test_prescription_n_not_a_number(self, capsys, tmp_path):
+        spec = {"n": "two", "grid": {"t0": 0.0, "t1": 1.0, "m": 21},
+                "K": [0.0, -1.0], "F0": np.eye(4).tolist()}
+        name, message = self.error(capsys, tmp_path, json.dumps(spec),
+                                   "reconstruct", "BAD")
+        assert (name, message) == ("InvalidDimension",
+                                   "n is not a finite number")
+
+    def test_polynomial_domain_not_numbers(self, capsys, tmp_path):
+        spec = {"n": 1, "kind": "polynomial", "entries": [[[0.0, 1.0]]],
+                "domain": ["a", 1]}
+        name, message = self.error(capsys, tmp_path, json.dumps(spec),
+                                   "analyze", "BAD")
+        assert name == "InvalidDimension" and message.startswith("domain ")
+
+    def test_curve_not_an_object(self, capsys, tmp_path):
+        name, _ = self.error(capsys, tmp_path, "[1, 2]", "analyze", "BAD")
+        assert name == "InvalidDimension"
+
+
 class TestPresets:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "presets")
         assert code == 0
         names = json.loads(out)["presets"]
-        assert "paper-6.2-ex1" in names and "affine-line" in names
+        assert names == ["paper-6.2-ex1", "paper-6.2-ex2", "affine-line",
+                         "scalar-tan-block"]
 
 
 class TestStrict:

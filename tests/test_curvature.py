@@ -172,6 +172,25 @@ class TestRicci:
         with pytest.raises(MonotonicityFailure):
             ricci(j)
 
+    def test_earliest_non_monotone_sample_of_a_series(self):
+        # indefinite S' at sample 2, negative definite at sample 4: the
+        # failed Cholesky factor names sample 2, as its single jet does
+        ts = np.linspace(0.0, 1.0, 6)
+        s1 = np.tile(np.eye(2), (6, 1, 1))
+        s1[2], s1[4] = np.diag([1.0, -1.0]), -np.eye(2)
+        jets = CurveJet(ts, np.zeros((6, 2, 2)), s1,
+                        np.tile(np.diag([0.1, 0.1]), (6, 1, 1)),
+                        np.tile(np.diag([0.2, 0.3]), (6, 1, 1)))
+        with pytest.raises(MonotonicityFailure) as exc:
+            ricci(jets)
+        with pytest.raises(MonotonicityFailure) as single:
+            ricci(jets[2])
+        assert exc.value.t == ts[2]
+        assert str(exc.value) == str(single.value)
+        assert "indefinite or singular" in str(exc.value)
+        with pytest.raises(MonotonicityFailure, match="negative definite"):
+            ricci(jets[4])
+
     def test_repeated_eigenvalues_left_to_the_screen(self):
         # ricci reports a collapsed spectrum without judging it; the screen
         # rejects it at the arc element (see test_geom)

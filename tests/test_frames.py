@@ -150,7 +150,8 @@ class TestReducedInvariants:
             for eps in itertools.product((1.0, -1.0), repeat=ana.reduced.n):
                 # flipping frame columns conjugates Sigma by diag(eps)
                 flipped = replace(ana.frame, M=ana.frame.M * np.array(eps))
-                rc = reduced_invariants(flipped, ana.arc, ana.abscurv)
+                rc = reduced_invariants(flipped, ana.arc,
+                                        ana.reduced.curvatures())
                 assert np.allclose(rc.Sigma, ana.reduced.Sigma, atol=1e-12)
                 assert np.array_equal(rc.Kdiag, ana.reduced.Kdiag)
 
@@ -205,7 +206,7 @@ def synthetic_frame(ms, s_last=1.0):
     arc = ArcData(ts=ts, zeta=one, zeta1=zero, zeta2=zero, sphi=zero,
                   arclength=ts)
     k = np.tile(np.arange(n, dtype=float), (m, 1))
-    return SimpleNamespace(M=ms), arc, SimpleNamespace(k=k)
+    return SimpleNamespace(M=ms), arc, k
 
 
 class TestInvariantSpline:

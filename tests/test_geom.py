@@ -75,27 +75,29 @@ class TestZetaSeries:
 class TestAbsoluteCurvature:
     def test_first_preset(self, unit_grid):
         rs = ricci_series(preset_curve("paper-6.2-ex1"), unit_grid)
-        ac = absolute_curvature(rs, zeta_series(rs))
-        assert np.max(np.abs(ac.k - np.array([-2.0, 0.0]))) <= 1e-8
-        prod = np.prod(np.abs(ac.k - ac.kbar[:, None]), axis=1)
+        k = absolute_curvature(rs, zeta_series(rs))
+        assert np.max(np.abs(k - np.array([-2.0, 0.0]))) <= 1e-8
+        prod = np.prod(np.abs(k - k.mean(axis=1, keepdims=True)), axis=1)
         assert np.max(np.abs(prod - 1.0)) <= 1e-12
 
     def test_second_preset(self, unit_grid):
         rs = ricci_series(preset_curve("paper-6.2-ex2"), unit_grid)
-        ac = absolute_curvature(rs, zeta_series(rs))
-        assert np.max(np.abs(ac.k - np.array([0.0, 2.0]))) <= 1e-8
+        k = absolute_curvature(rs, zeta_series(rs))
+        assert np.max(np.abs(k - np.array([0.0, 2.0]))) <= 1e-8
 
     def test_normalization_on_random_corpus(self, coarse_grid):
         for c in admissible_quartics(range(20), want=8):
             rs = ricci_series(c, coarse_grid)
-            ac = absolute_curvature(rs, zeta_series(rs))
-            prod = np.prod(np.abs(ac.k - ac.kbar[:, None]), axis=1)
+            k = absolute_curvature(rs, zeta_series(rs))
+            prod = np.prod(np.abs(k - k.mean(axis=1, keepdims=True)), axis=1)
             assert np.max(np.abs(prod - 1.0)) <= 1e-5, c.name
 
     def test_sign_patterns_recorded(self, unit_grid):
         rs = ricci_series(preset_curve("paper-6.2-ex1"), unit_grid)
-        ac = absolute_curvature(rs, zeta_series(rs))
-        assert np.array_equal(ac.sign_patterns[0], [-1, 1])
+        k = absolute_curvature(rs, zeta_series(rs))
+        # the centered magnitudes multiply to 1; their signs are extra data
+        signs = np.sign(k - k.mean(axis=1, keepdims=True))
+        assert np.array_equal(signs[0], [-1, 1])
 
 
 class TestArclength:

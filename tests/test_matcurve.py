@@ -17,7 +17,6 @@ from jacobi.matcurve import (
     affine_reparam,
     curve_from_json,
     curve_from_scalars,
-    curve_to_table_json,
     finite_diff,
     fourier_curve,
     polynomial_curve,
@@ -26,6 +25,7 @@ from jacobi.matcurve import (
     sample_curve,
     sine_reparam,
     table_curve,
+    table_json,
     transformed_curve,
 )
 from jacobi.matcurve import _exp_decay_entry, _mobius_entry
@@ -164,9 +164,10 @@ def test_regularity_is_scale_free(unit_grid):
     # c S is the image of S under the conformal map diag(I, c I), so a tiny
     # c must neither fail regularity (|det S'| falls below 1e-300 at
     # c = 1e-151) nor move the invariants
-    k = analyze(random_quartic(0), unit_grid).abscurv.k
+    k = analyze(random_quartic(0), unit_grid).reduced.curvatures()
     for c in (1e-151, 1e-160):
-        k_scaled = analyze(random_quartic(0, scale=c), unit_grid).abscurv.k
+        k_scaled = analyze(random_quartic(0, scale=c),
+                           unit_grid).reduced.curvatures()
         assert np.max(np.abs(k_scaled - k)) <= 1e-9
 
 
@@ -303,10 +304,19 @@ class TestJsonLoading:
     def test_table_roundtrip(self):
         c = preset_curve("paper-6.2-ex1")
         grid = SampleGrid(0.0, 1.0, 51)
-        obj = curve_to_table_json(c, grid)
+        S = sample_curve(c, grid, check_regular=False).S
+        obj = table_json(grid.points, S, c.name)
         c2 = curve_from_json(json.loads(json.dumps(obj)))
-        assert c2.kind == "table"
+        assert c2.kind == "table" and c2.name == c.name
         assert np.allclose(c2.jet(grid.points[10]).S, c.jet(grid.points[10]).S)
+
+    def test_table_json_writes_chart_exits_as_null(self):
+        ts = np.linspace(0.0, 1.0, 3)
+        S = np.stack([np.eye(2), np.full((2, 2), np.nan), 2 * np.eye(2)])
+        obj = table_json(ts, S, None)
+        assert obj["n"] == 2 and obj["domain"] == [0.0, 1.0]
+        assert obj["samples"]["S"] == [np.eye(2).tolist(), None,
+                                       (2 * np.eye(2)).tolist()]
 
     def test_transform_extension(self):
         g = random_csp(5, scale=1.0, n=2, ham_scale=0.2)
@@ -361,6 +371,35 @@ class TestJsonLoading:
     def test_missing_key_is_named(self, obj, key):
         with pytest.raises(MissingKey, match=f"'{key}'"):
             curve_from_json(obj)
+
+    PRESET = {"kind": "preset", "name": "paper-6.2-ex1"}
+    FOURIER = {"kind": "fourier", "entries": {"cos": [[[0.0, 1.0]]],
+                                              "sin": [[[0.0, 1.0]]]}}
+
+    @pytest.mark.parametrize("obj,key", [
+        ({**PRESET, "domain": [0, "b"]}, "domain"),
+        ({**PRESET, "domain": [0, 1, 2]}, "domain"),
+        ({**FOURIER, "domain": 1.0}, "domain"),
+        ({**FOURIER, "domain": [0, 1], "omega": "fast"}, "omega"),
+        ({**PRESET, "reparam": {"type": "affine", "domain": [0, 1],
+                                "a": [2]}}, "reparam.a"),
+        ({**PRESET, "reparam": {"type": "affine", "domain": [0, 1],
+                                "a": 1, "b": None}}, "reparam.b"),
+        ({**PRESET, "reparam": {"type": "sine", "domain": [0, 1],
+                                "eps": "x"}}, "reparam.eps"),
+        ({**PRESET, "reparam": {"type": "sine", "domain": [0, 1],
+                                "omega": {}}}, "reparam.omega"),
+        ({**PRESET, "reparam": {"type": "sine", "domain": ["u", 1]}},
+         "reparam.domain"),
+    ])
+    def test_scalar_not_a_number_is_named(self, obj, key):
+        with pytest.raises(InvalidDimension, match=f"^{key} "):
+            curve_from_json(obj)
+
+    def test_top_level_must_be_an_object(self):
+        for obj in ([1, 2], 3.0, None):
+            with pytest.raises(InvalidDimension, match="JSON object"):
+                curve_from_json(obj)
 
 
 def test_preset_domain_is_set_before_reparam():

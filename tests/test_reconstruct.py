@@ -114,6 +114,19 @@ class TestPrescriptionValidation:
         with pytest.raises(MissingKey, match="'grid.m'"):
             prescription_from_json(obj)
 
+    @pytest.mark.parametrize("path,value", [
+        ("n", "two"), ("grid.t0", [0.0]), ("grid.t1", "end"),
+        ("grid.m", None), ("grid.m", float("inf")), ("grid.t1", float("nan")),
+    ])
+    def test_json_scalar_not_a_number_is_named(self, path, value):
+        obj = {"n": 2, "grid": {"t0": 0.0, "t1": 1.0, "m": 7},
+               "K": [-0.5, 0.5], "F0": F0_STANDARD.tolist()}
+        node, key = (obj["grid"], path[5:]) if "." in path else (obj, path)
+        node[key] = value
+        with pytest.raises(InvalidDimension,
+                           match=f"^{path} is not a finite number"):
+            prescription_from_json(obj)
+
     @pytest.mark.parametrize("key,value", [
         ("K", np.zeros(3)),
         ("K", np.zeros((6, 2))),
