@@ -53,9 +53,19 @@ def matrix_schwarzian(j: CurveJet):
     Not symmetric in general; it is similar to a symmetric matrix via the
     velocity form (see ricci).
     """
+    _regular(Gates(), j).raise_error()
+    return _schwarzian(j)
+
+
+def _regular(gates, j):
+    """Add to `gates` the samples of j whose S' fails the condition gate."""
     ts = np.atleast_1d(j.t)
-    Gates().check(sym_cond(j.S1) > COND_MAX,
-                  lambda i: RegularityFailure(ts[i])).raise_error()
+    return gates.check(sym_cond(j.S1) > COND_MAX,
+                       lambda i: RegularityFailure(ts[i]))
+
+
+def _schwarzian(j):
+    # matrix_schwarzian of jets whose S' is known regular
     a = np.linalg.solve(j.S1, j.S3)
     b = np.linalg.solve(j.S1, j.S2)
     return a - 1.5 * b @ b
@@ -99,9 +109,17 @@ def ricci(j: CurveJet):
     """
     if np.ndim(j.t) == 0:
         return ricci(j[None])[0]
+    gates = _regular(Gates(), j)
+    rs = gates.run(_ricci, j.t, j)
+    gates.raise_error()
+    return rs
+
+
+def _ricci(j: CurveJet):
+    """ricci of a jet series whose S' is known regular: the screen judged
+    it from its own spectrum of S'."""
     gates = Gates()
-    sch = gates.run(matrix_schwarzian, j.t, j)
-    j = j[:gates.stop]
+    sch = _schwarzian(j)
     # S' * Sch = S''' - 1.5 S'' (S')^(-1) S'' is symmetric by construction;
     # asymmetry beyond roundoff means a corrupted jet.
     a = j.S1 @ sch

@@ -19,7 +19,7 @@ from .curvature import derivative_curve
 from .errors import EigenCrossing, Gates, GridMismatch
 from .geom import ArcData
 from .matcurve import finite_diff, spline
-from .symspace import frame_from_chart_pair, is_symplectic_frame
+from .symspace import _frame_pair, is_symplectic_frame
 
 SIGN_TOL = 1e-6
 MIN_OVERLAP = 0.2
@@ -70,8 +70,9 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     gates = Gates()
     s0 = gates.run(derivative_curve, ts, jets, arc.zeta1 / arc.zeta)
     k = gates.stop
-    fr = frame_from_chart_pair(ms[:k], jets.S[:k], s0)
-    gates.raise_error()
+    # no SVD check of M: M^T S' M = Id makes cond(M)^2 = cond(S'), and S'
+    # was gated where M was computed (the screen, or ricci)
+    fr = _frame_pair(ms[:k], jets.S[:k], s0, gates)
     _, residuals = is_symplectic_frame(fr)
     return FrenetFrame(ts=ts, M=ms, frames=fr, residuals=residuals)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import RicciData, ricci
+from .curvature import RicciData, _ricci
 from .errors import (
     ComplexEigenvalues,
     Gates,
@@ -21,7 +21,7 @@ from .errors import (
     RegularityFailure,
     RepeatedEigenvalues,
 )
-from .matcurve import CurveJet, finite_diff, sample_curve
+from .matcurve import CurveJet, _sample, finite_diff
 
 ADM_TOL = 1e-10
 NORM_TOL = 1e-5
@@ -173,8 +173,8 @@ def screen(curve, grid, adm_tol=ADM_TOL):
     """
     ana = Analysis(curve, grid)
     try:
-        jets = sample_curve(curve, grid)
-        ev = np.linalg.eigvalsh(jets.S1)
+        # one spectrum of S' judges both regularity and the velocity sign
+        jets, ev = _sample(curve, grid, True)
         sign = np.where(ev[:, 0] > 0, 1, np.where(ev[:, -1] < 0, -1, 0))
         Gates().check((sign == 0) | (sign != sign[0]),
                       lambda i: MonotonicityFailure(jets.t[i])).raise_error()
@@ -184,7 +184,7 @@ def screen(curve, grid, adm_tol=ADM_TOL):
             jets = CurveJet(jets.t, -jets.S, -jets.S1, -jets.S2, -jets.S3)
         ana.jets = jets
         gates = Gates()
-        rs = gates.run(ricci, jets.t, jets)
+        rs = gates.run(_ricci, jets.t, jets)
         mu = rs.eigvals
         if mu.shape[1] > 1:
             gap = np.min(np.diff(mu, axis=1), axis=1)

@@ -26,8 +26,8 @@ from .errors import (
     RegularityFailure,
     TooFewSamples,
 )
-from .symspace import (COND_MAX, asymmetry_gate, conformal_symplectic,
-                       sym_cond, symmetrize)
+from .symspace import (COND_MAX, _eig_cond, asymmetry_gate,
+                       conformal_symplectic, symmetrize)
 
 JET_SYM_TOL = 1e-8
 
@@ -175,6 +175,11 @@ class SymmetricMatrixCurve:
         sample the checks run in the order domain, shape, symmetry and
         regularity; the earliest failing sample's error is raised, and an
         error of the evaluator itself comes before all of them."""
+        return self._jets(ts, check_regular)[0]
+
+    def _jets(self, ts, check_regular):
+        """jets(ts, check_regular) and the ascending eigenvalues of its S'
+        stack (None when unchecked), from which regularity was judged."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain
         gates = Gates().check(~((lo <= ts) & (ts <= hi)), lambda i: DomainError(
@@ -186,12 +191,14 @@ class SymmetricMatrixCurve:
         for a in mats:
             asymmetry_gate(gates, a, JET_SYM_TOL)
         mats = [symmetrize(a, strict=False) for a in mats]
+        ev = None
         if check_regular:
             S1 = mats[1][:gates.stop]
-            gates.check(sym_cond(S1) > COND_MAX,
+            ev = np.linalg.eigvalsh(S1)
+            gates.check(_eig_cond(S1, ev) > COND_MAX,
                         lambda i: RegularityFailure(ts[i]))
         gates.raise_error()
-        return CurveJet(ts, *mats)
+        return CurveJet(ts, *mats), ev
 
     def jet(self, t, check_regular=True):
         """The jet at one parameter: the one sample of `jets([t])`."""
@@ -200,11 +207,16 @@ class SymmetricMatrixCurve:
 
 def sample_curve(curve, grid, check_regular=True):
     """Jet series on the grid; fails at the first irregular point."""
+    return _sample(curve, grid, check_regular)[0]
+
+
+def _sample(curve, grid, check_regular):
+    """sample_curve and the eigenvalues of S' (see SymmetricMatrixCurve)."""
     if grid.t0 < curve.domain[0] or grid.t1 > curve.domain[1]:
         raise DomainError(
             f"grid [{grid.t0}, {grid.t1}] outside curve domain {curve.domain}"
         )
-    return curve.jets(grid.points, check_regular)
+    return curve._jets(grid.points, check_regular)
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +227,16 @@ def curve_from_scalars(entries, domain, kind="analytic", name=None):
     """Diagonal-block curve from scalar jet functions.
 
     `entries` is a list of callables t -> (f, f', f'', f''') placed on the
-    diagonal.  Each entry is called per float t, so its scalar powers keep the
-    C library's pow (numpy's array power can differ in the last bit).
+    diagonal.  Each entry is called once on the whole parameter vector, so it
+    must accept an array (numpy functions, not `math`); a scalar it returns,
+    such as a constant derivative, is broadcast.
     """
     n = len(entries)
 
     def evaluator(ts):
-        vals = np.array([[e(t) for e in entries] for t in ts.tolist()],
-                        dtype=float).reshape(ts.size, n, 4)
         out = np.zeros((4, ts.size, n, n))
-        out[:, :, range(n), range(n)] = vals.transpose(2, 0, 1)
+        for i, e in enumerate(entries):
+            out[:, :, i, i] = np.broadcast_arrays(*e(ts), ts)[:4]
         return tuple(out)
 
     return SymmetricMatrixCurve(n, evaluator, domain, kind=kind, name=name)
@@ -334,15 +346,17 @@ def reparametrized_curve(curve, psi_jet, domain, name=None):
         Sbar'   = psi' S'
         Sbar''  = psi'' S' + psi'^2 S''
         Sbar''' = psi''' S' + 3 psi' psi'' S'' + psi'^3 S'''
-    psi and the scalar factors are computed per float u, for the reason
-    given in `curve_from_scalars`.
+    `psi_jet` is called once on the whole parameter vector, as the entries
+    of `curve_from_scalars` are.
     """
 
     def evaluator(us):
-        f = np.array([(p, p1, p2, p1**2, p3, 3 * p1 * p2, p1**3) for p, p1, p2, p3
-                      in map(psi_jet, us.tolist())], dtype=float).reshape(-1, 7)
-        j = curve.jets(f[:, 0], check_regular=False)
-        p1, p2, p11, p3, p12, p111 = f.T[1:, :, None, None]
+        # float arrays: a scalar psi' is raised by numpy's array power too
+        p, p1, p2, p3 = np.array(np.broadcast_arrays(*psi_jet(us), us)[:4],
+                                 dtype=float)
+        j = curve.jets(p, check_regular=False)
+        p1, p2, p11, p3, p12, p111 = (
+            f[:, None, None] for f in (p1, p2, p1**2, p3, 3 * p1 * p2, p1**3))
         return (
             j.S,
             p1 * j.S1,
@@ -510,6 +524,15 @@ def json_numbers(value, key, shape):
         pass
     what = f"a list of {shape[0]} finite numbers" if shape else "a finite number"
     raise InvalidDimension(f"{key} is not {what}")
+
+
+def json_integer(value, key):
+    """A JSON whole number as an int; any other value raises
+    InvalidDimension naming its `key`."""
+    x = json_numbers(value, key, ())
+    if x != int(x):
+        raise InvalidDimension(f"{key} is not a whole number")
+    return int(x)
 
 
 def curve_from_json(obj):

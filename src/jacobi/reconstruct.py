@@ -20,8 +20,8 @@ import numpy as np
 from .errors import GridMismatch, InvalidDimension, SymplecticityLoss
 from .frames import cartan_matrix, equivalent_reduced, invariant_spline
 from .geom import EIG_GAP_TOL, NORM_TOL
-from .matcurve import (TABLE_TRIM, SampleGrid, json_array, json_numbers,
-                       require_keys, table_curve)
+from .matcurve import (TABLE_TRIM, SampleGrid, json_array, json_integer,
+                       json_numbers, require_keys, table_curve)
 from .pipeline import analyze
 from .symspace import COND_MAX, _maxabs, is_symplectic_frame, symmetrize
 
@@ -98,16 +98,16 @@ def prescription_from_json(obj):
     diagonal matrix (n x n), or per sample, as diagonal vectors (m x n) or
     matrices (m x n x n); when m = n, an n x n K is the constant matrix.
     F0 is the 2n x 2n initial frame, row-major (4n^2 numbers).  Any other
-    shape or a non-numeric n or grid entry raises InvalidDimension, and a
-    missing key MissingKey.
+    shape, a non-numeric n or grid entry or a non-whole n or grid.m raises
+    InvalidDimension, and a missing key MissingKey.
     """
     require_keys(obj, ("n", "grid.t0", "grid.t1", "grid.m", "K", "F0"),
                  "a prescription")
-    n = int(json_numbers(obj["n"], "n", ()))
+    n = json_integer(obj["n"], "n")
     g = obj["grid"]
     grid = SampleGrid(json_numbers(g["t0"], "grid.t0", ()),
                       json_numbers(g["t1"], "grid.t1", ()),
-                      int(json_numbers(g["m"], "grid.m", ())))
+                      json_integer(g["m"], "grid.m"))
     ts = grid.points
     m = ts.size
 

@@ -41,7 +41,13 @@ def sym_cond(a):
     from their eigenvalues.  As with np.linalg.cond, a singular matrix gives
     inf and a matrix holding a NaN gives NaN."""
     a = np.asarray(a, dtype=float)
-    ev = np.abs(np.linalg.eigvalsh(a))
+    return _eig_cond(a, np.linalg.eigvalsh(a))
+
+
+def _eig_cond(a, ev):
+    """sym_cond of the symmetric matrices a from their eigenvalues ev, for
+    callers that need the spectrum too."""
+    ev = np.abs(ev)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = ev.max(axis=-1) / ev.min(axis=-1)
     return np.where(np.isnan(a).any(axis=(-2, -1)), np.nan,
@@ -118,29 +124,35 @@ def is_symplectic_frame(F, tol=FRAME_TOL):
 
 
 def complete_symplectic_basis(M, S, Sbar):
-    """Unique complement Mbar = (Sbar - S)^(-1) (M^T)^(-1).
+    """Unique complement Mbar = (Sbar - S)^(-1) (M^T)^(-1), the upper right
+    block of frame_from_chart_pair.
 
     The columns of M are a basis of the subspace with chart coordinate S;
     the returned Mbar spans the subspace at Sbar so that the combined frame
     is symplectic: M^T (Sbar - S) Mbar = Id.
     """
-    M = np.asarray(M, dtype=float)
-    diff = Sbar - S
-    gates = Gates()
-    gates.check(np.linalg.cond(M) > COND_MAX,
-                lambda i: InvalidBasis("basis matrix M is singular"))
-    gates.check(sym_cond(diff) > COND_MAX,
-                lambda i: _singular(NotTransverse, "Sbar - S"))
-    gates.raise_error()
-    eye = np.broadcast_to(np.eye(M.shape[-1]), M.shape)
-    return np.linalg.solve(diff, np.linalg.solve(M.swapaxes(-1, -2), eye))
+    n = np.shape(M)[-1]
+    return frame_from_chart_pair(M, S, Sbar)[..., :n, n:]
 
 
 def frame_from_chart_pair(M, S, Sbar):
     """Symplectic frame matrix (..., 2n, 2n) with f spanning S (basis M) and
     fbar spanning Sbar."""
-    Mbar = complete_symplectic_basis(M, S, Sbar)
+    M = np.asarray(M, dtype=float)
+    return _frame_pair(M, S, Sbar, Gates().check(
+        np.linalg.cond(M) > COND_MAX,
+        lambda i: InvalidBasis("basis matrix M is singular")))
+
+
+def _frame_pair(M, S, Sbar, gates):
+    """frame_from_chart_pair once `gates` has judged M; Sbar - S is gated
+    here."""
+    diff = Sbar - S
+    gates.check(sym_cond(diff) > COND_MAX,
+                lambda i: _singular(NotTransverse, "Sbar - S")).raise_error()
     n = M.shape[-1]
+    eye = np.broadcast_to(np.eye(n), M.shape)
+    Mbar = np.linalg.solve(diff, np.linalg.solve(M.swapaxes(-1, -2), eye))
     F = np.zeros(M.shape[:-2] + (2 * n, 2 * n))
     F[..., :n, :n] = M
     F[..., n:, :n] = S @ M
@@ -160,16 +172,17 @@ def chart_translate_invert(S, S_ref):
 
 def conformal_symplectic(g, n):
     """g as a float array, checked to be a 2n x 2n conformal symplectic map:
-    g^T J g = s J with s nonzero."""
+    g^T J g = s J with s nonzero.  Both tests are relative to maxabs(g)^2,
+    so c g passes exactly when g does."""
     g = np.asarray(g, dtype=float)
     if g.shape != (2 * n, 2 * n):
         raise InvalidDimension(f"expected {2*n}x{2*n} transform, got {g.shape}")
     j = symplectic_form(n)
     gjg = g.T @ j @ g
     scale = np.trace(gjg[:n, n:]) / n
-    if abs(scale) < 1e-12 or _maxabs(gjg - scale * j) > FRAME_TOL * max(
-        1.0, _maxabs(gjg)
-    ):
+    size = _maxabs(g) ** 2
+    if (abs(scale) <= 1e-12 * size
+            or _maxabs(gjg - scale * j) > FRAME_TOL * size):
         raise InvalidTransform("matrix is not conformal symplectic")
     return g
 

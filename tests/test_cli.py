@@ -388,6 +388,19 @@ class TestMalformedJson:
         assert (name, message) == ("InvalidDimension",
                                    "n is not a finite number")
 
+    @pytest.mark.parametrize("key,n,m", [
+        ("n", 2.5, "21.9"), ("grid.m", 2, "21.9"), ("grid.m", 2, 21.9),
+    ], ids=["n", "m-string", "m-number"])
+    def test_prescription_integer_key_not_whole(self, capsys, tmp_path,
+                                                key, n, m):
+        # int() once truncated these to an n = 2, 21-sample prescription
+        spec = {"n": n, "grid": {"t0": 0.0, "t1": 1.0, "m": m},
+                "K": [0.0, -1.0], "F0": np.eye(4).tolist()}
+        name, message = self.error(capsys, tmp_path, json.dumps(spec),
+                                   "reconstruct", "BAD")
+        assert (name, message) == ("InvalidDimension",
+                                   f"{key} is not a whole number")
+
     def test_polynomial_domain_not_numbers(self, capsys, tmp_path):
         spec = {"n": 1, "kind": "polynomial", "entries": [[[0.0, 1.0]]],
                 "domain": ["a", 1]}

@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 
 from jacobi.cli import _stable, main
 from jacobi.curvature import ricci
-from jacobi.errors import JacobiError, NotAdmissible, RepeatedEigenvalues
+from jacobi.errors import (JacobiError, NotAdmissible, RegularityFailure,
+                           RepeatedEigenvalues)
 from jacobi.geom import (
     SCREEN_ERRORS,
     SCREEN_STEPS,
     absolute_curvature,
     admissibility_report,
     centered_schwarzian_det,
+    screen,
     zeta_series,
 )
 from jacobi.matcurve import (
     SampleGrid,
+    SymmetricMatrixCurve,
     curve_from_scalars,
     preset_curve,
     sample_curve,
@@ -229,3 +232,50 @@ def test_centered_det_matches_eigen_route():
     det = centered_schwarzian_det(rd.schwarzian)
     ref = np.prod(mu - mu.mean(axis=1, keepdims=True), axis=1)
     assert det == pytest.approx(ref, rel=1e-8, abs=1e-10)
+
+
+class TestOneDecompositionOfVelocity:
+    """The screen decomposes S' once: that spectrum judges regularity and
+    the velocity sign, and no later stage decomposes S' again."""
+
+    def test_analyze_counts_eigvalsh_and_svd(self, monkeypatch):
+        calls = []
+        # np.linalg.cond reaches svd through the implementation module
+        impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        for module in (np.linalg, impl):
+            for name in ("eigvalsh", "svd"):
+                def counted(a, *args, _fn=getattr(module, name), _name=name,
+                            **kwargs):
+                    calls.append((_name, np.array(a)))
+                    return _fn(a, *args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        ana = analyze(preset_curve("paper-6.2-ex1"), SampleGrid(0, 1, 201))
+        eig = [a for name, a in calls if name == "eigvalsh"]
+        assert len(eig) <= 3
+        assert sum(np.array_equal(a, ana.jets.S1) for a in eig) == 1
+        assert [name for name, _ in calls if name == "svd"] == []
+
+    def test_screen_keeps_the_earliest_failing_sample(self):
+        # S' is singular at sample 3 and S'' asymmetric at sample 5: the
+        # regularity failure at t[3] comes first, as in `jets`
+        grid = SampleGrid(0.0, 1.0, 11)
+        t3, t5 = grid.points[3], grid.points[5]
+
+        def evaluator(ts):
+            m = ts.size
+            s = ts[:, None, None] * np.diag([1.0, 2.0])
+            s1 = np.broadcast_to(np.diag([1.0, 2.0]), (m, 2, 2)).copy()
+            s1[ts == t3] = 0.0
+            s2 = np.zeros((m, 2, 2))
+            s2[ts == t5, 0, 1] = 1.0
+            return s, s1, s2, np.zeros((m, 2, 2))
+
+        c = SymmetricMatrixCurve(2, evaluator, (0.0, 1.0))
+        with pytest.raises(RegularityFailure) as e:
+            c.jets(grid.points)
+        assert e.value.t == t3
+        ana = screen(c, grid)
+        assert isinstance(ana.error, RegularityFailure)
+        assert ana.error.t == t3
+        assert ana.report()["first_failure"] == "velocity-definite"

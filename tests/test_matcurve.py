@@ -432,7 +432,8 @@ def test_evaluator_must_return_stacked_jets(m):
 
 class TestVectorisedEvaluators:
     """`jets` on a parameter vector equals, bit for bit, the jets of the
-    former per-t evaluators below, symmetrized one t at a time."""
+    per-t evaluators below, symmetrized one t at a time; scalar entries and
+    psi are called on one-element arrays there."""
 
     @staticmethod
     def per_t(evaluator, ts):
@@ -491,10 +492,16 @@ class TestVectorisedEvaluators:
         return evaluator
 
     @staticmethod
-    def scalars_ref(entries):
+    def one_element(jet, t):
+        # the contract of scalar entries and psi: called on a parameter
+        # array, here of one element; a scalar return is broadcast
+        return [np.full(1, v, dtype=float) for v in jet(np.array([t]))]
+
+    @classmethod
+    def scalars_ref(cls, entries):
         def evaluator(t):
-            jets = [e(t) for e in entries]
-            return tuple(np.diag([j[k] for j in jets]) for k in range(4))
+            jets = [cls.one_element(e, t) for e in entries]
+            return tuple(np.diag([j[k][0] for j in jets]) for k in range(4))
 
         return evaluator
 
@@ -536,8 +543,8 @@ class TestVectorisedEvaluators:
         inner = cls.symmetric_jet(inner)
 
         def evaluator(u):
-            p, p1, p2, p3 = psi_jet(u)
-            S, S1, S2, S3 = inner(float(p))
+            p, p1, p2, p3 = cls.one_element(psi_jet, u)
+            S, S1, S2, S3 = inner(p[0])
             return (S, p1 * S1, p2 * S1 + p1**2 * S2,
                     p3 * S1 + 3 * p1 * p2 * S2 + p1**3 * S3)
 

@@ -127,6 +127,25 @@ class TestPrescriptionValidation:
                            match=f"^{path} is not a finite number"):
             prescription_from_json(obj)
 
+    @pytest.mark.parametrize("path,value", [
+        ("n", 2.5), ("n", "2.5"), ("grid.m", 21.9), ("grid.m", "21.9"),
+    ], ids=["n-number", "n-string", "m-number", "m-string"])
+    def test_json_integer_key_not_whole_is_named(self, path, value):
+        # int() would truncate these to an n = 2 or 21-sample prescription
+        obj = {"n": 2, "grid": {"t0": 0.0, "t1": 1.0, "m": 21},
+               "K": [-0.5, 0.5], "F0": F0_STANDARD.tolist()}
+        node, key = (obj["grid"], path[5:]) if "." in path else (obj, path)
+        node[key] = value
+        with pytest.raises(InvalidDimension,
+                           match=f"^{path} is not a whole number"):
+            prescription_from_json(obj)
+
+    def test_json_integer_keys_accept_whole_floats(self):
+        obj = {"n": 2.0, "grid": {"t0": 0.0, "t1": 1.0, "m": "21"},
+               "K": [-0.5, 0.5], "F0": F0_STANDARD.tolist()}
+        p = prescription_from_json(obj)
+        assert p.ts.size == 21 and p.Kdiag.shape == (21, 2)
+
     @pytest.mark.parametrize("key,value", [
         ("K", np.zeros(3)),
         ("K", np.zeros((6, 2))),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jacobi.errors import (
@@ -16,6 +16,7 @@ from jacobi.symspace import (
     apply_symplectic,
     chart_translate_invert,
     complete_symplectic_basis,
+    conformal_symplectic,
     definite_eigh,
     frame_from_chart_pair,
     is_symplectic_frame,
@@ -242,6 +243,34 @@ class TestRandomCsp:
     def test_zero_scale_rejected(self):
         with pytest.raises(InvalidTransform):
             random_csp(0, scale=0.0)
+
+
+class TestConformalSymplectic:
+    """Both tests of conformal_symplectic are relative to maxabs(g)^2."""
+
+    def test_small_multiple_of_identity_accepted(self):
+        # 1e-7 I acts on charts as the identity; its form scale is 1e-14
+        g = 1e-7 * np.eye(4)
+        assert np.array_equal(conformal_symplectic(g, 2), g)
+        s = np.array([[1.0, 0.5], [0.5, 2.0]])
+        assert np.allclose(apply_symplectic(g, s), s)
+
+    def test_small_random_matrix_rejected(self):
+        g = 1e-5 * np.random.default_rng(0).normal(size=(4, 4))
+        with pytest.raises(InvalidTransform):
+            conformal_symplectic(g, 2)
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(InvalidTransform):
+            conformal_symplectic(np.zeros((4, 4)), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.floats(-6.0, 6.0))
+    @example(0, -6.0)
+    @example(0, 6.0)
+    def test_scaled_random_csp_accepted(self, seed, log_c):
+        g = 10.0**log_c * random_csp(seed, scale=0.5, n=2, ham_scale=0.5)
+        assert np.array_equal(conformal_symplectic(g, 2), g)
 
 
 def test_chart_point_symmetrizes_noise():
