@@ -179,8 +179,9 @@ def equivalent_reduced(a: ReducedCartan, b: ReducedCartan, tol=EQUIV_TOL):
     """Decide equivalence up to +-1 diagonal conjugation of Sigma.
 
     Both invariants are compared as functions of arclength (the invariant
-    pairing is with the arc form, so grids need not agree); comparison is
-    restricted to the overlap of the two arclength ranges.  Returns
+    pairing is with the arc form, so grids need not agree): at a's nodes in
+    the overlap of the two arclength ranges, where b is read off its
+    spline.  Returns
     (verdict, sign_pattern_or_None, k_deviation, sigma_deviation).
     """
     if a.n != b.n:
@@ -192,7 +193,7 @@ def equivalent_reduced(a: ReducedCartan, b: ReducedCartan, tol=EQUIV_TOL):
     ell = a.arclength[mask]
     if ell.size < 5:
         raise GridMismatch("arclength overlap too short to compare")
-    sa, ka = invariant_spline(a.arclength, a.Sigma, a.Kdiag)(ell)
+    sa, ka = a.Sigma[mask], a.Kdiag[mask]
     sb, kb = invariant_spline(b.arclength, b.Sigma, b.Kdiag)(ell)
     k_dev = float(np.max(np.abs(ka - kb)))
     if k_dev > tol:

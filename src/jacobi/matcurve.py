@@ -70,13 +70,107 @@ def _stencil(values, row, start, stop, hk):
                for o, w in zip(offsets, weights)) / (denom * hk)
 
 
+def _cyclic_reduction(lo, dg, up, rhs):
+    """Solve lo[i] z[i-1] + dg[i] z[i] + up[i] z[i+1] = rhs[i] (lo[0] =
+    up[-1] = 0) for a diagonally dominant tridiagonal system.  Each level
+    eliminates the even unknowns from the odd rows, which halves the system
+    in elementwise operations; the even unknowns are then recovered level by
+    level.  rhs (N, k) columns are solved independently."""
+    levels = []
+    while dg.size > 1:
+        size = dg.size
+        if size % 2 == 0:
+            # an identity row z = 0 makes the size odd
+            lo, dg, up = (np.append(a, v) for a, v in ((lo, 0.0), (dg, 1.0),
+                                                       (up, 0.0)))
+            rhs = np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])])
+        levels.append((size, lo, dg, up, rhs))
+        left, right = slice(0, -1, 2), slice(2, None, 2)
+        alpha = -lo[1::2] / dg[left]
+        gamma = -up[1::2] / dg[right]
+        rhs = (rhs[1::2] + alpha[:, None] * rhs[left]
+               + gamma[:, None] * rhs[right])
+        dg = dg[1::2] + alpha * up[left] + gamma * lo[right]
+        lo, up = alpha * lo[left], gamma * up[right]
+    z = rhs / dg[:, None]
+    for size, lo, dg, up, rhs in reversed(levels):
+        pad = np.zeros((1,) + z.shape[1:])
+        zp = np.concatenate([pad, z, pad])
+        full = np.empty_like(rhs)
+        full[1::2] = z
+        full[::2] = (rhs[::2] - lo[::2, None] * zp[:-1]
+                     - up[::2, None] * zp[1:]) / dg[::2, None]
+        z = full[:size]
+    return z
+
+
 def spline(x, y):
     """Not-a-knot cubic spline through the samples y, whose first axis runs
-    along x.  scipy is imported at the first call: analysis needs numpy
-    only."""
-    from scipy.interpolate import CubicSpline
+    along x (m >= 4 strictly increasing finite nodes, finite y); returns the
+    function mapping a query array q to the values of shape
+    q.shape + y.shape[1:].  Queries outside [x[0], x[-1]] follow the end
+    cubics.
 
-    return CubicSpline(x, y)
+    The slopes solve the tridiagonal system of scipy's CubicSpline, its two
+    not-a-knot rows folded into their neighbours so the interior system is
+    diagonally dominant, by cyclic reduction; the pieces are scipy's PPoly
+    coefficients and are evaluated in PPoly's order,
+    ((c3 + c2 s) + c1 s^2) + c0 s^3, so a query at an interior node returns
+    the sample itself.  Every column of y is fitted on its own: a joint
+    spline equals separate ones bit for bit."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("`x` must be 1-dimensional.")
+    if x.size < 4:
+        raise ValueError("`x` must contain at least 4 elements.")
+    if y.ndim == 0 or y.shape[0] != x.size:
+        raise ValueError("The length of `y` along axis 0 doesn't match the "
+                         "length of `x`")
+    if not np.isfinite(x).all():
+        raise ValueError("`x` must contain only finite values.")
+    if not np.isfinite(y).all():
+        raise ValueError("`y` must contain only finite values.")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("`x` must be strictly increasing sequence.")
+    tail = y.shape[1:]
+    y = y.reshape(x.size, -1)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # scipy's rows: i = 1..m-2 interior, 0 and m-1 not-a-knot
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d0
+    b[-1] = (dxr[-1]**2 * slope[-2]
+             + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    # row 0 is dx[1] s0 + d0 s1 and row 1 starts with dx[1] s0: their
+    # difference drops s0 (the same at the end with dx[-2] s[m-1])
+    dg = 2 * (dx[:-1] + dx[1:])
+    dg[0] -= d0
+    dg[-1] -= d1
+    rhs = b[1:-1].copy()
+    rhs[0] -= b[0]
+    rhs[-1] -= b[-1]
+    s = np.empty_like(y)
+    s[1:-1] = _cyclic_reduction(np.append(0.0, dx[2:]), dg,
+                                np.append(dx[:-2], 0.0), rhs)
+    s[0] = (b[0] - d0 * s[1]) / dx[1]
+    s[-1] = (b[-1] - d1 * s[-2]) / dx[-2]
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    coef = np.stack([t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]])
+
+    def at(q):
+        shape = np.shape(q)
+        q = np.asarray(q, dtype=float).ravel()
+        i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
+        c0, c1, c2, c3 = coef[:, i]
+        u = (q - x[i])[:, None]
+        u2 = u * u
+        return (((c3 + c2 * u) + c1 * u2) + c0 * (u2 * u)).reshape(
+            shape + tail)
+
+    return at
 
 
 def finite_diff(values, h, order=1):
@@ -250,11 +344,16 @@ def polynomial_curve(coeffs, domain, name=None):
     n = len(coeffs)
     entries = [row[j] if j < len(row) and len(row[j]) else [0.0]
                for row in coeffs for j in range(n)]
-    # per derivative order, entry (i, j)'s coefficients in [:, i, j]; zeros
-    # pad the shorter entries and leave Horner's sums unchanged
-    tensors = [np.array(list(zip_longest(
-        *(npoly.polyder(np.asarray(c, dtype=float), order) for c in entries),
-        fillvalue=0.0))).reshape(-1, n, n) for order in range(4)]
+    # entry (i, j)'s coefficients in [:, i, j]; zeros pad the shorter
+    # entries and leave Horner's sums unchanged
+    tensor = np.array(list(zip_longest(*entries, fillvalue=0.0)),
+                      dtype=float).reshape(-1, n, n)
+    length = np.array([len(c) for c in entries]).reshape(n, n)
+    tensors = [npoly.polyder(tensor, order, axis=0) for order in range(4)]
+    for order, d in enumerate(tensors):
+        # an entry differentiated away is polyder's c[:1] * 0, the signed
+        # zero of its constant term
+        d[0] = np.where(length <= order, tensor[0] * 0, d[0])
 
     def evaluator(ts):
         mats = (npoly.polyval(ts[:, None, None], c, tensor=False) for c in tensors)

@@ -98,8 +98,9 @@ def prescription_from_json(obj):
     diagonal matrix (n x n), or per sample, as diagonal vectors (m x n) or
     matrices (m x n x n); when m = n, an n x n K is the constant matrix.
     F0 is the 2n x 2n initial frame, row-major (4n^2 numbers).  Any other
-    shape, a non-numeric n or grid entry or a non-whole n or grid.m raises
-    InvalidDimension, and a missing key MissingKey.
+    shape, a NaN or infinite entry (Python's json reads both), a non-numeric
+    n or grid entry or a non-whole n or grid.m raises InvalidDimension, and
+    a missing key MissingKey.
     """
     require_keys(obj, ("n", "grid.t0", "grid.t1", "grid.m", "K", "F0"),
                  "a prescription")
@@ -120,6 +121,8 @@ def prescription_from_json(obj):
         if a.shape not in shapes:
             raise InvalidDimension(
                 f"{name} has shape {a.shape}; expected one of {shapes}")
+        if not np.isfinite(a).all():
+            raise InvalidDimension(f"{name} has entries that are not finite")
     if k.shape in [(n, n), (m, n, n)]:
         k = k.diagonal(axis1=-2, axis2=-1)
     return InvariantPrescription(

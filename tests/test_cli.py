@@ -401,6 +401,21 @@ class TestMalformedJson:
         assert (name, message) == ("InvalidDimension",
                                    f"{key} is not a whole number")
 
+    @pytest.mark.parametrize("key,value", [
+        ("K", [float("nan"), 1.0]),
+        ("Sigma", [[0.0, float("inf")], [0.0, 0.0]]),
+        ("F0", [[float("nan")] * 4] * 4),
+    ])
+    def test_prescription_not_finite(self, capsys, tmp_path, key, value):
+        # json reads NaN and Infinity; they once ended in a scipy ValueError
+        # or a LinAlgError traceback
+        spec = {"n": 2, "grid": {"t0": 0.0, "t1": 1.0, "m": 21},
+                "K": [0.0, -1.0], "F0": np.eye(4).tolist(), key: value}
+        name, message = self.error(capsys, tmp_path, json.dumps(spec),
+                                   "reconstruct", "BAD")
+        assert (name, message) == ("InvalidDimension",
+                                   f"{key} has entries that are not finite")
+
     def test_polynomial_domain_not_numbers(self, capsys, tmp_path):
         spec = {"n": 1, "kind": "polynomial", "entries": [[[0.0, 1.0]]],
                 "domain": ["a", 1]}

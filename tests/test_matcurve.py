@@ -24,6 +24,7 @@ from jacobi.matcurve import (
     reparametrized_curve,
     sample_curve,
     sine_reparam,
+    spline,
     table_curve,
     table_json,
     transformed_curve,
@@ -88,6 +89,46 @@ class TestFiniteDiff:
         d = finite_diff(jets.S, grid.h, 1)
         err = np.max(np.abs(d - jets.S1))
         assert err <= 50.0 * w**5 * grid.h**4
+
+
+class TestSpline:
+    """`spline` against scipy's CubicSpline, whose not-a-knot spline it
+    reproduces with numpy alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 400), st.integers(0, 42), st.integers(0, 2**32 - 1))
+    def test_matches_scipy(self, m, cols, seed):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(seed)
+        # spacings within a factor 2 of each other; 0 columns is a 1-D y
+        x = rng.uniform(-5.0, 5.0) + (10.0 ** rng.uniform(-3.0, 1.0)
+                                      * np.cumsum(rng.uniform(0.5, 1.0, m)))
+        y = rng.normal(size=(m, cols) if cols else m) * 10.0 ** rng.uniform(
+            -3.0, 3.0)
+        # queries in an N-D array, up to one end interval outside each end
+        q = rng.uniform(x[0], x[-1], (3, 4, 5))
+        q[0, 0, :2] = x[0] - (x[1] - x[0]) * rng.uniform(0.0, 1.0, 2)
+        q[0, 1, :2] = x[-1] + (x[-1] - x[-2]) * rng.uniform(0.0, 1.0, 2)
+        got, want = spline(x, y)(q), CubicSpline(x, y)(q)
+        assert got.shape == want.shape == q.shape + y.shape[1:]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(y))
+        # a query at a node other than the last returns the sample
+        assert np.array_equal(spline(x, y)(x[:-1]), y[:-1])
+
+    @pytest.mark.parametrize("x,y", [
+        (np.zeros((5, 2)), np.zeros(5)),
+        (np.arange(3.0), np.zeros(3)),
+        (np.arange(5.0), np.zeros(6)),
+        (np.array([0.0, 1.0, np.nan, 3.0, 4.0]), np.zeros(5)),
+        (np.arange(5.0), np.array([0.0, 1.0, np.inf, 3.0, 4.0])),
+        (np.array([0.0, 1.0, 1.0, 3.0, 4.0]), np.zeros(5)),
+        (np.array([0.0, 2.0, 1.0, 3.0, 4.0]), np.zeros((5, 2))),
+    ], ids=["x-2d", "too-few", "lengths", "x-nan", "y-inf", "x-repeated",
+            "x-decreasing"])
+    def test_bad_input_rejected(self, x, y):
+        with pytest.raises(ValueError):
+            spline(x, y)
 
 
 class TestSampleGrid:
@@ -570,6 +611,15 @@ class TestVectorisedEvaluators:
                          data.draw(st.integers(1, 30)))
         self.assert_bitwise(polynomial_curve(coeffs, (-2.0, 2.0)),
                             self.polynomial_ref(coeffs), ts)
+
+    def test_polynomial_differentiated_away(self):
+        # a derivative of an entry shorter than its order is the signed zero
+        # of the entry's constant term, as for the entry on its own
+        coeffs = [[[-1.5, 2.0], [0.5, -1.0, 0.25, 2.0, -0.75]],
+                  [[-0.5, 1.0, 3.0, -2.0]]]
+        self.assert_bitwise(polynomial_curve(coeffs, (-2.0, 2.0)),
+                            self.polynomial_ref(coeffs),
+                            np.linspace(-1.0, 1.0, 9))
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 3]), st.floats(0.3, 4.0), st.data())

@@ -162,6 +162,21 @@ class TestPrescriptionValidation:
         with pytest.raises(InvalidDimension, match=key):
             prescription_from_json(obj)
 
+    @pytest.mark.parametrize("key,value", [
+        ("K", [float("nan"), 1.0]),
+        ("K", np.diag([1.0, float("inf")])),
+        ("Sigma", [[0.0, float("-inf")], [0.0, 0.0]]),
+        ("F0", np.where(np.eye(4) == 1, float("nan"), 0.0)),
+    ])
+    def test_json_non_finite_rejected(self, key, value):
+        # the spline, or the SVD in curve_from_frame, would fail later on
+        obj = {"n": 2, "grid": {"t0": 0.0, "t1": 1.0, "m": 7},
+               "K": [-0.5, 0.5], "F0": F0_STANDARD.tolist()}
+        obj[key] = np.asarray(value).tolist()
+        with pytest.raises(InvalidDimension,
+                           match=f"^{key} has entries that are not finite"):
+            prescription_from_json(obj)
+
 
 def rk4_per_step(f0, c_at, ts, substeps):
     """Reference RK4: the same stage times as `_rk4`, the stages taken one
