@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import derivative_curve
-from .errors import EigenCrossing, Gates, GridMismatch
+from .errors import EigenCrossing, Gates, GridMismatch, InflectionPoint
 from .geom import ArcData
 from .matcurve import finite_diff, spline
-from .symspace import _frame_pair, is_symplectic_frame
+from .symspace import COND_MAX, is_symplectic_frame, sym_cond
 
 SIGN_TOL = 1e-6
 MIN_OVERLAP = 0.2
@@ -60,19 +59,29 @@ def _fix_signs(ms, ts):
 def frenet_frame(jets, ricci_series, arc: ArcData):
     """Assemble the moving frame at every sample.
 
-    Column order is by ascending curvature eigenvalue; the complement is
-    taken against the derivative subspace of the arc-reparametrized curve
-    (second-derivative correction by zeta'/zeta).
+    Column order is by ascending curvature eigenvalue; the complement spans
+    the derivative subspace Sbar = S - 2 S' corr^(-1) S' of the
+    arc-reparametrized curve, corr = S'' - (zeta'/zeta) S'.  No solve is
+    needed: M^T S' M = Id gives M^(-T) = S' M and S'^(-1) = M M^T, so the
+    complement Mbar = (Sbar - S)^(-1) M^(-T) is -1/2 M (M^T corr M) and
+    Sbar Mbar = S Mbar + S' M.  Only corr is gated (InflectionPoint at the
+    earliest sample where it is singular); S' was gated where M was
+    computed (the screen, or ricci), and M^T S' M = Id makes
+    cond(M)^2 = cond(S').
     """
     ts = arc.ts
     ms = _fix_signs(ricci_series.eigvecs, ts)
-    # a failure of the frame pair before the first inflection point wins
-    gates = Gates()
-    s0 = gates.run(derivative_curve, ts, jets, arc.zeta1 / arc.zeta)
-    k = gates.stop
-    # no SVD check of M: M^T S' M = Id makes cond(M)^2 = cond(S'), and S'
-    # was gated where M was computed (the screen, or ricci)
-    fr = _frame_pair(ms[:k], jets.S[:k], s0, gates)
+    corr = jets.S2 - (arc.zeta1 / arc.zeta)[:, None, None] * jets.S1
+    Gates().check(sym_cond(corr) > COND_MAX,
+                  lambda i: InflectionPoint(ts[i])).raise_error()
+    mbar = -0.5 * (ms @ (ms.swapaxes(-1, -2) @ corr @ ms))
+    # filled in place: np.block would also hold its two row blocks
+    n = ms.shape[-1]
+    fr = np.empty(ms.shape[:-2] + (2 * n, 2 * n))
+    fr[:, :n, :n] = ms
+    fr[:, n:, :n] = jets.S @ ms
+    fr[:, :n, n:] = mbar
+    fr[:, n:, n:] = jets.S @ mbar + jets.S1 @ ms
     _, residuals = is_symplectic_frame(fr)
     return FrenetFrame(ts=ts, M=ms, frames=fr, residuals=residuals)
 
@@ -156,7 +165,9 @@ def reduced_invariants(ff: FrenetFrame, arc: ArcData, k):
                 joined = comp == comp[jx]
                 eps[joined] *= eps[i] * eps[jx] * np.sign(sig[big[0], i, jx])
                 comp[joined] = comp[i]
-    sig = np.einsum("ij,mjk,kl->mil", np.diag(eps), sig, np.diag(eps))
+    # exact: the products are +-1; + 0.0 writes the zeros as +0.0, as the
+    # sum of products of a conjugation by diag(eps) does
+    sig = sig * np.outer(eps, eps) + 0.0
     return ReducedCartan(ts=arc.ts, arclength=arc.arclength, zeta=arc.zeta,
                          Sigma=sig, Kdiag=kd)
 

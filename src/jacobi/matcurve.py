@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import zip_longest
-from math import comb
 from typing import Callable
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     Gates,
     InvalidDimension,
     MissingKey,
+    NotInChart,
     RegularityFailure,
     TooFewSamples,
 )
@@ -493,41 +493,67 @@ def sine_reparam(a=1.0, b=0.0, eps=0.1, omega=1.0):
 def transformed_curve(curve, g, name=None):
     """Image of the curve under a conformal symplectic map, in the same chart.
 
-    With g = [[P, Q], [R, T]], the frame [I; S] maps to [X; Y] with
-    X = P + Q S and Y = R + T S, and the chart point is Sg = Y X^(-1).
-    Derivatives of Sg come from the product rule with Z = X^(-1):
-    Z' = -Z X' Z and so on; X and Y are affine in S so their derivatives are
-    Q S^(k) and T S^(k).  A g that is not conformal symplectic raises
-    InvalidTransform here, before any evaluation.
+    With g = [[P, Q], [R, T]] and g^T J g = s J, the frame [I; S] maps to
+    [P + Q S; R + T S] and the chart point is Sg = (R + T S) K with
+    K = (P + Q S)^(-1).  The map acts on the velocity by congruence,
+    Sg' = s K^T S' K; with U = K Q (so K' = -U S' K) and V = U + U^T,
+        Sg''  = s K^T G2 K,  G2 = S'' - S' V S',
+        Sg''' = s K^T (G2' - S' U^T G2 - G2 U S') K,
+        G2'   = S''' - S'' V S' - S' V S'' + S' (U S' U + U^T S' U^T) S'
+    (U' = -U S' U).  The bracket of Sg''' is evaluated as S''' - A - A^T,
+    A = S'' (2U + U^T) S' - (2H + H^T) U S', H = S' U S'.  A g that is not
+    conformal symplectic raises InvalidTransform here, before any
+    evaluation; a P + Q S that is singular at a queried t raises NotInChart
+    naming the earliest such t.
     """
     n = curve.n
     g = conformal_symplectic(g, n)
     P, Q = g[:n, :n], g[:n, n:]
     R, T = g[n:, :n], g[n:, n:]
+    half_s = 0.5 * np.trace(P.T @ T - R.T @ Q) / n
 
     def evaluator(ts):
         j = curve.jets(ts, check_regular=False)
-        X = [P + Q @ j.S, Q @ j.S1, Q @ j.S2, Q @ j.S3]
-        Y = [R + T @ j.S, T @ j.S1, T @ j.S2, T @ j.S3]
+        S, S1, S2, S3 = j.S, j.S1, j.S2, j.S3
         del j
-        Z0 = np.linalg.solve(X[0], np.broadcast_to(np.eye(n), X[0].shape))
-        Z1 = -Z0 @ X[1] @ Z0
-        Z2 = -(Z1 @ X[1] @ Z0 + Z0 @ X[2] @ Z0 + Z0 @ X[1] @ Z1)
-        Z3 = -(
-            Z2 @ X[1] @ Z0 + Z1 @ X[2] @ Z0 + Z1 @ X[1] @ Z1
-            + Z1 @ X[2] @ Z0 + Z0 @ X[3] @ Z0 + Z0 @ X[2] @ Z1
-            + Z1 @ X[1] @ Z1 + Z0 @ X[2] @ Z1 + Z0 @ X[1] @ Z2
-        )
-        del X
-        Z = [Z0, Z1, Z2, Z3]
-        out = []
-        for m in range(4):
-            acc = sum(comb(m, k) * Y[k] @ Z[m - k] for k in range(m + 1))
-            out.append(0.5 * (acc + acc.swapaxes(-1, -2)))
-        return tuple(out)
+        K = _chart_inverse(P + Q @ S, ts)
+        Sg = (R + T @ S) @ K
+        del S
+        Kt = K.swapaxes(-1, -2)
+
+        def congruent(a):
+            c = Kt @ a @ K
+            return half_s * (c + c.swapaxes(-1, -2))
+
+        U = K @ Q
+        US1 = U @ S1
+        H = S1 @ US1
+        G2 = S2 - H - H.swapaxes(-1, -2)
+        A = (S2 @ ((2 * U + U.swapaxes(-1, -2)) @ S1)
+             - (2 * H + H.swapaxes(-1, -2)) @ US1)
+        del S2, U, US1, H
+        S3 = S3 - A - A.swapaxes(-1, -2)
+        del A
+        return (0.5 * (Sg + Sg.swapaxes(-1, -2)), congruent(S1),
+                congruent(G2), congruent(S3))
 
     return SymmetricMatrixCurve(n, evaluator, curve.domain,
                                 kind="analytic", name=name)
+
+
+def _chart_inverse(x, ts):
+    """Stacked inverse of the P + Q S samples x at the parameters ts; a
+    singular sample raises NotInChart naming the earliest such t."""
+    try:
+        return np.linalg.inv(x)
+    except np.linalg.LinAlgError:
+        for t, xt in zip(ts, x):
+            try:
+                np.linalg.inv(xt)
+            except np.linalg.LinAlgError:
+                raise NotInChart(f"P + Q S is singular at t={float(t)!r}: "
+                                 "the image leaves the chart") from None
+        raise
 
 
 # ---------------------------------------------------------------------------

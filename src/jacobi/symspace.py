@@ -137,28 +137,15 @@ def complete_symplectic_basis(M, S, Sbar):
 
 def frame_from_chart_pair(M, S, Sbar):
     """Symplectic frame matrix (..., 2n, 2n) with f spanning S (basis M) and
-    fbar spanning Sbar."""
+    fbar spanning Sbar; a singular M or Sbar - S raises."""
     M = np.asarray(M, dtype=float)
-    return _frame_pair(M, S, Sbar, Gates().check(
-        np.linalg.cond(M) > COND_MAX,
-        lambda i: InvalidBasis("basis matrix M is singular")))
-
-
-def _frame_pair(M, S, Sbar, gates):
-    """frame_from_chart_pair once `gates` has judged M; Sbar - S is gated
-    here."""
     diff = Sbar - S
-    gates.check(sym_cond(diff) > COND_MAX,
-                lambda i: _singular(NotTransverse, "Sbar - S")).raise_error()
-    n = M.shape[-1]
-    eye = np.broadcast_to(np.eye(n), M.shape)
-    Mbar = np.linalg.solve(diff, np.linalg.solve(M.swapaxes(-1, -2), eye))
-    F = np.zeros(M.shape[:-2] + (2 * n, 2 * n))
-    F[..., :n, :n] = M
-    F[..., n:, :n] = S @ M
-    F[..., :n, n:] = Mbar
-    F[..., n:, n:] = Sbar @ Mbar
-    return F
+    Gates().check(np.linalg.cond(M) > COND_MAX,
+                  lambda i: InvalidBasis("basis matrix M is singular")).check(
+        sym_cond(diff) > COND_MAX,
+        lambda i: _singular(NotTransverse, "Sbar - S")).raise_error()
+    Mbar = np.linalg.solve(diff, np.linalg.inv(M.swapaxes(-1, -2)))
+    return np.block([[M, Mbar], [S @ M, Sbar @ Mbar]])
 
 
 def chart_translate_invert(S, S_ref):

@@ -5,6 +5,7 @@ import pytest
 
 from jacobi.cli import main
 from jacobi.matcurve import SampleGrid, preset_curve, sample_curve
+from jacobi.symspace import symplectic_form
 
 
 def run(capsys, *argv):
@@ -88,6 +89,18 @@ class TestAnalyze:
         # 1e300 * 0.1 is still astronomically loose, so both behave the
         # same here; the factor is visible on the equivalence tolerance
         assert code_loose == code_strict
+
+    def test_transform_leaving_the_chart_is_an_error(self, capsys, tmp_path):
+        # S(0) = 0, so P + Q S is singular at t = 0 under J
+        spec = {"n": 2, "kind": "preset", "name": "paper-6.2-ex1",
+                "domain": [0, 1], "transform": symplectic_form(2).tolist()}
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "analyze", str(f))
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "NotInChart"
+        assert "t=0.0:" in payload["message"]
 
 
 class TestCompare:

@@ -4,10 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jacobi.errors import EigenCrossing, GridMismatch
+from jacobi.curvature import derivative_curve
+from jacobi.errors import EigenCrossing, GridMismatch, JacobiError
 from jacobi.frames import (
     arc_normalized_frames,
     cartan_matrix,
@@ -16,10 +17,12 @@ from jacobi.frames import (
     reduced_invariants,
 )
 from jacobi.geom import ArcData
-from jacobi.matcurve import finite_diff, preset_curve, sample_curve, spline
+from jacobi.matcurve import (SampleGrid, finite_diff, preset_curve,
+                             sample_curve, spline)
 from jacobi.pipeline import analyze
+from jacobi.symspace import frame_from_chart_pair
 
-from .conftest import admissible_quartics
+from .conftest import admissible_quartics, random_quartic
 
 
 def ode_residuals(ana, fs, h):
@@ -57,6 +60,23 @@ class TestFrenetFrame:
         for c in admissible_quartics(range(12), want=5):
             ana = analyze(c, coarse_grid)
             assert np.max(ana.frame.residuals) <= 1e-7, c.name
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
+    def test_equals_the_chart_pair_frame(self, seed, n):
+        # the solve-free frame against the one built by solves from the
+        # derivative curve (worst seen 6e-12 relative)
+        try:
+            ana = analyze(random_quartic(seed, n=n), SampleGrid(0.0, 1.0, 101))
+        except JacobiError:
+            assume(False)
+        jets = ana.jets
+        ref = frame_from_chart_pair(
+            ana.frame.M, jets.S,
+            derivative_curve(jets, ana.arc.zeta1 / ana.arc.zeta))
+        assert (np.max(np.abs(ana.frame.frames - ref))
+                <= 1e-10 * np.max(np.abs(ref)))
+        assert np.max(ana.frame.residuals) <= 1e-9
 
     def test_velocity_inverse_identity(self, coarse_grid):
         # (S')^(-1) = M M^T for the normalized eigenbasis

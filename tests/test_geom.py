@@ -27,6 +27,7 @@ from jacobi.matcurve import (
     transformed_curve,
 )
 from jacobi.pipeline import analyze
+from jacobi.symspace import random_csp
 
 from .conftest import admissible_quartics, random_quartic
 
@@ -238,23 +239,51 @@ class TestOneDecompositionOfVelocity:
     """The screen decomposes S' once: that spectrum judges regularity and
     the velocity sign, and no later stage decomposes S' again."""
 
-    def test_analyze_counts_eigvalsh_and_svd(self, monkeypatch):
+    @staticmethod
+    def count_linalg(monkeypatch):
+        """Record (name, first array argument) of every call of eigvalsh,
+        svd, solve, inv and einsum; einsum records its operand count."""
         calls = []
         # np.linalg.cond reaches svd through the implementation module
         impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
         for module in (np.linalg, impl):
-            for name in ("eigvalsh", "svd"):
+            for name in ("eigvalsh", "svd", "solve", "inv"):
                 def counted(a, *args, _fn=getattr(module, name), _name=name,
                             **kwargs):
                     calls.append((_name, np.array(a)))
                     return _fn(a, *args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
+
+        def einsum(subscripts, *operands, _fn=np.einsum, **kwargs):
+            calls.append(("einsum", len(operands)))
+            return _fn(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        return calls
+
+    def test_analyze_counts_eigvalsh_and_svd(self, monkeypatch):
+        calls = self.count_linalg(monkeypatch)
         ana = analyze(preset_curve("paper-6.2-ex1"), SampleGrid(0, 1, 201))
         eig = [a for name, a in calls if name == "eigvalsh"]
-        assert len(eig) <= 3
+        # S' once, and the frame's S'' - (zeta'/zeta) S' gate
+        assert len(eig) <= 2
         assert sum(np.array_equal(a, ana.jets.S1) for a in eig) == 1
         assert [name for name, _ in calls if name == "svd"] == []
+        # two for the Schwarzian, one for the Sigma of the reduced invariant
+        assert len([name for name, _ in calls if name == "solve"]) <= 3
+        assert ("einsum", 3) not in calls
+
+    def test_transformed_curve_inverts_its_chart_once(self, monkeypatch):
+        g = random_csp(5, scale=0.7, n=2, ham_scale=0.3)
+        grid = SampleGrid(0, 1, 201)
+        base = preset_curve("paper-6.2-ex1")
+        S = sample_curve(base, grid).S
+        chart = g[:2, :2] + g[:2, 2:] @ S
+        calls = self.count_linalg(monkeypatch)
+        analyze(transformed_curve(base, g), grid)
+        assert sum(name in ("solve", "inv") and np.array_equal(a, chart)
+                   for name, a in calls) == 1
 
     def test_screen_keeps_the_earliest_failing_sample(self):
         # S' is singular at sample 3 and S'' asymmetric at sample 5: the

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobi.errors import (DomainError, InvalidDimension, InvalidTransform,
-                           MissingKey, RegularityFailure, TooFewSamples)
+                           MissingKey, NotInChart, RegularityFailure,
+                           TooFewSamples)
 from jacobi.matcurve import (
     JET_SYM_TOL,
     PRESET_NAMES,
@@ -31,7 +32,7 @@ from jacobi.matcurve import (
 )
 from jacobi.matcurve import _exp_decay_entry, _mobius_entry
 from jacobi.pipeline import analyze
-from jacobi.symspace import random_csp, symmetrize
+from jacobi.symspace import random_csp, symmetrize, symplectic_form
 
 from .conftest import random_quartic
 
@@ -301,6 +302,14 @@ class TestTransformedCurve:
         with pytest.raises(InvalidDimension):
             transformed_curve(base, np.eye(6))
 
+    def test_leaving_the_chart_at_a_sample_is_not_in_chart(self):
+        # S(0) = 0, so P + Q S = 0 at t = 0 under J: the third sample
+        tc = transformed_curve(preset_curve("paper-6.2-ex1"), symplectic_form(2))
+        with pytest.raises(NotInChart, match=r"at t=0\.0:"):
+            tc.jets(np.linspace(-0.5, 1.0, 7))
+        with pytest.raises(NotInChart, match=r"at t=0\.0:"):
+            analyze(tc, SampleGrid(0.0, 1.0, 21))
+
 
 class TestReparametrizedCurve:
     def test_affine(self):
@@ -554,6 +563,36 @@ class TestVectorisedEvaluators:
 
     @classmethod
     def transformed_ref(cls, inner, g, n):
+        """The congruence form of `transformed_curve`, one t at a time."""
+        inner = cls.symmetric_jet(inner)
+        P, Q = g[:n, :n], g[:n, n:]
+        R, T = g[n:, :n], g[n:, n:]
+        half_s = 0.5 * np.trace(P.T @ T - R.T @ Q) / n
+
+        def evaluator(t):
+            S, S1, S2, S3 = inner(t)
+            K = np.linalg.inv(P + Q @ S)
+            Sg = (R + T @ S) @ K
+
+            def congruent(a):
+                c = K.T @ a @ K
+                return half_s * (c + c.T)
+
+            U = K @ Q
+            US1 = U @ S1
+            H = S1 @ US1
+            G2 = S2 - H - H.T
+            A = S2 @ ((2 * U + U.T) @ S1) - (2 * H + H.T) @ US1
+            return (0.5 * (Sg + Sg.T), congruent(S1), congruent(G2),
+                    congruent(S3 - A - A.T))
+
+        return evaluator
+
+    @classmethod
+    def product_rule_ref(cls, inner, g, n):
+        """Sg = Y X^(-1) differentiated by the product rule, Z = X^(-1),
+        Z' = -Z X' Z and so on: the independent reference of
+        test_transformed_matches_product_rule."""
         inner = cls.symmetric_jet(inner)
         P, Q = g[:n, :n], g[:n, n:]
         R, T = g[n:, :n], g[n:, n:]
@@ -651,6 +690,27 @@ class TestVectorisedEvaluators:
         for base, ref in self.bases(seed):
             self.assert_bitwise(transformed_curve(base, g),
                                 self.transformed_ref(ref, g, 2), ts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4, 6]),
+           st.floats(0.3, 2.0), st.booleans(), st.floats(0.05, 0.5))
+    def test_transformed_matches_product_rule(self, seed, n, scale, negative,
+                                              ham_scale):
+        # a negative conformal scale makes the image's velocity negative
+        # definite; the two forms agree to roundoff (worst seen 3e-15)
+        g = random_csp(seed, scale=-scale if negative else scale, n=n,
+                       ham_scale=ham_scale)
+        base = random_quartic(seed, n=n)
+        ts = np.linspace(0.0, 1.0, 17)
+        jets = transformed_curve(base, g).jets(ts, check_regular=False)
+
+        def inner(t):
+            j = base.jet(t, check_regular=False)
+            return j.S, j.S1, j.S2, j.S3
+
+        want = self.per_t(self.product_rule_ref(inner, g, n), ts)
+        for got, ref in zip((jets.S, jets.S1, jets.S2, jets.S3), want):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.2, 2.0), st.floats(0.4, 1.0),
