@@ -57,13 +57,6 @@ def centered_schwarzian_det(sch):
     return np.linalg.det(sch - (tr / n)[..., None, None] * np.eye(n))
 
 
-def _libm_pow(x, p):
-    """x ** p elementwise through the C library's pow.  numpy's array power
-    can round differently in the last bit (SIMD kernels on some CPUs, x * x
-    for p = 2), and the arc element feeds every artifact."""
-    return np.array([float(v) ** p for v in x])
-
-
 def zeta_series(ricci_series, adm_tol=ADM_TOL):
     """Arc element and derived scalars from the Schwarzians of a sampled
     curve (the RicciData series of its grid)."""
@@ -73,7 +66,7 @@ def zeta_series(ricci_series, adm_tol=ADM_TOL):
     det = np.abs(centered_schwarzian_det(ricci_series.schwarzian))
     Gates().check(det < adm_tol,
                   lambda i: NotAdmissible(ts[i])).raise_error()
-    zeta = _libm_pow(det, 1.0 / (2 * n))
+    zeta = det ** (1.0 / (2 * n))
     zeta1 = finite_diff(zeta, h, 1)
     zeta2 = finite_diff(zeta, h, 2)
     sphi = zeta2 / zeta - 1.5 * (zeta1 / zeta) ** 2
@@ -95,7 +88,7 @@ def absolute_curvature(ricci_series, arc):
     determinant paths disagree numerically.
     """
     k = ((ricci_series.eigvals - arc.sphi[:, None])
-         / _libm_pow(arc.zeta, 2)[:, None])
+         / (arc.zeta**2)[:, None])
     kbar = k.mean(axis=1)
     prod = np.prod(np.abs(k - kbar[:, None]), axis=1)
     worst = int(np.argmax(np.abs(prod - 1.0)))

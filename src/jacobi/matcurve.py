@@ -399,22 +399,29 @@ def table_curve(ts, S_values, name=None):
     if np.max(np.abs(np.diff(ts) - h)) > 1e-9 * max(1.0, abs(h)):
         raise DomainError("table nodes must be uniformly spaced")
     values = symmetrize(values, strict=False)
-    n = values.shape[-1]
     d1 = finite_diff(values, h, 1)
     d2 = finite_diff(values, h, 2)
     d3 = finite_diff(values, h, 3)
     # interior third derivatives upgraded to the O(h^4) wide stencil; the
     # TABLE_TRIM rows at each end keep the five-point O(h^2) values
     d3[3:-3] = _stencil(values, STENCIL_3_WIDE, 3, len(values) - 3, h**3)
+    return node_curve(ts, (values, d1, d2, d3), "table", name)
+
+
+def node_curve(ts, jets, kind, name):
+    """Curve known only at the uniformly spaced nodes ts, by its four
+    (m, n, n) jet arrays there; a query off the nodes raises DomainError."""
+    h = ts[1] - ts[0]
 
     def evaluator(tq):
         i = np.clip(np.round((tq - ts[0]) / h).astype(int), 0, ts.size - 1)
         off = np.abs(ts[i] - tq) > 1e-9 * max(1.0, abs(h))
         if np.any(off):
             raise DomainError(f"t={float(tq[np.argmax(off)])} is not a table node")
-        return values[i], d1[i], d2[i], d3[i]
+        return tuple(a[i] for a in jets)
 
-    c = SymmetricMatrixCurve(n, evaluator, (ts[0], ts[-1]), kind="table", name=name)
+    c = SymmetricMatrixCurve(jets[0].shape[-1], evaluator, (ts[0], ts[-1]),
+                             kind=kind, name=name)
     c.table_ts = ts
     return c
 
@@ -516,7 +523,7 @@ def transformed_curve(curve, g, name=None):
         j = curve.jets(ts, check_regular=False)
         S, S1, S2, S3 = j.S, j.S1, j.S2, j.S3
         del j
-        K = _chart_inverse(P + Q @ S, ts)
+        K = _chart_inverse(P + Q @ S, ts, "P + Q S")
         Sg = (R + T @ S) @ K
         del S
         Kt = K.swapaxes(-1, -2)
@@ -541,9 +548,10 @@ def transformed_curve(curve, g, name=None):
                                 kind="analytic", name=name)
 
 
-def _chart_inverse(x, ts):
-    """Stacked inverse of the P + Q S samples x at the parameters ts; a
-    singular sample raises NotInChart naming the earliest such t."""
+def _chart_inverse(x, ts, what):
+    """Stacked inverse of the chart blocks x (`what`, for the message) at
+    the parameters ts; a singular sample raises NotInChart naming the
+    earliest such t."""
     try:
         return np.linalg.inv(x)
     except np.linalg.LinAlgError:
@@ -551,8 +559,8 @@ def _chart_inverse(x, ts):
             try:
                 np.linalg.inv(xt)
             except np.linalg.LinAlgError:
-                raise NotInChart(f"P + Q S is singular at t={float(t)!r}: "
-                                 "the image leaves the chart") from None
+                raise NotInChart(f"{what} is singular at t={float(t)!r}: "
+                                 "the curve leaves the chart") from None
         raise
 
 

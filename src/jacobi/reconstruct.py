@@ -5,23 +5,23 @@ spline) and a symplectic initial basis F0, integrate the linear frame ODE
 
     dF/dtau = F [[Sigma, K], [Id, Sigma]]
 
-with classical RK4 step maps F <- F + F D formed for all intervals at once,
-read the curve off as S = B A^(-1) from the frame's first column block
+with fourth-order Cayley step maps F <- F + F D formed for all intervals at
+once, read the curve off as S = B A^(-1) from the frame's first column block
 [A; B], and close the loop: analyze -> reconstruct -> re-analyze must
 reproduce the invariants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatch, InvalidDimension, SymplecticityLoss
 from .frames import cartan_matrix, equivalent_reduced, invariant_spline
 from .geom import EIG_GAP_TOL, NORM_TOL
-from .matcurve import (TABLE_TRIM, SampleGrid, json_array, json_integer,
-                       json_numbers, require_keys, table_curve)
+from .matcurve import (SampleGrid, _chart_inverse, finite_diff, json_array,
+                       json_integer, json_numbers, node_curve, require_keys)
 from .pipeline import analyze
 from .symspace import COND_MAX, _maxabs, is_symplectic_frame, symmetrize
 
@@ -130,46 +130,33 @@ def prescription_from_json(obj):
         Kdiag=np.broadcast_to(k, (m, n)).copy(), F0=f0.reshape(2 * n, 2 * n))
 
 
-def _rk4(f0, c_at, ts, substeps):
-    """Classical RK4, `substeps` steps per grid interval, with C evaluated in
-    one call at the step starts tau_k = tau_(k-1) + h and midpoints.  A step
-    is linear, F <- F + F D: every interval's D is formed on the stack (its
-    substeps compose as D + D' + D D'), and only the product is a loop."""
-    h = (ts[1:] - ts[:-1]) / substeps
-    taus = [ts[:-1]]
-    for _ in range(substeps):
-        taus += [taus[-1] + 0.5 * h, taus[-1] + h]
-    c = c_at(np.stack(taus, axis=1)).swapaxes(0, 1)
+def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
+    """Fourth-order Cayley integration of the frame ODE over the
+    prescription grid: on each interval, Omega = h/2 (C1 + C2) +
+    (sqrt(3) h^2 / 12) [C1, C2] from C at the Gauss nodes
+    tau + (1/2 -+ sqrt(3)/6) h, less Omega^3 / 12, and the step
+    F <- F + F D with D = cay(Omega) - I = (I - Omega/2)^(-1) Omega is
+    exactly symplectic.  Every D comes from one stacked solve; only the
+    product is a loop.  Returns (frames (m, 2n, 2n), max_residual); a
+    symplecticity residual above resid_max raises SymplecticityLoss.
+    """
+    ts, f0 = p.ts, p.F0
+    h = np.diff(ts)
+    nodes = 0.5 + np.array([[-1.0], [1.0]]) * np.sqrt(3.0) / 6.0
+    c1, c2 = p.structure_matrix()(ts[:-1] + nodes * h)
     hs = h[:, None, None]
-    eye = np.eye(f0.shape[0])
-    d = None
-    for c1, c2, c4 in zip(c[:-1:2], c[1::2], c[2::2]):
-        q2 = (eye + 0.5 * hs * c1) @ c2
-        q3 = (eye + 0.5 * hs * q2) @ c2
-        q4 = (eye + hs * q3) @ c4
-        step = (hs / 6.0) * (c1 + 2 * q2 + 2 * q3 + q4)
-        d = step if d is None else d + step + d @ step
+    omega = (0.5 * hs * (c1 + c2)
+             + (np.sqrt(3.0) / 12.0) * hs**2 * (c1 @ c2 - c2 @ c1))
+    omega -= omega @ omega @ omega / 12.0
+    d = np.linalg.solve(np.eye(f0.shape[0]) - 0.5 * omega, omega)
     frames = np.empty((ts.size,) + f0.shape)
     f = frames[0] = f0
     for i, di in enumerate(d):
         f = frames[i + 1] = f + f @ di
     _, resid = is_symplectic_frame(frames[1:])
-    return frames, (max(resid) if resid.size else 0.0)
-
-
-def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
-    """RK4 integration of the frame ODE over the prescription grid.
-
-    Returns (frames (m, 2n, 2n), max_residual).  If the symplecticity
-    residual exceeds resid_max, the integration is re-run once at 4 steps
-    per interval before raising SymplecticityLoss.
-    """
-    c_at = p.structure_matrix()
-    frames, resid = _rk4(p.F0, c_at, p.ts, 1)
+    resid = max(resid) if resid.size else 0.0
     if resid > resid_max:
-        frames, resid = _rk4(p.F0, c_at, p.ts, 4)
-        if resid > resid_max:
-            raise SymplecticityLoss(resid)
+        raise SymplecticityLoss(resid)
     return frames, resid
 
 
@@ -217,33 +204,43 @@ def arc_uniform_prescription(analysis):
                                  F0=analysis.frame.frames[0])
 
 
+def frame_curve(p: InvariantPrescription, frames):
+    """The curve S = B A^(-1) of the frames F = [[A, Abar], [B, Bbar]]
+    integrated from p, at p's nodes, with jets read off F' = F C:
+    A' = A Sigma + Abar, A'' = A' Sigma + A Sigma' + A diag K + Abar Sigma
+    (Sigma' by finite_diff) and, F being symplectic, S' = A^(-T) A^(-1),
+    S'' = X + X^T with X = -S' A' A^(-1), S''' = Y + Y^T with
+    Y = -(S'' A' + S' A'' + X A') A^(-1).  A singular A block raises
+    NotInChart at the earliest such node."""
+    n, ts = p.n, p.ts
+    a, abar, b = frames[:, :n, :n], frames[:, :n, n:], frames[:, n:, :n]
+    ainv = _chart_inverse(a, ts, "the frame's A block")
+    sig = p.Sigma
+    a1 = a @ sig + abar
+    a2 = (a1 @ sig + a @ finite_diff(sig, ts[1] - ts[0], 1)
+          + a * p.Kdiag[:, None, :] + abar @ sig)
+    s1 = ainv.swapaxes(-1, -2) @ ainv
+    x = -s1 @ a1 @ ainv
+    s2 = x + x.swapaxes(-1, -2)
+    y = -(s2 @ a1 + s1 @ a2 + x @ a1) @ ainv
+    return node_curve(ts, (b @ ainv, s1, s2, y + y.swapaxes(-1, -2)),
+                      "analytic", "reconstructed")
+
+
 def roundtrip(curve, grid):
     """Analyze, rebuild from the extracted invariants, re-analyze, compare.
 
-    The rebuilt curve is a sampled table; its derivative stencils are
-    one-sided at the first/last TABLE_TRIM nodes with markedly worse error,
-    so re-analysis runs on the interior window.  Arclength alignment is exact:
-    the table parameter is the original curve's arclength, so the interior
-    re-analysis enters the comparison with its arclength offset by the trim.
+    The rebuilt curve (frame_curve) is re-analyzed over the whole
+    prescription grid; its parameter is the original curve's arclength, so
+    the two reduced invariants compare without an offset.
     """
     ana = analyze(curve, grid)
     p = arc_uniform_prescription(ana)
     frames, resid = integrate_frame(p)
-    S, segments = curve_from_frame(frames)
-    m, trim = p.ts.size, TABLE_TRIM
-    if segments != [(0, m - 1)]:
-        raise GridMismatch(
-            "reconstructed curve leaves the chart inside the window; "
-            f"segments: {segments}"
-        )
-    rebuilt = table_curve(p.ts, S, name="reconstructed")
-    regrid = SampleGrid(p.ts[trim], p.ts[m - 1 - trim], m - 2 * trim)
-    ana2 = analyze(rebuilt, regrid)
-    reduced2 = replace(
-        ana2.reduced, arclength=ana2.reduced.arclength + p.ts[trim]
-    )
+    ana2 = analyze(frame_curve(p, frames),
+                   SampleGrid(p.ts[0], p.ts[-1], p.ts.size))
     verdict, eps, k_dev, s_dev = equivalent_reduced(
-        ana.reduced, reduced2, tol=ROUNDTRIP_TOL
+        ana.reduced, ana2.reduced, tol=ROUNDTRIP_TOL
     )
     return RoundtripReport(
         equivalent=verdict, sign_pattern=eps, k_deviation=k_dev,

@@ -270,8 +270,8 @@ class TestOneDecompositionOfVelocity:
         assert len(eig) <= 2
         assert sum(np.array_equal(a, ana.jets.S1) for a in eig) == 1
         assert [name for name, _ in calls if name == "svd"] == []
-        # two for the Schwarzian, one for the Sigma of the reduced invariant
-        assert len([name for name, _ in calls if name == "solve"]) <= 3
+        # one for the Schwarzian, one for the Sigma of the reduced invariant
+        assert len([name for name, _ in calls if name == "solve"]) <= 2
         assert ("einsum", 3) not in calls
 
     def test_transformed_curve_inverts_its_chart_once(self, monkeypatch):

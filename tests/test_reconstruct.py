@@ -4,22 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobi.errors import (InvalidDimension, JacobiError, MissingKey,
-                           SymplecticityLoss)
-from jacobi.frames import equivalent_reduced
-from jacobi.matcurve import SampleGrid, preset_curve
+                           NotInChart, SymplecticityLoss)
+from jacobi.frames import cartan_matrix, equivalent_reduced
+from jacobi.matcurve import SampleGrid, finite_diff, preset_curve
 from jacobi.pipeline import analyze
 from jacobi.reconstruct import (
+    RESID_MAX,
     InvariantPrescription,
-    _rk4,
     arc_uniform_prescription,
     curve_from_frame,
+    frame_curve,
     integrate_frame,
     prescription_from_json,
     roundtrip,
 )
 from jacobi.symspace import is_symplectic_frame
 
-from .conftest import admissible_quartics
+from .conftest import ROUNDTRIP_SEEDS, admissible_quartics, random_quartic
 
 F0_STANDARD = np.array([
     [1.0, 0.0, 1.0, 0.0],
@@ -178,25 +179,22 @@ class TestPrescriptionValidation:
             prescription_from_json(obj)
 
 
-def rk4_per_step(f0, c_at, ts, substeps):
-    """Reference RK4: the same stage times as `_rk4`, the stages taken one
-    step at a time on the frame itself."""
-    h = (ts[1:] - ts[:-1]) / substeps
-    taus = [ts[:-1]]
-    for _ in range(substeps):
-        taus += [taus[-1] + 0.5 * h, taus[-1] + h]
-    c = c_at(np.stack(taus, axis=1))
-    frames = np.empty((ts.size,) + f0.shape)
-    f = frames[0] = f0
-    for i, hi in enumerate(h):
-        for c1, c2, c4 in zip(c[i, :-1:2], c[i, 1::2], c[i, 2::2]):
-            k1 = f @ c1
-            k2 = (f + 0.5 * hi * k1) @ c2
-            k3 = (f + 0.5 * hi * k2) @ c2
-            k4 = (f + hi * k3) @ c4
-            f = f + (hi / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        frames[i + 1] = f
-    return frames
+def cayley_per_step(p):
+    """Reference Cayley integration: Omega at the two Gauss nodes of each
+    interval and cay(Omega) = solve(I - Omega/2, I + Omega/2), one step at a
+    time on the frame itself."""
+    c_at = p.structure_matrix()
+    eye = np.eye(2 * p.n)
+    r = np.sqrt(3.0) / 6.0
+    frames = [p.F0]
+    for t, h in zip(p.ts[:-1], np.diff(p.ts)):
+        c1, c2 = c_at(np.array([t + (0.5 - r) * h, t + (0.5 + r) * h]))
+        omega = (h / 2 * (c1 + c2)
+                 + np.sqrt(3.0) * h**2 / 12 * (c1 @ c2 - c2 @ c1))
+        omega = omega - omega @ omega @ omega / 12
+        frames.append(frames[-1] @ np.linalg.solve(eye - omega / 2,
+                                                   eye + omega / 2))
+    return np.stack(frames)
 
 
 def smooth_prescription(seed, n, m):
@@ -213,15 +211,14 @@ def smooth_prescription(seed, n, m):
                                  Kdiag=kd, F0=random_csp(seed, n=n))
 
 
-class TestStackedRK4:
+class TestCayleyStep:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
-           st.integers(5, 60), st.sampled_from([1, 4]))
-    def test_matches_per_step_loop(self, seed, n, m, substeps):
+           st.integers(5, 60))
+    def test_matches_per_step_cayley(self, seed, n, m):
         p = smooth_prescription(seed, n, m)
-        c_at = p.structure_matrix()
-        ref = rk4_per_step(p.F0, c_at, p.ts, substeps)
-        frames, _ = _rk4(p.F0, c_at, p.ts, substeps)
+        ref = cayley_per_step(p)
+        frames, _ = integrate_frame(p, resid_max=np.inf)
         assert np.max(np.abs(frames - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_fourth_order_on_constant_k(self):
@@ -233,10 +230,20 @@ class TestStackedRK4:
         errors = []
         for m in (11, 21, 41, 81):
             p = constant_prescription([1.0, -1.0], m=m, f0=np.eye(4))
-            frames, _ = _rk4(p.F0, p.structure_matrix(), p.ts, 1)
+            frames, _ = integrate_frame(p)
             errors.append(np.max(np.abs(frames[-1] - exact)))
         rates = np.log2(np.array(errors[:-1]) / errors[1:])
         assert np.all((rates > 3.8) & (rates < 4.2)), rates
+
+    @pytest.mark.parametrize("n,seed", [(3, 0), (3, 4), (4, 0), (4, 3)])
+    def test_symplectic_at_large_curvature(self, n, seed, unit_grid):
+        # arc prescriptions of these quartics carry |K| up to 1.3e5; a
+        # classical RK4 step loses symplecticity on them (residual 1.6e-4
+        # to 0.45), the Cayley step keeps it
+        p = arc_uniform_prescription(analyze(random_quartic(seed, n),
+                                             unit_grid))
+        _, resid = integrate_frame(p)
+        assert resid <= RESID_MAX
 
 
 class TestIntegrateFrame:
@@ -282,16 +289,16 @@ class TestIntegrateFrame:
                 ok, r = is_symplectic_frame(fr, tol=1e-6)
                 assert ok, r
 
-    def test_retry_at_four_substeps_succeeds(self):
-        # on a coarse grid the residual is truncation error, so 4 substeps
-        # lower it: a cap between the two residuals takes the retry
-        p = constant_prescription([1.0, -1.0], m=11)
-        c_at = p.structure_matrix()
-        _, r1 = _rk4(p.F0, c_at, p.ts, 1)
-        f4, r4 = _rk4(p.F0, c_at, p.ts, 4)
-        assert r4 < 1e-2 * r1
-        frames, resid = integrate_frame(p, resid_max=np.sqrt(r1 * r4))
-        assert np.array_equal(frames, f4) and resid == r4
+    def test_residual_cap_is_inclusive(self):
+        # the reported residual is that of the returned frames, and a cap
+        # equal to it passes while any smaller cap raises
+        p = smooth_prescription(3, 3, 41)
+        frames, resid = integrate_frame(p)
+        assert resid == np.max(is_symplectic_frame(frames[1:])[1]) > 0
+        again, _ = integrate_frame(p, resid_max=resid)
+        assert np.array_equal(again, frames)
+        with pytest.raises(SymplecticityLoss):
+            integrate_frame(p, resid_max=0.5 * resid)
 
     def test_residual_cap_enforced(self):
         p = constant_prescription([1.0, 0.0], m=51)
@@ -357,6 +364,52 @@ class TestCurveFromFrame:
             assert np.max(np.abs(x - x.T)) <= 1e-7
 
 
+def quotient_rule_jets(p, frames):
+    """S ... S''' of S = B A^(-1) by the quotient rule of S A = B, with
+    F', F'', F''' from F' = F C: F'' = F (C^2 + C') and
+    F''' = F (C^3 + 2 C C' + C' C + C'').  K' and C'' are left out: they
+    enter [A; B]^(k) as [A; B] X and cancel in B^(k) - S A^(k)."""
+    n = p.n
+    c = cartan_matrix(p.Sigma, p.Kdiag)
+    c1 = np.zeros_like(c)
+    c1[:, :n, :n] = c1[:, n:, n:] = finite_diff(p.Sigma, p.ts[1] - p.ts[0])
+    a, b = frames[:, :n, :n], frames[:, n:, :n]
+    a1, a2, a3, b1, b2, b3 = (
+        f[:, rows, :n] for rows in (slice(0, n), slice(n, None))
+        for f in (frames @ c, frames @ (c @ c + c1),
+                  frames @ (c @ c @ c + 2 * c @ c1 + c1 @ c)))
+
+    def right_solve(x):
+        return np.linalg.solve(a.swapaxes(-1, -2),
+                               x.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+    s = right_solve(b)
+    s1 = right_solve(b1 - s @ a1)
+    s2 = right_solve(b2 - 2 * s1 @ a1 - s @ a2)
+    s3 = right_solve(b3 - 3 * s2 @ a1 - 3 * s1 @ a2 - s @ a3)
+    return s, s1, s2, s3
+
+
+class TestFrameCurve:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_congruence_jets_match_quotient_rule(self, n):
+        p = smooth_prescription(7, n, 61)
+        frames, _ = integrate_frame(p)
+        jets = frame_curve(p, frames).jets(p.ts, check_regular=False)
+        for got, ref in zip((jets.S, jets.S1, jets.S2, jets.S3),
+                            quotient_rule_jets(p, frames)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_a_block_raises_not_in_chart_at_its_node(self):
+        # the first column of the A block moved out of the chart at node 3
+        p = constant_prescription([1.0, 0.0], m=7)
+        frames = np.stack([np.eye(4)] * 7)
+        frames[3, 0, 0], frames[3, 2, 0] = 0.0, 1.0
+        t3 = float(p.ts[3])
+        with pytest.raises(NotInChart, match=rf"A block is singular at t={t3!r}:"):
+            frame_curve(p, frames)
+
+
 class TestRoundtrip:
     @pytest.mark.parametrize("name", ["paper-6.2-ex1", "paper-6.2-ex2"])
     def test_presets_close(self, name, unit_grid):
@@ -367,17 +420,26 @@ class TestRoundtrip:
         assert rep.warnings == []
 
     def test_random_polynomial_corpus(self, unit_grid):
-        from .conftest import ROUNDTRIP_SEEDS, random_quartic
-
         for seed in ROUNDTRIP_SEEDS:
             rep = roundtrip(random_quartic(seed), unit_grid)
             assert rep.equivalent, (seed, rep.k_deviation,
                                     rep.sigma_deviation)
 
+    @pytest.mark.parametrize("m", [801, 3201])
+    def test_converges_on_refinement(self, m):
+        # the rebuilt curve's jets come from the frame ODE, so a finer grid
+        # does not amplify roundoff as the stencils of a table did
+        grid = SampleGrid(0.0, 1.0, m)
+        curves = [preset_curve("paper-6.2-ex1"), preset_curve("paper-6.2-ex2")]
+        curves += [random_quartic(seed) for seed in ROUNDTRIP_SEEDS]
+        for c in curves:
+            rep = roundtrip(c, grid)
+            assert rep.equivalent and rep.k_deviation <= 1e-5, (
+                c.name, rep.k_deviation)
+
     def test_uniqueness_up_to_group_action(self, unit_grid):
         # two integrations of the same invariants from different symplectic
         # initial frames give equivalent curves
-        from jacobi.matcurve import table_curve
         from jacobi.symspace import random_csp
 
         ana = analyze(preset_curve("paper-6.2-ex2"), unit_grid)
@@ -390,10 +452,7 @@ class TestRoundtrip:
         results = []
         for presc in (p, p2):
             frames, _ = integrate_frame(presc)
-            S, segs = curve_from_frame(frames)
-            assert len(segs) == 1
-            tab = table_curve(presc.ts, S)
-            grid = SampleGrid(presc.ts[3], presc.ts[-4], presc.ts.size - 6)
-            results.append(analyze(tab, grid).reduced)
+            grid = SampleGrid(presc.ts[0], presc.ts[-1], presc.ts.size)
+            results.append(analyze(frame_curve(presc, frames), grid).reduced)
         verdict, _, k_dev, _ = equivalent_reduced(*results, tol=1e-3)
         assert verdict, k_dev
