@@ -29,8 +29,8 @@ from .matcurve import (PRESET_NAMES, TABLE_TRIM, SampleGrid, curve_from_json,
                        json_array, preset_curve, require_keys, sample_curve,
                        spline, table_json)
 from .pipeline import complete
-from .reconstruct import (RESID_MAX, curve_from_frame, integrate_frame,
-                          prescription_from_json)
+from .reconstruct import (RESID_MAX, curve_from_frame, frame_deviation,
+                          integrate_frame, prescription_from_json)
 from .symspace import symmetrize
 
 FLOAT_FMT = "%.12e"
@@ -220,6 +220,7 @@ def cmd_reconstruct(args):
     report = {
         "warnings": p.warnings,
         "symplecticity_residual": resid,
+        "frame_deviation": frame_deviation(p, frames),
         "segments": segments,
         "in_chart_samples": sum(j - i + 1 for i, j in segments),
     }

@@ -155,6 +155,12 @@ class SymplecticityLoss(JacobiError):
         super().__init__(msg or f"symplecticity residual {self.residual!r}")
 
 
+class StepTooCoarse(AtParameter):
+    """A Cayley step too long for the frame ODE (reconstruct.STEP_MAX)."""
+
+    message = "integration step at t={t!r} too coarse"
+
+
 class NotGeneralPosition(JacobiError):
     """A pair of the three given points is not transverse."""
 

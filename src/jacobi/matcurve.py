@@ -250,7 +250,8 @@ class CurveJet(Series):
 class SymmetricMatrixCurve:
     """Smooth map t -> (S, S', S'', S''') of symmetric n x n matrices.
 
-    `kind` is one of analytic / preset / polynomial / fourier / table; the
+    `kind` is one of analytic / preset / polynomial / fourier / table /
+    frame (the last two known only at nodes, listed in `table_ts`); the
     evaluator must be pure and maps a parameter vector of shape (m,) to four
     (m, n, n) arrays.  Regularity (S' invertible, i.e. cond(S') at most
     COND_MAX: a scale-free test, so c S is regular wherever S is) is checked
@@ -409,8 +410,9 @@ def table_curve(ts, S_values, name=None):
 
 
 def node_curve(ts, jets, kind, name):
-    """Curve known only at the uniformly spaced nodes ts, by its four
-    (m, n, n) jet arrays there; a query off the nodes raises DomainError."""
+    """Curve of the given kind known only at the uniformly spaced nodes ts
+    (kept as `table_ts`), by its four (m, n, n) jet arrays there; a query
+    off the nodes raises DomainError."""
     h = ts[1] - ts[0]
 
     def evaluator(tq):
@@ -523,7 +525,7 @@ def transformed_curve(curve, g, name=None):
         j = curve.jets(ts, check_regular=False)
         S, S1, S2, S3 = j.S, j.S1, j.S2, j.S3
         del j
-        K = _chart_inverse(P + Q @ S, ts, "P + Q S")
+        K = _chart_inverse(P + Q @ S, ts)
         Sg = (R + T @ S) @ K
         del S
         Kt = K.swapaxes(-1, -2)
@@ -548,10 +550,9 @@ def transformed_curve(curve, g, name=None):
                                 kind="analytic", name=name)
 
 
-def _chart_inverse(x, ts, what):
-    """Stacked inverse of the chart blocks x (`what`, for the message) at
-    the parameters ts; a singular sample raises NotInChart naming the
-    earliest such t."""
+def _chart_inverse(x, ts):
+    """Stacked inverse of the P + Q S samples x at the parameters ts; a
+    singular sample raises NotInChart naming the earliest such t."""
     try:
         return np.linalg.inv(x)
     except np.linalg.LinAlgError:
@@ -559,8 +560,8 @@ def _chart_inverse(x, ts, what):
             try:
                 np.linalg.inv(xt)
             except np.linalg.LinAlgError:
-                raise NotInChart(f"{what} is singular at t={float(t)!r}: "
-                                 "the curve leaves the chart") from None
+                raise NotInChart(f"P + Q S is singular at t={float(t)!r}: "
+                                 "the image leaves the chart") from None
         raise
 
 

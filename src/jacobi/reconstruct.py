@@ -17,16 +17,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidDimension, SymplecticityLoss
+from .errors import (GridMismatch, InvalidDimension, NotInChart,
+                     StepTooCoarse, SymplecticityLoss)
 from .frames import cartan_matrix, equivalent_reduced, invariant_spline
 from .geom import EIG_GAP_TOL, NORM_TOL
-from .matcurve import (SampleGrid, _chart_inverse, finite_diff, json_array,
-                       json_integer, json_numbers, node_curve, require_keys)
+from .matcurve import (SampleGrid, finite_diff, json_array, json_integer,
+                       json_numbers, node_curve, require_keys)
 from .pipeline import analyze
-from .symspace import COND_MAX, _maxabs, is_symplectic_frame, symmetrize
+from .symspace import (COND_MAX, _matrix_maxabs, _maxabs, is_symplectic_frame,
+                       symmetrize)
 
 RESID_MAX = 1e-6
 ROUNDTRIP_TOL = 1e-3
+# cap on |Omega^2|_inf^(1/2) >= Omega's spectral radius (equal if Sigma = 0):
+# at radius 1 cay(Omega) is within 2% of exp; an eigenvalue 2 is singular
+STEP_MAX = 1.0
 
 
 @dataclass
@@ -137,8 +142,9 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     tau + (1/2 -+ sqrt(3)/6) h, less Omega^3 / 12, and the step
     F <- F + F D with D = cay(Omega) - I = (I - Omega/2)^(-1) Omega is
     exactly symplectic.  Every D comes from one stacked solve; only the
-    product is a loop.  Returns (frames (m, 2n, 2n), max_residual); a
-    symplecticity residual above resid_max raises SymplecticityLoss.
+    product is a loop.  Returns (frames (m, 2n, 2n), max_residual).  The
+    earliest step over STEP_MAX raises StepTooCoarse, and a symplecticity
+    residual above resid_max SymplecticityLoss.
     """
     ts, f0 = p.ts, p.F0
     h = np.diff(ts)
@@ -148,6 +154,9 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     omega = (0.5 * hs * (c1 + c2)
              + (np.sqrt(3.0) / 12.0) * hs**2 * (c1 @ c2 - c2 @ c1))
     omega -= omega @ omega @ omega / 12.0
+    radius = np.sqrt(np.max(np.abs(omega @ omega).sum(axis=-1), axis=-1))
+    if np.any(radius > STEP_MAX):
+        raise StepTooCoarse(ts[np.argmax(radius > STEP_MAX)])
     d = np.linalg.solve(np.eye(f0.shape[0]) - 0.5 * omega, omega)
     frames = np.empty((ts.size,) + f0.shape)
     f = frames[0] = f0
@@ -186,6 +195,7 @@ class RoundtripReport:
     sign_pattern: np.ndarray | None
     k_deviation: float
     sigma_deviation: float | None
+    frame_deviation: float
     sympl_residual: float
     warnings: list
 
@@ -210,11 +220,17 @@ def frame_curve(p: InvariantPrescription, frames):
     A' = A Sigma + Abar, A'' = A' Sigma + A Sigma' + A diag K + Abar Sigma
     (Sigma' by finite_diff) and, F being symplectic, S' = A^(-T) A^(-1),
     S'' = X + X^T with X = -S' A' A^(-1), S''' = Y + Y^T with
-    Y = -(S'' A' + S' A'' + X A') A^(-1).  A singular A block raises
-    NotInChart at the earliest such node."""
+    Y = -(S'' A' + S' A'' + X A') A^(-1).  S and the chart rule are
+    curve_from_frame's: a node outside the chart raises NotInChart at the
+    earliest such node."""
     n, ts = p.n, p.ts
-    a, abar, b = frames[:, :n, :n], frames[:, :n, n:], frames[:, n:, :n]
-    ainv = _chart_inverse(a, ts, "the frame's A block")
+    S, _ = curve_from_frame(frames)
+    out = np.isnan(S[:, 0, 0])
+    if out.any():
+        t = float(ts[np.argmax(out)])
+        raise NotInChart(f"the frame's A block is singular at t={t!r}")
+    a, abar = frames[:, :n, :n], frames[:, :n, n:]
+    ainv = np.linalg.inv(a)
     sig = p.Sigma
     a1 = a @ sig + abar
     a2 = (a1 @ sig + a @ finite_diff(sig, ts[1] - ts[0], 1)
@@ -223,8 +239,17 @@ def frame_curve(p: InvariantPrescription, frames):
     x = -s1 @ a1 @ ainv
     s2 = x + x.swapaxes(-1, -2)
     y = -(s2 @ a1 + s1 @ a2 + x @ a1) @ ainv
-    return node_curve(ts, (b @ ainv, s1, s2, y + y.swapaxes(-1, -2)),
-                      "analytic", "reconstructed")
+    return node_curve(ts, (S, s1, s2, y + y.swapaxes(-1, -2)), "frame",
+                      "reconstructed")
+
+
+def frame_deviation(p: InvariantPrescription, frames):
+    """Largest over p's nodes of max|F' - F C| / max|F C|, F' finite-
+    differenced from the frames: how far they are from solving the frame
+    ODE of p, which ties the points of frame_curve to its jets."""
+    fc = frames @ cartan_matrix(p.Sigma, p.Kdiag)
+    err = finite_diff(frames, p.ts[1] - p.ts[0], 1) - fc
+    return float(np.max(_matrix_maxabs(err) / _matrix_maxabs(fc)))
 
 
 def roundtrip(curve, grid):
@@ -232,7 +257,8 @@ def roundtrip(curve, grid):
 
     The rebuilt curve (frame_curve) is re-analyzed over the whole
     prescription grid; its parameter is the original curve's arclength, so
-    the two reduced invariants compare without an offset.
+    the two reduced invariants compare without an offset.  Its jets are read
+    off F C, so the frames must also pass frame_deviation <= ROUNDTRIP_TOL.
     """
     ana = analyze(curve, grid)
     p = arc_uniform_prescription(ana)
@@ -242,8 +268,9 @@ def roundtrip(curve, grid):
     verdict, eps, k_dev, s_dev = equivalent_reduced(
         ana.reduced, ana2.reduced, tol=ROUNDTRIP_TOL
     )
+    f_dev = frame_deviation(p, frames)
     return RoundtripReport(
-        equivalent=verdict, sign_pattern=eps, k_deviation=k_dev,
-        sigma_deviation=s_dev, sympl_residual=resid,
-        warnings=list(p.warnings),
+        equivalent=verdict and f_dev <= ROUNDTRIP_TOL, sign_pattern=eps,
+        k_deviation=k_dev, sigma_deviation=s_dev, frame_deviation=f_dev,
+        sympl_residual=resid, warnings=list(p.warnings),
     )

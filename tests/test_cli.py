@@ -206,6 +206,7 @@ class TestReconstruct:
         assert code == 0
         report = json.loads((tmp_path / "reconstruct.json").read_text())
         assert report["symplecticity_residual"] <= 1e-6
+        assert report["frame_deviation"] <= 1e-6
         assert report["in_chart_samples"] == 201
         curve = json.loads((tmp_path / "curve.json").read_text())
         s_end = np.asarray(curve["samples"]["S"][-1])
@@ -233,6 +234,13 @@ class TestReconstruct:
                            "--tol-resid", "1e-18")
         assert code == 1
         assert json.loads(err)["error"] == "SymplecticityLoss"
+
+    def test_coarse_step_is_an_error(self, capsys, tmp_path):
+        # K = -100 turns the frame by h sqrt(100) = 1.25 rad a step
+        f = self.prescription(tmp_path, [1.0, -100.0], m=9)
+        code, _, err = run(capsys, "reconstruct", str(f))
+        assert code == 1
+        assert json.loads(err)["error"] == "StepTooCoarse"
 
 
 class TestCycle:

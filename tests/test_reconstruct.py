@@ -3,17 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobi import reconstruct
 from jacobi.errors import (InvalidDimension, JacobiError, MissingKey,
-                           NotInChart, SymplecticityLoss)
+                           NotInChart, StepTooCoarse, SymplecticityLoss)
 from jacobi.frames import cartan_matrix, equivalent_reduced
-from jacobi.matcurve import SampleGrid, finite_diff, preset_curve
+from jacobi.matcurve import (STENCIL_3_WIDE, SampleGrid, _stencil,
+                             finite_diff, preset_curve)
 from jacobi.pipeline import analyze
 from jacobi.reconstruct import (
-    RESID_MAX,
+    ROUNDTRIP_TOL,
+    STEP_MAX,
     InvariantPrescription,
     arc_uniform_prescription,
     curve_from_frame,
     frame_curve,
+    frame_deviation,
     integrate_frame,
     prescription_from_json,
     roundtrip,
@@ -182,19 +186,22 @@ class TestPrescriptionValidation:
 def cayley_per_step(p):
     """Reference Cayley integration: Omega at the two Gauss nodes of each
     interval and cay(Omega) = solve(I - Omega/2, I + Omega/2), one step at a
-    time on the frame itself."""
+    time on the frame itself.  Returns (frames, None), or (None, i) for the
+    first interval i where max-row-sum |Omega^2|^(1/2) exceeds STEP_MAX."""
     c_at = p.structure_matrix()
     eye = np.eye(2 * p.n)
     r = np.sqrt(3.0) / 6.0
     frames = [p.F0]
-    for t, h in zip(p.ts[:-1], np.diff(p.ts)):
+    for i, (t, h) in enumerate(zip(p.ts[:-1], np.diff(p.ts))):
         c1, c2 = c_at(np.array([t + (0.5 - r) * h, t + (0.5 + r) * h]))
         omega = (h / 2 * (c1 + c2)
                  + np.sqrt(3.0) * h**2 / 12 * (c1 @ c2 - c2 @ c1))
         omega = omega - omega @ omega @ omega / 12
+        if np.sqrt(np.max(np.sum(np.abs(omega @ omega), axis=1))) > STEP_MAX:
+            return None, i
         frames.append(frames[-1] @ np.linalg.solve(eye - omega / 2,
                                                    eye + omega / 2))
-    return np.stack(frames)
+    return np.stack(frames), None
 
 
 def smooth_prescription(seed, n, m):
@@ -217,7 +224,12 @@ class TestCayleyStep:
            st.integers(5, 60))
     def test_matches_per_step_cayley(self, seed, n, m):
         p = smooth_prescription(seed, n, m)
-        ref = cayley_per_step(p)
+        ref, coarse = cayley_per_step(p)
+        if coarse is not None:
+            with pytest.raises(StepTooCoarse) as e:
+                integrate_frame(p, resid_max=np.inf)
+            assert e.value.t == p.ts[coarse]
+            return
         frames, _ = integrate_frame(p, resid_max=np.inf)
         assert np.max(np.abs(frames - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -235,15 +247,45 @@ class TestCayleyStep:
         rates = np.log2(np.array(errors[:-1]) / errors[1:])
         assert np.all((rates > 3.8) & (rates < 4.2)), rates
 
-    @pytest.mark.parametrize("n,seed", [(3, 0), (3, 4), (4, 0), (4, 3)])
-    def test_symplectic_at_large_curvature(self, n, seed, unit_grid):
-        # arc prescriptions of these quartics carry |K| up to 1.3e5; a
-        # classical RK4 step loses symplecticity on them (residual 1.6e-4
-        # to 0.45), the Cayley step keeps it
-        p = arc_uniform_prescription(analyze(random_quartic(seed, n),
-                                             unit_grid))
-        _, resid = integrate_frame(p)
-        assert resid <= RESID_MAX
+    @staticmethod
+    def large_curvature(x, m):
+        """K = diag(k, -k), k = 1.3e5 (the size the n = 3, 4 quartic arc
+        prescriptions carry), on m nodes h apart with h sqrt(k) = x, and
+        the exact frames exp(t C) at the nodes: cosh/sinh in the first
+        index pair, cos/sin in the second."""
+        k = 1.3e5
+        r, ts = np.sqrt(k), np.linspace(0.0, (m - 1) * x / np.sqrt(k), m)
+        u = r * ts
+        exact = np.zeros((m, 4, 4))
+        exact[:, 0, 0] = exact[:, 2, 2] = np.cosh(u)
+        exact[:, 0, 2], exact[:, 2, 0] = r * np.sinh(u), np.sinh(u) / r
+        exact[:, 1, 1] = exact[:, 3, 3] = np.cos(u)
+        exact[:, 1, 3], exact[:, 3, 1] = -r * np.sin(u), np.sin(u) / r
+        p = InvariantPrescription(ts=ts, Sigma=np.zeros((m, 2, 2)),
+                                  Kdiag=np.tile([k, -k], (m, 1)),
+                                  F0=np.eye(4))
+        return p, exact
+
+    def test_accurate_at_large_curvature(self):
+        # 50 steps of h sqrt(k) = x = 0.1: the error of one step is about
+        # x^5 / 120 of the frame, so the whole run keeps 1e-5
+        p, exact = self.large_curvature(0.1, 51)
+        frames, _ = integrate_frame(p)
+        err = np.max(np.abs(frames - exact), axis=(1, 2))
+        assert np.max(err / np.max(np.abs(exact), axis=(1, 2))) <= 1e-5
+
+    @pytest.mark.parametrize("x", [0.94, 1.8])
+    def test_coarse_step_raises(self, x):
+        # with Sigma = 0 the radius bound is exact: x + x^3/12 from the
+        # cos/sin pair, 1.009 and 2.29 here.  Just below the cap the step
+        # is taken, and frame_deviation reports how far it is from the
+        # frame ODE
+        with pytest.raises(StepTooCoarse) as e:
+            integrate_frame(self.large_curvature(x, 11)[0])
+        assert e.value.t == 0.0
+        p, _ = self.large_curvature(0.93, 11)
+        frames, _ = integrate_frame(p)
+        assert frame_deviation(p, frames) > ROUNDTRIP_TOL
 
 
 class TestIntegrateFrame:
@@ -400,13 +442,28 @@ class TestFrameCurve:
                             quotient_rule_jets(p, frames)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_jets_are_derivatives_of_the_points(self):
+        # finite differences of the rebuilt curve's points reproduce the
+        # jets read off the frame ODE, inside, to stencil error
+        grid = SampleGrid(0.0, 1.0, 801)
+        p = arc_uniform_prescription(analyze(random_quartic(14), grid))
+        frames, _ = integrate_frame(p)
+        jets = frame_curve(p, frames).jets(p.ts, check_regular=False)
+        h, m = p.ts[1] - p.ts[0], p.ts.size
+        diffs = (finite_diff(jets.S, h, 1), finite_diff(jets.S, h, 2),
+                 _stencil(jets.S, STENCIL_3_WIDE, 3, m - 3, h**3))
+        for k, (d, ref) in enumerate(zip(diffs, (jets.S1, jets.S2, jets.S3))):
+            inner = d[3:-3] if k < 2 else d
+            dev = np.max(np.abs(inner - ref[3:-3])) / np.max(np.abs(ref))
+            assert dev <= 1e-5, (k + 1, dev)
+
     def test_singular_a_block_raises_not_in_chart_at_its_node(self):
         # the first column of the A block moved out of the chart at node 3
         p = constant_prescription([1.0, 0.0], m=7)
         frames = np.stack([np.eye(4)] * 7)
         frames[3, 0, 0], frames[3, 2, 0] = 0.0, 1.0
         t3 = float(p.ts[3])
-        with pytest.raises(NotInChart, match=rf"A block is singular at t={t3!r}:"):
+        with pytest.raises(NotInChart, match=rf"A block is singular at t={t3!r}$"):
             frame_curve(p, frames)
 
 
@@ -423,7 +480,7 @@ class TestRoundtrip:
         for seed in ROUNDTRIP_SEEDS:
             rep = roundtrip(random_quartic(seed), unit_grid)
             assert rep.equivalent, (seed, rep.k_deviation,
-                                    rep.sigma_deviation)
+                                    rep.sigma_deviation, rep.frame_deviation)
 
     @pytest.mark.parametrize("m", [801, 3201])
     def test_converges_on_refinement(self, m):
@@ -436,10 +493,52 @@ class TestRoundtrip:
             rep = roundtrip(c, grid)
             assert rep.equivalent and rep.k_deviation <= 1e-5, (
                 c.name, rep.k_deviation)
+            assert rep.sigma_deviation <= 1e-5, (c.name, rep.sigma_deviation)
+            assert rep.frame_deviation <= 1e-5, (c.name, rep.frame_deviation)
+
+    def test_varying_sigma_closes(self):
+        # quartic-2-14 has |Sigma| up to 1.43, which the rebuilt curve must
+        # reproduce; the presets have Sigma = 0
+        grid = SampleGrid(0.0, 1.0, 801)
+        curve = random_quartic(14)
+        assert np.max(np.abs(analyze(curve, grid).reduced.Sigma)) > 1.0
+        rep = roundtrip(curve, grid)
+        assert rep.equivalent and rep.sigma_deviation <= 1e-8, rep
+
+    @pytest.mark.parametrize("name", ["paper-6.2-ex1", "quartic-2-14"])
+    @pytest.mark.parametrize("fault", ["unintegrated", "K off by 1%"])
+    def test_depends_on_the_frames(self, name, fault, unit_grid, monkeypatch):
+        # frames that do not solve the prescribed frame ODE fail the round
+        # trip even where the invariants re-analyzed from their jets agree
+        integrate = reconstruct.integrate_frame
+
+        def faulty(p):
+            if fault == "unintegrated":
+                frames, resid = integrate(p)
+                return np.broadcast_to(p.F0, frames.shape).copy(), resid
+            return integrate(InvariantPrescription(
+                ts=p.ts, Sigma=p.Sigma, Kdiag=1.01 * p.Kdiag, F0=p.F0))
+
+        monkeypatch.setattr(reconstruct, "integrate_frame", faulty)
+        curve = (preset_curve(name) if name.startswith("paper")
+                 else random_quartic(14))
+        rep = roundtrip(curve, unit_grid)
+        assert not rep.equivalent
+        assert rep.frame_deviation > ROUNDTRIP_TOL
+
+    @pytest.mark.parametrize("n,seed", [(3, 0), (3, 4), (4, 0), (4, 3)])
+    def test_large_curvature_is_too_coarse(self, n, seed, unit_grid):
+        # the arc prescriptions of these quartics carry |K| up to 1.3e5,
+        # too much for 200 steps: classical RK4 lost symplecticity on them,
+        # the Cayley step would keep it, so the step cap has to catch them
+        with pytest.raises(StepTooCoarse):
+            roundtrip(random_quartic(seed, n), unit_grid)
 
     def test_uniqueness_up_to_group_action(self, unit_grid):
         # two integrations of the same invariants from different symplectic
-        # initial frames give equivalent curves
+        # initial frames give equivalent curves; the curves are read as
+        # tables of their points, so the frames enter through the stencils
+        from jacobi.matcurve import table_curve
         from jacobi.symspace import random_csp
 
         ana = analyze(preset_curve("paper-6.2-ex2"), unit_grid)
@@ -452,7 +551,10 @@ class TestRoundtrip:
         results = []
         for presc in (p, p2):
             frames, _ = integrate_frame(presc)
-            grid = SampleGrid(presc.ts[0], presc.ts[-1], presc.ts.size)
-            results.append(analyze(frame_curve(presc, frames), grid).reduced)
+            S, segs = curve_from_frame(frames)
+            assert len(segs) == 1
+            tab = table_curve(presc.ts, S)
+            grid = SampleGrid(presc.ts[3], presc.ts[-4], presc.ts.size - 6)
+            results.append(analyze(tab, grid).reduced)
         verdict, _, k_dev, _ = equivalent_reduced(*results, tol=1e-3)
         assert verdict, k_dev
