@@ -4,14 +4,15 @@ Subcommands: analyze (invariant pipeline + admissibility report), compare
 (equivalence of two curves), reconstruct (integrate a prescription), cycle
 (three-point cycles / flatness), presets (list built-in curves).
 
-Exit codes: 0 ok or equivalent, 1 error, 2 inadmissible, 3 not equivalent.
-All floats are emitted through %.12e so identical configurations produce
-byte-identical artifacts.
+Exit codes: 0 ok or equivalent, 1 error, 2 inadmissible or an argument
+error, 3 not equivalent.  All floats are emitted through %.12e so identical
+configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -34,29 +35,63 @@ from .reconstruct import (RESID_MAX, curve_from_frame, frame_deviation,
 from .symspace import symmetrize
 
 FLOAT_FMT = "%.12e"
+FORMATS = ("json", "csv")  # the analyze artifacts, --format's choices
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _fmt(x):
-    return FLOAT_FMT % float(x)
+def _numbers(values):
+    """JSON texts of a list of floats, each quantized through FLOAT_FMT:
+    one format, one float() and one repr per value, spelled as json.dumps
+    spells them (NaN, Infinity)."""
+    text = ((FLOAT_FMT + " ") * len(values)) % tuple(values)
+    out = list(map(repr, map(float, text.split())))
+    # only "nan" and "inf" hold an n; finite FLOAT_FMT texts never do
+    return [_NONFINITE.get(s, s) for s in out] if "n" in text else out
 
 
-def _stable(obj):
-    """Recursively quantize floats so JSON output is byte-stable."""
-    if isinstance(obj, (float, np.floating)):
-        return float(_fmt(obj))
-    if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
-        return obj
+def _array_json(a, level):
+    """JSON text of a float array's nested lists, indented as json.dumps
+    with indent=2 at nesting `level`: the entries in one pass, then each
+    innermost row joined directly."""
+    if a.size == 0:  # nested empty lists, no entries
+        return _json(a.tolist(), level)
+    items = _numbers(a.ravel().tolist())
+    for axis in range(a.ndim - 1, -1, -1):
+        k, pad = a.shape[axis], "\n" + "  " * (level + axis + 1)
+        head, sep, tail = "[" + pad, "," + pad, pad[:-2] + "]"
+        items = [head + sep.join(items[i:i + k]) + tail
+                 for i in range(0, len(items), k)]
+    return items[0]
+
+
+def _json(obj, level=0):
+    """json.dumps(obj, indent=2, sort_keys=True) with every float quantized
+    through FLOAT_FMT, so identical values give identical bytes.  ndarrays
+    and tuples are written as lists; dict keys are strings."""
     if isinstance(obj, np.ndarray):
-        return _stable(obj.tolist())
+        if obj.dtype.kind == "f":
+            return _array_json(obj, level)
+        obj = obj.tolist()
+    if isinstance(obj, (float, np.floating)):
+        return _numbers([float(obj)])[0]
     if isinstance(obj, dict):
-        return {k: _stable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stable(v) for v in obj]
-    return obj
+        brackets = "{}"
+        entries = [json.dumps(k) + ": " + _json(v, level + 1)
+                   for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        entries = [_json(v, level + 1) for v in obj]
+    else:
+        return json.dumps(obj)
+    if not entries:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return (brackets[0] + pad + ("," + pad).join(entries) + pad[:-2]
+            + brackets[1])
 
 
 def _emit_json(obj, path=None):
-    text = json.dumps(_stable(obj), indent=2, sort_keys=True)
+    text = _json(obj)
     if path is None:
         print(text)
     else:
@@ -68,14 +103,13 @@ def _invariant_csv(reduced, path):
     header = ["t", "arclength", "zeta"]
     header += [f"k_{i + 1}" for i in range(n)]
     header += [f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(i + 1, n)]
-    k = reduced.curvatures()
-    lines = [",".join(header)]
-    for r in range(reduced.ts.size):
-        row = [reduced.ts[r], reduced.arclength[r], reduced.zeta[r]]
-        row += list(k[r])
-        row += [reduced.Sigma[r, i, j] for i in range(n) for j in range(i + 1, n)]
-        lines.append(",".join(_fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    upper = np.triu_indices(n, 1)
+    rows = np.column_stack([reduced.ts, reduced.arclength, reduced.zeta,
+                            reduced.curvatures(),
+                            reduced.Sigma[:, upper[0], upper[1]]])
+    row = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+    Path(path).write_text(",".join(header) + "\n"
+                          + (row * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _read_json(path):
@@ -170,7 +204,7 @@ def cmd_analyze(args):
         "admissibility": report,
         "invariants": _reduced_payload(reduced),
     }
-    formats = args.format.split(",")
+    formats = args.format or FORMATS
     if "json" in formats:
         _emit_json(payload, out / "analysis.json" if out else None)
     if "csv" in formats and out:
@@ -287,7 +321,20 @@ def cmd_presets(args):
     return 0
 
 
+def _formats(text):
+    """--format's value: a comma-separated subset of FORMATS."""
+    names = tuple(text.split(","))
+    unknown = [name for name in names if name not in FORMATS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown format {unknown[0]!r} (choose from {','.join(FORMATS)})")
+    return names
+
+
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every call of main reuses it."""
     p = argparse.ArgumentParser(
         prog="jacobi",
         description="Curvature invariants of curves of Lagrangian subspaces",
@@ -315,7 +362,9 @@ def build_parser():
 
     sp = sub.add_parser("analyze", help="run the invariant pipeline")
     curve_input(sp)
-    sp.add_argument("--format", default="json,csv")
+    # default: json, and csv too with --out; csv given without --out is an
+    # argument error (main)
+    sp.add_argument("--format", type=_formats, default=None)
     outputs_and_tolerances(sp, tol_adm=ADM_TOL)
     sp.set_defaults(func=cmd_analyze)
 
@@ -346,6 +395,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "format", None) and "csv" in args.format and not args.out:
+        parser.error("analyze: --format csv needs --out")
     _apply_strict(args)
     try:
         return args.func(args)

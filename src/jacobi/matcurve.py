@@ -430,15 +430,15 @@ def node_curve(ts, jets, kind, name):
 
 def table_json(ts, S, name):
     """Table-kind JSON object (curve_from_json's input) of the samples S
-    (m, n, n) at the nodes ts; an all-NaN sample (a chart exit) is null."""
+    (m, n, n) at the nodes ts, with the nodes and samples as arrays for the
+    CLI's writer; an all-NaN sample (a chart exit) is None, written null."""
     return {
         "n": S.shape[-1],
         "kind": "table",
         "name": name,
         "domain": [float(ts[0]), float(ts[-1])],
-        "samples": {"t": ts.tolist(),
-                    "S": [None if np.isnan(s).all() else s.tolist()
-                          for s in S]},
+        "samples": {"t": ts,
+                    "S": [None if np.isnan(s).all() else s for s in S]},
     }
 
 

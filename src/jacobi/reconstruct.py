@@ -142,9 +142,12 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     tau + (1/2 -+ sqrt(3)/6) h, less Omega^3 / 12, and the step
     F <- F + F D with D = cay(Omega) - I = (I - Omega/2)^(-1) Omega is
     exactly symplectic.  Every D comes from one stacked solve; only the
-    product is a loop.  Returns (frames (m, 2n, 2n), max_residual).  The
-    earliest step over STEP_MAX raises StepTooCoarse, and a symplecticity
-    residual above resid_max SymplecticityLoss.
+    product is a loop.  Returns (frames (m, 2n, 2n), max_residual), the
+    residual of a frame F being max|F^T J F - J| / max(1, max|F|^2): the
+    roundoff of a product of F's size grows with max|F|^2, so a fast-growing
+    frame is judged by that scale, and frames of size <= 1 absolutely.  The
+    earliest step over STEP_MAX raises StepTooCoarse, and a residual above
+    resid_max SymplecticityLoss.
     """
     ts, f0 = p.ts, p.F0
     h = np.diff(ts)
@@ -163,6 +166,7 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     for i, di in enumerate(d):
         f = frames[i + 1] = f + f @ di
     _, resid = is_symplectic_frame(frames[1:])
+    resid /= np.maximum(1.0, _matrix_maxabs(frames[1:]) ** 2)
     resid = max(resid) if resid.size else 0.0
     if resid > resid_max:
         raise SymplecticityLoss(resid)

@@ -1,9 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from jacobi.cli import main
+from jacobi import cli
+from jacobi.cli import _invariant_csv, _json, main
+from jacobi.frames import ReducedCartan
 from jacobi.matcurve import SampleGrid, preset_curve, sample_curve
 from jacobi.symspace import symplectic_form
 
@@ -12,6 +18,88 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _stable_ref(obj):
+    """Recursively quantize floats through %.12e: the artifact writer's
+    reference, json.dumps(_stable_ref(obj), indent=2, sort_keys=True)."""
+    if isinstance(obj, (float, np.floating)):
+        return float("%.12e" % float(obj))
+    if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
+        return obj
+    if isinstance(obj, np.ndarray):
+        return _stable_ref(obj.tolist())
+    if isinstance(obj, dict):
+        return {k: _stable_ref(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_stable_ref(v) for v in obj]
+    return obj
+
+
+def _csv_ref(reduced):
+    """invariants.csv written one value at a time."""
+    n = reduced.n
+    header = ["t", "arclength", "zeta"]
+    header += [f"k_{i + 1}" for i in range(n)]
+    header += [f"sigma_{i + 1}{j + 1}" for i in range(n)
+               for j in range(i + 1, n)]
+    k = reduced.curvatures()
+    lines = [",".join(header)]
+    for r in range(reduced.ts.size):
+        row = [reduced.ts[r], reduced.arclength[r], reduced.zeta[r]]
+        row += list(k[r])
+        row += [reduced.Sigma[r, i, j] for i in range(n)
+                for j in range(i + 1, n)]
+        lines.append(",".join("%.12e" % float(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300, 1e-300,
+           -1e-300, 0.1, 5e-324]
+FLOATS = st.floats() | st.sampled_from(SPECIAL)
+FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=0, max_dims=3,
+                                                min_side=0, max_side=3),
+                      elements=FLOATS)
+LEAVES = (FLOATS | FLOATS.map(np.float64) | st.integers(-2**70, 2**70)
+          | st.booleans() | st.none() | st.text(max_size=6) | FLOAT_ARRAYS
+          | arrays(np.int64, array_shapes(min_dims=0, max_dims=2))
+          # table rows: 2 x 2 samples with None at chart exits
+          | st.lists(st.none() | arrays(np.float64, (2, 2), elements=FLOATS),
+                     max_size=4))
+PAYLOADS = st.recursive(
+    LEAVES, lambda inner: (st.lists(inner, max_size=4)
+                           | st.tuples(inner, inner)
+                           | st.dictionaries(st.text(max_size=6), inner,
+                                             max_size=4)),
+    max_leaves=12)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(PAYLOADS)
+    def test_text_is_json_dumps_of_quantized_payload(self, obj):
+        assert _json(obj) == json.dumps(_stable_ref(obj), indent=2,
+                                        sort_keys=True)
+
+    @pytest.mark.parametrize("leaf", [np.int64(3), np.bool_(True), 1j])
+    def test_leaves_json_cannot_write_raise_as_before(self, leaf):
+        with pytest.raises(TypeError):
+            json.dumps(_stable_ref({"a": [leaf]}))
+        with pytest.raises(TypeError):
+            _json({"a": [leaf]})
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_invariant_csv_matches_per_value_loop(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        m = 7
+        sigma = rng.normal(size=(m, n, n)) * 10.0 ** rng.integers(-5, 5)
+        sigma[2, 0, 1], sigma[3, 0, n - 1], sigma[4, 0, 1] = -0.0, np.nan, 1e300
+        reduced = ReducedCartan(ts=np.linspace(0.0, 1.0, m),
+                                arclength=rng.uniform(0, 2, m),
+                                zeta=rng.uniform(0.5, 2, m), Sigma=sigma,
+                                Kdiag=rng.normal(size=(m, n)))
+        _invariant_csv(reduced, tmp_path / "invariants.csv")
+        assert (tmp_path / "invariants.csv").read_text() == _csv_ref(reduced)
 
 
 class TestAnalyze:
@@ -513,6 +601,58 @@ class TestFlags:
     def test_flag_the_subcommand_ignores_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit):
             main(argv)
+
+    @pytest.mark.parametrize("fmt", ["xml", "json,cvs", "", "json,"])
+    def test_unknown_format_is_an_argument_error(self, fmt, capsys, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            main(["analyze", "--preset", "paper-6.2-ex1", "--format", fmt,
+                  "--out", str(tmp_path)])
+        assert e.value.code == 2
+        assert "unknown format" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json,csv"])
+    def test_csv_without_out_is_an_argument_error(self, fmt, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["analyze", "--preset", "paper-6.2-ex1", "--format", fmt])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert "--format csv needs --out" in captured.err
+        assert captured.out == ""
+
+    def test_format_selects_the_artifacts(self, capsys, tmp_path):
+        for fmt, files in (("csv", ["invariants.csv"]),
+                           ("json", ["analysis.json"])):
+            out = tmp_path / fmt
+            code, stdout, _ = run(capsys, "analyze", "--preset",
+                                  "paper-6.2-ex1", "-m", "21", "--format",
+                                  fmt, "--out", str(out))
+            assert code == 0 and stdout == ""
+            assert sorted(p.name for p in out.iterdir()) == files
+
+    def test_parser_is_reused_and_strict_does_not_leak(self, capsys,
+                                                       monkeypatch):
+        seen = []
+
+        def screen(curve, grid, adm_tol):
+            seen.append(adm_tol)
+            return real(curve, grid, adm_tol=adm_tol)
+
+        real = cli.screen
+        monkeypatch.setattr(cli, "screen", screen)
+        argv = ["analyze", "--preset", "paper-6.2-ex1", "-m", "21"]
+        assert cli.build_parser() is cli.build_parser()
+        for extra in (["--strict"], [], ["--strict"], []):
+            assert run(capsys, *argv, *extra)[0] == 0
+        assert seen == [0.1 * cli.ADM_TOL, cli.ADM_TOL] * 2
+
+    def test_version_exit_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["--version"])
+        assert e.value.code == 0
+        assert capsys.readouterr().out.strip() == cli.__version__
+        code, out, _ = run(capsys, "presets")
+        assert code == 0 and "paper-6.2-ex1" in json.loads(out)["presets"]
 
     def test_tolerance_defaults_are_the_module_constants(self):
         from jacobi.cli import build_parser

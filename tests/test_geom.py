@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobi.cli import _stable, main
+from jacobi.cli import main
 from jacobi.curvature import ricci
 from jacobi.errors import (JacobiError, NotAdmissible, RegularityFailure,
                            RepeatedEigenvalues)
@@ -30,6 +30,7 @@ from jacobi.pipeline import analyze
 from jacobi.symspace import random_csp
 
 from .conftest import admissible_quartics, random_quartic
+from .test_cli import _stable_ref
 
 
 # S -> -S: a conformal symplectic map of scale -1
@@ -186,7 +187,7 @@ class TestAdmissibilityReport:
         rep = admissibility_report(preset_curve(preset), unit_grid)
         main(["analyze", "--preset", preset, "--t0", "0", "--t1", "1"])
         block = json.loads(capsys.readouterr().out)["admissibility"]
-        assert block == _stable(rep)
+        assert block == _stable_ref(rep)
 
 
 def _screen_vs_pipeline(c, grid):

@@ -274,6 +274,23 @@ class TestCayleyStep:
         err = np.max(np.abs(frames - exact), axis=(1, 2))
         assert np.max(err / np.max(np.abs(exact), axis=(1, 2))) <= 1e-5
 
+    def test_residual_is_relative_to_the_frame_size(self):
+        # frame entries reach 4e6: the absolute roundoff of F^T J F is
+        # 1.3e-6, above RESID_MAX, yet 1e-18 of max|F|^2, and the frames
+        # keep 2e-4 of the closed form
+        p, exact = self.large_curvature(0.2, 51)
+        frames, resid = integrate_frame(p)
+        assert np.max(is_symplectic_frame(frames)[1]) > reconstruct.RESID_MAX
+        assert resid <= 1e-15
+        err = np.max(np.abs(frames - exact), axis=(1, 2))
+        assert np.max(err / np.max(np.abs(exact), axis=(1, 2))) <= 2e-4
+        # frames of size <= 1 (here rotations by up to 1 rad) keep the
+        # absolute bound
+        p = constant_prescription([-1.0, -1.0], m=11, f0=np.eye(4))
+        frames, resid = integrate_frame(p)
+        assert np.max(np.abs(frames[1:])) < 1.0
+        assert resid == np.max(is_symplectic_frame(frames[1:])[1]) > 0
+
     @pytest.mark.parametrize("x", [0.94, 1.8])
     def test_coarse_step_raises(self, x):
         # with Sigma = 0 the radius bound is exact: x + x^3/12 from the
@@ -336,7 +353,8 @@ class TestIntegrateFrame:
         # equal to it passes while any smaller cap raises
         p = smooth_prescription(3, 3, 41)
         frames, resid = integrate_frame(p)
-        assert resid == np.max(is_symplectic_frame(frames[1:])[1]) > 0
+        scale = np.maximum(1.0, np.max(np.abs(frames[1:]), axis=(1, 2)))**2
+        assert resid == np.max(is_symplectic_frame(frames[1:])[1] / scale) > 0
         again, _ = integrate_frame(p, resid_max=resid)
         assert np.array_equal(again, frames)
         with pytest.raises(SymplecticityLoss):
