@@ -21,18 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cycles import (FLAT_TOL, MEMBER_TOL, cycle_contains, cycle_through,
-                     is_flat, mobius_fit)
-from .errors import InvalidDimension, JacobiError, NoFit
-from .geom import ADM_TOL, screen
-from .frames import EQUIV_TOL, equivalent_reduced
+from .cycles import cycle_contains, cycle_through, is_flat, mobius_fit
+from .errors import Gates, InvalidDimension, JacobiError, NoFit
+from .geom import screen
+from .frames import equivalent_reduced
 from .matcurve import (PRESET_NAMES, TABLE_TRIM, SampleGrid, curve_from_json,
                        json_array, preset_curve, require_keys, sample_curve,
                        spline, table_json)
 from .pipeline import complete
-from .reconstruct import (RESID_MAX, curve_from_frame, frame_deviation,
-                          integrate_frame, prescription_from_json)
-from .symspace import symmetrize
+from .reconstruct import (curve_from_frame, frame_deviation, integrate_frame,
+                          prescription_from_json)
+from .symspace import asymmetry_gate, symmetrize
+from .tolerances import (ADM_TOL, EQUIV_TOL, FLAT_TOL, MEMBER_TOL, RESID_MAX,
+                         STRICT_FACTOR, SYM_TOL, WINDOW_SLACK)
 
 FLOAT_FMT = "%.12e"
 FORMATS = ("json", "csv")  # the analyze artifacts, --format's choices
@@ -128,15 +129,21 @@ def _load_curve(args):
     return curve_from_json(_read_json(args.input))
 
 
+def _window_nodes(ts, args, lo, hi):
+    """Indices of the nodes ts in [lo, hi], narrowed to --t0/--t1 when they
+    are given (up to WINDOW_SLACK)."""
+    lo = lo if args.t0 is None else max(args.t0, lo)
+    hi = hi if args.t1 is None else min(args.t1, hi)
+    return np.nonzero((ts >= lo - WINDOW_SLACK) & (ts <= hi + WINDOW_SLACK))[0]
+
+
 def _grid_for(curve, args):
-    if curve.kind == "table":
-        # tables evaluate only at their own nodes: snap the window to the
+    ts = curve.table_ts
+    if ts is not None:
+        # curves known at nodes evaluate only there: snap the window to the
         # node set and drop the one-sided boundary nodes
-        ts = curve.table_ts
         k = TABLE_TRIM if ts.size >= 2 * TABLE_TRIM + 7 else 0
-        lo = ts[k] if args.t0 is None else max(args.t0, ts[k])
-        hi = ts[-1 - k] if args.t1 is None else min(args.t1, ts[-1 - k])
-        idx = np.nonzero((ts >= lo - 1e-12) & (ts <= hi + 1e-12))[0]
+        idx = _window_nodes(ts, args, ts[k], ts[-1 - k])
         if idx.size < 7:
             raise JacobiError("table window keeps too few samples")
         return SampleGrid(ts[idx[0]], ts[idx[-1]], idx.size)
@@ -145,29 +152,35 @@ def _grid_for(curve, args):
     return SampleGrid(t0, t1, args.m)
 
 
-def _offset_reduced(ana):
+def _offset_reduced(ana, args):
     """The reduced invariant of a completed Analysis, its arclength origin
-    shifted back to the table start after trimming.
+    shifted back over the nodes the trim dropped.
 
-    The arc element over the skipped prefix is estimated by extrapolating
-    the zeta spline; this keeps arclength-based comparisons aligned with
-    analyses that cover the full window.
+    The origin is the first node of the requested window: at --t0 when it
+    is given (never before the first node), else the first node.  The arc
+    element between it and the trimmed grid's start is estimated by
+    extrapolating the zeta spline; this keeps arclength-based comparisons
+    aligned with analyses that cover the full window.
     """
-    reduced, curve, t0 = ana.reduced, ana.curve, ana.grid.t0
-    if curve.kind != "table" or t0 <= curve.table_ts[0]:
+    reduced, ts, t0 = ana.reduced, ana.curve.table_ts, ana.grid.t0
+    if ts is None:
         return reduced
-    x = np.linspace(curve.table_ts[0], t0, 33)
+    origin = ts[_window_nodes(ts, args, ts[0], ts[-1])[0]]
+    if t0 <= origin:
+        return reduced
+    x = np.linspace(origin, t0, 33)
     y = spline(reduced.ts, reduced.zeta)(x)
     offset = float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
     return replace(reduced, arclength=reduced.arclength + offset)
 
 
 def _apply_strict(args):
-    """--strict tightens the subcommand's tolerances 10x, here only."""
+    """--strict scales the subcommand's tolerances by STRICT_FACTOR, here
+    only."""
     if getattr(args, "strict", False):
         for name, value in vars(args).items():
             if name.startswith("tol_"):
-                setattr(args, name, 0.1 * value)
+                setattr(args, name, STRICT_FACTOR * value)
 
 
 def _screen(curve, args):
@@ -197,7 +210,7 @@ def cmd_analyze(args):
         payload = {"admissibility": report, "curve": curve.name}
         _emit_json(payload, out / "analysis.json" if out else None)
         return 2
-    reduced = _offset_reduced(complete(ana))
+    reduced = _offset_reduced(complete(ana), args)
     payload = {
         "curve": curve.name,
         "grid": {"t0": grid.t0, "t1": grid.t1, "m": grid.m},
@@ -228,7 +241,8 @@ def cmd_compare(args):
     if not (rep_a["admissible"] and rep_b["admissible"]):
         _emit_json({"verdict": "inadmissible", "a": rep_a, "b": rep_b}, out)
         return 2
-    red_a, red_b = (_offset_reduced(complete(ana)) for ana in (ana_a, ana_b))
+    red_a, red_b = (_offset_reduced(complete(ana), args)
+                    for ana in (ana_a, ana_b))
     tol = args.tol_equiv
     verdict, eps, k_dev, s_dev = equivalent_reduced(red_a, red_b, tol=tol)
     _emit_json(
@@ -283,6 +297,8 @@ def cmd_cycle(args):
             if p.ndim != 2 or p.shape != (len(pts[0]),) * 2:
                 raise InvalidDimension(f"point {i} has shape {p.shape}; points "
                                        "must be square matrices of one size")
+        for p in pts:
+            asymmetry_gate(Gates(), p, SYM_TOL).raise_error()
         pts = [symmetrize(p) for p in pts]
         if len(pts) < 3:
             raise JacobiError("need at least three points")
@@ -353,7 +369,7 @@ def build_parser():
         window(sp)
 
     def outputs_and_tolerances(sp, **tolerances):
-        # each --tol-* default is the module constant it overrides
+        # each --tol-* default is the tolerances entry it overrides
         sp.add_argument("--out", default=None)
         sp.add_argument("--strict", action="store_true")
         for name, default in tolerances.items():

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .matcurve import CurveJet, Series
 from .symspace import (
-    COND_MAX,
     _matrix_maxabs,
     _maxabs,
     chart_translate_invert,
@@ -38,6 +37,10 @@ from .symspace import (
     sym_cond,
     symmetrize,
 )
+from .tolerances import COND_MAX, RICCI_SYM_TOL
+
+# parameter step of verify_derivative_curve's second difference
+VERIFY_STEP = 1e-3
 
 
 def scalar_schwarzian(f1, f2, f3):
@@ -124,7 +127,7 @@ def _ricci(j: CurveJet):
     # asymmetry beyond roundoff means a corrupted jet.
     a = j.S1 @ sch
     asym = _matrix_maxabs(a - a.swapaxes(-1, -2))
-    gates.check(asym > 1e-6 * np.maximum(1.0, _matrix_maxabs(a)),
+    gates.check(asym > RICCI_SYM_TOL * np.maximum(1.0, _matrix_maxabs(a)),
                 lambda i: ComplexEigenvalues(
                     j.t[i], f"velocity-weighted curvature asymmetric "
                     f"({asym[i]:g}) at t={float(j.t[i])}"))
@@ -167,18 +170,19 @@ def derivative_curve(j: CurveJet, zeta_ratio=None):
     Gates().check(sym_cond(corr) > COND_MAX,
                   lambda i: InflectionPoint(ts[i])).raise_error()
     s0 = j.S - 2.0 * j.S1 @ np.linalg.solve(corr, j.S1)
-    return symmetrize(s0, strict=False)
+    return symmetrize(s0)
 
 
-def verify_derivative_curve(curve, tau, h=1e-3):
+def verify_derivative_curve(curve, tau):
     """Residual of the defining property of the derivative subspace.
 
     Re-chart the curve at its point tau with the derivative subspace at
     infinity:  St~ = ((S_t - S_tau)^(-1) - (S0 - S_tau)^(-1))^(-1).
     The re-charted curve must have vanishing second derivative at tau; the
     returned value is the max-abs second central difference of St~ over
-    {tau - h, tau, tau + h} (St~(tau) = 0 by construction).
+    {tau - h, tau, tau + h}, h = VERIFY_STEP (St~(tau) = 0 by construction).
     """
+    h = VERIFY_STEP
     j0 = curve.jet(tau)
     c0 = chart_translate_invert(derivative_curve(j0), j0.S)
     s = curve.jets([tau - h, tau + h], check_regular=False).S

@@ -15,12 +15,9 @@ import numpy as np
 from .curvature import matrix_schwarzian
 from .errors import NoFit, NotGeneralPosition, ZeroDirection
 from .matcurve import sample_curve
-from .symspace import (COND_MAX, _maxabs, chart_translate_invert, sym_cond,
-                       symmetrize)
-
-FIT_TOL = 1e-8
-FLAT_TOL = 1e-8
-MEMBER_TOL = 1e-8
+from .symspace import _maxabs, chart_translate_invert, sym_cond, symmetrize
+from .tolerances import (COND_MAX, FIT_TOL, FLAT_TOL, MEMBER_TOL,
+                         MOBIUS_DEN_MIN, ZERO_FLOOR)
 
 AT_INFINITY = "at-infinity"
 
@@ -30,8 +27,8 @@ def line_classify(direction):
     condition number is at most COND_MAX, the scale-free gate every chart
     solve uses.
     """
-    d = symmetrize(np.asarray(direction, dtype=float), strict=False)
-    if _maxabs(d) < 1e-300:
+    d = symmetrize(np.asarray(direction, dtype=float))
+    if _maxabs(d) < ZERO_FLOOR:
         raise ZeroDirection("direction matrix is zero")
     return "regular" if sym_cond(d) <= COND_MAX else "singular"
 
@@ -70,13 +67,13 @@ def mobius_fit(jets):
         raise NoFit(np.inf, "need at least 4 samples")
     diffs = (mats[1:] - mats[0]).reshape(ts.size - 1, -1)
     _, svals, vt = np.linalg.svd(diffs, full_matrices=False)
-    if svals[0] < 1e-300:
+    if svals[0] < ZERO_FLOOR:
         raise NoFit(np.inf, "samples are constant")
     direction = vt[0].reshape(mats[0].shape)
     lead = np.unravel_index(np.argmax(np.abs(direction)), direction.shape)
     if direction[lead] < 0:
         direction = -direction
-    direction = symmetrize(direction, strict=False)
+    direction = symmetrize(direction)
     dnorm2 = float(np.sum(direction * direction))
     scale = _maxabs(mats)
     lam = np.sum(mats * direction, axis=(1, 2)) / dnorm2
@@ -93,7 +90,7 @@ def mobius_fit(jets):
         coeffs = -coeffs
     a, b, c, d = coeffs
     den = c * ts + d
-    if np.min(np.abs(den)) < 1e-12:
+    if np.min(np.abs(den)) < MOBIUS_DEN_MIN:
         raise NoFit(np.inf, "fitted denominator vanishes on the samples")
     resid = float(np.max(np.abs((a * ts + b) / den - lam)))
     resid = max(resid, proj_resid / max(1.0, scale))

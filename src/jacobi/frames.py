@@ -18,11 +18,9 @@ import numpy as np
 from .errors import EigenCrossing, Gates, GridMismatch, InflectionPoint
 from .geom import ArcData
 from .matcurve import finite_diff, spline
-from .symspace import COND_MAX, is_symplectic_frame, sym_cond
-
-SIGN_TOL = 1e-6
-MIN_OVERLAP = 0.2
-EQUIV_TOL = 1e-4
+from .symspace import is_symplectic_frame, sym_cond
+from .tolerances import (COND_MAX, EQUIV_TOL, MIN_OVERLAP, OVERLAP_SLACK,
+                         SIGN_TOL)
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,8 @@ def equivalent_reduced(a: ReducedCartan, b: ReducedCartan, tol=EQUIV_TOL):
     n = a.n
     ell_min = max(a.arclength[0], b.arclength[0])
     ell_max = min(a.arclength[-1], b.arclength[-1])
-    mask = (a.arclength >= ell_min - 1e-12) & (a.arclength <= ell_max + 1e-12)
+    mask = ((a.arclength >= ell_min - OVERLAP_SLACK)
+            & (a.arclength <= ell_max + OVERLAP_SLACK))
     ell = a.arclength[mask]
     if ell.size < 5:
         raise GridMismatch("arclength overlap too short to compare")

@@ -22,10 +22,7 @@ from .errors import (
     RepeatedEigenvalues,
 )
 from .matcurve import CurveJet, _sample, finite_diff
-
-ADM_TOL = 1e-10
-NORM_TOL = 1e-5
-EIG_GAP_TOL = 1e-7
+from .tolerances import ADM_TOL, EIG_GAP_TOL, NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -77,6 +74,12 @@ def zeta_series(ricci_series, adm_tol=ADM_TOL):
                    arclength=arclength)
 
 
+def centered_product(k):
+    """prod_i |k_i - kbar| of each row of the curvatures k (m, n), which is
+    1 for the curvatures of the arc parameter."""
+    return np.prod(np.abs(k - k.mean(axis=1, keepdims=True)), axis=1)
+
+
 def absolute_curvature(ricci_series, arc):
     """Eigenvalue curvatures k (m, n) of the arc-reparametrized curve: rows
     of ascending eigenvalues k_i = (mu_i - sphi)/zeta^2 of the absolute
@@ -89,8 +92,7 @@ def absolute_curvature(ricci_series, arc):
     """
     k = ((ricci_series.eigvals - arc.sphi[:, None])
          / (arc.zeta**2)[:, None])
-    kbar = k.mean(axis=1)
-    prod = np.prod(np.abs(k - kbar[:, None]), axis=1)
+    prod = centered_product(k)
     worst = int(np.argmax(np.abs(prod - 1.0)))
     if abs(prod[worst] - 1.0) > NORM_TOL:
         raise NormalizationViolation(float(arc.ts[worst]), float(prod[worst]))

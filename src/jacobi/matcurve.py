@@ -26,10 +26,9 @@ from .errors import (
     RegularityFailure,
     TooFewSamples,
 )
-from .symspace import (COND_MAX, _eig_cond, asymmetry_gate,
-                       conformal_symplectic, symmetrize)
-
-JET_SYM_TOL = 1e-8
+from .symspace import (_eig_cond, asymmetry_gate, conformal_symplectic,
+                       symmetrize)
+from .tolerances import COND_MAX, JET_SYM_TOL, NODE_TOL
 
 # Five-point stencil coefficients on a uniform grid, exact rationals over the
 # printed denominators.  Rows: offsets / weights.  Interior rows are central;
@@ -251,12 +250,15 @@ class SymmetricMatrixCurve:
     """Smooth map t -> (S, S', S'', S''') of symmetric n x n matrices.
 
     `kind` is one of analytic / preset / polynomial / fourier / table /
-    frame (the last two known only at nodes, listed in `table_ts`); the
-    evaluator must be pure and maps a parameter vector of shape (m,) to four
-    (m, n, n) arrays.  Regularity (S' invertible, i.e. cond(S') at most
-    COND_MAX: a scale-free test, so c S is regular wherever S is) is checked
-    lazily at the points actually queried.
+    frame; the evaluator must be pure and maps a parameter vector of shape
+    (m,) to four (m, n, n) arrays.  A curve known only at nodes (a table,
+    a frame curve, or a transform of one) lists them in `table_ts`, else
+    None.  Regularity (S' invertible, i.e. cond(S') at most COND_MAX: a
+    scale-free test, so c S is regular wherever S is) is checked lazily at
+    the points actually queried.
     """
+
+    table_ts = None
 
     def __init__(self, n, evaluator: Callable, domain, kind="analytic", name=None):
         self.n = int(n)
@@ -285,7 +287,7 @@ class SymmetricMatrixCurve:
             raise InvalidDimension("evaluator must return four m x n x n arrays")
         for a in mats:
             asymmetry_gate(gates, a, JET_SYM_TOL)
-        mats = [symmetrize(a, strict=False) for a in mats]
+        mats = [symmetrize(a) for a in mats]
         ev = None
         if check_regular:
             S1 = mats[1][:gates.stop]
@@ -397,9 +399,9 @@ def table_curve(ts, S_values, name=None):
     if ts.size < 7:
         raise TooFewSamples("table needs at least 7 samples")
     h = ts[1] - ts[0]
-    if np.max(np.abs(np.diff(ts) - h)) > 1e-9 * max(1.0, abs(h)):
+    if np.max(np.abs(np.diff(ts) - h)) > NODE_TOL * max(1.0, abs(h)):
         raise DomainError("table nodes must be uniformly spaced")
-    values = symmetrize(values, strict=False)
+    values = symmetrize(values)
     d1 = finite_diff(values, h, 1)
     d2 = finite_diff(values, h, 2)
     d3 = finite_diff(values, h, 3)
@@ -417,7 +419,7 @@ def node_curve(ts, jets, kind, name):
 
     def evaluator(tq):
         i = np.clip(np.round((tq - ts[0]) / h).astype(int), 0, ts.size - 1)
-        off = np.abs(ts[i] - tq) > 1e-9 * max(1.0, abs(h))
+        off = np.abs(ts[i] - tq) > NODE_TOL * max(1.0, abs(h))
         if np.any(off):
             raise DomainError(f"t={float(tq[np.argmax(off)])} is not a table node")
         return tuple(a[i] for a in jets)
@@ -513,7 +515,7 @@ def transformed_curve(curve, g, name=None):
     A = S'' (2U + U^T) S' - (2H + H^T) U S', H = S' U S'.  A g that is not
     conformal symplectic raises InvalidTransform here, before any
     evaluation; a P + Q S that is singular at a queried t raises NotInChart
-    naming the earliest such t.
+    naming the earliest such t.  The image keeps the curve's `table_ts`.
     """
     n = curve.n
     g = conformal_symplectic(g, n)
@@ -546,8 +548,11 @@ def transformed_curve(curve, g, name=None):
         return (0.5 * (Sg + Sg.swapaxes(-1, -2)), congruent(S1),
                 congruent(G2), congruent(S3))
 
-    return SymmetricMatrixCurve(n, evaluator, curve.domain,
-                                kind="analytic", name=name)
+    moved = SymmetricMatrixCurve(n, evaluator, curve.domain,
+                                 kind="analytic", name=name)
+    # the parameter is unchanged, so a table's image is known at its nodes
+    moved.table_ts = curve.table_ts
+    return moved
 
 
 def _chart_inverse(x, ts):

@@ -20,18 +20,13 @@ import numpy as np
 from .errors import (GridMismatch, InvalidDimension, NotInChart,
                      StepTooCoarse, SymplecticityLoss)
 from .frames import cartan_matrix, equivalent_reduced, invariant_spline
-from .geom import EIG_GAP_TOL, NORM_TOL
+from .geom import centered_product
 from .matcurve import (SampleGrid, finite_diff, json_array, json_integer,
                        json_numbers, node_curve, require_keys)
 from .pipeline import analyze
-from .symspace import (COND_MAX, _matrix_maxabs, _maxabs, is_symplectic_frame,
-                       symmetrize)
-
-RESID_MAX = 1e-6
-ROUNDTRIP_TOL = 1e-3
-# cap on |Omega^2|_inf^(1/2) >= Omega's spectral radius (equal if Sigma = 0):
-# at radius 1 cay(Omega) is within 2% of exp; an eigenvalue 2 is singular
-STEP_MAX = 1.0
+from .symspace import _matrix_maxabs, _maxabs, is_symplectic_frame, symmetrize
+from .tolerances import (COND_MAX, EIG_GAP_TOL, NORM_TOL, RESID_MAX,
+                         ROUNDTRIP_TOL, SKEW_TOL, STEP_MAX)
 
 
 @dataclass
@@ -60,17 +55,15 @@ class InvariantPrescription:
         n = self.Kdiag.shape[1]
         if self.Sigma.shape != (m, n, n) or self.Kdiag.shape != (m, n):
             raise GridMismatch("prescription series shapes disagree")
-        if _maxabs(self.Sigma + np.transpose(self.Sigma, (0, 2, 1))) > 1e-10:
+        if _maxabs(self.Sigma + self.Sigma.swapaxes(-1, -2)) > SKEW_TOL:
             self.warnings.append("Sigma series is not skew-symmetric")
         d = -2.0 * self.Kdiag
-        dbar = d.mean(axis=1, keepdims=True)
-        prod = np.prod(np.abs(d - dbar), axis=1)
-        if np.max(np.abs(prod - 1.0)) > NORM_TOL:
-            self.warnings.append(
-                "centered curvature product deviates from 1 "
-                f"(max dev {np.max(np.abs(prod - 1.0)):.3e})"
-            )
-        # the screen's gap rule; <= keeps a fully collapsed spectrum
+        dev = np.max(np.abs(centered_product(d) - 1.0))
+        if dev > NORM_TOL:
+            self.warnings.append("centered curvature product deviates "
+                                 f"from 1 (max dev {dev:.3e})")
+        # the screen's gap rule with <=: a fully collapsed spectrum is
+        # flagged here, where the screen leaves it to the arc-element step
         ds = np.sort(d, axis=1)
         gap = np.min(np.diff(ds, axis=1), axis=1, initial=np.inf)
         if np.any(gap <= EIG_GAP_TOL * (ds[:, -1] - ds[:, 0])):
@@ -185,7 +178,7 @@ def curve_from_frame(frames):
     S = np.full(a.shape, np.nan)
     S[inside] = symmetrize(np.linalg.solve(
         a[inside].swapaxes(-1, -2), b[inside].swapaxes(-1, -2)
-    ).swapaxes(-1, -2), strict=False)
+    ).swapaxes(-1, -2))
     edges = np.flatnonzero(np.diff(np.concatenate([[0], inside, [0]])))
     segments = [(int(i), int(j) - 1) for i, j in zip(edges[::2], edges[1::2])]
     return S, segments

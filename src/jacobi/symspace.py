@@ -20,10 +20,7 @@ from .errors import (
     NotInChart,
     NotTransverse,
 )
-
-SYM_TOL = 1e-10
-FRAME_TOL = 1e-8
-COND_MAX = 1e12
+from .tolerances import COND_MAX, CSP_SCALE_MIN, FRAME_TOL
 
 
 def _maxabs(a):
@@ -90,11 +87,10 @@ def asymmetry_gate(gates, s, tol):
         f"asymmetry {resid[i]:g} exceeds tolerance {tol:g}"))
 
 
-def symmetrize(s, tol=SYM_TOL, strict=True):
-    """Return (s + s^T)/2; asymmetry beyond `tol` is an error when strict."""
+def symmetrize(s):
+    """Return (s + s^T)/2, without judging the asymmetry (asymmetry_gate
+    does)."""
     s = np.asarray(s, dtype=float)
-    if strict:
-        asymmetry_gate(Gates(), s, tol).raise_error()
     return 0.5 * (s + s.swapaxes(-1, -2))
 
 
@@ -111,16 +107,16 @@ def symplectic_form(n):
     return j
 
 
-def is_symplectic_frame(F, tol=FRAME_TOL):
+def is_symplectic_frame(F):
     """Check F^T J F = J, with n read off F's square, even-sized last two
-    axes; returns (verdict, max-abs residual)."""
+    axes; returns (verdict: residual <= FRAME_TOL, max-abs residual)."""
     f = np.asarray(F, dtype=float)
     if f.ndim < 2 or f.shape[-2] != f.shape[-1] or f.shape[-1] % 2:
         raise InvalidDimension(
             f"expected a square matrix of even size, got {f.shape}")
     j = symplectic_form(f.shape[-1] // 2)
     residual = _matrix_maxabs(f.swapaxes(-1, -2) @ j @ f - j)
-    return residual <= tol, residual
+    return residual <= FRAME_TOL, residual
 
 
 def complete_symplectic_basis(M, S, Sbar):
@@ -154,7 +150,7 @@ def chart_translate_invert(S, S_ref):
     Not an involution: the inverse transform is S_ref + T^(-1).
     """
     t = inv_gated(S - S_ref, what="S - S_ref")
-    return symmetrize(t, strict=False)
+    return symmetrize(t)
 
 
 def conformal_symplectic(g, n):
@@ -168,7 +164,7 @@ def conformal_symplectic(g, n):
     gjg = g.T @ j @ g
     scale = np.trace(gjg[:n, n:]) / n
     size = _maxabs(g) ** 2
-    if (abs(scale) <= 1e-12 * size
+    if (abs(scale) <= CSP_SCALE_MIN * size
             or _maxabs(gjg - scale * j) > FRAME_TOL * size):
         raise InvalidTransform("matrix is not conformal symplectic")
     return g
@@ -188,7 +184,7 @@ def apply_symplectic(g, S):
     num = R + T @ S
     den = P + Q @ S
     out = solve_gated(den.T, num.T, exc=NotInChart, what="P + Q S").T
-    return symmetrize(out, strict=False)
+    return symmetrize(out)
 
 
 def random_hamiltonian(rng, n, scale=1.0):

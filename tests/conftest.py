@@ -15,6 +15,12 @@ def random_quartic(seed, n=2, domain=(-0.5, 1.5), scale=1.0):
     positive definite on [0, 1] for almost all seeds (inadmissible draws are
     skipped where a corpus is assembled).  Every coefficient is multiplied
     by `scale`."""
+    return polynomial_curve(quartic_coeffs(seed, n, scale), domain,
+                            name=f"quartic-{n}-{seed}")
+
+
+def quartic_coeffs(seed, n=2, scale=1.0):
+    """random_quartic's entries, as polynomial_curve's coefficient lists."""
     rng = np.random.default_rng(seed)
 
     def sym(scale):
@@ -23,15 +29,14 @@ def random_quartic(seed, n=2, domain=(-0.5, 1.5), scale=1.0):
 
     p = sym(0.3) + np.eye(n) * (1.5 + rng.uniform(0, 1))
     s0, q, r, t4 = sym(0.5), sym(0.6), sym(0.8), sym(0.8)
-    coeffs = [
+    return [
         [
-            [scale * c for c in (s0[i, j], p[i, j], q[i, j] / 2,
-                                 r[i, j] / 6, t4[i, j] / 24)]
+            [scale * float(c) for c in (s0[i, j], p[i, j], q[i, j] / 2,
+                                        r[i, j] / 6, t4[i, j] / 24)]
             for j in range(n)
         ]
         for i in range(n)
     ]
-    return polynomial_curve(coeffs, domain, name=f"quartic-{n}-{seed}")
 
 
 def admissible_quartics(seeds, n=2, grid=None, want=None):

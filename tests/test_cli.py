@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from jacobi import cli
+from jacobi import cli, tolerances
 from jacobi.cli import _invariant_csv, _json, main
 from jacobi.frames import ReducedCartan
 from jacobi.matcurve import SampleGrid, preset_curve, sample_curve
-from jacobi.symspace import symplectic_form
+from jacobi.symspace import random_csp, symplectic_form
+
+from .conftest import quartic_coeffs, random_quartic
 
 
 def run(capsys, *argv):
@@ -408,6 +410,81 @@ class TestCycle:
         assert payload["error"] == "InvalidDimension"
         assert payload["message"].startswith(f"point {bad} ")
 
+    def test_asymmetric_point_error(self, capsys, tmp_path):
+        # the points are symmetrized only after the asymmetry gate passed
+        points = [np.zeros((2, 2)), np.eye(2), np.array([[2.0, 1.0],
+                                                          [0.0, 2.0]])]
+        f = tmp_path / "points.json"
+        f.write_text(json.dumps({"points": [p.tolist() for p in points]}))
+        code, _, err = run(capsys, "cycle", "--points", str(f))
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "InvalidBasis",
+            "message": "asymmetry 1 exceeds tolerance 1e-10"}
+
+
+class TestTableWindow:
+    """A curve known at nodes (a table, or its conformal symplectic image)
+    is analyzed on the nodes of the window less the TABLE_TRIM boundary
+    nodes; its arclength starts at the window's first node."""
+
+    NODES = np.linspace(-0.05, 1.05, 221)
+
+    def table(self, tmp_path, name, curve, **extra):
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps({
+            "n": 2, "kind": "table", "name": name,
+            "samples": {"t": self.NODES.tolist(),
+                        "S": curve.jets(self.NODES).S.tolist()}, **extra}))
+        return str(f)
+
+    def test_arclength_origin_is_t0(self, capsys, tmp_path):
+        # the padded table's window [0, 1] starts at a node, its arclength
+        # origin: no offset, so its arclength is the polynomial's
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"n": 2, "kind": "polynomial",
+                                    "domain": [-0.5, 1.5],
+                                    "entries": quartic_coeffs(0)}))
+        table = self.table(tmp_path, "table", random_quartic(0))
+        code, out, _ = run(capsys, "compare", str(poly), table, "--t0", "0",
+                           "--t1", "1", "--tol-equiv", "1e-3")
+        payload = json.loads(out)
+        assert code == 0, payload
+        ell = payload["arclength"]
+        assert abs(ell["a"] - ell["b"]) <= 1e-9
+
+    def test_origin_is_the_first_node_of_the_window(self, capsys, tmp_path):
+        table = self.table(tmp_path, "table", preset_curve("paper-6.2-ex1"))
+        first = {}
+        for t0 in (None, "-1", "-0.04", "0"):
+            window = [] if t0 is None else ["--t0", t0]
+            code, out, _ = run(capsys, "analyze", table, *window)
+            assert code == 0
+            first[t0] = json.loads(out)["invariants"]["arclength"][0]
+        # zeta = 1 on the first preset, h = 0.005, and the grid starts at the
+        # fourth node, -0.035: the offset spans the trimmed nodes from the
+        # origin, the first node at or after --t0
+        assert first[None] == first["-1"] == pytest.approx(0.015, abs=1e-8)
+        assert first["-0.04"] == pytest.approx(0.005, abs=1e-8)
+        assert first["0"] == 0.0
+
+    def test_moved_table_keeps_its_nodes(self, capsys, tmp_path):
+        # the default window of a csp-moved table is its node set, as for
+        # the table itself, not the domain at m = 201, which is off the
+        # nodes
+        ex1 = preset_curve("paper-6.2-ex1")
+        g = random_csp(3, 0.5, 2, 0.2)
+        plain = self.table(tmp_path, "plain", ex1)
+        moved = self.table(tmp_path, "moved", ex1, transform=g.tolist())
+        code, out, err = run(capsys, "analyze", moved)
+        assert code == 0, err
+        code, ref, _ = run(capsys, "analyze", plain)
+        assert json.loads(out)["grid"] == json.loads(ref)["grid"]
+        code, out, _ = run(capsys, "compare", plain, moved)
+        payload = json.loads(out)
+        assert code == 0 and payload["k_deviation"] <= 1e-8
+        assert payload["arclength"]["a"] == payload["arclength"]["b"]
+
 
 class TestRaggedJson:
     """A ragged or non-numeric JSON array exits 1 with InvalidDimension
@@ -644,7 +721,8 @@ class TestFlags:
         assert cli.build_parser() is cli.build_parser()
         for extra in (["--strict"], [], ["--strict"], []):
             assert run(capsys, *argv, *extra)[0] == 0
-        assert seen == [0.1 * cli.ADM_TOL, cli.ADM_TOL] * 2
+        adm = tolerances.ADM_TOL
+        assert seen == [tolerances.STRICT_FACTOR * adm, adm] * 2
 
     def test_version_exit_leaves_the_parser_usable(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -655,15 +733,14 @@ class TestFlags:
         assert code == 0 and "paper-6.2-ex1" in json.loads(out)["presets"]
 
     def test_tolerance_defaults_are_the_module_constants(self):
-        from jacobi.cli import build_parser
-        from jacobi.cycles import FLAT_TOL, MEMBER_TOL
-        from jacobi.frames import EQUIV_TOL
-        from jacobi.geom import ADM_TOL
-        from jacobi.reconstruct import RESID_MAX
-
-        parse = build_parser().parse_args
-        args = parse(["compare", "a", "b"])
-        assert (args.tol_adm, args.tol_equiv) == (ADM_TOL, EQUIV_TOL)
-        args = parse(["cycle"])
-        assert (args.tol_flat, args.tol_member) == (FLAT_TOL, MEMBER_TOL)
-        assert parse(["reconstruct", "P.json"]).tol_resid == RESID_MAX
+        # every --tol-* default is the tolerances entry of the same meaning
+        table = {"tol_adm": "ADM_TOL", "tol_equiv": "EQUIV_TOL",
+                 "tol_flat": "FLAT_TOL", "tol_member": "MEMBER_TOL",
+                 "tol_resid": "RESID_MAX"}
+        parse = cli.build_parser().parse_args
+        seen = {}
+        for argv in (["analyze"], ["compare", "a", "b"], ["cycle"],
+                     ["reconstruct", "P.json"]):
+            seen.update((k, v) for k, v in vars(parse(argv)).items()
+                        if k.startswith("tol_"))
+        assert seen == {k: getattr(tolerances, v) for k, v in table.items()}

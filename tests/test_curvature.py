@@ -333,7 +333,7 @@ class TestGates:
 class TestVerifyDerivativeCurve:
     def test_first_preset(self):
         c = preset_curve("paper-6.2-ex1")
-        assert verify_derivative_curve(c, 0.5, 1e-3) <= 1e-5
+        assert verify_derivative_curve(c, 0.5) <= 1e-5
 
     def test_scalar_tangent(self):
         sec2 = lambda t: 1 / np.cos(t) ** 2
@@ -343,14 +343,14 @@ class TestVerifyDerivativeCurve:
                     2 * sec2(t) * (sec2(t) + 2 * np.tan(t) ** 2))
 
         c = curve_from_scalars([entry], (-1.0, 1.0))
-        assert verify_derivative_curve(c, 0.3, 1e-3) <= 1e-6
+        assert verify_derivative_curve(c, 0.3) <= 1e-6
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_random_quartics(self, n):
         curves = admissible_quartics(range(40), n=n, want=20)
         assert len(curves) == 20
         for c in curves:
-            assert verify_derivative_curve(c, 0.5, 1e-3) <= 1e-4, c.name
+            assert verify_derivative_curve(c, 0.5) <= 1e-4, c.name
 
 
 class TestChangeOfParameter:

@@ -12,7 +12,6 @@ from jacobi.errors import (DomainError, InvalidDimension, InvalidTransform,
                            MissingKey, NotInChart, RegularityFailure,
                            TooFewSamples)
 from jacobi.matcurve import (
-    JET_SYM_TOL,
     PRESET_NAMES,
     SampleGrid,
     SymmetricMatrixCurve,
@@ -311,6 +310,18 @@ class TestTransformedCurve:
         with pytest.raises(NotInChart, match=r"at t=0\.0:"):
             analyze(tc, SampleGrid(0.0, 1.0, 21))
 
+    def test_image_of_a_table_keeps_its_nodes(self):
+        # the parameter is unchanged, so the image is known at the nodes
+        ts = np.linspace(0.0, 1.0, 11)
+        table = table_curve(ts, [np.diag([t, 2 * t + t * t]) for t in ts])
+        g = random_csp(3, 0.5, 2, 0.2)
+        moved = transformed_curve(table, g)
+        assert moved.table_ts is table.table_ts
+        assert transformed_curve(preset_curve("paper-6.2-ex1"),
+                                 g).table_ts is None
+        assert reparametrized_curve(table, affine_reparam(1.0, 0.0),
+                                    (0.0, 1.0)).table_ts is None
+
 
 class TestReparametrizedCurve:
     def test_affine(self):
@@ -488,7 +499,7 @@ class TestVectorisedEvaluators:
 
     @staticmethod
     def per_t(evaluator, ts):
-        rows = [[symmetrize(np.asarray(a, dtype=float), tol=JET_SYM_TOL)
+        rows = [[symmetrize(np.asarray(a, dtype=float))
                  for a in evaluator(float(t))] for t in ts]
         return [np.array(mats) for mats in zip(*rows)]
 
@@ -559,8 +570,8 @@ class TestVectorisedEvaluators:
     @staticmethod
     def symmetric_jet(evaluator):
         # the inner jet of the per-t composites: the symmetrized evaluator
-        return lambda t: [symmetrize(np.asarray(a, dtype=float),
-                                     tol=JET_SYM_TOL) for a in evaluator(t)]
+        return lambda t: [symmetrize(np.asarray(a, dtype=float))
+                          for a in evaluator(t)]
 
     @classmethod
     def transformed_ref(cls, inner, g, n):

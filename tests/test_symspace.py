@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jacobi.errors import (
+    Gates,
     InvalidBasis,
     InvalidDimension,
     InvalidTransform,
@@ -14,6 +15,7 @@ from jacobi.errors import (
 from jacobi.reconstruct import curve_from_frame
 from jacobi.symspace import (
     apply_symplectic,
+    asymmetry_gate,
     chart_translate_invert,
     complete_symplectic_basis,
     conformal_symplectic,
@@ -26,6 +28,7 @@ from jacobi.symspace import (
     symmetrize,
     symplectic_form,
 )
+from jacobi.tolerances import FRAME_TOL, SYM_TOL
 
 
 def test_form_matrix_is_standard_block():
@@ -53,12 +56,12 @@ def test_half_dimension_one_rejected():
 
 class TestIsSymplecticFrame:
     def test_identity(self):
-        ok, resid = is_symplectic_frame(np.eye(4), 1e-8)
+        ok, resid = is_symplectic_frame(np.eye(4))
         assert ok and resid == 0.0
 
     def test_uniform_scaling_fails(self):
         # F = 2 Id gives F^T J F = 4J; the worst entry of 4J - J is 3
-        ok, resid = is_symplectic_frame(2 * np.eye(4), 1e-8)
+        ok, resid = is_symplectic_frame(2 * np.eye(4))
         assert not ok
         assert resid == pytest.approx(3.0)
 
@@ -70,7 +73,7 @@ class TestIsSymplecticFrame:
             [0, 0, 1, 0],
             [0, 0, 0, 1],
         ], dtype=float)
-        ok, resid = is_symplectic_frame(f, 1e-10)
+        ok, resid = is_symplectic_frame(f)
         assert ok and resid == 0.0
 
     def test_dimension_mismatch(self):
@@ -79,6 +82,13 @@ class TestIsSymplecticFrame:
         for shape in [(5, 5), (3, 3, 3), (4, 6), (3, 4, 6), (4,)]:
             with pytest.raises(InvalidDimension):
                 is_symplectic_frame(np.ones(shape))
+
+    def test_verdict_reads_the_frame_tolerance(self):
+        # c Id has residual c^2 - 1, here 0.8 and 1.2 FRAME_TOL
+        for c, ok in ((1 + 0.4 * FRAME_TOL, True),
+                      (1 + 0.6 * FRAME_TOL, False)):
+            verdict, resid = is_symplectic_frame(c * np.eye(4))
+            assert verdict == ok and resid == pytest.approx(c * c - 1)
 
     def test_size_defines_n(self):
         ok, resid = is_symplectic_frame(np.eye(6))
@@ -151,7 +161,7 @@ class TestCompleteBasis:
             sbar = 0.5 * (b + b.T) + 4 * np.eye(3)
             m = rng.normal(size=(3, 3)) + 2 * np.eye(3)
             fr = frame_from_chart_pair(m, s, sbar)
-            ok, resid = is_symplectic_frame(fr, 1e-8)
+            ok, resid = is_symplectic_frame(fr)
             assert ok, resid
 
     def test_not_transverse(self):
@@ -275,13 +285,18 @@ class TestConformalSymplectic:
 
 def test_chart_point_symmetrizes_noise():
     noisy = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]])
+    assert asymmetry_gate(Gates(), noisy, SYM_TOL).error is None
     s = symmetrize(noisy)
     assert np.array_equal(s, s.T)
 
 
 def test_chart_point_rejects_gross_asymmetry():
-    with pytest.raises(InvalidBasis):
-        symmetrize(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # symmetrize itself never judges; the gate names the asymmetry
+    gross = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(InvalidBasis,
+                       match="asymmetry 1 exceeds tolerance 1e-10"):
+        asymmetry_gate(Gates(), gross, SYM_TOL).raise_error()
+    assert np.array_equal(symmetrize(gross), [[1.0, 0.5], [0.5, 1.0]])
 
 
 def test_symplectic_frame_blocks_roundtrip():
