@@ -29,6 +29,7 @@ from .errors import (
 )
 from .matcurve import CurveJet, Series
 from .symspace import (
+    _eig_cond,
     _matrix_maxabs,
     _maxabs,
     chart_translate_invert,
@@ -56,15 +57,10 @@ def matrix_schwarzian(j: CurveJet):
     Not symmetric in general; it is similar to a symmetric matrix via the
     velocity form (see ricci).
     """
-    _regular(Gates(), j).raise_error()
-    return _schwarzian(j)
-
-
-def _regular(gates, j):
-    """Add to `gates` the samples of j whose S' fails the condition gate."""
     ts = np.atleast_1d(j.t)
-    return gates.check(sym_cond(j.S1) > COND_MAX,
-                       lambda i: RegularityFailure(ts[i]))
+    Gates().require(sym_cond(j.S1) <= COND_MAX,
+                    lambda i: RegularityFailure(ts[i])).raise_error()
+    return _schwarzian(j)
 
 
 def _schwarzian(j):
@@ -101,51 +97,40 @@ def _not_monotone(t, vel_eigs):
 def ricci(j: CurveJet):
     """Diagonalize the curvature operator with S'-orthonormal eigenvectors.
 
-    Requires S' positive definite (monotone curve).  The eigensolve's
-    Cholesky factor of S' is the test; where it fails, the spectrum of S'
-    at the earliest failing sample tells MonotonicityFailure from
-    ComplexEigenvalues.  The asymmetry gate runs first, so a sample both
-    asymmetric and not monotone reports the asymmetry.  Negate a curve with
-    negative definite S' first (the Schwarzian is even: the spectrum is
-    unchanged, only the normalization is affected).  Whether the spectrum
-    is distinct is judged by the admissibility screen (geom.screen).
+    Requires S' positive definite (monotone curve): one spectrum of S'
+    judges regularity and definiteness.  Negate a curve with negative
+    definite S' first (the Schwarzian is even: the spectrum is unchanged,
+    only the normalization is affected).  Whether the spectrum is distinct
+    is judged by the admissibility screen (geom.screen).
     """
     if np.ndim(j.t) == 0:
         return ricci(j[None])[0]
-    gates = _regular(Gates(), j)
-    rs = gates.run(_ricci, j.t, j)
+    ev = np.linalg.eigvalsh(j.S1)
+    gates = Gates().require(_eig_cond(j.S1, ev) <= COND_MAX,
+                            lambda i: RegularityFailure(j.t[i]))
+    rs = _ricci(gates, j, ev)
     gates.raise_error()
     return rs
 
 
-def _ricci(j: CurveJet):
-    """ricci of a jet series whose S' is known regular: the screen judged
-    it from its own spectrum of S'."""
-    gates = Gates()
+def _ricci(gates, j: CurveJet, ev):
+    """ricci of the jet series j on the samples that pass `gates`, given the
+    ascending eigenvalues ev of its S'.  Adds to `gates`, in order, the
+    asymmetry of S' Sch and the definiteness of S', so the one stacked
+    eigensolve sees only regular, positive definite samples."""
+    j = j[:gates.stop]
     sch = _schwarzian(j)
     # S' * Sch = S''' - 1.5 S'' (S')^(-1) S'' is symmetric by construction;
     # asymmetry beyond roundoff means a corrupted jet.
     a = j.S1 @ sch
     asym = _matrix_maxabs(a - a.swapaxes(-1, -2))
-    gates.check(asym > RICCI_SYM_TOL * np.maximum(1.0, _matrix_maxabs(a)),
-                lambda i: ComplexEigenvalues(
-                    j.t[i], f"velocity-weighted curvature asymmetric "
-                    f"({asym[i]:g}) at t={float(j.t[i])}"))
+    gates.require(asym <= RICCI_SYM_TOL * np.maximum(1.0, _matrix_maxabs(a)),
+                  lambda i: ComplexEigenvalues(
+                      j.t[i], f"velocity-weighted curvature asymmetric "
+                      f"({asym[i]:g}) at t={float(j.t[i])}"))
+    gates.require(ev[:, 0] > 0, lambda i: _not_monotone(j.t[i], ev[i]))
     a, s1 = (0.5 * (a + a.swapaxes(-1, -2)))[:gates.stop], j.S1[:gates.stop]
-    try:
-        mu, m = definite_eigh(a, s1)
-    except np.linalg.LinAlgError:
-        # a stacked call fails as a whole: report its earliest failing sample
-        for i in range(len(a)):
-            try:
-                definite_eigh(a[i], s1[i])
-            except np.linalg.LinAlgError as e:
-                vel_eigs = np.linalg.eigvalsh(s1[i])
-                if vel_eigs[0] <= 0:
-                    raise _not_monotone(j.t[i], vel_eigs) from None
-                raise ComplexEigenvalues(j.t[i], str(e)) from None
-        raise
-    gates.raise_error()
+    mu, m = definite_eigh(a, s1)
     return RicciData(
         t=j.t,
         schwarzian=sch,
@@ -167,8 +152,8 @@ def derivative_curve(j: CurveJet, zeta_ratio=None):
     if zeta_ratio is not None:
         corr = j.S2 - np.asarray(zeta_ratio)[..., None, None] * j.S1
     ts = np.atleast_1d(j.t)
-    Gates().check(sym_cond(corr) > COND_MAX,
-                  lambda i: InflectionPoint(ts[i])).raise_error()
+    Gates().require(sym_cond(corr) <= COND_MAX,
+                    lambda i: InflectionPoint(ts[i])).raise_error()
     s0 = j.S - 2.0 * j.S1 @ np.linalg.solve(corr, j.S1)
     return symmetrize(s0)
 

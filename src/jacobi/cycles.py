@@ -78,7 +78,7 @@ def mobius_fit(jets):
     scale = _maxabs(mats)
     lam = np.sum(mats * direction, axis=(1, 2)) / dnorm2
     proj_resid = _maxabs(mats - lam[:, None, None] * direction)
-    if proj_resid > FIT_TOL * max(1.0, scale):
+    if not proj_resid <= FIT_TOL * max(1.0, scale):
         raise NoFit(proj_resid, "samples are not scalar multiples of one "
                                 "direction")
     # lam(t) (c t + d) - (a t + b) = 0: homogeneous least squares in (a,b,c,d)
@@ -90,11 +90,11 @@ def mobius_fit(jets):
         coeffs = -coeffs
     a, b, c, d = coeffs
     den = c * ts + d
-    if np.min(np.abs(den)) < MOBIUS_DEN_MIN:
+    if not np.min(np.abs(den)) >= MOBIUS_DEN_MIN:
         raise NoFit(np.inf, "fitted denominator vanishes on the samples")
     resid = float(np.max(np.abs((a * ts + b) / den - lam)))
     resid = max(resid, proj_resid / max(1.0, scale))
-    if resid > FIT_TOL:
+    if not resid <= FIT_TOL:
         raise NoFit(resid)
     return (a, b, c, d), direction, resid
 
@@ -111,7 +111,7 @@ def cycle_through(L1, L2, L3):
     pts = [L1, L2, L3]
     for i in range(3):
         for j in range(i + 1, 3):
-            if sym_cond(pts[i] - pts[j]) > COND_MAX:
+            if not sym_cond(pts[i] - pts[j]) <= COND_MAX:
                 raise NotGeneralPosition(i + 1, j + 1)
     base = chart_translate_invert(L1, L3)
     other = chart_translate_invert(L2, L3)

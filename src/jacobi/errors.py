@@ -49,29 +49,20 @@ class AtParameter(JacobiError):
 
 class Gates:
     """The error of a computation gated sample by sample over a series:
-    each gate looks only at the samples that passed the gates before it
-    (the first `stop`), so the error kept is that of the earliest failing
-    sample and, there, of the gate a single sample meets first."""
+    each gate states what passes (so NaN fails) and sees only the samples
+    that passed the gates before it (the first `stop`), so the error kept
+    is that of the earliest failing sample and of its first failed gate."""
 
     stop = None
     error = None
 
-    def check(self, bad, error):
-        """Keep error(i) for the first sample i before `stop` with bad[i]."""
-        hit = np.flatnonzero(np.atleast_1d(bad)[: self.stop])
+    def require(self, ok, error):
+        """Keep error(i) for the first i before `stop` where ok[i] is false."""
+        hit = np.flatnonzero(np.logical_not(np.atleast_1d(ok)[: self.stop]))
         if hit.size:
             self.stop = int(hit[0])
             self.error = error(self.stop)
         return self
-
-    def run(self, fn, ts, *series):
-        """fn(*series) on the samples before `stop`; an AtParameter error at
-        one of the parameters `ts` is kept and fn re-run before its sample."""
-        try:
-            return fn(*(s[: self.stop] for s in series))
-        except AtParameter as e:
-            self.stop, self.error = int(np.searchsorted(ts, e.t)), e
-            return fn(*(s[: self.stop] for s in series))
 
     def raise_error(self):
         if self.error is not None:
@@ -128,13 +119,14 @@ class NotAdmissible(AtParameter):
     message = "curve not admissible at t={t!r}"
 
 
-class NormalizationViolation(JacobiError):
+class NormalizationViolation(AtParameter):
     """Product of centered curvature magnitudes deviates from 1."""
 
+    message = "normalization invariant {value!r} at t={t!r}"
+
     def __init__(self, t, value, msg=None):
-        self.t = t
         self.value = value
-        super().__init__(msg or f"normalization invariant {value!r} at t={t!r}")
+        super().__init__(t, msg)
 
 
 class EigenCrossing(AtParameter):

@@ -48,8 +48,8 @@ def _fix_signs(ms, ts):
     norms = np.linalg.norm(ms, axis=1)
     cosang = (np.einsum("mic,mic->mc", ms[1:], ms[:-1])
               / (norms[1:] * norms[:-1]))
-    Gates().check(np.any(np.abs(cosang) < MIN_OVERLAP, axis=1),
-                  lambda i: EigenCrossing(ts[i + 1])).raise_error()
+    Gates().require(np.all(np.abs(cosang) >= MIN_OVERLAP, axis=1),
+                    lambda i: EigenCrossing(ts[i + 1])).raise_error()
     flips = np.where(np.concatenate([first[None], cosang]) < 0, -1.0, 1.0)
     return ms * np.cumprod(flips, axis=0)[:, None, :]
 
@@ -70,8 +70,8 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     ts = arc.ts
     ms = _fix_signs(ricci_series.eigvecs, ts)
     corr = jets.S2 - (arc.zeta1 / arc.zeta)[:, None, None] * jets.S1
-    Gates().check(sym_cond(corr) > COND_MAX,
-                  lambda i: InflectionPoint(ts[i])).raise_error()
+    Gates().require(sym_cond(corr) <= COND_MAX,
+                    lambda i: InflectionPoint(ts[i])).raise_error()
     mbar = -0.5 * (ms @ (ms.swapaxes(-1, -2) @ corr @ ms))
     # filled in place: np.block would also hold its two row blocks
     n = ms.shape[-1]
@@ -206,7 +206,7 @@ def equivalent_reduced(a: ReducedCartan, b: ReducedCartan, tol=EQUIV_TOL):
     sa, ka = a.Sigma[mask], a.Kdiag[mask]
     sb, kb = invariant_spline(b.arclength, b.Sigma, b.Kdiag)(ell)
     k_dev = float(np.max(np.abs(ka - kb)))
-    if k_dev > tol:
+    if not k_dev <= tol:
         return False, None, k_dev, None
     best, best_dev = None, np.inf
     for bits in range(2 ** (n - 1)):

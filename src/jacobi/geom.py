@@ -61,8 +61,8 @@ def zeta_series(ricci_series, adm_tol=ADM_TOL):
     h = ts[1] - ts[0]
     n = ricci_series.eigvals.shape[-1]
     det = np.abs(centered_schwarzian_det(ricci_series.schwarzian))
-    Gates().check(det < adm_tol,
-                  lambda i: NotAdmissible(ts[i])).raise_error()
+    Gates().require(det >= adm_tol,
+                    lambda i: NotAdmissible(ts[i])).raise_error()
     zeta = det ** (1.0 / (2 * n))
     zeta1 = finite_diff(zeta, h, 1)
     zeta2 = finite_diff(zeta, h, 2)
@@ -93,9 +93,9 @@ def absolute_curvature(ricci_series, arc):
     k = ((ricci_series.eigvals - arc.sphi[:, None])
          / (arc.zeta**2)[:, None])
     prod = centered_product(k)
-    worst = int(np.argmax(np.abs(prod - 1.0)))
-    if abs(prod[worst] - 1.0) > NORM_TOL:
-        raise NormalizationViolation(float(arc.ts[worst]), float(prod[worst]))
+    Gates().require(np.abs(prod - 1.0) <= NORM_TOL, lambda i:
+                    NormalizationViolation(arc.ts[i], float(prod[i]))
+                    ).raise_error()
     return k
 
 
@@ -168,23 +168,25 @@ def screen(curve, grid, adm_tol=ADM_TOL):
     """
     ana = Analysis(curve, grid)
     try:
-        # one spectrum of S' judges both regularity and the velocity sign
+        # one spectrum of S' judges regularity, sign and definiteness
         jets, ev = _sample(curve, grid, True)
         sign = np.where(ev[:, 0] > 0, 1, np.where(ev[:, -1] < 0, -1, 0))
-        Gates().check((sign == 0) | (sign != sign[0]),
-                      lambda i: MonotonicityFailure(jets.t[i])).raise_error()
+        Gates().require((sign != 0) & (sign == sign[0]),
+                        lambda i: MonotonicityFailure(jets.t[i])).raise_error()
         ana.velocity_sign = int(sign[0])
         if ana.velocity_sign < 0:
             ana.flipped = True
             jets = CurveJet(jets.t, -jets.S, -jets.S1, -jets.S2, -jets.S3)
+            ev = -ev[:, ::-1]
         ana.jets = jets
         gates = Gates()
-        rs = gates.run(_ricci, jets.t, jets)
+        rs = _ricci(gates, jets, ev)
         mu = rs.eigvals
         if mu.shape[1] > 1:
             gap = np.min(np.diff(mu, axis=1), axis=1)
-            gates.check(gap < EIG_GAP_TOL * (mu[:, -1] - mu[:, 0]),
-                        lambda i: RepeatedEigenvalues(jets.t[i], float(gap[i])))
+            gates.require(
+                gap >= EIG_GAP_TOL * (mu[:, -1] - mu[:, 0]),
+                lambda i: RepeatedEigenvalues(jets.t[i], float(gap[i])))
             ana.min_eig_gap = (float(np.min(gap)) if gates.error is None
                                else getattr(gates.error, "gap", None))
         gates.raise_error()

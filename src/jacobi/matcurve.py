@@ -279,7 +279,7 @@ class SymmetricMatrixCurve:
         stack (None when unchecked), from which regularity was judged."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain
-        gates = Gates().check(~((lo <= ts) & (ts <= hi)), lambda i: DomainError(
+        gates = Gates().require((lo <= ts) & (ts <= hi), lambda i: DomainError(
             f"t={float(ts[i])} outside domain [{lo}, {hi}]"))
         ts = ts[:gates.stop]
         mats = [np.asarray(a, dtype=float) for a in self._eval(ts)]
@@ -292,8 +292,8 @@ class SymmetricMatrixCurve:
         if check_regular:
             S1 = mats[1][:gates.stop]
             ev = np.linalg.eigvalsh(S1)
-            gates.check(_eig_cond(S1, ev) > COND_MAX,
-                        lambda i: RegularityFailure(ts[i]))
+            gates.require(_eig_cond(S1, ev) <= COND_MAX,
+                          lambda i: RegularityFailure(ts[i]))
         gates.raise_error()
         return CurveJet(ts, *mats), ev
 
@@ -399,8 +399,9 @@ def table_curve(ts, S_values, name=None):
     if ts.size < 7:
         raise TooFewSamples("table needs at least 7 samples")
     h = ts[1] - ts[0]
-    if np.max(np.abs(np.diff(ts) - h)) > NODE_TOL * max(1.0, abs(h)):
+    if not np.max(np.abs(np.diff(ts) - h)) <= NODE_TOL * max(1.0, abs(h)):
         raise DomainError("table nodes must be uniformly spaced")
+    asymmetry_gate(Gates(), values, JET_SYM_TOL).raise_error()
     values = symmetrize(values)
     d1 = finite_diff(values, h, 1)
     d2 = finite_diff(values, h, 2)
@@ -419,9 +420,9 @@ def node_curve(ts, jets, kind, name):
 
     def evaluator(tq):
         i = np.clip(np.round((tq - ts[0]) / h).astype(int), 0, ts.size - 1)
-        off = np.abs(ts[i] - tq) > NODE_TOL * max(1.0, abs(h))
-        if np.any(off):
-            raise DomainError(f"t={float(tq[np.argmax(off)])} is not a table node")
+        Gates().require(np.abs(ts[i] - tq) <= NODE_TOL * max(1.0, abs(h)),
+                        lambda k: DomainError(f"t={float(tq[k])} is not a "
+                                              "table node")).raise_error()
         return tuple(a[i] for a in jets)
 
     c = SymmetricMatrixCurve(jets[0].shape[-1], evaluator, (ts[0], ts[-1]),
@@ -642,13 +643,16 @@ def require_keys(obj, paths, what):
 
 
 def json_array(value, key):
-    """A JSON value as a float array; a ragged or non-numeric value raises
-    InvalidDimension naming its `key`."""
+    """A JSON value as a float array; a ragged, non-numeric or non-finite
+    value raises InvalidDimension naming its `key`."""
     try:
-        return np.asarray(value, dtype=float)
+        a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise InvalidDimension(
             f"{key} is not a rectangular array of numbers") from None
+    if not np.isfinite(a).all():
+        raise InvalidDimension(f"{key} has entries that are not finite")
+    return a
 
 
 def json_numbers(value, key, shape):
@@ -663,6 +667,20 @@ def json_numbers(value, key, shape):
         pass
     what = f"a list of {shape[0]} finite numbers" if shape else "a finite number"
     raise InvalidDimension(f"{key} is not {what}")
+
+
+def json_entries(value, key):
+    """A JSON n x n table of coefficient lists as lists of floats; any other
+    value, or a coefficient that is not a finite number, raises
+    InvalidDimension naming its `key`."""
+    try:
+        if value and all(len(row) == len(value) for row in value):
+            return [[json_numbers(c, key, (len(c),)) for c in row]
+                    for row in value]
+    except (TypeError, InvalidDimension):
+        pass
+    raise InvalidDimension(
+        f"{key} is not an n x n table of lists of finite numbers")
 
 
 def json_integer(value, key):
@@ -695,13 +713,13 @@ def curve_from_json(obj):
         if "domain" in obj:
             curve.domain = tuple(json_numbers(obj["domain"], "domain", (2,)))
     elif kind == "polynomial":
-        curve = polynomial_curve(obj["entries"],
+        curve = polynomial_curve(json_entries(obj["entries"], "entries"),
                                  json_numbers(obj["domain"], "domain", (2,)),
                                  name=obj.get("name"))
     elif kind == "fourier":
         curve = fourier_curve(
-            obj["entries"]["cos"],
-            obj["entries"]["sin"],
+            json_entries(obj["entries"]["cos"], "entries.cos"),
+            json_entries(obj["entries"]["sin"], "entries.sin"),
             json_numbers(obj["domain"], "domain", (2,)),
             omega=json_numbers(obj.get("omega", 1.0), "omega", ()),
             name=obj.get("name"),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GridMismatch, InvalidDimension, NotInChart,
+from .errors import (Gates, GridMismatch, InvalidDimension, NotInChart,
                      StepTooCoarse, SymplecticityLoss)
 from .frames import cartan_matrix, equivalent_reduced, invariant_spline
 from .geom import centered_product
@@ -55,18 +55,18 @@ class InvariantPrescription:
         n = self.Kdiag.shape[1]
         if self.Sigma.shape != (m, n, n) or self.Kdiag.shape != (m, n):
             raise GridMismatch("prescription series shapes disagree")
-        if _maxabs(self.Sigma + self.Sigma.swapaxes(-1, -2)) > SKEW_TOL:
+        if not _maxabs(self.Sigma + self.Sigma.swapaxes(-1, -2)) <= SKEW_TOL:
             self.warnings.append("Sigma series is not skew-symmetric")
         d = -2.0 * self.Kdiag
         dev = np.max(np.abs(centered_product(d) - 1.0))
-        if dev > NORM_TOL:
+        if not dev <= NORM_TOL:
             self.warnings.append("centered curvature product deviates "
                                  f"from 1 (max dev {dev:.3e})")
         # the screen's gap rule with <=: a fully collapsed spectrum is
         # flagged here, where the screen leaves it to the arc-element step
         ds = np.sort(d, axis=1)
         gap = np.min(np.diff(ds, axis=1), axis=1, initial=np.inf)
-        if np.any(gap <= EIG_GAP_TOL * (ds[:, -1] - ds[:, 0])):
+        if not np.all(gap > EIG_GAP_TOL * (ds[:, -1] - ds[:, 0])):
             self.warnings.append("curvatures are not distinct everywhere")
         if self.F0.shape != (2 * n, 2 * n):
             raise InvalidDimension(
@@ -119,8 +119,6 @@ def prescription_from_json(obj):
         if a.shape not in shapes:
             raise InvalidDimension(
                 f"{name} has shape {a.shape}; expected one of {shapes}")
-        if not np.isfinite(a).all():
-            raise InvalidDimension(f"{name} has entries that are not finite")
     if k.shape in [(n, n), (m, n, n)]:
         k = k.diagonal(axis1=-2, axis2=-1)
     return InvariantPrescription(
@@ -151,8 +149,8 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
              + (np.sqrt(3.0) / 12.0) * hs**2 * (c1 @ c2 - c2 @ c1))
     omega -= omega @ omega @ omega / 12.0
     radius = np.sqrt(np.max(np.abs(omega @ omega).sum(axis=-1), axis=-1))
-    if np.any(radius > STEP_MAX):
-        raise StepTooCoarse(ts[np.argmax(radius > STEP_MAX)])
+    Gates().require(radius <= STEP_MAX,
+                    lambda i: StepTooCoarse(ts[i])).raise_error()
     d = np.linalg.solve(np.eye(f0.shape[0]) - 0.5 * omega, omega)
     frames = np.empty((ts.size,) + f0.shape)
     f = frames[0] = f0
@@ -160,8 +158,8 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
         f = frames[i + 1] = f + f @ di
     _, resid = is_symplectic_frame(frames[1:])
     resid /= np.maximum(1.0, _matrix_maxabs(frames[1:]) ** 2)
-    resid = max(resid) if resid.size else 0.0
-    if resid > resid_max:
+    resid = np.max(resid) if resid.size else 0.0
+    if not resid <= resid_max:
         raise SymplecticityLoss(resid)
     return frames, resid
 
@@ -174,7 +172,7 @@ def curve_from_frame(frames):
     """
     n = frames.shape[-1] // 2
     a, b = frames[:, :n, :n], frames[:, n:, :n]
-    inside = ~(np.linalg.cond(a) > COND_MAX)
+    inside = np.linalg.cond(a) <= COND_MAX
     S = np.full(a.shape, np.nan)
     S[inside] = symmetrize(np.linalg.solve(
         a[inside].swapaxes(-1, -2), b[inside].swapaxes(-1, -2)
@@ -222,10 +220,9 @@ def frame_curve(p: InvariantPrescription, frames):
     earliest such node."""
     n, ts = p.n, p.ts
     S, _ = curve_from_frame(frames)
-    out = np.isnan(S[:, 0, 0])
-    if out.any():
-        t = float(ts[np.argmax(out)])
-        raise NotInChart(f"the frame's A block is singular at t={t!r}")
+    Gates().require(np.isfinite(S[:, 0, 0]), lambda i: NotInChart(
+        f"the frame's A block is singular at t={float(ts[i])!r}")
+    ).raise_error()
     a, abar = frames[:, :n, :n], frames[:, :n, n:]
     ainv = np.linalg.inv(a)
     sig = p.Sigma

@@ -68,7 +68,7 @@ def _singular(exc, what):
 def solve_gated(a, b, exc=NotTransverse, what="matrix"):
     """Solve a x = b, raising `exc` when a is singular past the cond gate."""
     a = np.asarray(a, dtype=float)
-    if np.any(np.linalg.cond(a) > COND_MAX):
+    if not np.all(np.linalg.cond(a) <= COND_MAX):
         raise _singular(exc, what)
     return np.linalg.solve(a, b)
 
@@ -80,10 +80,12 @@ def inv_gated(a, what="matrix"):
 
 
 def asymmetry_gate(gates, s, tol):
-    """Add to `gates` the samples of s whose asymmetry exceeds `tol`."""
+    """Add to `gates` the samples of s whose asymmetry exceeds `tol` times
+    max(1, max|s|), or that are not finite."""
     resid = np.atleast_1d(_matrix_maxabs(s - s.swapaxes(-1, -2)))
-    bad = resid > tol * np.maximum(1.0, _matrix_maxabs(s))
-    return gates.check(bad, lambda i: InvalidBasis(
+    scale = np.maximum(1.0, _matrix_maxabs(s))
+    ok = (resid <= tol * scale) & np.isfinite(scale)
+    return gates.require(ok, lambda i: InvalidBasis(
         f"asymmetry {resid[i]:g} exceeds tolerance {tol:g}"))
 
 
@@ -136,9 +138,9 @@ def frame_from_chart_pair(M, S, Sbar):
     fbar spanning Sbar; a singular M or Sbar - S raises."""
     M = np.asarray(M, dtype=float)
     diff = Sbar - S
-    Gates().check(np.linalg.cond(M) > COND_MAX,
-                  lambda i: InvalidBasis("basis matrix M is singular")).check(
-        sym_cond(diff) > COND_MAX,
+    Gates().require(np.linalg.cond(M) <= COND_MAX, lambda i: InvalidBasis(
+        "basis matrix M is singular")).require(
+        sym_cond(diff) <= COND_MAX,
         lambda i: _singular(NotTransverse, "Sbar - S")).raise_error()
     Mbar = np.linalg.solve(diff, np.linalg.inv(M.swapaxes(-1, -2)))
     return np.block([[M, Mbar], [S @ M, Sbar @ Mbar]])
@@ -164,8 +166,8 @@ def conformal_symplectic(g, n):
     gjg = g.T @ j @ g
     scale = np.trace(gjg[:n, n:]) / n
     size = _maxabs(g) ** 2
-    if (abs(scale) <= CSP_SCALE_MIN * size
-            or _maxabs(gjg - scale * j) > FRAME_TOL * size):
+    if not (abs(scale) > CSP_SCALE_MIN * size
+            and _maxabs(gjg - scale * j) <= FRAME_TOL * size):
         raise InvalidTransform("matrix is not conformal symplectic")
     return g
 

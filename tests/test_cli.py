@@ -602,6 +602,52 @@ class TestMalformedJson:
         assert (name, message) == ("InvalidDimension",
                                    f"{key} has entries that are not finite")
 
+    POLY = {"n": 2, "kind": "polynomial", "domain": [0.0, 1.0],
+            "entries": [[[0.0, 1.0], [0.0]], [[0.0], [0.0, 2.0]]]}
+    FOURIER = {"n": 2, "kind": "fourier", "domain": [0.0, 1.0],
+               "entries": {"cos": [[[0.0], [0.0]], [[0.0], [0.0]]],
+                           "sin": [[[0.0, 1.0], [0.0]], [[0.0], [0.0, 2.0]]]}}
+
+    @pytest.mark.parametrize("spec,key", [
+        ({**POLY, "entries": [[[0.0, "a"], [0.0]], [[0.0], [0.0, 2.0]]]},
+         "entries"),
+        ({**POLY, "entries": 5}, "entries"),
+        ({**POLY, "entries": [[[0.0, 1.0]], [[0.0], [0.0, 2.0]]]}, "entries"),
+        ({**POLY, "entries": [[[0.0, float("nan")], [0.0]],
+                              [[0.0], [0.0, 2.0]]]}, "entries"),
+        ({**FOURIER, "entries": {"cos": [[["x"], [0.0]], [[0.0], [0.0]]],
+                                 "sin": FOURIER["entries"]["sin"]}},
+         "entries.cos"),
+        ({**FOURIER, "entries": {"cos": FOURIER["entries"]["cos"],
+                                 "sin": [[[0.0, 1.0], 0.0],
+                                         [[0.0], [0.0, 2.0]]]}},
+         "entries.sin"),
+    ], ids=["string", "number", "ragged", "nan", "fourier-string",
+            "fourier-number"])
+    def test_malformed_entries(self, capsys, tmp_path, spec, key):
+        # they once ended in a ValueError, TypeError or UFuncTypeError
+        # traceback
+        name, message = self.error(capsys, tmp_path, json.dumps(spec),
+                                   "analyze", "BAD")
+        assert (name, message) == (
+            "InvalidDimension",
+            f"{key} is not an n x n table of lists of finite numbers")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_table_sample_not_finite(self, capsys, tmp_path, value):
+        # a NaN node once reached the screen and exited 2 as "velocity form
+        # not definite of constant sign"
+        ts = np.linspace(-0.05, 1.05, 221)
+        S = sample_curve(preset_curve("paper-6.2-ex1"),
+                         SampleGrid(-0.05, 1.05, 221)).S
+        S[100] = value
+        spec = {"n": 2, "kind": "table",
+                "samples": {"t": ts.tolist(), "S": S.tolist()}}
+        name, message = self.error(capsys, tmp_path, json.dumps(spec),
+                                   "analyze", "BAD")
+        assert (name, message) == ("InvalidDimension",
+                                   "samples.S has entries that are not finite")
+
     def test_polynomial_domain_not_numbers(self, capsys, tmp_path):
         spec = {"n": 1, "kind": "polynomial", "entries": [[[0.0, 1.0]]],
                 "domain": ["a", 1]}

@@ -23,11 +23,13 @@ from jacobi.errors import (
 from jacobi.matcurve import (
     CurveJet,
     SampleGrid,
+    SymmetricMatrixCurve,
     curve_from_scalars,
     preset_curve,
     reparametrized_curve,
     sample_curve,
 )
+from jacobi.pipeline import analyze
 
 from .conftest import admissible_quartics, random_quartic
 
@@ -276,58 +278,68 @@ class TestGates:
     def test_earliest_sample_wins_then_first_gate(self):
         ts = np.linspace(0.0, 1.0, 6)
         gates = Gates()
-        gates.check(np.arange(6) >= 3, lambda i: RegularityFailure(ts[i]))
+        gates.require(np.arange(6) < 3, lambda i: RegularityFailure(ts[i]))
         # a later gate sees only samples 0-2; its failure at 1 wins
-        gates.check(np.arange(6) >= 1, lambda i: ComplexEigenvalues(ts[i]))
+        gates.require(np.arange(6) < 1, lambda i: ComplexEigenvalues(ts[i]))
         # a gate failing at the same sample loses to the earlier gate
-        gates.check(np.arange(6) >= 1, lambda i: MonotonicityFailure(ts[i]))
+        gates.require(np.arange(6) < 1, lambda i: MonotonicityFailure(ts[i]))
         assert gates.stop == 1
         with pytest.raises(ComplexEigenvalues) as exc:
             gates.raise_error()
         assert exc.value.t == ts[1]
 
-    def test_run_reruns_on_the_samples_before_the_failure(self):
-        ts = np.linspace(0.0, 1.0, 6)
-        calls = []
-
-        def fn(x):
-            calls.append(len(x))
-            if len(x) > 4:
-                raise RegularityFailure(ts[4])
-            return 2 * x
-
-        gates = Gates()
-        assert np.array_equal(gates.run(fn, ts, ts), 2 * ts[:4])
-        assert calls == [6, 4] and gates.stop == 4
-        assert isinstance(gates.error, RegularityFailure)
+    def test_nan_fails_a_gate(self):
+        # a gate states what passes, and every comparison with NaN is false
+        x = np.array([0.5, 0.2, np.nan, 2.0])
+        gates = Gates().require(x <= 1.0, lambda i: RegularityFailure(i))
+        assert gates.stop == 2 and gates.error.t == 2.0
+        assert Gates().require(x[:2] <= 1.0, None).error is None
 
 
-    def test_failed_stacked_eigensolve_reports_its_earliest_sample(
-            self, monkeypatch):
-        # a stacked LAPACK call fails as a whole; ricci re-runs it sample by
-        # sample to name the earliest failure, as on a single jet
+class TestNonFinite:
+    NAN_S1 = CurveJet(0.0, np.zeros((2, 2)), np.array([[np.nan, 0.0],
+                                                       [0.0, 1.0]]),
+                      np.diag([0.1, 0.1]), np.diag([0.2, 0.3]))
+
+    def test_ricci_of_a_nan_velocity_is_a_typed_error(self):
+        # it once returned NaN eigendata while the screen rejected the jet
+        with pytest.raises(RegularityFailure):
+            ricci(self.NAN_S1)
+        c = SymmetricMatrixCurve(2, lambda ts: tuple(
+            np.broadcast_to(a, (ts.size, 2, 2)) for a in (
+                self.NAN_S1.S, self.NAN_S1.S1, self.NAN_S1.S2,
+                self.NAN_S1.S3)), (0.0, 1.0))
+        # the jet gates of the screen's sampling reject it first
+        with pytest.raises(JacobiError):
+            analyze(c, SampleGrid(0.0, 1.0, 7))
+
+    @pytest.mark.parametrize("asymmetric,error,stop", [
+        (True, ComplexEigenvalues, 2), (False, MonotonicityFailure, 4)])
+    def test_failing_series_runs_the_eigensolve_once(
+            self, monkeypatch, asymmetric, error, stop):
+        # the gates judge every sample before the one stacked eigensolve,
+        # which sees only the samples before the earliest failure; nothing
+        # is re-run to find that sample
         from jacobi import curvature
 
+        seen = []
         real = curvature.definite_eigh
-        poisoned = {3, 5}
 
-        def fake(a, b):
-            idx = np.atleast_1d(np.round((b[..., 0, 0] - 1) * 1e3)).astype(int)
-            if poisoned & set(idx.tolist()):
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
+        def counted(a, b):
+            seen.append(len(b))
             return real(a, b)
 
-        monkeypatch.setattr(curvature, "definite_eigh", fake)
-        ts = np.linspace(0.0, 1.0, 8)
-        s1 = np.eye(2) + np.arange(8)[:, None, None] * np.diag([1e-3, 0.0])
-        jets = CurveJet(ts, np.zeros((8, 2, 2)), s1,
-                        np.zeros((8, 2, 2)), np.tile(np.diag([1.0, 2.0]),
-                                                     (8, 1, 1)))
-        with pytest.raises(ComplexEigenvalues) as exc:
+        monkeypatch.setattr(curvature, "definite_eigh", counted)
+        ts = np.linspace(0.0, 1.0, 6)
+        s1 = np.tile(np.eye(2), (6, 1, 1))
+        s1[4] = np.diag([1.0, -1.0])
+        s3 = np.tile(np.diag([0.2, 0.3]), (6, 1, 1))
+        s3[2, 0, 1] = 1.0 if asymmetric else 0.0
+        jets = CurveJet(ts, np.zeros((6, 2, 2)), s1,
+                        np.tile(np.diag([0.1, 0.1]), (6, 1, 1)), s3)
+        with pytest.raises(error) as exc:
             ricci(jets)
-        assert exc.value.t == ts[3]
-        assert "not positive definite" in str(exc.value)
-        assert ricci(jets[:3]).eigvals.shape == (3, 2)
+        assert exc.value.t == ts[stop] and seen == [stop]
 
 
 class TestVerifyDerivativeCurve:

@@ -217,6 +217,28 @@ class TestScreenMatchesPipeline:
         _screen_vs_pipeline(c, SampleGrid(0.0, 1.0, 31))
 
 
+class TestNonFiniteSample:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]),
+           st.integers(0, 3), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.integers(0, 200))
+    def test_analyze_raises(self, seed, n, order, value, node):
+        # one jet matrix (S, S', S'' or S''') is not finite at one sample:
+        # every gate states what passes, so the pipeline fails instead of
+        # returning non-finite invariants
+        base, grid = random_quartic(seed, n=n), SampleGrid(0.0, 1.0, 201)
+        bad = grid.points[node]
+
+        def evaluator(ts):
+            mats = base._eval(ts)
+            mats[order][ts == bad] = value
+            return mats
+
+        c = SymmetricMatrixCurve(n, evaluator, base.domain)
+        with pytest.raises(JacobiError):
+            analyze(c, grid)
+
+
 class TestFlipInvariance:
     def test_negated_curve_has_identical_invariants(self, unit_grid):
         # Schwarzian is even in S, so negation only affects normalization

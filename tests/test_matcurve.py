@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobi.cli import _json
-from jacobi.errors import (DomainError, InvalidDimension, InvalidTransform,
-                           MissingKey, NotInChart, RegularityFailure,
-                           TooFewSamples)
+from jacobi.errors import (DomainError, InvalidBasis, InvalidDimension,
+                           InvalidTransform, MissingKey, NotInChart,
+                           RegularityFailure, TooFewSamples)
 from jacobi.matcurve import (
     PRESET_NAMES,
     SampleGrid,
@@ -270,6 +270,16 @@ class TestTableCurve:
         c = table_curve(ts, [t * np.eye(2) for t in ts])
         with pytest.raises(DomainError):
             c.jet(0.123)
+        # a series names its earliest query off the nodes
+        with pytest.raises(DomainError, match=r"^t=0\.123 is not"):
+            c.jets([0.1, 0.123, 0.5, 0.456])
+
+    def test_asymmetric_samples_rejected(self):
+        # they were once averaged: [[t, 5], [0, .]] loaded as [[t, 2.5], ...]
+        ts = np.linspace(0.0, 1.0, 11)
+        vals = [np.array([[t, 5.0], [0.0, 2 * t + t * t]]) for t in ts]
+        with pytest.raises(InvalidBasis, match="asymmetry 5 exceeds"):
+            table_curve(ts, vals)
 
     def test_nonuniform_rejected(self):
         ts = np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5, 0.6])

@@ -274,6 +274,14 @@ class TestConformalSymplectic:
         with pytest.raises(InvalidTransform):
             conformal_symplectic(np.zeros((4, 4)), 2)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 3)])
+    def test_nan_entry_rejected(self, entry):
+        # a NaN fails both tests, which state what passes
+        g = random_csp(0, scale=0.5, n=2, ham_scale=0.5)
+        g[entry] = np.nan
+        with pytest.raises(InvalidTransform):
+            conformal_symplectic(g, 2)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.floats(-6.0, 6.0))
     @example(0, -6.0)
@@ -297,6 +305,14 @@ def test_chart_point_rejects_gross_asymmetry():
                        match="asymmetry 1 exceeds tolerance 1e-10"):
         asymmetry_gate(Gates(), gross, SYM_TOL).raise_error()
     assert np.array_equal(symmetrize(gross), [[1.0, 0.5], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_chart_point_rejects_a_non_finite_entry(entry):
+    # an infinite entry once passed: its asymmetry inf was <= tol * inf
+    s = np.array([[1.0, entry], [0.5, 1.0]])
+    with pytest.raises(InvalidBasis):
+        asymmetry_gate(Gates(), s, SYM_TOL).raise_error()
 
 
 def test_symplectic_frame_blocks_roundtrip():
