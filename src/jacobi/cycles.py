@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import matrix_schwarzian
-from .errors import NoFit, NotGeneralPosition, ZeroDirection
+from .errors import Gates, NoFit, NotGeneralPosition, ZeroDirection
 from .matcurve import sample_curve
 from .symspace import _maxabs, chart_translate_invert, sym_cond, symmetrize
 from .tolerances import (COND_MAX, FIT_TOL, FLAT_TOL, MEMBER_TOL,
@@ -108,13 +108,11 @@ def cycle_through(L1, L2, L3):
     cycle does not depend on which point is sent to infinity (tested by
     permuting roles).
     """
-    pts = [L1, L2, L3]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not sym_cond(pts[i] - pts[j]) <= COND_MAX:
-                raise NotGeneralPosition(i + 1, j + 1)
-    base = chart_translate_invert(L1, L3)
-    other = chart_translate_invert(L2, L3)
+    pts = np.stack([L1, L2, L3])
+    i, j = np.triu_indices(3, 1)  # the pairs (1, 2), (1, 3), (2, 3)
+    Gates().require(sym_cond(pts[i] - pts[j]) <= COND_MAX, lambda k:
+                    NotGeneralPosition(i[k] + 1, j[k] + 1)).raise_error()
+    base, other = chart_translate_invert(pts[:2], L3)
     direction = other - base
     return Cycle(
         infinity=L3,
@@ -130,12 +128,15 @@ def cycle_contains(cycle, L, tol=MEMBER_TOL):
     `L` is a chart point (a symmetric array) or the AT_INFINITY sentinel.
     A chart point is re-charted at the cycle's infinity; it belongs iff its
     offset from the base is a scalar multiple of the direction (least-squares
-    scalar, residual below tol relative to the line scale).
+    scalar, residual below tol relative to the line scale); a point not
+    transverse to infinity lies outside the line's chart.
     """
     if L is AT_INFINITY:
         return True
     if _maxabs(L - cycle.infinity) <= tol * max(1.0, _maxabs(cycle.infinity)):
         return True
+    if not sym_cond(L - cycle.infinity) <= COND_MAX:
+        return False
     x = chart_translate_invert(L, cycle.infinity)
     offset = x - cycle.base
     d = cycle.direction

@@ -18,25 +18,26 @@ import numpy as np
 from .errors import EigenCrossing, Gates, GridMismatch, InflectionPoint
 from .geom import ArcData
 from .matcurve import finite_diff, spline
-from .symspace import is_symplectic_frame, sym_cond
+from .symspace import sym_cond
 from .tolerances import (COND_MAX, EQUIV_TOL, MIN_OVERLAP, OVERLAP_SLACK,
                          SIGN_TOL)
 
 
 @dataclass(frozen=True)
 class FrenetFrame:
-    """Sign-continuous frame series along the sample grid.
+    """Sign-continuous frame series along the sample grid of the arc.
 
-    M[i] holds the velocity-orthonormal eigenvector basis at ts[i]
-    (M^T S' M = Id), frames[i] the 2n x 2n symplectic frame (its upper
-    right block spans the derivative subspace), residuals[i] its
-    symplecticity defect; arrays with the sample axis first.
+    frames[i] is the 2n x 2n symplectic frame at the i-th sample, the
+    sample axis first; its upper right block spans the derivative subspace.
     """
 
-    ts: np.ndarray
-    M: np.ndarray
     frames: np.ndarray
-    residuals: np.ndarray
+
+    @property
+    def M(self):
+        """The upper left n x n blocks: the bases M with M^T S' M = Id."""
+        n = self.frames.shape[-1] // 2
+        return self.frames[..., :n, :n]
 
 
 def _fix_signs(ms, ts):
@@ -67,11 +68,10 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     computed (the screen, or ricci), and M^T S' M = Id makes
     cond(M)^2 = cond(S').
     """
-    ts = arc.ts
-    ms = _fix_signs(ricci_series.eigvecs, ts)
+    ms = _fix_signs(ricci_series.eigvecs, arc.ts)
     corr = jets.S2 - (arc.zeta1 / arc.zeta)[:, None, None] * jets.S1
     Gates().require(sym_cond(corr) <= COND_MAX,
-                    lambda i: InflectionPoint(ts[i])).raise_error()
+                    lambda i: InflectionPoint(arc.ts[i])).raise_error()
     mbar = -0.5 * (ms @ (ms.swapaxes(-1, -2) @ corr @ ms))
     # filled in place: np.block would also hold its two row blocks
     n = ms.shape[-1]
@@ -80,8 +80,7 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     fr[:, n:, :n] = jets.S @ ms
     fr[:, :n, n:] = mbar
     fr[:, n:, n:] = jets.S @ mbar + jets.S1 @ ms
-    _, residuals = is_symplectic_frame(fr)
-    return FrenetFrame(ts=ts, M=ms, frames=fr, residuals=residuals)
+    return FrenetFrame(fr)
 
 
 def cartan_matrix(Sigma, Kdiag):

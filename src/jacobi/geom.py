@@ -117,15 +117,14 @@ class Analysis:
     `screen` sets the fields up to `error`, `pipeline.complete` the
     FrenetFrame `frame` and the ReducedCartan `reduced`.  `jets` is the
     grid's jet series, negated when the velocity form is negative definite
-    (`flipped`; the spectrum is unchanged, the normalization then
-    well-posed).  `error` is the typed error of the first failed step; the
-    fields of the later steps are then left unset.
+    (`flipped`: velocity_sign < 0; the spectrum is unchanged, the
+    normalization then well-posed).  `error` is the typed error of the
+    first failed step; the fields of the later steps are then left unset.
     """
 
     curve: object
     grid: object
     velocity_sign: int = 0  # +1, -1, or 0 (indefinite/singular)
-    flipped: bool = False
     jets: CurveJet | None = None
     ricci_series: RicciData | None = None
     min_eig_gap: float | None = None
@@ -133,6 +132,10 @@ class Analysis:
     error: JacobiError | None = None
     frame: object = None
     reduced: object = None
+
+    @property
+    def flipped(self):
+        return self.velocity_sign < 0
 
     def report(self):
         """The screen's verdict as the artifacts' `admissibility` dict.
@@ -174,8 +177,7 @@ def screen(curve, grid, adm_tol=ADM_TOL):
         Gates().require((sign != 0) & (sign == sign[0]),
                         lambda i: MonotonicityFailure(jets.t[i])).raise_error()
         ana.velocity_sign = int(sign[0])
-        if ana.velocity_sign < 0:
-            ana.flipped = True
+        if ana.flipped:
             jets = CurveJet(jets.t, -jets.S, -jets.S1, -jets.S2, -jets.S3)
             ev = -ev[:, ::-1]
         ana.jets = jets

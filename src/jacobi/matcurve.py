@@ -20,6 +20,7 @@ from numpy.polynomial import polynomial as npoly
 from .errors import (
     DomainError,
     Gates,
+    InvalidBasis,
     InvalidDimension,
     MissingKey,
     NotInChart,
@@ -269,9 +270,9 @@ class SymmetricMatrixCurve:
 
     def jets(self, ts, check_regular=True):
         """Jet series at the parameters `ts`, the only evaluation path.  Per
-        sample the checks run in the order domain, shape, symmetry and
-        regularity; the earliest failing sample's error is raised, and an
-        error of the evaluator itself comes before all of them."""
+        sample the checks run in the order domain, shape, finiteness,
+        symmetry and regularity; the earliest failing sample's error is
+        raised, and an error of the evaluator comes before all of them."""
         return self._jets(ts, check_regular)[0]
 
     def _jets(self, ts, check_regular):
@@ -285,12 +286,16 @@ class SymmetricMatrixCurve:
         mats = [np.asarray(a, dtype=float) for a in self._eval(ts)]
         if [a.shape for a in mats] != [(ts.size, self.n, self.n)] * 4:
             raise InvalidDimension("evaluator must return four m x n x n arrays")
-        for a in mats:
-            asymmetry_gate(gates, a, JET_SYM_TOL)
-        mats = [symmetrize(a) for a in mats]
+        for k, a in enumerate(mats):
+            gates.require(np.isfinite(a).all(axis=(-2, -1)), lambda i:
+                          InvalidBasis(f"jet of order {k} not finite at "
+                                       f"t={float(ts[i])!r}"))
+        for a in mats:  # no arithmetic on a sample that failed a gate
+            asymmetry_gate(gates, a[:gates.stop], JET_SYM_TOL)
+        mats = [symmetrize(a[:gates.stop]) for a in mats]
         ev = None
         if check_regular:
-            S1 = mats[1][:gates.stop]
+            S1 = mats[1]
             ev = np.linalg.eigvalsh(S1)
             gates.require(_eig_cond(S1, ev) <= COND_MAX,
                           lambda i: RegularityFailure(ts[i]))

@@ -1,12 +1,12 @@
 """Symplectic linear algebra over R^(2n).
 
 Everything is expressed relative to one fixed symplectic basis: the form is
-J = [[0, I], [-I, 0]], Lagrangian subspaces are stored either as chart
-coordinates (a symmetric n x n matrix S, the subspace being the column span
-of [I; S]); a symplectic frame is its 2n x 2n coordinate matrix.  Both are
-plain arrays.  All operations are pure; matrices may carry a leading sample
-axis, and the per-sample functions then act on each sample.
-"""
+J = [[0, I], [-I, 0]], a Lagrangian subspace is stored as its chart
+coordinate (a symmetric n x n matrix S, the column span of [I; S]) and a
+symplectic frame as its 2n x 2n coordinate matrix: plain arrays.  All
+operations are pure; chart points and frames may carry a leading sample
+axis, and the chart operations then judge each sample through errors.Gates,
+so a failure names the earliest failing sample."""
 
 from __future__ import annotations
 
@@ -59,24 +59,6 @@ def definite_eigh(a, b):
     c = l_inv @ a @ l_inv.swapaxes(-1, -2)
     mu, v = np.linalg.eigh(0.5 * (c + c.swapaxes(-1, -2)))
     return mu, l_inv.swapaxes(-1, -2) @ v
-
-
-def _singular(exc, what):
-    return exc(f"{what} is singular (condition number above {COND_MAX:g})")
-
-
-def solve_gated(a, b, exc=NotTransverse, what="matrix"):
-    """Solve a x = b, raising `exc` when a is singular past the cond gate."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.linalg.cond(a) <= COND_MAX):
-        raise _singular(exc, what)
-    return np.linalg.solve(a, b)
-
-
-def inv_gated(a, what="matrix"):
-    a = np.asarray(a, dtype=float)
-    eye = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
-    return solve_gated(a, eye, what=what)
 
 
 def asymmetry_gate(gates, s, tol):
@@ -139,20 +121,26 @@ def frame_from_chart_pair(M, S, Sbar):
     M = np.asarray(M, dtype=float)
     diff = Sbar - S
     Gates().require(np.linalg.cond(M) <= COND_MAX, lambda i: InvalidBasis(
-        "basis matrix M is singular")).require(
-        sym_cond(diff) <= COND_MAX,
-        lambda i: _singular(NotTransverse, "Sbar - S")).raise_error()
+        f"basis matrix M is singular at sample {i}")).require(
+        sym_cond(diff) <= COND_MAX, lambda i: NotTransverse(
+            f"Sbar - S is singular at sample {i} (condition number above "
+            f"{COND_MAX:g})")).raise_error()
     Mbar = np.linalg.solve(diff, np.linalg.inv(M.swapaxes(-1, -2)))
     return np.block([[M, Mbar], [S @ M, Sbar @ Mbar]])
 
 
 def chart_translate_invert(S, S_ref):
-    """Coordinate (S - S_ref)^(-1) of the same subspace in the chart at S_ref.
+    """Coordinate (S - S_ref)^(-1) of the same subspace in the chart at S_ref,
+    for one point S or a stack (NotTransverse at the earliest singular one).
 
     Not an involution: the inverse transform is S_ref + T^(-1).
     """
-    t = inv_gated(S - S_ref, what="S - S_ref")
-    return symmetrize(t)
+    diff = S - S_ref
+    Gates().require(sym_cond(diff) <= COND_MAX, lambda i: NotTransverse(
+        f"S - S_ref is singular at sample {i} (condition number above "
+        f"{COND_MAX:g})")).raise_error()
+    eye = np.broadcast_to(np.eye(diff.shape[-1]), diff.shape)
+    return symmetrize(np.linalg.solve(diff, eye))
 
 
 def conformal_symplectic(g, n):
@@ -177,16 +165,20 @@ def apply_symplectic(g, S):
 
     With g = [[P, Q], [R, T]] in n x n blocks, S maps to (R + T S)(P + Q S)^(-1).
     g may scale the form by a nonzero constant (conformal maps act on
-    Lagrangian subspaces exactly like symplectic ones).
+    Lagrangian subspaces exactly like symplectic ones).  S is one point or a
+    stack (NotInChart at the earliest sample where P + Q S is singular).
     """
     n = S.shape[-1]
     g = conformal_symplectic(g, n)
     P, Q = g[:n, :n], g[:n, n:]
     R, T = g[n:, :n], g[n:, n:]
-    num = R + T @ S
-    den = P + Q @ S
-    out = solve_gated(den.T, num.T, exc=NotInChart, what="P + Q S").T
-    return symmetrize(out)
+    # X (P + Q S) = R + T S, solved transposed; P + Q S is not symmetric
+    den_t = (P + Q @ S).swapaxes(-1, -2)
+    Gates().require(np.linalg.cond(den_t) <= COND_MAX, lambda i: NotInChart(
+        f"P + Q S is singular at sample {i} (condition number above "
+        f"{COND_MAX:g})")).raise_error()
+    num_t = (R + T @ S).swapaxes(-1, -2)
+    return symmetrize(np.linalg.solve(den_t, num_t).swapaxes(-1, -2))
 
 
 def random_hamiltonian(rng, n, scale=1.0):

@@ -369,6 +369,19 @@ class TestCycle:
         assert code == 0
         assert json.loads(out)["extra_points_contained"] == [True, False]
 
+    def test_point_not_transverse_to_infinity(self, capsys, tmp_path):
+        # diag(0, 5) - 0 is singular: outside the line's chart, so not a
+        # member, and the run still exits 0
+        pts = [np.diag([1.0, 2.0]), np.diag([2.0, 3.0]), np.zeros((2, 2)),
+               np.diag([2.0 / 3.0, 1.5]), np.diag([3.0, 4.0]),
+               np.diag([0.0, 5.0])]
+        f = tmp_path / "points.json"
+        f.write_text(json.dumps({"points": [p.tolist() for p in pts]}))
+        code, out, _ = run(capsys, "cycle", "--points", str(f))
+        assert code == 0
+        assert json.loads(out)["extra_points_contained"] == [True, False,
+                                                             False]
+
     def test_flat_preset_detection(self, capsys):
         code, out, _ = run(capsys, "cycle", "--preset", "affine-line",
                            "--t0", "0", "--t1", "1")

@@ -150,6 +150,16 @@ class TestCycleThrough:
             cycle_through(l1, l2, l3)
         assert (exc.value.i, exc.value.j) == (1, 2)
 
+    @pytest.mark.parametrize("l1,l2,l3,pair", [
+        # l1 - l3 and l2 - l3 singular: (1, 3) is reported before (2, 3)
+        (np.eye(2), 3.0 * np.eye(2), np.diag([1.0, 3.0]), (1, 3)),
+        (np.zeros((2, 2)), np.eye(2), np.diag([2.0, 1.0]), (2, 3)),
+    ])
+    def test_first_failing_pair_is_reported(self, l1, l2, l3, pair):
+        with pytest.raises(NotGeneralPosition) as exc:
+            cycle_through(l1, l2, l3)
+        assert (exc.value.i, exc.value.j) == pair
+
     def test_contains_generators_and_infinity(self):
         l1 = np.array([[1.0, 0.2], [0.2, -0.5]])
         l2 = np.array([[2.5, -0.1], [-0.1, 0.3]])
@@ -159,6 +169,13 @@ class TestCycleThrough:
         assert cycle_contains(cyc, l2)
         assert cycle_contains(cyc, l3)  # equals the adjoined infinity
         assert cycle_contains(cyc, AT_INFINITY)
+
+    def test_point_not_transverse_to_infinity_is_not_member(self):
+        # outside the chart of the line, and not infinity itself
+        cyc = cycle_through(np.diag([1.0, 2.0]), np.diag([2.0, 3.0]),
+                            np.zeros((2, 2)))
+        assert cycle_contains(cyc, np.diag([2.0 / 3.0, 1.5]))
+        assert not cycle_contains(cyc, np.diag([0.0, 5.0]))
 
     def test_fourth_flat_sample_lies_on_cycle(self):
         s1 = np.array([[1.5, 0.3], [0.3, 0.8]])
@@ -208,7 +225,7 @@ class TestCycleThrough:
         assert cycle_contains(cycle_through(l1, l2, l3), fourth, tol=1e-8)
         for seed in range(5):
             g = random_csp(seed, scale=0.5, n=2, ham_scale=0.3)
-            gl = [apply_symplectic(g, p) for p in (l1, l2, l3, fourth)]
+            gl = apply_symplectic(g, np.stack([l1, l2, l3, fourth]))
             cyc = cycle_through(gl[0], gl[1], gl[2])
             assert cycle_contains(cyc, gl[3], tol=1e-6), seed
 

@@ -1,15 +1,17 @@
 import itertools
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacobi.curvature import derivative_curve
 from jacobi.errors import EigenCrossing, GridMismatch, JacobiError
 from jacobi.frames import (
+    FrenetFrame,
     arc_normalized_frames,
     cartan_matrix,
     equivalent_reduced,
@@ -20,7 +22,7 @@ from jacobi.geom import ArcData
 from jacobi.matcurve import (SampleGrid, finite_diff, preset_curve,
                              sample_curve, spline)
 from jacobi.pipeline import analyze
-from jacobi.symspace import frame_from_chart_pair
+from jacobi.symspace import frame_from_chart_pair, is_symplectic_frame
 
 from .conftest import admissible_quartics, random_quartic
 
@@ -45,21 +47,22 @@ def ode_residuals(ana, fs, h):
 class TestFrenetFrame:
     def test_first_preset_basis(self, unit_grid):
         ana = analyze(preset_curve("paper-6.2-ex1"), unit_grid)
-        for t, m in zip(ana.frame.ts, ana.frame.M):
+        for t, m in zip(ana.arc.ts, ana.frame.M):
             ref = np.diag([np.cosh(t) + np.sinh(t), 1 + t])
             assert np.max(np.abs(m - ref)) <= 1e-9
 
     def test_second_preset_basis(self, unit_grid):
         # valid where cos + sin > 0, i.e. the whole [0, 1] window
         ana = analyze(preset_curve("paper-6.2-ex2"), unit_grid)
-        for t, m in zip(ana.frame.ts, ana.frame.M):
+        for t, m in zip(ana.arc.ts, ana.frame.M):
             ref = np.diag([1 + t, np.cos(t) + np.sin(t)])
             assert np.max(np.abs(m - ref)) <= 1e-9
 
     def test_frames_symplectic(self, coarse_grid):
         for c in admissible_quartics(range(12), want=5):
             ana = analyze(c, coarse_grid)
-            assert np.max(ana.frame.residuals) <= 1e-7, c.name
+            resid = is_symplectic_frame(ana.frame.frames)[1]
+            assert np.max(resid) <= 1e-7, c.name
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
@@ -76,7 +79,25 @@ class TestFrenetFrame:
             derivative_curve(jets, ana.arc.zeta1 / ana.arc.zeta))
         assert (np.max(np.abs(ana.frame.frames - ref))
                 <= 1e-10 * np.max(np.abs(ref)))
-        assert np.max(ana.frame.residuals) <= 1e-9
+        assert np.max(is_symplectic_frame(ana.frame.frames)[1]) <= 1e-9
+
+    def test_analyze_does_not_check_symplecticity(self, monkeypatch,
+                                                  unit_grid):
+        # the frame is symplectic by construction; the residual is for the
+        # tests above, not for every analysis
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "jacobi"
+                    and hasattr(module, "is_symplectic_frame")):
+                def counted(f, _fn=module.is_symplectic_frame):
+                    calls.append(f)
+                    return _fn(f)
+
+                monkeypatch.setattr(module, "is_symplectic_frame", counted)
+        ana = analyze(preset_curve("paper-6.2-ex1"), unit_grid)
+        assert calls == []
+        assert [f.name for f in fields(ana.frame)] == ["frames"]
+        assert np.array_equal(ana.frame.M, ana.frame.frames[:, :2, :2])
 
     def test_velocity_inverse_identity(self, coarse_grid):
         # (S')^(-1) = M M^T for the normalized eigenbasis
@@ -169,7 +190,8 @@ class TestReducedInvariants:
             ana = analyze(c, unit_grid)
             for eps in itertools.product((1.0, -1.0), repeat=ana.reduced.n):
                 # flipping frame columns conjugates Sigma by diag(eps)
-                flipped = replace(ana.frame, M=ana.frame.M * np.array(eps))
+                flipped = FrenetFrame(ana.frame.frames
+                                      * np.concatenate([eps, eps]))
                 rc = reduced_invariants(flipped, ana.arc,
                                         ana.reduced.curvatures())
                 assert np.allclose(rc.Sigma, ana.reduced.Sigma, atol=1e-12)

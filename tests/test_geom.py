@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from jacobi.cli import main
 from jacobi.curvature import ricci
-from jacobi.errors import (JacobiError, NotAdmissible, RegularityFailure,
-                           RepeatedEigenvalues)
+from jacobi.errors import (InvalidBasis, JacobiError, NotAdmissible,
+                           RegularityFailure, RepeatedEigenvalues)
 from jacobi.geom import (
     SCREEN_ERRORS,
     SCREEN_STEPS,
@@ -222,10 +222,12 @@ class TestNonFiniteSample:
     @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]),
            st.integers(0, 3), st.sampled_from([np.nan, np.inf, -np.inf]),
            st.integers(0, 200))
+    @pytest.mark.filterwarnings("error")
     def test_analyze_raises(self, seed, n, order, value, node):
         # one jet matrix (S, S', S'' or S''') is not finite at one sample:
-        # every gate states what passes, so the pipeline fails instead of
-        # returning non-finite invariants
+        # the jets' finiteness gate names that sample's t and the jet
+        # order, and nothing computes on it, so no RuntimeWarning is
+        # emitted (warnings are errors here)
         base, grid = random_quartic(seed, n=n), SampleGrid(0.0, 1.0, 201)
         bad = grid.points[node]
 
@@ -235,8 +237,10 @@ class TestNonFiniteSample:
             return mats
 
         c = SymmetricMatrixCurve(n, evaluator, base.domain)
-        with pytest.raises(JacobiError):
+        with pytest.raises(InvalidBasis) as e:
             analyze(c, grid)
+        assert str(e.value) == (f"jet of order {order} not finite at "
+                                f"t={float(bad)!r}")
 
 
 class TestFlipInvariance:

@@ -390,3 +390,37 @@ class TestSymCond:
     def test_nan_stays_nan(self):
         out = sym_cond(np.array([[[np.nan, 0.0], [0.0, 1.0]], np.eye(2)]))
         assert np.isnan(out[0]) and out[1] == 1.0
+
+
+class TestStackedChartOperations:
+    """apply_symplectic and chart_translate_invert act on a stack of chart
+    points sample by sample: the per-sample results bit for bit, and a
+    singular sample fails naming the earliest one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 6]),
+           st.integers(1, 9), st.sampled_from([0.5, 1.0, 3.0]))
+    def test_equal_the_per_sample_calls(self, seed, n, m, scale):
+        rng = np.random.default_rng(seed)
+        s, ref = symmetric_stack(rng, m, n), symmetric_stack(rng, 1, n)[0]
+        g = random_csp(seed, scale=scale, n=n, ham_scale=0.5)
+        try:
+            images = apply_symplectic(g, s)
+            outs = [chart_translate_invert(pts, ref) for pts in (s, images)]
+        except (NotInChart, NotTransverse):
+            assume(False)
+        assert np.array_equal(images, np.stack(
+            [apply_symplectic(g, p) for p in s]))
+        for pts, out in zip((s, images), outs):
+            assert np.array_equal(out, np.stack(
+                [chart_translate_invert(p, ref) for p in pts]))
+
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_singular_sample_is_named(self, k):
+        # samples k and 5 are singular: the earliest, k, is reported
+        s = np.stack([np.diag([1.0, 2.0 + i]) for i in range(7)])
+        s[[k, 5]] = np.diag([1.0, 0.0])
+        with pytest.raises(NotInChart, match=f"at sample {k} "):
+            apply_symplectic(symplectic_form(2), s)  # P + Q S = S
+        with pytest.raises(NotTransverse, match=f"at sample {k} "):
+            chart_translate_invert(s + np.eye(2), np.eye(2))
