@@ -58,10 +58,11 @@ class Gates:
 
     def require(self, ok, error):
         """Keep error(i) for the first i before `stop` where ok[i] is false."""
-        hit = np.flatnonzero(np.logical_not(np.atleast_1d(ok)[: self.stop]))
-        if hit.size:
-            self.stop = int(hit[0])
-            self.error = error(self.stop)
+        ok = np.atleast_1d(ok)[: self.stop]
+        if ok.all():
+            return self
+        self.stop = int(np.flatnonzero(np.logical_not(ok))[0])
+        self.error = error(self.stop)
         return self
 
     def raise_error(self):

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EigenCrossing, Gates, GridMismatch, InflectionPoint
 from .geom import ArcData
 from .matcurve import finite_diff, spline
-from .symspace import sym_cond
+from .symspace import _entrywise, sym_cond
 from .tolerances import (COND_MAX, EQUIV_TOL, MIN_OVERLAP, OVERLAP_SLACK,
                          SIGN_TOL)
 
@@ -49,8 +49,9 @@ def _fix_signs(ms, ts):
     norms = np.linalg.norm(ms, axis=1)
     cosang = (np.einsum("mic,mic->mc", ms[1:], ms[:-1])
               / (norms[1:] * norms[:-1]))
-    Gates().require(np.all(np.abs(cosang) >= MIN_OVERLAP, axis=1),
-                    lambda i: EigenCrossing(ts[i + 1])).raise_error()
+    Gates().require(
+        _entrywise(np.logical_and, np.abs(cosang) >= MIN_OVERLAP, 1),
+        lambda i: EigenCrossing(ts[i + 1])).raise_error()
     flips = np.where(np.concatenate([first[None], cosang]) < 0, -1.0, 1.0)
     return ms * np.cumprod(flips, axis=0)[:, None, :]
 

@@ -22,6 +22,7 @@ from .errors import (
     RepeatedEigenvalues,
 )
 from .matcurve import CurveJet, _sample, finite_diff
+from .symspace import _entrywise
 from .tolerances import ADM_TOL, EIG_GAP_TOL, NORM_TOL
 
 
@@ -185,7 +186,7 @@ def screen(curve, grid, adm_tol=ADM_TOL):
         rs = _ricci(gates, jets, ev)
         mu = rs.eigvals
         if mu.shape[1] > 1:
-            gap = np.min(np.diff(mu, axis=1), axis=1)
+            gap = _entrywise(np.minimum, np.diff(mu, axis=1), 1)
             gates.require(
                 gap >= EIG_GAP_TOL * (mu[:, -1] - mu[:, 0]),
                 lambda i: RepeatedEigenvalues(jets.t[i], float(gap[i])))

@@ -27,8 +27,8 @@ from .errors import (
     RegularityFailure,
     TooFewSamples,
 )
-from .symspace import (_eig_cond, asymmetry_gate, conformal_symplectic,
-                       symmetrize)
+from .symspace import (_eig_cond, _matrix_maxabs, asymmetry_gate,
+                       conformal_symplectic, symmetrize)
 from .tolerances import COND_MAX, JET_SYM_TOL, NODE_TOL
 
 # Five-point stencil coefficients on a uniform grid, exact rationals over the
@@ -286,8 +286,9 @@ class SymmetricMatrixCurve:
         mats = [np.asarray(a, dtype=float) for a in self._eval(ts)]
         if [a.shape for a in mats] != [(ts.size, self.n, self.n)] * 4:
             raise InvalidDimension("evaluator must return four m x n x n arrays")
+        # max|a| is finite exactly where every entry of a is
         for k, a in enumerate(mats):
-            gates.require(np.isfinite(a).all(axis=(-2, -1)), lambda i:
+            gates.require(np.isfinite(_matrix_maxabs(a)), lambda i:
                           InvalidBasis(f"jet of order {k} not finite at "
                                        f"t={float(ts[i])!r}"))
         for a in mats:  # no arithmetic on a sample that failed a gate
@@ -397,7 +398,8 @@ def table_curve(ts, S_values, name=None):
     Evaluation is restricted to the table nodes.  Accuracy of S''' is O(h^2),
     which is what limits re-analysis of reconstructed curves.
     """
-    ts, values = np.asarray(ts, dtype=float), np.asarray(S_values, dtype=float)
+    # a copy: the curve must not see later writes to the caller's samples
+    ts, values = np.asarray(ts, dtype=float), np.array(S_values, dtype=float)
     if ts.ndim != 1 or values.shape != (ts.size,) + values.shape[-1:] * 2:
         raise InvalidDimension(f"a table of {ts.size} nodes needs samples of "
                                f"shape (m, n, n); got {values.shape}")
@@ -406,7 +408,10 @@ def table_curve(ts, S_values, name=None):
     h = ts[1] - ts[0]
     if not np.max(np.abs(np.diff(ts) - h)) <= NODE_TOL * max(1.0, abs(h)):
         raise DomainError("table nodes must be uniformly spaced")
-    asymmetry_gate(Gates(), values, JET_SYM_TOL).raise_error()
+    gates = Gates().require(
+        np.isfinite(_matrix_maxabs(values)), lambda i:
+        InvalidBasis(f"sample not finite at t={float(ts[i])!r}"))
+    asymmetry_gate(gates, values[:gates.stop], JET_SYM_TOL).raise_error()
     values = symmetrize(values)
     d1 = finite_diff(values, h, 1)
     d2 = finite_diff(values, h, 2)

@@ -24,7 +24,8 @@ from .geom import centered_product
 from .matcurve import (SampleGrid, finite_diff, json_array, json_integer,
                        json_numbers, node_curve, require_keys)
 from .pipeline import analyze
-from .symspace import _matrix_maxabs, _maxabs, is_symplectic_frame, symmetrize
+from .symspace import (_entrywise, _matrix_maxabs, _maxabs,
+                       is_symplectic_frame, symmetrize)
 from .tolerances import (COND_MAX, EIG_GAP_TOL, NORM_TOL, RESID_MAX,
                          ROUNDTRIP_TOL, SKEW_TOL, STEP_MAX)
 
@@ -148,7 +149,8 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     omega = (0.5 * hs * (c1 + c2)
              + (np.sqrt(3.0) / 12.0) * hs**2 * (c1 @ c2 - c2 @ c1))
     omega -= omega @ omega @ omega / 12.0
-    radius = np.sqrt(np.max(np.abs(omega @ omega).sum(axis=-1), axis=-1))
+    radius = np.sqrt(_entrywise(np.maximum,
+                                np.abs(omega @ omega).sum(axis=-1), 1))
     Gates().require(radius <= STEP_MAX,
                     lambda i: StepTooCoarse(ts[i])).raise_error()
     d = np.linalg.solve(np.eye(f0.shape[0]) - 0.5 * omega, omega)

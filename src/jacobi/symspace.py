@@ -28,9 +28,24 @@ def _maxabs(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _entrywise(ufunc, a, axes=2):
+    """ufunc.reduce of `a` over its last `axes` axes, as one elementwise
+    sweep of the leading axes per entry.  numpy's reduction instead loops
+    over each sample's few entries, about ten times slower on an (m, n, n)
+    stack.  Only for np.maximum, np.minimum, np.logical_and and
+    np.logical_or: these are exact and order-free, so the result is
+    numpy's bit for bit, except that a tie of raw +0.0 and -0.0 may return
+    the other zero.  Sums, products and norms keep numpy's pairwise order."""
+    entries = np.ndindex(a.shape[-axes:])
+    out = a[(..., *next(entries))].copy()
+    for k in entries:
+        ufunc(out, a[(..., *k)], out=out)
+    return out[()]
+
+
 def _matrix_maxabs(a):
     """Max-abs entry of each matrix (the last two axes)."""
-    return np.max(np.abs(a), axis=(-2, -1))
+    return _entrywise(np.maximum, np.abs(a))
 
 
 def sym_cond(a):
@@ -46,8 +61,9 @@ def _eig_cond(a, ev):
     callers that need the spectrum too."""
     ev = np.abs(ev)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = ev.max(axis=-1) / ev.min(axis=-1)
-    return np.where(np.isnan(a).any(axis=(-2, -1)), np.nan,
+        c = _entrywise(np.maximum, ev, 1) / _entrywise(np.minimum, ev, 1)
+    # max|a| is NaN exactly where a holds a NaN
+    return np.where(np.isnan(_matrix_maxabs(a)), np.nan,
                     np.where(np.isnan(c), np.inf, c))
 
 
@@ -73,8 +89,15 @@ def asymmetry_gate(gates, s, tol):
 
 def symmetrize(s):
     """Return (s + s^T)/2, without judging the asymmetry (asymmetry_gate
-    does)."""
+    does).  A stack equal to its transpose bit for bit is returned as it
+    is, not copied: the mean would give the same bits, except that an
+    entry above DBL_MAX/2 would overflow to inf.  A pair of -0.0 and +0.0
+    differs in its bits, so it is still averaged (to +0.0)."""
     s = np.asarray(s, dtype=float)
+    bits, n = s.view(np.uint64), s.shape[-1]
+    if all((bits[..., i, j] == bits[..., j, i]).all()
+           for i in range(n) for j in range(i + 1, n)):
+        return s
     return 0.5 * (s + s.swapaxes(-1, -2))
 
 

@@ -288,6 +288,18 @@ class TestGates:
             gates.raise_error()
         assert exc.value.t == ts[1]
 
+    def test_a_gate_every_sample_passes_keeps_the_error(self):
+        # a passing gate returns at once; one that fails only after `stop`
+        # passes too, as its failure is later than the one kept
+        ts = np.linspace(0.0, 1.0, 6)
+        gates = Gates().require(np.ones(6, bool), None)
+        assert gates.stop is None and gates.error is None
+        gates.require(np.arange(6) != 3, lambda i: RegularityFailure(ts[i]))
+        gates.require(np.ones(6, bool), None)
+        gates.require(np.arange(6) != 4, None)
+        assert gates.stop == 3 and type(gates.error) is RegularityFailure
+        assert gates.error.t == ts[3]
+
     def test_nan_fails_a_gate(self):
         # a gate states what passes, and every comparison with NaN is false
         x = np.array([0.5, 0.2, np.nan, 2.0])

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from dataclasses import fields, replace
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jacobi.curvature import derivative_curve
@@ -66,9 +66,15 @@ class TestFrenetFrame:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
+    # max|F| of 9.1e3 and 1.4e4: absolute residuals 5.6e-9 and 1.6e-8
+    @example(2863, 4)
+    @example(603, 3)
     def test_equals_the_chart_pair_frame(self, seed, n):
         # the solve-free frame against the one built by solves from the
-        # derivative curve (worst seen 6e-12 relative)
+        # derivative curve (worst seen 6e-12 relative); its symplecticity
+        # residual is judged relative to max(1, max|F|^2) per frame, as the
+        # package judges it (worst seen 2.0e-15 over seeds 0-999 at
+        # n = 2, 3, 4)
         try:
             ana = analyze(random_quartic(seed, n=n), SampleGrid(0.0, 1.0, 101))
         except JacobiError:
@@ -79,7 +85,9 @@ class TestFrenetFrame:
             derivative_curve(jets, ana.arc.zeta1 / ana.arc.zeta))
         assert (np.max(np.abs(ana.frame.frames - ref))
                 <= 1e-10 * np.max(np.abs(ref)))
-        assert np.max(is_symplectic_frame(ana.frame.frames)[1]) <= 1e-9
+        frames = ana.frame.frames
+        scale = np.maximum(1.0, np.max(np.abs(frames), axis=(1, 2)) ** 2)
+        assert np.max(is_symplectic_frame(frames)[1] / scale) <= 1e-13
 
     def test_analyze_does_not_check_symplecticity(self, monkeypatch,
                                                   unit_grid):

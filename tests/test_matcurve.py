@@ -281,6 +281,33 @@ class TestTableCurve:
         with pytest.raises(InvalidBasis, match="asymmetry 5 exceeds"):
             table_curve(ts, vals)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_sample_names_its_node(self, value, entry):
+        # it once raised "asymmetry nan" after a RuntimeWarning (warnings
+        # are errors here); a later asymmetric sample does not win
+        ts = np.linspace(-0.05, 1.05, 221)
+        S = preset_curve("paper-6.2-ex1").jets(ts).S
+        S[100][entry] = value
+        S[150, 0, 1] += 1.0
+        with pytest.raises(InvalidBasis) as e:
+            table_curve(ts, S)
+        assert str(e.value) == f"sample not finite at t={float(ts[100])!r}"
+        # an earlier asymmetric sample does
+        S[50, 0, 1] += 1.0
+        with pytest.raises(InvalidBasis, match="^asymmetry 1 exceeds"):
+            table_curve(ts, S)
+
+    def test_samples_are_copied(self):
+        # symmetric samples are not averaged into a new array, so the table
+        # copies them: a later write to the caller's array is not seen
+        ts = np.linspace(0.0, 1.0, 11)
+        vals = np.array([t * np.eye(2) for t in ts])
+        c = table_curve(ts, vals)
+        vals[5] = 0.0
+        assert np.array_equal(c.jet(ts[5]).S, ts[5] * np.eye(2))
+
     def test_nonuniform_rejected(self):
         ts = np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5, 0.6])
         with pytest.raises(DomainError):

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jacobi.errors import (
     Gates,
@@ -14,6 +18,9 @@ from jacobi.errors import (
 )
 from jacobi.reconstruct import curve_from_frame
 from jacobi.symspace import (
+    _eig_cond,
+    _entrywise,
+    _matrix_maxabs,
     apply_symplectic,
     asymmetry_gate,
     chart_translate_invert,
@@ -313,6 +320,130 @@ def test_chart_point_rejects_a_non_finite_entry(entry):
     s = np.array([[1.0, entry], [0.5, 1.0]])
     with pytest.raises(InvalidBasis):
         asymmetry_gate(Gates(), s, SYM_TOL).raise_error()
+
+
+# stacks (m, n, n) of the values the per-sample gates meet, m = 0 included
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+stacks = st.tuples(st.integers(0, 5), st.integers(2, 6)).flatmap(
+    lambda mn: hnp.arrays(float, (mn[0], mn[1], mn[1]), elements=st.one_of(
+        st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and (
+        x.tobytes() == y.tobytes())
+
+
+def eig_cond_reference(a, ev):
+    # _eig_cond as it was written with numpy's reductions
+    ev = np.abs(ev)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = ev.max(axis=-1) / ev.min(axis=-1)
+    return np.where(np.isnan(a).any(axis=(-2, -1)), np.nan,
+                    np.where(np.isnan(c), np.inf, c))
+
+
+class TestEntrywise:
+    @settings(max_examples=200, deadline=None)
+    @given(stacks)
+    def test_sweeps_equal_numpy_reductions_bit_for_bit(self, a):
+        # a tie of -0.0 and +0.0 may return either zero, so raw values are
+        # compared with their zeros made +0.0 (x + 0.0); the callers sweep
+        # absolute values, booleans or eigenvalue gaps
+        raw = a + 0.0
+        for ufunc, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
+            assert same_bits(_entrywise(ufunc, raw),
+                             reduce(raw, axis=(-2, -1)))
+            assert same_bits(_entrywise(ufunc, raw[..., 0, :], 1),
+                             reduce(raw[..., 0, :], axis=-1))
+        for ufunc, reduce in ((np.logical_and, np.all),
+                              (np.logical_or, np.any)):
+            for b in (np.isfinite(a), np.isnan(a), a > 0):
+                assert same_bits(_entrywise(ufunc, b),
+                                 reduce(b, axis=(-2, -1)))
+                assert same_bits(_entrywise(ufunc, b[..., 0], 1),
+                                 reduce(b[..., 0], axis=-1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks)
+    def test_rewritten_helpers_equal_their_reductions(self, a):
+        assert same_bits(_matrix_maxabs(a), np.max(np.abs(a), axis=(-2, -1)))
+        # the finiteness gates of jets and table_curve
+        assert same_bits(np.isfinite(_matrix_maxabs(a)),
+                         np.isfinite(a).all(axis=(-2, -1)))
+        for s in a[:1]:  # one matrix, no sample axis
+            assert same_bits(_matrix_maxabs(s), np.max(np.abs(s)))
+        # any spectrum, also one that no eigensolver would return; a
+        # subnormal smallest |ev| overflows the ratio to inf
+        for ev in (a[..., 0, :], a[..., :, 1], np.abs(a[..., 1, :]) + 1.0):
+            with np.errstate(over="ignore"):
+                assert same_bits(_eig_cond(a, ev), eig_cond_reference(a, ev))
+
+
+class TestSymmetrize:
+    @settings(max_examples=100, deadline=None)
+    @given(stacks, st.booleans())
+    def test_a_bitwise_symmetric_stack_is_returned_itself(self, a, mirror):
+        if mirror:  # + 0.0 on both sides keeps the pairs bitwise equal
+            a = np.triu(a) + np.triu(a, 1).swapaxes(-1, -2)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            out = symmetrize(a)
+            ref = 0.5 * (a + a.swapaxes(-1, -2))
+        assert same_bits(out, ref)
+        bits = a.view(np.uint64)
+        assert (out is a) == np.array_equal(bits, bits.swapaxes(-1, -2))
+
+    def test_signed_zero_pairs_are_averaged(self):
+        # -0.0 == +0.0, but the bits differ: the pair becomes +0.0
+        s = np.zeros((3, 2, 2))
+        s[1, 0, 1] = -0.0
+        out = symmetrize(s)
+        assert out is not s
+        assert np.signbit(s[1, 0, 1]) and not np.signbit(out[1]).any()
+
+    def test_empty_stack(self):
+        s = np.zeros((0, 3, 3))
+        assert symmetrize(s) is s
+
+
+# numpy's reductions over the matrix axes, spelled as the guard below finds
+# them; the package sweeps them with _entrywise instead
+MATRIX_AXIS_REDUCTIONS = {"max", "min", "amax", "amin", "all", "any"}
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jacobi"
+
+
+def matrix_axis_reductions(source):
+    """Line numbers of the max / min / all / any calls over axis (-2, -1)."""
+    def over_matrix_axes(node):
+        try:
+            return ast.literal_eval(node) == (-2, -1)
+        except ValueError:
+            return False
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MATRIX_AXIS_REDUCTIONS
+            and any(map(over_matrix_axes, [*node.args, *(
+                k.value for k in node.keywords if k.arg == "axis")]))]
+
+
+def test_no_matrix_axis_reduction_is_left():
+    hits = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+            for line in matrix_axis_reductions(path.read_text())]
+    assert hits == []
+
+
+def test_the_reduction_guard_sees_them():
+    found = matrix_axis_reductions(
+        "np.max(np.abs(a), axis=(-2, -1))\n"
+        "a.all(axis=(-2, -1))\n"
+        "np.any(b, (-2, -1))\n"
+        "a.min((-2, -1))\n"
+        "np.sum(a, axis=(-2, -1))\n"
+        "np.max(a, axis=-1)\n")
+    assert found == [1, 2, 3, 4]
 
 
 def test_symplectic_frame_blocks_roundtrip():
