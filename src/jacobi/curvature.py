@@ -112,11 +112,13 @@ def ricci(j: CurveJet):
     return rs
 
 
-def _ricci(gates, j: CurveJet, ev):
-    """ricci of the jet series j on the samples that pass `gates`, given the
-    ascending eigenvalues ev of its S'.  Adds to `gates`, in order, the
-    asymmetry of S' Sch and the definiteness of S', so the one stacked
-    eigensolve sees only regular, positive definite samples."""
+def _ricci(gates, j: CurveJet, ev, l_inv=None):
+    """ricci of the jet series j on the samples that pass `gates`, given
+    how its S' passed the regularity gate: by the ascending eigenvalues ev
+    of S', or (ev None) by a definite_certificate whose inverse Cholesky
+    factor l_inv certified S' positive definite.  Adds to `gates`, in
+    order, the asymmetry of S' Sch and the definiteness of S', so the one
+    stacked eigensolve sees only regular, positive definite samples."""
     j = j[:gates.stop]
     sch = _schwarzian(j)
     # S' * Sch = S''' - 1.5 S'' (S')^(-1) S'' is symmetric by construction;
@@ -127,9 +129,11 @@ def _ricci(gates, j: CurveJet, ev):
                   lambda i: ComplexEigenvalues(
                       j.t[i], f"velocity-weighted curvature asymmetric "
                       f"({asym[i]:g}) at t={float(j.t[i])}"))
-    gates.require(ev[:, 0] > 0, lambda i: _not_monotone(j.t[i], ev[i]))
-    a, s1 = (0.5 * (a + a.swapaxes(-1, -2)))[:gates.stop], j.S1[:gates.stop]
-    mu, m = definite_eigh(a, s1)
+    if ev is not None:
+        gates.require(ev[:, 0] > 0, lambda i: _not_monotone(j.t[i], ev[i]))
+    stop = gates.stop
+    a, s1 = (0.5 * (a + a.swapaxes(-1, -2)))[:stop], j.S1[:stop]
+    mu, m = definite_eigh(a, s1, None if l_inv is None else l_inv[:stop])
     return RicciData(
         t=j.t,
         schwarzian=sch,

@@ -172,18 +172,22 @@ def screen(curve, grid, adm_tol=ADM_TOL):
     """
     ana = Analysis(curve, grid)
     try:
-        # one spectrum of S' judges regularity, sign and definiteness
-        jets, ev = _sample(curve, grid, True)
-        sign = np.where(ev[:, 0] > 0, 1, np.where(ev[:, -1] < 0, -1, 0))
-        Gates().require((sign != 0) & (sign == sign[0]),
-                        lambda i: MonotonicityFailure(jets.t[i])).raise_error()
-        ana.velocity_sign = int(sign[0])
+        # one Cholesky certificate of S' (failing it, one spectrum) judges
+        # regularity, sign and definiteness
+        jets, ev, cert = _sample(curve, grid, True)
+        if cert is None:
+            sign = np.where(ev[:, 0] > 0, 1, np.where(ev[:, -1] < 0, -1, 0))
+            Gates().require((sign != 0) & (sign == sign[0]), lambda i:
+                            MonotonicityFailure(jets.t[i])).raise_error()
+            ana.velocity_sign, l_inv = int(sign[0]), None
+        else:
+            ana.velocity_sign, l_inv = cert
         if ana.flipped:
             jets = CurveJet(jets.t, -jets.S, -jets.S1, -jets.S2, -jets.S3)
-            ev = -ev[:, ::-1]
+            ev = None if ev is None else -ev[:, ::-1]
         ana.jets = jets
         gates = Gates()
-        rs = _ricci(gates, jets, ev)
+        rs = _ricci(gates, jets, ev, l_inv)
         mu = rs.eigvals
         if mu.shape[1] > 1:
             gap = _entrywise(np.minimum, np.diff(mu, axis=1), 1)

@@ -27,8 +27,10 @@ from .errors import (
     RegularityFailure,
     TooFewSamples,
 )
-from .symspace import (_eig_cond, _matrix_maxabs, asymmetry_gate,
-                       conformal_symplectic, symmetrize)
+from .symspace import (_eig_cond, _entrywise, _matrix_maxabs,
+                       asymmetry_gate, bitwise_symmetric,
+                       conformal_symplectic, definite_certificate,
+                       symmetrize)
 from .tolerances import COND_MAX, JET_SYM_TOL, NODE_TOL
 
 # Five-point stencil coefficients on a uniform grid, exact rationals over the
@@ -173,6 +175,22 @@ def spline(x, y):
     return at
 
 
+def _edge_rows(order):
+    """The one-sided rows of STENCILS[order] at nodes 0, 1, m - 1, m - 2 (the
+    right rows mirror the left ones) as (offsets (4, 5), weights (4, 5),
+    denominators (4,)); node p's row sums weights[:, k] * values[p +
+    offsets[:, k]] over k."""
+    sign = (-1.0) ** order
+    left = [STENCILS[order][f"left{i}"] for i in (0, 1)]
+    right = [([-o for o in offsets], [sign * w for w in weights], denom)
+             for offsets, weights, denom in left]
+    offsets, weights, denoms = zip(*left, *right)
+    return np.array(offsets), np.array(weights, dtype=float), np.array(denoms)
+
+
+EDGE_ROWS = {order: _edge_rows(order) for order in STENCILS}
+
+
 def finite_diff(values, h, order=1):
     """Differentiate a uniformly sampled series of scalars or matrices.
 
@@ -187,16 +205,19 @@ def finite_diff(values, h, order=1):
     m = len(values)
     if m < 5:
         raise TooFewSamples(f"need >= 5 samples, got {m}")
-    st, hk, sign = STENCILS[order], h**order, (-1.0) ** order
+    st, hk = STENCILS[order], h**order
     out = np.empty_like(values)
     out[2:m - 2] = _stencil(values, st["central"], 2, m - 2, hk)
-    for i in (0, 1):
-        row = st[f"left{i}"]
-        out[i] = _stencil(values, row, i, i + 1, hk)[0]
-        # the right end mirrors the matching left row
-        offsets, weights, denom = row
-        mirrored = (offsets, [sign * w for w in weights], denom)
-        out[m - 1 - i] = _stencil(values[::-1], mirrored, i, i + 1, hk)[0]
+    # the four edge rows at once, each summed in its row's order from 0 as
+    # _stencil's sum is, so every bit (and the sign of a zero) is the same
+    offsets, weights, denoms = EDGE_ROWS[order]
+    nodes = [0, 1, m - 1, m - 2]
+    index = np.array(nodes)[:, None] + offsets
+    shape = (len(nodes),) + (1,) * (values.ndim - 1)
+    acc = 0
+    for w, i in zip(weights.T, index.T):
+        acc = acc + w.reshape(shape) * values[i]
+    out[nodes] = acc / (denoms * hk).reshape(shape)
     return out
 
 
@@ -276,8 +297,11 @@ class SymmetricMatrixCurve:
         return self._jets(ts, check_regular)[0]
 
     def _jets(self, ts, check_regular):
-        """jets(ts, check_regular) and the ascending eigenvalues of its S'
-        stack (None when unchecked), from which regularity was judged."""
+        """jets(ts, check_regular) and how its S' stack passed the
+        regularity gate: (jets, ev, cert) with either the ascending
+        eigenvalues ev of S', from which regularity was judged, or the
+        definite_certificate cert = (sign, L^(-1)) that cleared every
+        sample without them; both None when unchecked."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain
         gates = Gates().require((lo <= ts) & (ts <= hi), lambda i: DomainError(
@@ -291,17 +315,26 @@ class SymmetricMatrixCurve:
             gates.require(np.isfinite(_matrix_maxabs(a)), lambda i:
                           InvalidBasis(f"jet of order {k} not finite at "
                                        f"t={float(ts[i])!r}"))
-        for a in mats:  # no arithmetic on a sample that failed a gate
-            asymmetry_gate(gates, a[:gates.stop], JET_SYM_TOL)
-        mats = [symmetrize(a[:gates.stop]) for a in mats]
-        ev = None
+        # no arithmetic on a sample that failed a gate; a finite stack that
+        # is its own transpose bit for bit passes the asymmetry gate and
+        # is its own symmetrization
+        symmetric = []
+        for a in mats:
+            symmetric.append(bitwise_symmetric(a[:gates.stop]))
+            if not symmetric[-1]:
+                asymmetry_gate(gates, a[:gates.stop], JET_SYM_TOL)
+        mats = [a[:gates.stop] if sym else symmetrize(a[:gates.stop])
+                for a, sym in zip(mats, symmetric)]
+        ev = cert = None
         if check_regular:
             S1 = mats[1]
-            ev = np.linalg.eigvalsh(S1)
-            gates.require(_eig_cond(S1, ev) <= COND_MAX,
-                          lambda i: RegularityFailure(ts[i]))
+            cert = definite_certificate(S1)
+            if cert is None:
+                ev = np.linalg.eigvalsh(S1)
+                gates.require(_eig_cond(S1, ev) <= COND_MAX,
+                              lambda i: RegularityFailure(ts[i]))
         gates.raise_error()
-        return CurveJet(ts, *mats), ev
+        return CurveJet(ts, *mats), ev, cert
 
     def jet(self, t, check_regular=True):
         """The jet at one parameter: the one sample of `jets([t])`."""
@@ -314,7 +347,8 @@ def sample_curve(curve, grid, check_regular=True):
 
 
 def _sample(curve, grid, check_regular):
-    """sample_curve and the eigenvalues of S' (see SymmetricMatrixCurve)."""
+    """sample_curve and how its S' passed the regularity gate, as
+    SymmetricMatrixCurve._jets returns them."""
     if grid.t0 < curve.domain[0] or grid.t1 > curve.domain[1]:
         raise DomainError(
             f"grid [{grid.t0}, {grid.t1}] outside curve domain {curve.domain}"
@@ -444,14 +478,17 @@ def node_curve(ts, jets, kind, name):
 def table_json(ts, S, name):
     """Table-kind JSON object (curve_from_json's input) of the samples S
     (m, n, n) at the nodes ts, with the nodes and samples as arrays for the
-    CLI's writer; an all-NaN sample (a chart exit) is None, written null."""
+    CLI's writer: S itself, or, when some sample is all NaN (a chart exit),
+    the list of its samples with each such one None, written null."""
+    exits = _entrywise(np.logical_and, np.isnan(S))
     return {
         "n": S.shape[-1],
         "kind": "table",
         "name": name,
         "domain": [float(ts[0]), float(ts[-1])],
         "samples": {"t": ts,
-                    "S": [None if np.isnan(s).all() else s for s in S]},
+                    "S": [None if e else s for e, s in zip(exits, S)]
+                    if exits.any() else S},
     }
 
 

@@ -24,10 +24,10 @@ from .geom import centered_product
 from .matcurve import (SampleGrid, finite_diff, json_array, json_integer,
                        json_numbers, node_curve, require_keys)
 from .pipeline import analyze
-from .symspace import (_entrywise, _matrix_maxabs, _maxabs,
+from .symspace import (_entrywise, _matrix_maxabs, _maxabs, cond_bound,
                        is_symplectic_frame, symmetrize)
-from .tolerances import (COND_MAX, EIG_GAP_TOL, NORM_TOL, RESID_MAX,
-                         ROUNDTRIP_TOL, SKEW_TOL, STEP_MAX)
+from .tolerances import (CERT_MARGIN, COND_MAX, EIG_GAP_TOL, NORM_TOL,
+                         RESID_MAX, ROUNDTRIP_TOL, SKEW_TOL, STEP_MAX)
 
 
 @dataclass
@@ -166,22 +166,48 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     return frames, resid
 
 
-def curve_from_frame(frames):
+def curve_from_frame(frames, ainv=None):
     """Chart points S = B A^(-1) along a frame stack (m, 2n, 2n).
 
     Returns (S, segments): S (m, n, n) is NaN at the chart exits, where the
-    A block is singular; `segments` lists the maximal in-chart index ranges.
+    A block is singular (cond(A) > COND_MAX); `segments` lists the maximal
+    in-chart index ranges.  A node is certified inside, without the SVD of
+    cond, when cond_bound(A, A^(-1)) <= (COND_MAX / CERT_MARGIN)^2; the
+    inverses are `ainv` if the caller has them, else computed here, and
+    cond decides the nodes they do not clear (every node when A has no
+    inverse).
     """
     n = frames.shape[-1] // 2
     a, b = frames[:, :n, :n], frames[:, n:, :n]
-    inside = np.linalg.cond(a) <= COND_MAX
-    S = np.full(a.shape, np.nan)
-    S[inside] = symmetrize(np.linalg.solve(
-        a[inside].swapaxes(-1, -2), b[inside].swapaxes(-1, -2)
-    ).swapaxes(-1, -2))
+    if ainv is None:
+        ainv = _inverse(a)
+    inside = (np.zeros(len(a), bool) if ainv is None else
+              cond_bound(a, ainv) <= (COND_MAX / CERT_MARGIN) ** 2)
+    if not inside.all():
+        rest = np.flatnonzero(~inside)
+        inside[rest] = np.linalg.cond(a[rest]) <= COND_MAX
+
+    def chart(a, b):
+        return symmetrize(np.linalg.solve(
+            a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2))
+
+    if inside.all():
+        S = chart(a, b)
+    else:
+        S = np.full(a.shape, np.nan)
+        S[inside] = chart(a[inside], b[inside])
     edges = np.flatnonzero(np.diff(np.concatenate([[0], inside, [0]])))
     segments = [(int(i), int(j) - 1) for i, j in zip(edges[::2], edges[1::2])]
     return S, segments
+
+
+def _inverse(a):
+    """np.linalg.inv(a), or None where some matrix of the stack has no
+    inverse."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
 
 
 @dataclass
@@ -221,12 +247,12 @@ def frame_curve(p: InvariantPrescription, frames):
     curve_from_frame's: a node outside the chart raises NotInChart at the
     earliest such node."""
     n, ts = p.n, p.ts
-    S, _ = curve_from_frame(frames)
+    a, abar = frames[:, :n, :n], frames[:, :n, n:]
+    ainv = _inverse(a)
+    S, _ = curve_from_frame(frames, ainv)
     Gates().require(np.isfinite(S[:, 0, 0]), lambda i: NotInChart(
         f"the frame's A block is singular at t={float(ts[i])!r}")
     ).raise_error()
-    a, abar = frames[:, :n, :n], frames[:, :n, n:]
-    ainv = np.linalg.inv(a)
     sig = p.Sigma
     a1 = a @ sig + abar
     a2 = (a1 @ sig + a @ finite_diff(sig, ts[1] - ts[0], 1)

@@ -20,7 +20,7 @@ from .errors import (
     NotInChart,
     NotTransverse,
 )
-from .tolerances import COND_MAX, CSP_SCALE_MIN, FRAME_TOL
+from .tolerances import CERT_MARGIN, COND_MAX, CSP_SCALE_MIN, FRAME_TOL
 
 
 def _maxabs(a):
@@ -60,18 +60,48 @@ def _eig_cond(a, ev):
     """sym_cond of the symmetric matrices a from their eigenvalues ev, for
     callers that need the spectrum too."""
     ev = np.abs(ev)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = _entrywise(np.maximum, ev, 1) / _entrywise(np.minimum, ev, 1)
     # max|a| is NaN exactly where a holds a NaN
     return np.where(np.isnan(_matrix_maxabs(a)), np.nan,
                     np.where(np.isnan(c), np.inf, c))
 
 
-def definite_eigh(a, b):
+def cond_bound(a, a_inv):
+    """(|a|_F |a_inv|_F)^2 of each matrix a (the last two axes) and its
+    inverse: at least cond_2(a)^2, up to the roundoff of a_inv.  Where it
+    overflows it is inf or NaN, without a warning, and so certifies
+    nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.einsum("...ij,...ij->...", a, a)
+                * np.einsum("...ij,...ij->...", a_inv, a_inv))
+
+
+def definite_certificate(s1):
+    """(sign, L^(-1)) when every sample of the stack s1 is certified
+    regular and definite of that sign, else None (left to the spectral
+    rule).  L is the Cholesky factor of sign * s1 (negation is exact), and
+    cond_2(s1) = cond_2(L)^2 <= cond_bound(L, L^(-1)) <= COND_MAX /
+    CERT_MARGIN; the margin covers roundoff, so the spectral rule (sign *
+    eigvalsh(s1) positive, _eig_cond at most COND_MAX) passes too."""
+    for sign in (1, -1):
+        try:
+            factor = np.linalg.cholesky(s1 if sign > 0 else -s1)
+            l_inv = np.linalg.inv(factor)
+        except np.linalg.LinAlgError:
+            continue
+        ok = cond_bound(factor, l_inv) <= COND_MAX / CERT_MARGIN
+        return (sign, l_inv) if ok.all() else None
+    return None
+
+
+def definite_eigh(a, b, l_inv=None):
     """Ascending mu and M with a M = b M diag(mu), M^T b M = Id, on stacks of
     symmetric a and positive definite b (else LinAlgError): LAPACK sygvd's
-    reduction b = L L^T, (mu, V) = eigh(L^(-1) a L^(-T)), M = L^(-T) V."""
-    l_inv = np.linalg.inv(np.linalg.cholesky(b))
+    reduction b = L L^T, (mu, V) = eigh(L^(-1) a L^(-T)), M = L^(-T) V.
+    `l_inv` is L^(-1) when the caller has it (definite_certificate's)."""
+    if l_inv is None:
+        l_inv = np.linalg.inv(np.linalg.cholesky(b))
     c = l_inv @ a @ l_inv.swapaxes(-1, -2)
     mu, v = np.linalg.eigh(0.5 * (c + c.swapaxes(-1, -2)))
     return mu, l_inv.swapaxes(-1, -2) @ v
@@ -87,6 +117,14 @@ def asymmetry_gate(gates, s, tol):
         f"asymmetry {resid[i]:g} exceeds tolerance {tol:g}"))
 
 
+def bitwise_symmetric(s):
+    """Whether the stack s equals its transpose bit for bit.  A finite
+    such stack passes asymmetry_gate (its residual is exactly 0)."""
+    bits, n = s.view(np.uint64), s.shape[-1]
+    return all((bits[..., i, j] == bits[..., j, i]).all()
+               for i in range(n) for j in range(i + 1, n))
+
+
 def symmetrize(s):
     """Return (s + s^T)/2, without judging the asymmetry (asymmetry_gate
     does).  A stack equal to its transpose bit for bit is returned as it
@@ -94,11 +132,7 @@ def symmetrize(s):
     entry above DBL_MAX/2 would overflow to inf.  A pair of -0.0 and +0.0
     differs in its bits, so it is still averaged (to +0.0)."""
     s = np.asarray(s, dtype=float)
-    bits, n = s.view(np.uint64), s.shape[-1]
-    if all((bits[..., i, j] == bits[..., j, i]).all()
-           for i in range(n) for j in range(i + 1, n)):
-        return s
-    return 0.5 * (s + s.swapaxes(-1, -2))
+    return s if bitwise_symmetric(s) else 0.5 * (s + s.swapaxes(-1, -2))
 
 
 def symplectic_form(n):

@@ -37,6 +37,11 @@ OVERLAP_SLACK = 1e-12
 
 # condition number above which a matrix counts as singular; scale-free
 COND_MAX = 1e12
+# a norm bound on a condition number at most COND_MAX / CERT_MARGIN passes
+# the COND_MAX gate without a spectrum or SVD; the margin covers the
+# roundoff of the bound and of the rule it stands in for, so it decides
+# which rule runs, never a verdict.  Scale-free
+CERT_MARGIN = 4.0
 # asymmetry of a `cycle --points` matrix over max(1, max|S|); relative
 SYM_TOL = 1e-10
 # max|F^T J F - J| of a frame, absolute; over max|g|^2 for a transform g

@@ -337,9 +337,9 @@ class TestNonFinite:
         seen = []
         real = curvature.definite_eigh
 
-        def counted(a, b):
+        def counted(a, b, l_inv=None):
             seen.append(len(b))
-            return real(a, b)
+            return real(a, b, l_inv)
 
         monkeypatch.setattr(curvature, "definite_eigh", counted)
         ts = np.linspace(0.0, 1.0, 6)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobi import matcurve
 from jacobi.cli import main
 from jacobi.curvature import ricci
-from jacobi.errors import (InvalidBasis, JacobiError, NotAdmissible,
-                           RegularityFailure, RepeatedEigenvalues)
+from jacobi.errors import (InflectionPoint, InvalidBasis, JacobiError,
+                           NotAdmissible, RegularityFailure,
+                           RepeatedEigenvalues)
 from jacobi.geom import (
     SCREEN_ERRORS,
     SCREEN_STEPS,
@@ -27,6 +30,7 @@ from jacobi.matcurve import (
     transformed_curve,
 )
 from jacobi.pipeline import analyze
+from jacobi.reconstruct import roundtrip
 from jacobi.symspace import random_csp
 
 from .conftest import admissible_quartics, random_quartic
@@ -263,18 +267,19 @@ def test_centered_det_matches_eigen_route():
 
 
 class TestOneDecompositionOfVelocity:
-    """The screen decomposes S' once: that spectrum judges regularity and
-    the velocity sign, and no later stage decomposes S' again."""
+    """The screen factors S' once: its Cholesky certificate judges
+    regularity and the velocity sign, no spectrum of S' is taken, and no
+    later stage decomposes S' again."""
 
     @staticmethod
     def count_linalg(monkeypatch):
         """Record (name, first array argument) of every call of eigvalsh,
-        svd, solve, inv and einsum; einsum records its operand count."""
+        svd, solve, inv and cholesky, and of einsum its operand count."""
         calls = []
         # np.linalg.cond reaches svd through the implementation module
         impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
         for module in (np.linalg, impl):
-            for name in ("eigvalsh", "svd", "solve", "inv"):
+            for name in ("eigvalsh", "svd", "solve", "inv", "cholesky"):
                 def counted(a, *args, _fn=getattr(module, name), _name=name,
                             **kwargs):
                     calls.append((_name, np.array(a)))
@@ -293,13 +298,24 @@ class TestOneDecompositionOfVelocity:
         calls = self.count_linalg(monkeypatch)
         ana = analyze(preset_curve("paper-6.2-ex1"), SampleGrid(0, 1, 201))
         eig = [a for name, a in calls if name == "eigvalsh"]
-        # S' once, and the frame's S'' - (zeta'/zeta) S' gate
-        assert len(eig) <= 2
-        assert sum(np.array_equal(a, ana.jets.S1) for a in eig) == 1
+        # only the frame's S'' - (zeta'/zeta) S' gate; none of S'
+        assert len(eig) <= 1
+        assert not any(np.array_equal(a, ana.jets.S1) for a in eig)
+        chol = [a for name, a in calls if name == "cholesky"]
+        assert len(chol) == 1 and np.array_equal(chol[0], ana.jets.S1)
         assert [name for name, _ in calls if name == "svd"] == []
         # one for the Schwarzian, one for the Sigma of the reduced invariant
         assert len([name for name, _ in calls if name == "solve"]) <= 2
         assert ("einsum", 3) not in calls
+
+    def test_roundtrip_takes_no_svd(self, monkeypatch):
+        # the chart exits of the rebuilt curve are cleared from A^(-1)
+        calls = self.count_linalg(monkeypatch)
+        rep = roundtrip(preset_curve("paper-6.2-ex1"), SampleGrid(0, 1, 201))
+        assert rep.equivalent
+        assert [name for name, _ in calls if name == "svd"] == []
+        # one certificate of S' per analysis
+        assert [name for name, _ in calls].count("cholesky") == 2
 
     def test_transformed_curve_inverts_its_chart_once(self, monkeypatch):
         g = random_csp(5, scale=0.7, n=2, ham_scale=0.3)
@@ -335,3 +351,94 @@ class TestOneDecompositionOfVelocity:
         assert isinstance(ana.error, RegularityFailure)
         assert ana.error.t == t3
         assert ana.report()["first_failure"] == "velocity-definite"
+
+
+def analysis_record(curve, grid):
+    """Every array and verdict of analyze(curve, grid) as bytes, or its
+    error's type and message."""
+    try:
+        ana = analyze(curve, grid)
+    except JacobiError as e:
+        return [type(e).__name__, str(e)]
+    record = [ana.velocity_sign, ana.min_eig_gap]
+    for part in (ana.jets, ana.ricci_series, ana.arc, ana.frame,
+                 ana.reduced):
+        record += [np.asarray(getattr(part, f.name)).tobytes()
+                   for f in dataclasses.fields(part)]
+    return record
+
+
+def conditioned_curve(rng, n, log_cond, sign):
+    """S(t) = t A + t^2/2 B + t^3/6 C with cond(A) = 10^log_cond and A of
+    the given sign; B and C are random at a third of the scale of A's
+    smallest eigenvalue, so cond(S') stays near cond(A) on [0, 1]."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    d = sign * np.logspace(0.0, -log_cond, n)
+    a = (q * d) @ q.T
+    b, c = (0.15 * (x + x.T) * d[-1] for x in rng.normal(size=(2, n, n)))
+    a = 0.5 * (a + a.T)
+
+    def evaluator(ts):
+        t = ts[:, None, None]
+        return (t * a + t * t / 2 * b + t**3 / 6 * c,
+                a + t * b + t * t / 2 * c, b + t * c,
+                np.broadcast_to(c, (ts.size, n, n)))
+
+    return SymmetricMatrixCurve(n, evaluator, (-1.0, 2.0))
+
+
+class TestCertifiedVelocity:
+    """analyze gives the same bits, verdicts and errors whether S' is
+    cleared by its Cholesky certificate or judged by its spectrum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["quartic", "negated", "csp", "conditioned"]),
+           st.integers(0, 2**16), st.sampled_from([2, 3, 4]),
+           st.floats(0.0, 16.0), st.sampled_from([1.0, -1.0]))
+    def test_equals_the_spectral_rule(self, kind, seed, n, log_cond, sign):
+        if kind == "conditioned":
+            curve = conditioned_curve(np.random.default_rng(seed), n,
+                                      log_cond, sign)
+        else:
+            curve = random_quartic(seed, n,
+                                   scale=-1.0 if kind == "negated" else 1.0)
+            if kind == "csp":
+                curve = transformed_curve(
+                    curve, random_csp(seed + 1, sign * 0.5, n, 0.2))
+        grid = SampleGrid(0.0, 1.0, 41)
+        certified = analysis_record(curve, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcurve, "definite_certificate", lambda s1: None)
+            assert analysis_record(curve, grid) == certified
+
+
+def bench_tan_entry(a):
+    """The closed-form family's entry tan(a t)/a, in the benchmark's
+    formulas (whose roundoff decides the failure below)."""
+    def entry(t):
+        c = np.cos(a * t)
+        sec2 = c**-2
+        tn = np.tan(a * t)
+        return (tn / a, sec2, 2.0 * a * sec2 * tn,
+                2.0 * a * a * sec2 * (sec2 + 2.0 * tn**2))
+
+    return entry
+
+
+@pytest.mark.xfail(strict=True, raises=InflectionPoint, reason=(
+    "known defect, ROADMAP item 8: S''(0) = 0 and the stencil zeta'(0) "
+    "rounds to exactly 0, so corr = S'' - (zeta'/zeta) S' vanishes at t = 0 "
+    "and the frame's InflectionPoint gate rejects a regular point; item "
+    "2(c) deletes that gate"))
+def test_untransformed_tan_base_through_t0():
+    # draw_rates(default_rng(12), 3) of the benchmark inputs
+    a = np.array([0.40825242299373743, 0.47590690391929075,
+                  1.241428237145367])
+    dom = 0.99 * np.pi / (2.0 * a.max())
+    curve = curve_from_scalars([bench_tan_entry(x) for x in a], (-dom, dom))
+    k = analyze(curve, SampleGrid(0.0, 1.0, 201)).reduced.curvatures()
+    mu = np.sort(2.0 * a**2)
+    k_exact = mu / np.prod(np.abs(mu - mu.mean())) ** (1.0 / a.size)
+    # relative: with the gate removed this draw reads 1.9e-9 against
+    # max k = 2.73
+    assert np.max(np.abs(k - k_exact)) <= 1e-9 * np.max(k_exact)

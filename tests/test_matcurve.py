@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jacobi.cli import _json
 from jacobi.errors import (DomainError, InvalidBasis, InvalidDimension,
@@ -13,6 +14,7 @@ from jacobi.errors import (DomainError, InvalidBasis, InvalidDimension,
                            RegularityFailure, TooFewSamples)
 from jacobi.matcurve import (
     PRESET_NAMES,
+    STENCILS,
     SampleGrid,
     SymmetricMatrixCurve,
     affine_reparam,
@@ -90,6 +92,53 @@ class TestFiniteDiff:
         d = finite_diff(jets.S, grid.h, 1)
         err = np.max(np.abs(d - jets.S1))
         assert err <= 50.0 * w**5 * grid.h**4
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(5, 12), st.sampled_from([(), (2, 2), (3, 3)]),
+           st.sampled_from([1, 2, 3]), st.sampled_from([0.1, 1, 2.5e-3]),
+           st.data())
+    def test_edge_rows_equal_their_per_row_sums(self, m, tail, order, h,
+                                                data):
+        # the four one-sided rows at once give the bits of summing each
+        # row on its own, as Python's sum does from 0, signed zeros too
+        values = data.draw(hnp.arrays(float, (m,) + tail, elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))))
+        got = finite_diff(values, h, order)
+        assert got.tobytes() == finite_diff_reference(values, h,
+                                                      order).tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_edge_rows_keep_the_sign_of_a_zero(self, order):
+        # every sign pattern of zeros on 5 and 6 nodes, among them those
+        # whose edge-row terms are all -0.0: Python's sum from 0 gives
+        # +0.0 there
+        for m in (5, 6):
+            for signs in np.ndindex((2,) * m):
+                values = np.where(np.array(signs, bool), -0.0, 0.0)
+                assert finite_diff(values, 0.5, order).tobytes() == (
+                    finite_diff_reference(values, 0.5, order).tobytes())
+
+
+def finite_diff_reference(values, h, order):
+    """finite_diff with each edge row summed on its own."""
+    st_, hk, sign = STENCILS[order], h**order, (-1.0) ** order
+    values = np.asarray(values, dtype=float)
+    m = len(values)
+
+    def row_sum(vals, row, i):
+        offsets, weights, denom = row
+        return sum(w * vals[i + o] for o, w in zip(offsets, weights)) / (
+            denom * hk)
+
+    out = np.empty_like(values)
+    for i in range(2, m - 2):
+        out[i] = row_sum(values, st_["central"], i)
+    for i in (0, 1):
+        offsets, weights, denom = st_[f"left{i}"]
+        out[i] = row_sum(values, (offsets, weights, denom), i)
+        mirrored = (offsets, [sign * w for w in weights], denom)
+        out[m - 1 - i] = row_sum(values[::-1], mirrored, i)
+    return out
 
 
 class TestSpline:
@@ -416,6 +465,21 @@ class TestJsonLoading:
         assert obj["n"] == 2 and obj["domain"] == [0.0, 1.0]
         assert obj["samples"]["S"] == [np.eye(2).tolist(), None,
                                        (2 * np.eye(2)).tolist()]
+
+    @pytest.mark.parametrize("exit_at", [None, 57])
+    def test_table_json_bytes_equal_the_per_sample_list(self, exit_at):
+        # without chart exits the samples are handed over as one array,
+        # with them as the list of samples; the written bytes are those
+        # of the list either way
+        rng = np.random.default_rng(3)
+        ts, S = np.linspace(0.0, 1.0, 201), rng.normal(size=(201, 2, 2))
+        if exit_at is not None:
+            S[exit_at] = np.nan
+        obj = table_json(ts, S, "t")
+        assert (obj["samples"]["S"] is S) == (exit_at is None)
+        ref = dict(obj, samples={"t": ts, "S": [
+            None if np.isnan(s).all() else s for s in S]})
+        assert _json(obj) == _json(ref)
 
     def test_transform_extension(self):
         g = random_csp(5, scale=1.0, n=2, ham_scale=0.2)
@@ -792,3 +856,37 @@ def test_evaluator_error_comes_before_the_gates():
         c.jets(ts[:3])
     with pytest.raises(DomainError, match="not a table node"):
         c.jets([ts[0], 0.123])
+
+
+class TestJetSymmetry:
+    """jets judges each jet's asymmetry only where a stack differs from its
+    transpose in its bits, and symmetrizes only such a stack."""
+
+    @staticmethod
+    def curve(order, samples, eps):
+        """S = t diag(1, 2) with eps added above the diagonal of the jet of
+        the given order at the given samples."""
+        def evaluator(ts):
+            mats = [ts[:, None, None] * np.diag([1.0, 2.0]),
+                    *np.zeros((3, ts.size, 2, 2))]
+            mats[1] = mats[1] + np.diag([1.0, 2.0])
+            mats[order][samples, 0, 1] += eps
+            return tuple(mats)
+
+        return SymmetricMatrixCurve(2, evaluator, (0.0, 1.0))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_asymmetric_jet_rejected_at_its_earliest_sample(self, order):
+        ts = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(InvalidBasis, match="^asymmetry 1 exceeds"):
+            self.curve(order, [3, 5], 1.0).jets(ts)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_roundoff_asymmetry_is_averaged(self, order):
+        ts = np.linspace(0.0, 1.0, 9)
+        c = self.curve(order, [3, 5], 1e-12)
+        raw = c._eval(ts)
+        j = c.jets(ts)
+        for k, (got, a) in enumerate(zip((j.S, j.S1, j.S2, j.S3), raw)):
+            want = 0.5 * (a + a.swapaxes(-1, -2)) if k == order else a
+            assert got.tobytes() == want.tobytes()

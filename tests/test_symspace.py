@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from jacobi.errors import (
     InvalidTransform,
     NotInChart,
     NotTransverse,
+    RegularityFailure,
 )
+from jacobi.matcurve import curve_from_scalars
 from jacobi.reconstruct import curve_from_frame
 from jacobi.symspace import (
     _eig_cond,
@@ -26,6 +29,7 @@ from jacobi.symspace import (
     chart_translate_invert,
     complete_symplectic_basis,
     conformal_symplectic,
+    definite_certificate,
     definite_eigh,
     frame_from_chart_pair,
     is_symplectic_frame,
@@ -35,7 +39,7 @@ from jacobi.symspace import (
     symmetrize,
     symplectic_form,
 )
-from jacobi.tolerances import FRAME_TOL, SYM_TOL
+from jacobi.tolerances import COND_MAX, FRAME_TOL, SYM_TOL
 
 
 def test_form_matrix_is_standard_block():
@@ -555,3 +559,110 @@ class TestStackedChartOperations:
             apply_symplectic(symplectic_form(2), s)  # P + Q S = S
         with pytest.raises(NotTransverse, match=f"at sample {k} "):
             chart_translate_invert(s + np.eye(2), np.eye(2))
+
+
+def spectrum_stack(rng, m, n, log_cond, sign):
+    """Symmetric matrices Q diag(d) Q^T with |d| log-spaced over 10^log_cond
+    (times a random scale), all of one sign, or (sign 0) indefinite."""
+    q, _ = np.linalg.qr(rng.normal(size=(m, n, n)))
+    d = 10.0 ** (np.linspace(0.0, log_cond, n) + rng.uniform(-3, 3))
+    d = d * (sign or np.where(np.arange(n) % 2, -1.0, 1.0))
+    return (q * d[..., None, :]) @ q.swapaxes(-1, -2)
+
+
+class TestDefiniteCertificate:
+    """A stack that definite_certificate clears passes the spectral rule
+    it stands in for at every sample, with the certified sign."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 6]),
+           st.floats(0.0, 16.0), st.sampled_from([1, -1, 0]))
+    def test_certified_stacks_pass_the_spectral_rule(self, seed, n,
+                                                     log_cond, sign):
+        s = spectrum_stack(np.random.default_rng(seed), 8, n, log_cond, sign)
+        s = 0.5 * (s + s.swapaxes(-1, -2))
+        cert = definite_certificate(s)
+        if cert is None:
+            # cleared stacks of one sign: all with cond(s) <= 1e9
+            assert sign == 0 or log_cond > 9.0 - np.log10(n * n)
+            return
+        got_sign, l_inv = cert
+        ev = np.linalg.eigvalsh(s)
+        assert np.all(_eig_cond(s, ev) <= COND_MAX)
+        assert np.all(got_sign * ev > 0) and got_sign == sign
+        assert same_bits(l_inv, np.linalg.inv(np.linalg.cholesky(
+            s if got_sign > 0 else -s)))
+
+    @pytest.mark.parametrize("big,small", [(1e3, 1e-320), (1e200, 1e-120)])
+    def test_an_overflowing_bound_is_left_to_the_spectrum(self, big, small):
+        # the bound overflows to inf (a subnormal eigenvalue overflows the
+        # inverse factor's norm, the other pair the product of the two
+        # norms): inconclusive, and without a warning; the spectral rule
+        # then calls the matrix singular
+        s = np.diag([big, small])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert definite_certificate(s[None]) is None
+            assert definite_certificate(-s[None]) is None
+            with pytest.raises(NotTransverse):
+                chart_translate_invert(s, np.zeros((2, 2)))
+            with pytest.raises(RegularityFailure):
+                curve_from_scalars([lambda t: (big * t, big, 0.0, 0.0),
+                                    lambda t: (small * t, small, 0.0, 0.0)],
+                                   (0.0, 1.0)).jets([0.5])
+
+    def test_definite_eigh_takes_the_certificate_factor(self):
+        rng = np.random.default_rng(7)
+        a, b = symmetric_stack(rng, 6, 3), spd_stack(rng, 6, 3)
+        sign, l_inv = definite_certificate(b)
+        assert sign == 1
+        for x, y in zip(definite_eigh(a, b, l_inv), definite_eigh(a, b)):
+            assert same_bits(x, y)
+
+
+def chart_reference(frames):
+    """curve_from_frame as the SVD rule alone computes it."""
+    n = frames.shape[-1] // 2
+    a, b = frames[:, :n, :n], frames[:, n:, :n]
+    inside = np.linalg.cond(a) <= COND_MAX
+    S = np.full(a.shape, np.nan)
+    S[inside] = symmetrize(np.linalg.solve(
+        a[inside].swapaxes(-1, -2), b[inside].swapaxes(-1, -2)
+    ).swapaxes(-1, -2))
+    return S, inside
+
+
+class TestChartExitCertificate:
+    """curve_from_frame's chart exits are those of cond(A) <= COND_MAX,
+    whether A^(-1) is passed, computed, or does not exist."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
+           st.lists(st.sampled_from(["random", "singular", "zero", "near"]),
+                    min_size=1, max_size=6))
+    def test_mask_and_points_equal_the_svd_rule(self, seed, n, kinds):
+        rng = np.random.default_rng(seed)
+        frames = rng.normal(size=(len(kinds), 2 * n, 2 * n))
+        for f, kind in zip(frames, kinds):
+            if kind == "singular":  # exactly: integer rank one
+                u, v = rng.integers(-3, 4, size=(2, n)).astype(float)
+                f[:n, :n] = np.outer(u, v)
+            elif kind == "zero":
+                f[:n, :n] = 0.0
+            elif kind == "near":  # cond(A) from 1e11 to 1e13
+                q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                d = np.logspace(0.0, -rng.uniform(11.0, 13.0), n)
+                f[:n, :n] = (q1 * d) @ q2 * 10.0 ** rng.uniform(-5, 5)
+        ref_S, ref_inside = chart_reference(frames)
+        try:
+            passed = [None, np.linalg.inv(frames[:, :n, :n])]
+        except np.linalg.LinAlgError:
+            passed = [None]
+        for ainv in passed:
+            S, segments = curve_from_frame(frames, ainv)
+            assert same_bits(S, ref_S)
+            inside = np.zeros(len(frames), bool)
+            for i, j in segments:
+                inside[i:j + 1] = True
+            assert same_bits(inside, ref_inside)
