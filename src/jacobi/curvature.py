@@ -29,13 +29,13 @@ from .errors import (
 )
 from .matcurve import CurveJet, Series
 from .symspace import (
-    _eig_cond,
     _matrix_maxabs,
     _maxabs,
     chart_translate_invert,
     definite_eigh,
     sym_cond,
     symmetrize,
+    velocity_form,
 )
 from .tolerances import COND_MAX, RICCI_SYM_TOL
 
@@ -57,7 +57,7 @@ def matrix_schwarzian(j: CurveJet):
     velocity form (see ricci).
     """
     ts = np.atleast_1d(j.t)
-    Gates().require(sym_cond(j.S1) <= COND_MAX,
+    Gates().require(velocity_form(j.S1)[0],
                     lambda i: RegularityFailure(ts[i])).raise_error()
     return _schwarzian(j)
 
@@ -85,9 +85,9 @@ class RicciData(Series):
     eigvecs: np.ndarray
 
 
-def _not_monotone(t, vel_eigs):
+def _not_monotone(t, sign):
     t = float(t)
-    if vel_eigs[-1] < 0:
+    if sign < 0:
         return MonotonicityFailure(t, f"S' negative definite at t={t}; "
                                       "negate the curve first")
     return MonotonicityFailure(t, f"S' indefinite or singular at t={t}")
@@ -96,29 +96,27 @@ def _not_monotone(t, vel_eigs):
 def ricci(j: CurveJet):
     """Diagonalize the curvature operator with S'-orthonormal eigenvectors.
 
-    Requires S' positive definite (monotone curve): one spectrum of S'
-    judges regularity and definiteness.  Negate a curve with negative
+    Requires S' positive definite (monotone curve): one velocity_form of
+    S' judges regularity and definiteness.  Negate a curve with negative
     definite S' first (the Schwarzian is even: the spectrum is unchanged,
     only the normalization is affected).  Whether the spectrum is distinct
     is judged by the admissibility screen (geom.screen).
     """
     if np.ndim(j.t) == 0:
         return ricci(j[None])[0]
-    ev = np.linalg.eigvalsh(j.S1)
-    gates = Gates().require(_eig_cond(j.S1, ev) <= COND_MAX,
-                            lambda i: RegularityFailure(j.t[i]))
-    rs = _ricci(gates, j, ev)
+    regular, sign, l_inv = velocity_form(j.S1)
+    gates = Gates().require(regular, lambda i: RegularityFailure(j.t[i]))
+    rs = _ricci(gates, j, sign, l_inv)
     gates.raise_error()
     return rs
 
 
-def _ricci(gates, j: CurveJet, ev, l_inv=None):
+def _ricci(gates, j: CurveJet, sign, l_inv):
     """ricci of the jet series j on the samples that pass `gates`, given
-    how its S' passed the regularity gate: by the ascending eigenvalues ev
-    of S', or (ev None) by a definite_certificate whose inverse Cholesky
-    factor l_inv certified S' positive definite.  Adds to `gates`, in
-    order, the asymmetry of S' Sch and the definiteness of S', so the one
-    stacked eigensolve sees only regular, positive definite samples."""
+    the sign and l_inv of the velocity_form of its S'.  Adds to `gates`, in
+    order, the asymmetry of S' Sch and the definiteness of S' (sign +1), so
+    the one stacked eigensolve sees only regular, positive definite
+    samples."""
     j = j[:gates.stop]
     sch = _schwarzian(j)
     # S' * Sch = S''' - 1.5 S'' (S')^(-1) S'' is symmetric by construction;
@@ -129,8 +127,7 @@ def _ricci(gates, j: CurveJet, ev, l_inv=None):
                   lambda i: ComplexEigenvalues(
                       j.t[i], f"velocity-weighted curvature asymmetric "
                       f"({asym[i]:g}) at t={float(j.t[i])}"))
-    if ev is not None:
-        gates.require(ev[:, 0] > 0, lambda i: _not_monotone(j.t[i], ev[i]))
+    gates.require(sign > 0, lambda i: _not_monotone(j.t[i], sign[i]))
     stop = gates.stop
     a, s1 = (0.5 * (a + a.swapaxes(-1, -2)))[:stop], j.S1[:stop]
     mu, m = definite_eigh(a, s1, None if l_inv is None else l_inv[:stop])

@@ -172,22 +172,17 @@ def screen(curve, grid, adm_tol=ADM_TOL):
     """
     ana = Analysis(curve, grid)
     try:
-        # one Cholesky certificate of S' (failing it, one spectrum) judges
-        # regularity, sign and definiteness
-        jets, ev, cert = _sample(curve, grid, True)
-        if cert is None:
-            sign = np.where(ev[:, 0] > 0, 1, np.where(ev[:, -1] < 0, -1, 0))
-            Gates().require((sign != 0) & (sign == sign[0]), lambda i:
-                            MonotonicityFailure(jets.t[i])).raise_error()
-            ana.velocity_sign, l_inv = int(sign[0]), None
-        else:
-            ana.velocity_sign, l_inv = cert
+        # one velocity_form of S' judges regularity, sign and definiteness
+        jets, (_, sign, l_inv) = _sample(curve, grid, True)
+        Gates().require((sign != 0) & (sign == sign[0]), lambda i:
+                        MonotonicityFailure(jets.t[i])).raise_error()
+        ana.velocity_sign = int(sign[0])
         if ana.flipped:
             jets = CurveJet(jets.t, -jets.S, -jets.S1, -jets.S2, -jets.S3)
-            ev = None if ev is None else -ev[:, ::-1]
+            sign = -sign
         ana.jets = jets
         gates = Gates()
-        rs = _ricci(gates, jets, ev, l_inv)
+        rs = _ricci(gates, jets, sign, l_inv)
         mu = rs.eigvals
         if mu.shape[1] > 1:
             gap = _entrywise(np.minimum, np.diff(mu, axis=1), 1)

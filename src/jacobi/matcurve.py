@@ -27,11 +27,10 @@ from .errors import (
     RegularityFailure,
     TooFewSamples,
 )
-from .symspace import (_eig_cond, _entrywise, _matrix_maxabs,
-                       asymmetry_gate, bitwise_symmetric,
-                       conformal_symplectic, definite_certificate,
-                       symmetrize)
-from .tolerances import COND_MAX, JET_SYM_TOL, NODE_TOL
+from .symspace import (_entrywise, _matrix_maxabs, asymmetry_gate,
+                       bitwise_symmetric, chart_inverse, conformal_symplectic,
+                       symmetrize, velocity_form)
+from .tolerances import JET_SYM_TOL, NODE_TOL
 
 # Five-point stencil coefficients on a uniform grid, exact rationals over the
 # printed denominators.  Rows: offsets / weights.  Interior rows are central;
@@ -297,11 +296,8 @@ class SymmetricMatrixCurve:
         return self._jets(ts, check_regular)[0]
 
     def _jets(self, ts, check_regular):
-        """jets(ts, check_regular) and how its S' stack passed the
-        regularity gate: (jets, ev, cert) with either the ascending
-        eigenvalues ev of S', from which regularity was judged, or the
-        definite_certificate cert = (sign, L^(-1)) that cleared every
-        sample without them; both None when unchecked."""
+        """jets(ts, check_regular) and the velocity_form of its S' stack,
+        from which regularity was judged (None when unchecked)."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain
         gates = Gates().require((lo <= ts) & (ts <= hi), lambda i: DomainError(
@@ -325,16 +321,12 @@ class SymmetricMatrixCurve:
                 asymmetry_gate(gates, a[:gates.stop], JET_SYM_TOL)
         mats = [a[:gates.stop] if sym else symmetrize(a[:gates.stop])
                 for a, sym in zip(mats, symmetric)]
-        ev = cert = None
+        form = None
         if check_regular:
-            S1 = mats[1]
-            cert = definite_certificate(S1)
-            if cert is None:
-                ev = np.linalg.eigvalsh(S1)
-                gates.require(_eig_cond(S1, ev) <= COND_MAX,
-                              lambda i: RegularityFailure(ts[i]))
+            form = velocity_form(mats[1])
+            gates.require(form[0], lambda i: RegularityFailure(ts[i]))
         gates.raise_error()
-        return CurveJet(ts, *mats), ev, cert
+        return CurveJet(ts, *mats), form
 
     def jet(self, t, check_regular=True):
         """The jet at one parameter: the one sample of `jets([t])`."""
@@ -347,7 +339,7 @@ def sample_curve(curve, grid, check_regular=True):
 
 
 def _sample(curve, grid, check_regular):
-    """sample_curve and how its S' passed the regularity gate, as
+    """sample_curve and the velocity_form of its S', as
     SymmetricMatrixCurve._jets returns them."""
     if grid.t0 < curve.domain[0] or grid.t1 > curve.domain[1]:
         raise DomainError(
@@ -562,8 +554,9 @@ def transformed_curve(curve, g, name=None):
     (U' = -U S' U).  The bracket of Sg''' is evaluated as S''' - A - A^T,
     A = S'' (2U + U^T) S' - (2H + H^T) U S', H = S' U S'.  A g that is not
     conformal symplectic raises InvalidTransform here, before any
-    evaluation; a P + Q S that is singular at a queried t raises NotInChart
-    naming the earliest such t.  The image keeps the curve's `table_ts`.
+    evaluation; a P + Q S that is singular at a queried t (by the
+    condition rule of symspace.chart_inverse) raises NotInChart naming the
+    earliest such t.  The image keeps the curve's `table_ts`.
     """
     n = curve.n
     g = conformal_symplectic(g, n)
@@ -575,7 +568,10 @@ def transformed_curve(curve, g, name=None):
         j = curve.jets(ts, check_regular=False)
         S, S1, S2, S3 = j.S, j.S1, j.S2, j.S3
         del j
-        K = _chart_inverse(P + Q @ S, ts)
+        K, inside = chart_inverse(P + Q @ S)
+        Gates().require(inside, lambda i: NotInChart(
+            f"P + Q S is singular at t={float(ts[i])!r}: the image leaves "
+            "the chart")).raise_error()
         Sg = (R + T @ S) @ K
         del S
         Kt = K.swapaxes(-1, -2)
@@ -601,21 +597,6 @@ def transformed_curve(curve, g, name=None):
     # the parameter is unchanged, so a table's image is known at its nodes
     moved.table_ts = curve.table_ts
     return moved
-
-
-def _chart_inverse(x, ts):
-    """Stacked inverse of the P + Q S samples x at the parameters ts; a
-    singular sample raises NotInChart naming the earliest such t."""
-    try:
-        return np.linalg.inv(x)
-    except np.linalg.LinAlgError:
-        for t, xt in zip(ts, x):
-            try:
-                np.linalg.inv(xt)
-            except np.linalg.LinAlgError:
-                raise NotInChart(f"P + Q S is singular at t={float(t)!r}: "
-                                 "the image leaves the chart") from None
-        raise
 
 
 # ---------------------------------------------------------------------------

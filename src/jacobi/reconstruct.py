@@ -24,10 +24,10 @@ from .geom import centered_product
 from .matcurve import (SampleGrid, finite_diff, json_array, json_integer,
                        json_numbers, node_curve, require_keys)
 from .pipeline import analyze
-from .symspace import (_entrywise, _matrix_maxabs, _maxabs, cond_bound,
+from .symspace import (_entrywise, _matrix_maxabs, _maxabs, chart_inverse,
                        is_symplectic_frame, symmetrize)
-from .tolerances import (CERT_MARGIN, COND_MAX, EIG_GAP_TOL, NORM_TOL,
-                         RESID_MAX, ROUNDTRIP_TOL, SKEW_TOL, STEP_MAX)
+from .tolerances import (EIG_GAP_TOL, NORM_TOL, RESID_MAX, ROUNDTRIP_TOL,
+                         SKEW_TOL, STEP_MAX)
 
 
 @dataclass
@@ -166,48 +166,30 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     return frames, resid
 
 
-def curve_from_frame(frames, ainv=None):
+def curve_from_frame(frames):
     """Chart points S = B A^(-1) along a frame stack (m, 2n, 2n).
 
     Returns (S, segments): S (m, n, n) is NaN at the chart exits, where the
-    A block is singular (cond(A) > COND_MAX); `segments` lists the maximal
-    in-chart index ranges.  A node is certified inside, without the SVD of
-    cond, when cond_bound(A, A^(-1)) <= (COND_MAX / CERT_MARGIN)^2; the
-    inverses are `ainv` if the caller has them, else computed here, and
-    cond decides the nodes they do not clear (every node when A has no
-    inverse).
+    A block is singular (symspace.chart_inverse's rule, cond(A) >
+    COND_MAX); `segments` lists the maximal in-chart index ranges.
     """
     n = frames.shape[-1] // 2
     a, b = frames[:, :n, :n], frames[:, n:, :n]
-    if ainv is None:
-        ainv = _inverse(a)
-    inside = (np.zeros(len(a), bool) if ainv is None else
-              cond_bound(a, ainv) <= (COND_MAX / CERT_MARGIN) ** 2)
-    if not inside.all():
-        rest = np.flatnonzero(~inside)
-        inside[rest] = np.linalg.cond(a[rest]) <= COND_MAX
-
-    def chart(a, b):
-        return symmetrize(np.linalg.solve(
-            a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2))
-
+    _, inside = chart_inverse(a)
     if inside.all():
-        S = chart(a, b)
+        S = _chart(a, b)
     else:
         S = np.full(a.shape, np.nan)
-        S[inside] = chart(a[inside], b[inside])
+        S[inside] = _chart(a[inside], b[inside])
     edges = np.flatnonzero(np.diff(np.concatenate([[0], inside, [0]])))
     segments = [(int(i), int(j) - 1) for i, j in zip(edges[::2], edges[1::2])]
     return S, segments
 
 
-def _inverse(a):
-    """np.linalg.inv(a), or None where some matrix of the stack has no
-    inverse."""
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return None
+def _chart(a, b):
+    """S = B A^(-1) of the A and B blocks of in-chart frames."""
+    return symmetrize(np.linalg.solve(
+        a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2))
 
 
 @dataclass
@@ -243,24 +225,24 @@ def frame_curve(p: InvariantPrescription, frames):
     A' = A Sigma + Abar, A'' = A' Sigma + A Sigma' + A diag K + Abar Sigma
     (Sigma' by finite_diff) and, F being symplectic, S' = A^(-T) A^(-1),
     S'' = X + X^T with X = -S' A' A^(-1), S''' = Y + Y^T with
-    Y = -(S'' A' + S' A'' + X A') A^(-1).  S and the chart rule are
-    curve_from_frame's: a node outside the chart raises NotInChart at the
-    earliest such node."""
+    Y = -(S'' A' + S' A'' + X A') A^(-1).  S and the chart rule
+    (symspace.chart_inverse) are curve_from_frame's: a node outside the
+    chart raises NotInChart at the earliest such node."""
     n, ts = p.n, p.ts
     a, abar = frames[:, :n, :n], frames[:, :n, n:]
-    ainv = _inverse(a)
-    S, _ = curve_from_frame(frames, ainv)
-    Gates().require(np.isfinite(S[:, 0, 0]), lambda i: NotInChart(
+    a_inv, inside = chart_inverse(a)
+    Gates().require(inside, lambda i: NotInChart(
         f"the frame's A block is singular at t={float(ts[i])!r}")
     ).raise_error()
+    S = _chart(a, frames[:, n:, :n])
     sig = p.Sigma
     a1 = a @ sig + abar
     a2 = (a1 @ sig + a @ finite_diff(sig, ts[1] - ts[0], 1)
           + a * p.Kdiag[:, None, :] + abar @ sig)
-    s1 = ainv.swapaxes(-1, -2) @ ainv
-    x = -s1 @ a1 @ ainv
+    s1 = a_inv.swapaxes(-1, -2) @ a_inv
+    x = -s1 @ a1 @ a_inv
     s2 = x + x.swapaxes(-1, -2)
-    y = -(s2 @ a1 + s1 @ a2 + x @ a1) @ ainv
+    y = -(s2 @ a1 + s1 @ a2 + x @ a1) @ a_inv
     return node_curve(ts, (S, s1, s2, y + y.swapaxes(-1, -2)), "frame",
                       "reconstructed")
 

@@ -77,29 +77,56 @@ def cond_bound(a, a_inv):
                 * np.einsum("...ij,...ij->...", a_inv, a_inv))
 
 
-def definite_certificate(s1):
-    """(sign, L^(-1)) when every sample of the stack s1 is certified
-    regular and definite of that sign, else None (left to the spectral
-    rule).  L is the Cholesky factor of sign * s1 (negation is exact), and
-    cond_2(s1) = cond_2(L)^2 <= cond_bound(L, L^(-1)) <= COND_MAX /
-    CERT_MARGIN; the margin covers roundoff, so the spectral rule (sign *
-    eigvalsh(s1) positive, _eig_cond at most COND_MAX) passes too."""
+def velocity_form(s1):
+    """(regular, sign, l_inv) of the symmetric velocity forms s1 (the last
+    two axes): per sample, whether cond_2(s1) <= COND_MAX, and +1 or -1
+    where s1 is definite of that sign, else 0.  The one rule behind every
+    gate on S'.  If cholesky(s1), else cholesky(-s1) (negation is exact),
+    succeeds with cond_bound(L, L^(-1)) <= COND_MAX / CERT_MARGIN at every
+    sample, that certifies all of them (cond_2(s1) = cond_2(L)^2; the
+    margin covers roundoff) and l_inv is that L^(-1); else one spectrum
+    judges each sample and l_inv is None.  A factor that succeeds but fails
+    its bound is not followed by the other sign."""
+    s1 = np.asarray(s1, dtype=float)
     for sign in (1, -1):
         try:
             factor = np.linalg.cholesky(s1 if sign > 0 else -s1)
             l_inv = np.linalg.inv(factor)
         except np.linalg.LinAlgError:
             continue
-        ok = cond_bound(factor, l_inv) <= COND_MAX / CERT_MARGIN
-        return (sign, l_inv) if ok.all() else None
-    return None
+        if (cond_bound(factor, l_inv) <= COND_MAX / CERT_MARGIN).all():
+            shape = s1.shape[:-2]
+            return np.ones(shape, bool), np.full(shape, sign), l_inv
+        break
+    ev = np.linalg.eigvalsh(s1)
+    sign = np.where(ev[..., 0] > 0, 1, np.where(ev[..., -1] < 0, -1, 0))
+    return _eig_cond(s1, ev) <= COND_MAX, sign, None
+
+
+def chart_inverse(d):
+    """(d^(-1), inside) of a stack of chart denominators d (m, n, n), the
+    one rule behind every chart exit: inside[i] is cond_2(d[i]) <=
+    COND_MAX.  A sample is certified inside, without the SVD of
+    np.linalg.cond, when cond_bound(d, d^(-1)) <= (COND_MAX /
+    CERT_MARGIN)^2; cond decides the others.  d^(-1) is None when some
+    sample has no LU inverse (cond then decides every sample)."""
+    try:
+        d_inv = np.linalg.inv(d)
+    except np.linalg.LinAlgError:
+        d_inv = None
+    inside = (np.zeros(len(d), bool) if d_inv is None else
+              cond_bound(d, d_inv) <= (COND_MAX / CERT_MARGIN) ** 2)
+    rest = ~inside
+    if rest.any():
+        inside[rest] = np.linalg.cond(d[rest]) <= COND_MAX
+    return d_inv, inside
 
 
 def definite_eigh(a, b, l_inv=None):
     """Ascending mu and M with a M = b M diag(mu), M^T b M = Id, on stacks of
     symmetric a and positive definite b (else LinAlgError): LAPACK sygvd's
     reduction b = L L^T, (mu, V) = eigh(L^(-1) a L^(-T)), M = L^(-T) V.
-    `l_inv` is L^(-1) when the caller has it (definite_certificate's)."""
+    `l_inv` is L^(-1) when the caller has it (velocity_form's)."""
     if l_inv is None:
         l_inv = np.linalg.inv(np.linalg.cholesky(b))
     c = l_inv @ a @ l_inv.swapaxes(-1, -2)

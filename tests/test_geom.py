@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobi import matcurve
+from jacobi import symspace
 from jacobi.cli import main
 from jacobi.curvature import ricci
 from jacobi.errors import (InflectionPoint, InvalidBasis, JacobiError,
@@ -328,6 +328,25 @@ class TestOneDecompositionOfVelocity:
         assert sum(name in ("solve", "inv") and np.array_equal(a, chart)
                    for name, a in calls) == 1
 
+    @pytest.mark.parametrize("seed,n", [(1, 2), (2, 3), (3, 4), (4, 6)])
+    def test_closed_form_image_takes_no_svd(self, monkeypatch, seed, n):
+        # the benchmark's closed-form family: a tan base moved by a
+        # random_csp map; its chart gate is certified from the one inverse
+        # of P + Q S, so no sample needs an SVD
+        rng = np.random.default_rng(seed)
+        a = np.sort(rng.uniform(0.2, 1.3, size=n))
+        dom = 0.99 * np.pi / (2.0 * a.max())
+        base = curve_from_scalars([bench_tan_entry(x) for x in a],
+                                  (-dom, dom))
+        g = random_csp(seed, 0.5, n, 0.2)
+        grid = SampleGrid(0, 1, 201)
+        chart = g[:n, :n] + g[:n, n:] @ sample_curve(base, grid).S
+        calls = self.count_linalg(monkeypatch)
+        analyze(transformed_curve(base, g), grid)
+        assert [name for name, _ in calls if name == "svd"] == []
+        assert sum(name == "inv" and np.array_equal(x, chart)
+                   for name, x in calls) == 1
+
     def test_screen_keeps_the_earliest_failing_sample(self):
         # S' is singular at sample 3 and S'' asymmetric at sample 5: the
         # regularity failure at t[3] comes first, as in `jets`
@@ -387,29 +406,48 @@ def conditioned_curve(rng, n, log_cond, sign):
     return SymmetricMatrixCurve(n, evaluator, (-1.0, 2.0))
 
 
+def roundtrip_record(curve, grid):
+    """Every field of roundtrip(curve, grid) as bytes, or its error's type
+    and message."""
+    try:
+        rep = roundtrip(curve, grid)
+    except JacobiError as e:
+        return [type(e).__name__, str(e)]
+    return [np.asarray(getattr(rep, f.name)).tobytes()
+            for f in dataclasses.fields(rep)]
+
+
 class TestCertifiedVelocity:
-    """analyze gives the same bits, verdicts and errors whether S' is
-    cleared by its Cholesky certificate or judged by its spectrum."""
+    """analyze and roundtrip give the same bits, verdicts and errors
+    whether S' and the chart denominators are cleared by their
+    certificates or judged by their spectra and SVDs."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["quartic", "negated", "csp", "conditioned"]),
+    @given(st.sampled_from(["quartic", "negated", "csp", "conditioned",
+                            "roundtrip"]),
            st.integers(0, 2**16), st.sampled_from([2, 3, 4]),
            st.floats(0.0, 16.0), st.sampled_from([1.0, -1.0]))
     def test_equals_the_spectral_rule(self, kind, seed, n, log_cond, sign):
+        record = analysis_record
         if kind == "conditioned":
             curve = conditioned_curve(np.random.default_rng(seed), n,
                                       log_cond, sign)
         else:
             curve = random_quartic(seed, n,
                                    scale=-1.0 if kind == "negated" else 1.0)
-            if kind == "csp":
+            if kind in ("csp", "roundtrip"):
                 curve = transformed_curve(
                     curve, random_csp(seed + 1, sign * 0.5, n, 0.2))
+            if kind == "roundtrip":
+                record = roundtrip_record
         grid = SampleGrid(0.0, 1.0, 41)
-        certified = analysis_record(curve, grid)
+        certified = record(curve, grid)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matcurve, "definite_certificate", lambda s1: None)
-            assert analysis_record(curve, grid) == certified
+            # a bound of inf certifies nothing: every gate takes its
+            # spectrum or SVD
+            mp.setattr(symspace, "cond_bound",
+                       lambda a, a_inv: np.full(np.shape(a)[:-2], np.inf))
+            assert record(curve, grid) == certified
 
 
 def bench_tan_entry(a):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from jacobi.cli import _json
+from jacobi.cli import _json, main
 from jacobi.errors import (DomainError, InvalidBasis, InvalidDimension,
                            InvalidTransform, MissingKey, NotInChart,
                            RegularityFailure, TooFewSamples)
@@ -34,7 +34,8 @@ from jacobi.matcurve import (
 )
 from jacobi.matcurve import _exp_decay_entry, _mobius_entry
 from jacobi.pipeline import analyze
-from jacobi.symspace import random_csp, symmetrize, symplectic_form
+from jacobi.symspace import (apply_symplectic, random_csp, symmetrize,
+                             symplectic_form)
 
 from .conftest import random_quartic
 
@@ -395,6 +396,32 @@ class TestTransformedCurve:
             tc.jets(np.linspace(-0.5, 1.0, 7))
         with pytest.raises(NotInChart, match=r"at t=0\.0:"):
             analyze(tc, SampleGrid(0.0, 1.0, 21))
+
+    def test_an_ill_conditioned_chart_is_not_in_chart(self, tmp_path,
+                                                       capsys):
+        # g swaps the first coordinate pair, so P + Q S = diag(S_11, 1):
+        # cond 1.0e14 at t = 1e-14, above COND_MAX but with a nonzero LU
+        # pivot.  The image leaves the chart by apply_symplectic's
+        # condition rule, not as a curve with an S_11 of -1e14
+        g = np.block([[np.diag([0.0, 1.0]), np.diag([1.0, 0.0])],
+                      [np.diag([-1.0, 0.0]), np.diag([0.0, 1.0])]])
+        base = preset_curve("paper-6.2-ex1")
+        with pytest.raises(NotInChart):
+            apply_symplectic(g, base.jet(1e-14).S)
+        tc = transformed_curve(base, g)
+        for check_regular in (False, True):
+            with pytest.raises(NotInChart, match=r"at t=1e-14:"):
+                tc.jets([1e-14], check_regular)
+        with pytest.raises(NotInChart, match=r"at t=1e-14:"):
+            analyze(tc, SampleGrid(1e-14, 1.0, 21))
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps({"n": 2, "kind": "preset",
+                                 "name": "paper-6.2-ex1",
+                                 "transform": g.tolist()}))
+        code = main(["analyze", str(f), "--t0", "1e-14", "--t1", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "NotInChart"
 
     def test_image_of_a_table_keeps_its_nodes(self):
         # the parameter is unchanged, so the image is known at the nodes

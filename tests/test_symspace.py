@@ -26,10 +26,10 @@ from jacobi.symspace import (
     _matrix_maxabs,
     apply_symplectic,
     asymmetry_gate,
+    chart_inverse,
     chart_translate_invert,
     complete_symplectic_basis,
     conformal_symplectic,
-    definite_certificate,
     definite_eigh,
     frame_from_chart_pair,
     is_symplectic_frame,
@@ -38,6 +38,7 @@ from jacobi.symspace import (
     sym_cond,
     symmetrize,
     symplectic_form,
+    velocity_form,
 )
 from jacobi.tolerances import COND_MAX, FRAME_TOL, SYM_TOL
 
@@ -570,9 +571,19 @@ def spectrum_stack(rng, m, n, log_cond, sign):
     return (q * d[..., None, :]) @ q.swapaxes(-1, -2)
 
 
+def spectral_rule(s):
+    """(regular, sign) of symmetric matrices s by their spectra alone:
+    cond_2 at most COND_MAX, and +1 / -1 where s is definite of that sign,
+    else 0."""
+    ev = np.linalg.eigvalsh(s)
+    sign = np.where(ev[..., 0] > 0, 1, np.where(ev[..., -1] < 0, -1, 0))
+    return sym_cond(s) <= COND_MAX, sign
+
+
 class TestDefiniteCertificate:
-    """A stack that definite_certificate clears passes the spectral rule
-    it stands in for at every sample, with the certified sign."""
+    """velocity_form gives the spectral rule's regular and sign at every
+    sample: by its Cholesky certificate where that clears the stack (with
+    that factor's inverse), else by the spectrum."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 6]),
@@ -581,17 +592,65 @@ class TestDefiniteCertificate:
                                                      log_cond, sign):
         s = spectrum_stack(np.random.default_rng(seed), 8, n, log_cond, sign)
         s = 0.5 * (s + s.swapaxes(-1, -2))
-        cert = definite_certificate(s)
-        if cert is None:
+        regular, got_sign, l_inv = velocity_form(s)
+        ref_regular, ref_sign = spectral_rule(s)
+        assert same_bits(regular, ref_regular)
+        assert np.array_equal(got_sign, ref_sign)
+        if l_inv is None:
             # cleared stacks of one sign: all with cond(s) <= 1e9
             assert sign == 0 or log_cond > 9.0 - np.log10(n * n)
             return
-        got_sign, l_inv = cert
-        ev = np.linalg.eigvalsh(s)
-        assert np.all(_eig_cond(s, ev) <= COND_MAX)
-        assert np.all(got_sign * ev > 0) and got_sign == sign
+        assert regular.all() and np.all(got_sign == sign)
         assert same_bits(l_inv, np.linalg.inv(np.linalg.cholesky(
-            s if got_sign > 0 else -s)))
+            s if sign > 0 else -s)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
+           st.lists(st.sampled_from(["positive", "negative", "indefinite",
+                                     "singular", "near"]),
+                    min_size=2, max_size=8))
+    def test_uncertified_samples_follow_the_spectral_rule(self, seed, n,
+                                                           kinds):
+        # definite, indefinite and singular samples mixed: no certificate,
+        # so each sample is judged by its spectrum; a single matrix (the
+        # path of ricci(jet) and matrix_schwarzian) by its own
+        rng = np.random.default_rng(seed)
+        stack = []
+        for kind in kinds:
+            if kind == "singular":  # exactly: integer rank one
+                u = rng.integers(-3, 4, size=n).astype(float)
+                stack.append(np.outer(u, u))
+            else:
+                # "near": positive definite with cond from 1e11 to 1e13
+                sign = {"positive": 1, "near": 1, "negative": -1}.get(kind, 0)
+                log_cond = rng.uniform(11.0, 13.0) if kind == "near" else 2.0
+                stack.append(spectrum_stack(rng, 1, n, log_cond, sign)[0])
+        s = np.array(stack)
+        s = 0.5 * (s + s.swapaxes(-1, -2))
+        ref_regular, ref_sign = spectral_rule(s)
+        regular, sign, l_inv = velocity_form(s)
+        if l_inv is None:
+            assert same_bits(regular, ref_regular)
+            assert np.array_equal(sign, ref_sign)
+        for k, sk in enumerate(s):
+            regular, sign, _ = velocity_form(sk)
+            assert regular.shape == sign.shape == ()
+            assert regular == ref_regular[k] and sign == ref_sign[k]
+
+    def test_a_failed_bound_does_not_try_the_other_sign(self, monkeypatch):
+        # cholesky(S') succeeds but its bound fails: the spectrum decides
+        # and -S' is not factored
+        s = np.diag([1.0, 2e-12])[None]  # cond 5e11, bound above 2.5e11
+        calls = []
+
+        def cholesky(a, _fn=np.linalg.cholesky):
+            calls.append(a)
+            return _fn(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        regular, sign, l_inv = velocity_form(s)
+        assert l_inv is None and len(calls) == 1
+        assert regular.tolist() == [True] and sign.tolist() == [1]
 
     @pytest.mark.parametrize("big,small", [(1e3, 1e-320), (1e200, 1e-120)])
     def test_an_overflowing_bound_is_left_to_the_spectrum(self, big, small):
@@ -602,8 +661,11 @@ class TestDefiniteCertificate:
         s = np.diag([big, small])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert definite_certificate(s[None]) is None
-            assert definite_certificate(-s[None]) is None
+            for x, sign in ((s, 1), (-s, -1)):
+                regular, got_sign, l_inv = velocity_form(x[None])
+                assert l_inv is None
+                assert regular.tolist() == [False]
+                assert got_sign.tolist() == [sign]
             with pytest.raises(NotTransverse):
                 chart_translate_invert(s, np.zeros((2, 2)))
             with pytest.raises(RegularityFailure):
@@ -614,8 +676,8 @@ class TestDefiniteCertificate:
     def test_definite_eigh_takes_the_certificate_factor(self):
         rng = np.random.default_rng(7)
         a, b = symmetric_stack(rng, 6, 3), spd_stack(rng, 6, 3)
-        sign, l_inv = definite_certificate(b)
-        assert sign == 1
+        regular, sign, l_inv = velocity_form(b)
+        assert regular.all() and np.all(sign == 1)
         for x, y in zip(definite_eigh(a, b, l_inv), definite_eigh(a, b)):
             assert same_bits(x, y)
 
@@ -633,8 +695,9 @@ def chart_reference(frames):
 
 
 class TestChartExitCertificate:
-    """curve_from_frame's chart exits are those of cond(A) <= COND_MAX,
-    whether A^(-1) is passed, computed, or does not exist."""
+    """chart_inverse's inside is cond(A) <= COND_MAX, and curve_from_frame
+    exits the chart exactly there, whether the certificate clears A, does
+    not, or A has no inverse."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
@@ -655,14 +718,16 @@ class TestChartExitCertificate:
                 d = np.logspace(0.0, -rng.uniform(11.0, 13.0), n)
                 f[:n, :n] = (q1 * d) @ q2 * 10.0 ** rng.uniform(-5, 5)
         ref_S, ref_inside = chart_reference(frames)
+        a = frames[:, :n, :n]
+        a_inv, inside = chart_inverse(a)
+        assert same_bits(inside, ref_inside)
         try:
-            passed = [None, np.linalg.inv(frames[:, :n, :n])]
+            assert same_bits(a_inv, np.linalg.inv(a))
         except np.linalg.LinAlgError:
-            passed = [None]
-        for ainv in passed:
-            S, segments = curve_from_frame(frames, ainv)
-            assert same_bits(S, ref_S)
-            inside = np.zeros(len(frames), bool)
-            for i, j in segments:
-                inside[i:j + 1] = True
-            assert same_bits(inside, ref_inside)
+            assert a_inv is None
+        S, segments = curve_from_frame(frames)
+        assert same_bits(S, ref_S)
+        inside = np.zeros(len(frames), bool)
+        for i, j in segments:
+            inside[i:j + 1] = True
+        assert same_bits(inside, ref_inside)
