@@ -31,13 +31,13 @@ from .matcurve import CurveJet, Series
 from .symspace import (
     _matrix_maxabs,
     _maxabs,
+    chart_inverse,
     chart_translate_invert,
     definite_eigh,
-    sym_cond,
     symmetrize,
     velocity_form,
 )
-from .tolerances import COND_MAX, RICCI_SYM_TOL
+from .tolerances import RICCI_SYM_TOL
 
 # parameter step of verify_derivative_curve's second difference
 VERIFY_STEP = 1e-3
@@ -152,9 +152,9 @@ def derivative_curve(j: CurveJet, zeta_ratio=None):
     if zeta_ratio is not None:
         corr = j.S2 - np.asarray(zeta_ratio)[..., None, None] * j.S1
     ts = np.atleast_1d(j.t)
-    Gates().require(sym_cond(corr) <= COND_MAX,
-                    lambda i: InflectionPoint(ts[i])).raise_error()
-    s0 = j.S - 2.0 * j.S1 @ np.linalg.solve(corr, j.S1)
+    corr_inv, inside = chart_inverse(corr)
+    Gates().require(inside, lambda i: InflectionPoint(ts[i])).raise_error()
+    s0 = j.S - 2.0 * j.S1 @ corr_inv @ j.S1
     return symmetrize(s0)
 
 

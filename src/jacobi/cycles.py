@@ -12,25 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import matrix_schwarzian
+from .curvature import _schwarzian
 from .errors import Gates, NoFit, NotGeneralPosition, ZeroDirection
 from .matcurve import sample_curve
-from .symspace import _maxabs, chart_translate_invert, sym_cond, symmetrize
-from .tolerances import (COND_MAX, FIT_TOL, FLAT_TOL, MEMBER_TOL,
-                         MOBIUS_DEN_MIN, ZERO_FLOOR)
+from .symspace import _maxabs, chart_inverse, symmetrize
+from .tolerances import (FIT_TOL, FLAT_TOL, MEMBER_TOL, MOBIUS_DEN_MIN,
+                         ZERO_FLOOR)
 
 AT_INFINITY = "at-infinity"
 
 
 def line_classify(direction):
-    """'regular' iff the symmetric direction matrix is invertible: its
-    condition number is at most COND_MAX, the scale-free gate every chart
-    solve uses.
+    """'regular' iff the symmetric direction matrix is invertible by
+    symspace.chart_inverse's rule, the scale-free gate every chart inverse
+    uses.
     """
     d = symmetrize(np.asarray(direction, dtype=float))
     if _maxabs(d) < ZERO_FLOOR:
         raise ZeroDirection("direction matrix is zero")
-    return "regular" if sym_cond(d) <= COND_MAX else "singular"
+    return "regular" if chart_inverse(d)[1] else "singular"
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ class Cycle:
 
 def is_flat(curve, grid, tol=FLAT_TOL):
     """True iff sup_t ||Schwarzian(S)||_inf <= tol over the grid."""
-    return _maxabs(matrix_schwarzian(sample_curve(curve, grid))) <= tol
+    # sample_curve has judged S' regular
+    return _maxabs(_schwarzian(sample_curve(curve, grid))) <= tol
 
 
 def mobius_fit(jets):
@@ -110,9 +111,11 @@ def cycle_through(L1, L2, L3):
     """
     pts = np.stack([L1, L2, L3])
     i, j = np.triu_indices(3, 1)  # the pairs (1, 2), (1, 3), (2, 3)
-    Gates().require(sym_cond(pts[i] - pts[j]) <= COND_MAX, lambda k:
+    diff_inv, inside = chart_inverse(pts[i] - pts[j])
+    Gates().require(inside, lambda k:
                     NotGeneralPosition(i[k] + 1, j[k] + 1)).raise_error()
-    base, other = chart_translate_invert(pts[:2], L3)
+    # (L1 - L3)^(-1) and (L2 - L3)^(-1), as chart_translate_invert gives them
+    base, other = symmetrize(diff_inv[1:])
     direction = other - base
     return Cycle(
         infinity=L3,
@@ -135,10 +138,10 @@ def cycle_contains(cycle, L, tol=MEMBER_TOL):
         return True
     if _maxabs(L - cycle.infinity) <= tol * max(1.0, _maxabs(cycle.infinity)):
         return True
-    if not sym_cond(L - cycle.infinity) <= COND_MAX:
+    diff_inv, inside = chart_inverse(L - cycle.infinity)
+    if not inside:
         return False
-    x = chart_translate_invert(L, cycle.infinity)
-    offset = x - cycle.base
+    offset = symmetrize(diff_inv) - cycle.base
     d = cycle.direction
     lam = float(np.sum(offset * d) / np.sum(d * d))
     resid = _maxabs(offset - lam * d)

@@ -18,9 +18,8 @@ import numpy as np
 from .errors import EigenCrossing, Gates, GridMismatch, InflectionPoint
 from .geom import ArcData
 from .matcurve import finite_diff, spline
-from .symspace import _entrywise, sym_cond
-from .tolerances import (COND_MAX, EQUIV_TOL, MIN_OVERLAP, OVERLAP_SLACK,
-                         SIGN_TOL)
+from .symspace import _entrywise, chart_inverse
+from .tolerances import EQUIV_TOL, MIN_OVERLAP, OVERLAP_SLACK, SIGN_TOL
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     """
     ms = _fix_signs(ricci_series.eigvecs, arc.ts)
     corr = jets.S2 - (arc.zeta1 / arc.zeta)[:, None, None] * jets.S1
-    Gates().require(sym_cond(corr) <= COND_MAX,
+    Gates().require(chart_inverse(corr)[1],
                     lambda i: InflectionPoint(arc.ts[i])).raise_error()
     mbar = -0.5 * (ms @ (ms.swapaxes(-1, -2) @ corr @ ms))
     # filled in place: np.block would also hold its two row blocks

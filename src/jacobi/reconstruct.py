@@ -176,11 +176,8 @@ def curve_from_frame(frames):
     n = frames.shape[-1] // 2
     a, b = frames[:, :n, :n], frames[:, n:, :n]
     _, inside = chart_inverse(a)
-    if inside.all():
-        S = _chart(a, b)
-    else:
-        S = np.full(a.shape, np.nan)
-        S[inside] = _chart(a[inside], b[inside])
+    S = np.full(a.shape, np.nan)
+    S[inside] = _chart(a[inside], b[inside])
     edges = np.flatnonzero(np.diff(np.concatenate([[0], inside, [0]])))
     segments = [(int(i), int(j) - 1) for i, j in zip(edges[::2], edges[1::2])]
     return S, segments

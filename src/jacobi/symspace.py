@@ -48,17 +48,10 @@ def _matrix_maxabs(a):
     return _entrywise(np.maximum, np.abs(a))
 
 
-def sym_cond(a):
-    """2-norm condition number of symmetric matrices (the last two axes),
-    from their eigenvalues.  As with np.linalg.cond, a singular matrix gives
-    inf and a matrix holding a NaN gives NaN."""
-    a = np.asarray(a, dtype=float)
-    return _eig_cond(a, np.linalg.eigvalsh(a))
-
-
 def _eig_cond(a, ev):
-    """sym_cond of the symmetric matrices a from their eigenvalues ev, for
-    callers that need the spectrum too."""
+    """2-norm condition number of the symmetric matrices a (the last two
+    axes) from their eigenvalues ev.  As with np.linalg.cond, a singular
+    matrix gives inf and a matrix holding a NaN gives NaN."""
     ev = np.abs(ev)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = _entrywise(np.maximum, ev, 1) / _entrywise(np.minimum, ev, 1)
@@ -104,19 +97,22 @@ def velocity_form(s1):
 
 
 def chart_inverse(d):
-    """(d^(-1), inside) of a stack of chart denominators d (m, n, n), the
-    one rule behind every chart exit: inside[i] is cond_2(d[i]) <=
-    COND_MAX.  A sample is certified inside, without the SVD of
-    np.linalg.cond, when cond_bound(d, d^(-1)) <= (COND_MAX /
-    CERT_MARGIN)^2; cond decides the others.  d^(-1) is None when some
-    sample has no LU inverse (cond then decides every sample)."""
+    """(d^(-1), inside) of one matrix d (n, n) or a stack (m, n, n), the one
+    rule behind every matrix the package inverts or gates for
+    invertibility, S' (velocity_form) aside: inside is cond_2(d) <=
+    COND_MAX per sample, and a sample that is not finite is outside.  A
+    sample is certified inside, without the SVD of np.linalg.cond, when
+    cond_bound(d, d^(-1)) <= (COND_MAX / CERT_MARGIN)^2; cond decides the
+    other finite samples.  d^(-1) is None when some sample has no LU
+    inverse (cond then decides every finite sample)."""
+    d = np.asarray(d, dtype=float)
     try:
         d_inv = np.linalg.inv(d)
     except np.linalg.LinAlgError:
         d_inv = None
-    inside = (np.zeros(len(d), bool) if d_inv is None else
-              cond_bound(d, d_inv) <= (COND_MAX / CERT_MARGIN) ** 2)
-    rest = ~inside
+    inside = (np.zeros(d.shape[:-2], bool) if d_inv is None else np.asarray(
+        cond_bound(d, d_inv) <= (COND_MAX / CERT_MARGIN) ** 2))
+    rest = ~inside & np.isfinite(_matrix_maxabs(d))
     if rest.any():
         inside[rest] = np.linalg.cond(d[rest]) <= COND_MAX
     return d_inv, inside
@@ -203,13 +199,14 @@ def frame_from_chart_pair(M, S, Sbar):
     """Symplectic frame matrix (..., 2n, 2n) with f spanning S (basis M) and
     fbar spanning Sbar; a singular M or Sbar - S raises."""
     M = np.asarray(M, dtype=float)
-    diff = Sbar - S
-    Gates().require(np.linalg.cond(M) <= COND_MAX, lambda i: InvalidBasis(
+    m_inv, m_inside = chart_inverse(M)
+    diff_inv, diff_inside = chart_inverse(Sbar - S)
+    Gates().require(m_inside, lambda i: InvalidBasis(
         f"basis matrix M is singular at sample {i}")).require(
-        sym_cond(diff) <= COND_MAX, lambda i: NotTransverse(
+        diff_inside, lambda i: NotTransverse(
             f"Sbar - S is singular at sample {i} (condition number above "
             f"{COND_MAX:g})")).raise_error()
-    Mbar = np.linalg.solve(diff, np.linalg.inv(M.swapaxes(-1, -2)))
+    Mbar = diff_inv @ m_inv.swapaxes(-1, -2)
     return np.block([[M, Mbar], [S @ M, Sbar @ Mbar]])
 
 
@@ -219,12 +216,11 @@ def chart_translate_invert(S, S_ref):
 
     Not an involution: the inverse transform is S_ref + T^(-1).
     """
-    diff = S - S_ref
-    Gates().require(sym_cond(diff) <= COND_MAX, lambda i: NotTransverse(
+    diff_inv, inside = chart_inverse(S - S_ref)
+    Gates().require(inside, lambda i: NotTransverse(
         f"S - S_ref is singular at sample {i} (condition number above "
         f"{COND_MAX:g})")).raise_error()
-    eye = np.broadcast_to(np.eye(diff.shape[-1]), diff.shape)
-    return symmetrize(np.linalg.solve(diff, eye))
+    return symmetrize(diff_inv)
 
 
 def conformal_symplectic(g, n):
@@ -256,13 +252,12 @@ def apply_symplectic(g, S):
     g = conformal_symplectic(g, n)
     P, Q = g[:n, :n], g[:n, n:]
     R, T = g[n:, :n], g[n:, n:]
-    # X (P + Q S) = R + T S, solved transposed; P + Q S is not symmetric
-    den_t = (P + Q @ S).swapaxes(-1, -2)
-    Gates().require(np.linalg.cond(den_t) <= COND_MAX, lambda i: NotInChart(
+    # transformed_curve's formula, so an image curve's S has these bits
+    K, inside = chart_inverse(P + Q @ S)
+    Gates().require(inside, lambda i: NotInChart(
         f"P + Q S is singular at sample {i} (condition number above "
         f"{COND_MAX:g})")).raise_error()
-    num_t = (R + T @ S).swapaxes(-1, -2)
-    return symmetrize(np.linalg.solve(den_t, num_t).swapaxes(-1, -2))
+    return symmetrize((R + T @ S) @ K)
 
 
 def random_hamiltonian(rng, n, scale=1.0):

@@ -27,7 +27,8 @@ from jacobi.matcurve import (
     sample_curve,
     transformed_curve,
 )
-from jacobi.symspace import apply_symplectic, random_csp, symmetrize
+from jacobi.symspace import (apply_symplectic, chart_translate_invert,
+                             random_csp, symmetrize)
 
 
 def scalar_mobius_curve(a, b, c, d, direction, domain=(0.0, 1.0)):
@@ -84,6 +85,21 @@ class TestIsFlat:
 
     def test_first_preset_is_not_flat(self, unit_grid):
         assert not is_flat(preset_curve("paper-6.2-ex1"), unit_grid)
+
+    def test_velocity_is_factored_once(self, unit_grid, monkeypatch):
+        # sample_curve's gate on S' is the only one
+        calls = []
+
+        def cholesky(a, _fn=np.linalg.cholesky):
+            calls.append(a)
+            return _fn(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        c = scalar_mobius_curve(2.0, 1.0, 1.0, 3.0, np.diag([1.0, 2.0]))
+        for curve in (c, preset_curve("paper-6.2-ex1")):
+            calls.clear()
+            is_flat(curve, unit_grid)
+            assert len(calls) == 1
 
     def test_flat_curve_is_inadmissible(self, unit_grid):
         # definite direction: the Ricci data needs a monotone curve
@@ -159,6 +175,26 @@ class TestCycleThrough:
         with pytest.raises(NotGeneralPosition) as exc:
             cycle_through(l1, l2, l3)
         assert (exc.value.i, exc.value.j) == pair
+
+    def test_base_and_direction_are_the_recharted_points(self,
+                                                         monkeypatch):
+        # the (1, 3) and (2, 3) pairs are judged once, without a spectrum,
+        # and inverted as chart_translate_invert inverts them
+        l1 = np.array([[1.0, 0.2], [0.2, -0.5]])
+        l2 = np.array([[2.5, -0.1], [-0.1, 0.3]])
+        l3 = np.array([[-1.0, 0.4], [0.4, 2.0]])
+        base, other = chart_translate_invert(np.stack([l1, l2]), l3)
+        calls = []
+
+        def eigvalsh(a, _fn=np.linalg.eigvalsh):
+            calls.append(a)
+            return _fn(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        cyc = cycle_through(l1, l2, l3)
+        assert calls == []
+        assert np.array_equal(cyc.base, base)
+        assert np.array_equal(cyc.direction, other - base)
 
     def test_contains_generators_and_infinity(self):
         l1 = np.array([[1.0, 0.2], [0.2, -0.5]])

@@ -389,6 +389,16 @@ class TestTransformedCurve:
         with pytest.raises(InvalidDimension):
             transformed_curve(base, np.eye(6))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_apply_symplectic_gives_the_image_points(self, n):
+        # one formula, (R + T S)(P + Q S)^(-1), for a point and for a curve
+        base, ts = random_quartic(n, n), np.linspace(0.0, 1.0, 41)
+        for seed in range(3):
+            g = random_csp(seed, scale=0.7, n=n, ham_scale=0.3)
+            image = transformed_curve(base, g).jets(ts, check_regular=False)
+            assert np.array_equal(apply_symplectic(g, base.jets(ts).S),
+                                  image.S)
+
     def test_leaving_the_chart_at_a_sample_is_not_in_chart(self):
         # S(0) = 0, so P + Q S = 0 at t = 0 under J: the third sample
         tc = transformed_curve(preset_curve("paper-6.2-ex1"), symplectic_form(2))

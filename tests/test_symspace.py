@@ -35,7 +35,6 @@ from jacobi.symspace import (
     is_symplectic_frame,
     random_csp,
     random_hamiltonian,
-    sym_cond,
     symmetrize,
     symplectic_form,
     velocity_form,
@@ -181,6 +180,14 @@ class TestCompleteBasis:
         with pytest.raises(NotTransverse):
             complete_symplectic_basis(np.eye(2), s, s)
 
+    def test_a_nan_basis_is_invalid(self):
+        # judged outside, not passed to the SVD (LinAlgError)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidBasis, match="at sample 0$"):
+                frame_from_chart_pair(np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                                      0.0, np.eye(2))
+
 
 class TestChartTranslateInvert:
     def test_basic(self):
@@ -225,6 +232,14 @@ class TestApplySymplectic:
         s = np.eye(2)
         with pytest.raises(InvalidTransform):
             apply_symplectic(np.diag([1.0, 2.0, 3.0, 4.0]), s)
+
+    def test_a_nan_point_is_not_in_chart(self):
+        # judged outside, not passed to the SVD (LinAlgError)
+        g = random_csp(1, 0.5, 2, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotInChart, match="at sample 0 "):
+                apply_symplectic(g, np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
@@ -507,6 +522,12 @@ class TestDefiniteEigh:
             definite_eigh(np.eye(2)[None], np.diag([1.0, -1.0])[None])
 
 
+def eig_cond(a):
+    """_eig_cond of symmetric matrices a from their eigvalsh spectra, the
+    rule velocity_form falls back to."""
+    return _eig_cond(a, np.linalg.eigvalsh(a))
+
+
 class TestSymCond:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_matches_numpy_cond(self, n):
@@ -515,16 +536,16 @@ class TestSymCond:
         a[::5] *= 1e-6  # scale does not matter
         a[1] = spd_stack(rng, 1, n)[0]
         ref = np.linalg.cond(a)
-        assert np.max(np.abs(sym_cond(a) - ref) / ref) <= 1e-10
+        assert np.max(np.abs(eig_cond(a) - ref) / ref) <= 1e-10
 
     def test_singular_and_zero_matrices_are_infinite(self):
         stack = np.array([np.zeros((2, 2)), np.diag([1.0, 0.0]),
                           np.diag([0.0, -3.0]), np.eye(2)])
-        assert sym_cond(stack).tolist() == [np.inf, np.inf, np.inf, 1.0]
-        assert sym_cond(np.zeros((3, 3))) == np.inf
+        assert eig_cond(stack).tolist() == [np.inf, np.inf, np.inf, 1.0]
+        assert eig_cond(np.zeros((3, 3))) == np.inf
 
     def test_nan_stays_nan(self):
-        out = sym_cond(np.array([[[np.nan, 0.0], [0.0, 1.0]], np.eye(2)]))
+        out = eig_cond(np.array([[[np.nan, 0.0], [0.0, 1.0]], np.eye(2)]))
         assert np.isnan(out[0]) and out[1] == 1.0
 
 
@@ -577,7 +598,7 @@ def spectral_rule(s):
     else 0."""
     ev = np.linalg.eigvalsh(s)
     sign = np.where(ev[..., 0] > 0, 1, np.where(ev[..., -1] < 0, -1, 0))
-    return sym_cond(s) <= COND_MAX, sign
+    return _eig_cond(s, ev) <= COND_MAX, sign
 
 
 class TestDefiniteCertificate:
@@ -683,10 +704,13 @@ class TestDefiniteCertificate:
 
 
 def chart_reference(frames):
-    """curve_from_frame as the SVD rule alone computes it."""
+    """curve_from_frame as the SVD rule alone computes it, a block that is
+    not finite being outside."""
     n = frames.shape[-1] // 2
     a, b = frames[:, :n, :n], frames[:, n:, :n]
-    inside = np.linalg.cond(a) <= COND_MAX
+    inside = np.isfinite(a).all(axis=(-2, -1))
+    if inside.any():
+        inside[inside] = np.linalg.cond(a[inside]) <= COND_MAX
     S = np.full(a.shape, np.nan)
     S[inside] = symmetrize(np.linalg.solve(
         a[inside].swapaxes(-1, -2), b[inside].swapaxes(-1, -2)
@@ -697,11 +721,12 @@ def chart_reference(frames):
 class TestChartExitCertificate:
     """chart_inverse's inside is cond(A) <= COND_MAX, and curve_from_frame
     exits the chart exactly there, whether the certificate clears A, does
-    not, or A has no inverse."""
+    not, or A has no inverse or holds a NaN."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
-           st.lists(st.sampled_from(["random", "singular", "zero", "near"]),
+           st.lists(st.sampled_from(["random", "singular", "zero", "near",
+                                     "nan"]),
                     min_size=1, max_size=6))
     def test_mask_and_points_equal_the_svd_rule(self, seed, n, kinds):
         rng = np.random.default_rng(seed)
@@ -712,6 +737,8 @@ class TestChartExitCertificate:
                 f[:n, :n] = np.outer(u, v)
             elif kind == "zero":
                 f[:n, :n] = 0.0
+            elif kind == "nan":
+                f[rng.integers(n), rng.integers(n)] = np.nan
             elif kind == "near":  # cond(A) from 1e11 to 1e13
                 q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
                 q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -725,6 +752,9 @@ class TestChartExitCertificate:
             assert same_bits(a_inv, np.linalg.inv(a))
         except np.linalg.LinAlgError:
             assert a_inv is None
+        for k, ak in enumerate(a):  # one matrix, no sample axis
+            _, inside = chart_inverse(ak)
+            assert inside.shape == () and inside == ref_inside[k]
         S, segments = curve_from_frame(frames)
         assert same_bits(S, ref_S)
         inside = np.zeros(len(frames), bool)
