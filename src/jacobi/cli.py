@@ -31,7 +31,7 @@ from .matcurve import (PRESET_NAMES, TABLE_TRIM, SampleGrid, curve_from_json,
 from .pipeline import complete
 from .reconstruct import (curve_from_frame, frame_deviation, integrate_frame,
                           prescription_from_json)
-from .symspace import asymmetry_gate, symmetrize
+from .symspace import symmetric_input
 from .tolerances import (ADM_TOL, EQUIV_TOL, FLAT_TOL, MEMBER_TOL, RESID_MAX,
                          STRICT_FACTOR, SYM_TOL, WINDOW_SLACK)
 
@@ -297,11 +297,12 @@ def cmd_cycle(args):
             if p.ndim != 2 or p.shape != (len(pts[0]),) * 2:
                 raise InvalidDimension(f"point {i} has shape {p.shape}; points "
                                        "must be square matrices of one size")
-        for p in pts:
-            asymmetry_gate(Gates(), p, SYM_TOL).raise_error()
-        pts = [symmetrize(p) for p in pts]
         if len(pts) < 3:
             raise JacobiError("need at least three points")
+        gates = Gates()
+        pts = symmetric_input(gates, np.stack(pts), SYM_TOL, "matrix",
+                              lambda i: f"point {i + 1}")
+        gates.raise_error()
         cyc = cycle_through(pts[0], pts[1], pts[2])
         members = [cycle_contains(cyc, p, tol=args.tol_member)
                    for p in pts[3:]]

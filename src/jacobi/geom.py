@@ -21,7 +21,7 @@ from .errors import (
     RegularityFailure,
     RepeatedEigenvalues,
 )
-from .matcurve import CurveJet, _sample, finite_diff
+from .matcurve import CurveJet, finite_diff
 from .symspace import _entrywise
 from .tolerances import ADM_TOL, EIG_GAP_TOL, NORM_TOL
 
@@ -173,7 +173,7 @@ def screen(curve, grid, adm_tol=ADM_TOL):
     ana = Analysis(curve, grid)
     try:
         # one velocity_form of S' judges regularity, sign and definiteness
-        jets, (_, sign, l_inv) = _sample(curve, grid, True)
+        jets, (_, sign, l_inv) = curve._jets(grid.points, True)
         Gates().require((sign != 0) & (sign == sign[0]), lambda i:
                         MonotonicityFailure(jets.t[i])).raise_error()
         ana.velocity_sign = int(sign[0])

@@ -20,16 +20,14 @@ from numpy.polynomial import polynomial as npoly
 from .errors import (
     DomainError,
     Gates,
-    InvalidBasis,
     InvalidDimension,
     MissingKey,
     NotInChart,
     RegularityFailure,
     TooFewSamples,
 )
-from .symspace import (_entrywise, _matrix_maxabs, asymmetry_gate,
-                       bitwise_symmetric, chart_inverse, conformal_symplectic,
-                       symmetrize, velocity_form)
+from .symspace import (_entrywise, chart_inverse, conformal_symplectic,
+                       symmetric_input, velocity_form)
 from .tolerances import JET_SYM_TOL, NODE_TOL
 
 # Five-point stencil coefficients on a uniform grid, exact rationals over the
@@ -289,10 +287,11 @@ class SymmetricMatrixCurve:
         self.name = name
 
     def jets(self, ts, check_regular=True):
-        """Jet series at the parameters `ts`, the only evaluation path.  Per
-        sample the checks run in the order domain, shape, finiteness,
-        symmetry and regularity; the earliest failing sample's error is
-        raised, and an error of the evaluator comes before all of them."""
+        """Jet series at the parameters `ts`, the only evaluation path.  The
+        checks run in the order domain, shape, then finiteness and symmetry
+        of each jet order in turn (symspace.symmetric_input, which
+        symmetrizes), then regularity; the earliest failing sample's error
+        is raised, and an error of the evaluator comes before all of them."""
         return self._jets(ts, check_regular)[0]
 
     def _jets(self, ts, check_regular):
@@ -306,21 +305,10 @@ class SymmetricMatrixCurve:
         mats = [np.asarray(a, dtype=float) for a in self._eval(ts)]
         if [a.shape for a in mats] != [(ts.size, self.n, self.n)] * 4:
             raise InvalidDimension("evaluator must return four m x n x n arrays")
-        # max|a| is finite exactly where every entry of a is
-        for k, a in enumerate(mats):
-            gates.require(np.isfinite(_matrix_maxabs(a)), lambda i:
-                          InvalidBasis(f"jet of order {k} not finite at "
-                                       f"t={float(ts[i])!r}"))
-        # no arithmetic on a sample that failed a gate; a finite stack that
-        # is its own transpose bit for bit passes the asymmetry gate and
-        # is its own symmetrization
-        symmetric = []
-        for a in mats:
-            symmetric.append(bitwise_symmetric(a[:gates.stop]))
-            if not symmetric[-1]:
-                asymmetry_gate(gates, a[:gates.stop], JET_SYM_TOL)
-        mats = [a[:gates.stop] if sym else symmetrize(a[:gates.stop])
-                for a, sym in zip(mats, symmetric)]
+        mats = [symmetric_input(gates, a, JET_SYM_TOL, f"jet of order {k}",
+                                lambda i: f"t={float(ts[i])!r}")
+                for k, a in enumerate(mats)]
+        mats = [a[:gates.stop] for a in mats]
         form = None
         if check_regular:
             form = velocity_form(mats[1])
@@ -334,18 +322,8 @@ class SymmetricMatrixCurve:
 
 
 def sample_curve(curve, grid, check_regular=True):
-    """Jet series on the grid; fails at the first irregular point."""
-    return _sample(curve, grid, check_regular)[0]
-
-
-def _sample(curve, grid, check_regular):
-    """sample_curve and the velocity_form of its S', as
-    SymmetricMatrixCurve._jets returns them."""
-    if grid.t0 < curve.domain[0] or grid.t1 > curve.domain[1]:
-        raise DomainError(
-            f"grid [{grid.t0}, {grid.t1}] outside curve domain {curve.domain}"
-        )
-    return curve._jets(grid.points, check_regular)
+    """Jet series on the grid's points, as `curve.jets` checks them."""
+    return curve.jets(grid.points, check_regular)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +412,10 @@ def table_curve(ts, S_values, name=None):
     h = ts[1] - ts[0]
     if not np.max(np.abs(np.diff(ts) - h)) <= NODE_TOL * max(1.0, abs(h)):
         raise DomainError("table nodes must be uniformly spaced")
-    gates = Gates().require(
-        np.isfinite(_matrix_maxabs(values)), lambda i:
-        InvalidBasis(f"sample not finite at t={float(ts[i])!r}"))
-    asymmetry_gate(gates, values[:gates.stop], JET_SYM_TOL).raise_error()
-    values = symmetrize(values)
+    gates = Gates()
+    values = symmetric_input(gates, values, JET_SYM_TOL, "sample",
+                             lambda i: f"t={float(ts[i])!r}")
+    gates.raise_error()
     d1 = finite_diff(values, h, 1)
     d2 = finite_diff(values, h, 2)
     d3 = finite_diff(values, h, 3)

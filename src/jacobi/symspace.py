@@ -130,26 +130,44 @@ def definite_eigh(a, b, l_inv=None):
     return mu, l_inv.swapaxes(-1, -2) @ v
 
 
-def asymmetry_gate(gates, s, tol):
-    """Add to `gates` the samples of s whose asymmetry exceeds `tol` times
-    max(1, max|s|), or that are not finite."""
-    resid = np.atleast_1d(_matrix_maxabs(s - s.swapaxes(-1, -2)))
-    scale = np.maximum(1.0, _matrix_maxabs(s))
-    ok = (resid <= tol * scale) & np.isfinite(scale)
-    return gates.require(ok, lambda i: InvalidBasis(
-        f"asymmetry {resid[i]:g} exceeds tolerance {tol:g}"))
+def symmetric_input(gates, s, tol, what, at):
+    """The one rule for a stack s (m, n, n) of matrices from outside the
+    package, which later stages take as chart points: through `gates`,
+    first each sample that is not finite fails, then each whose asymmetry
+    exceeds `tol` times max(1, max|s|).  Returns the samples before
+    `gates.stop`: as they are if the stack equals its transpose bit for
+    bit, else averaged with their transposes.  An error names `what` and
+    the sample, `at(i)`."""
+    s = np.asarray(s, dtype=float)[:gates.stop]
+    # max|s| is finite exactly where every entry of s is; no arithmetic on
+    # a sample that failed a gate
+    scale = _matrix_maxabs(s)
+    gates.require(np.isfinite(scale), lambda i: InvalidBasis(
+        f"{what} not finite at {at(i)}"))
+    s = s[:gates.stop]
+    # a stack that is its own transpose bit for bit has asymmetry 0
+    if bitwise_symmetric(s):
+        return s
+    # a residual that overflows is inf, and fails
+    with np.errstate(over="ignore"):
+        resid = _matrix_maxabs(s - s.swapaxes(-1, -2))
+    ok = resid <= tol * np.maximum(1.0, scale[:len(s)])
+    gates.require(ok, lambda i: InvalidBasis(
+        f"asymmetry {resid[i]:g} exceeds tolerance {tol:g} in {what} at "
+        f"{at(i)}"))
+    s = s[:gates.stop]
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 def bitwise_symmetric(s):
-    """Whether the stack s equals its transpose bit for bit.  A finite
-    such stack passes asymmetry_gate (its residual is exactly 0)."""
+    """Whether the stack s equals its transpose bit for bit."""
     bits, n = s.view(np.uint64), s.shape[-1]
     return all((bits[..., i, j] == bits[..., j, i]).all()
                for i in range(n) for j in range(i + 1, n))
 
 
 def symmetrize(s):
-    """Return (s + s^T)/2, without judging the asymmetry (asymmetry_gate
+    """Return (s + s^T)/2, without judging the asymmetry (symmetric_input
     does).  A stack equal to its transpose bit for bit is returned as it
     is, not copied: the mean would give the same bits, except that an
     entry above DBL_MAX/2 would overflow to inf.  A pair of -0.0 and +0.0
@@ -198,7 +216,7 @@ def complete_symplectic_basis(M, S, Sbar):
 def frame_from_chart_pair(M, S, Sbar):
     """Symplectic frame matrix (..., 2n, 2n) with f spanning S (basis M) and
     fbar spanning Sbar; a singular M or Sbar - S raises."""
-    M = np.asarray(M, dtype=float)
+    M, S, Sbar = (np.asarray(a, dtype=float) for a in (M, S, Sbar))
     m_inv, m_inside = chart_inverse(M)
     diff_inv, diff_inside = chart_inverse(Sbar - S)
     Gates().require(m_inside, lambda i: InvalidBasis(
@@ -216,6 +234,7 @@ def chart_translate_invert(S, S_ref):
 
     Not an involution: the inverse transform is S_ref + T^(-1).
     """
+    S, S_ref = np.asarray(S, dtype=float), np.asarray(S_ref, dtype=float)
     diff_inv, inside = chart_inverse(S - S_ref)
     Gates().require(inside, lambda i: NotTransverse(
         f"S - S_ref is singular at sample {i} (condition number above "
@@ -248,6 +267,7 @@ def apply_symplectic(g, S):
     Lagrangian subspaces exactly like symplectic ones).  S is one point or a
     stack (NotInChart at the earliest sample where P + Q S is singular).
     """
+    S = np.asarray(S, dtype=float)
     n = S.shape[-1]
     g = conformal_symplectic(g, n)
     P, Q = g[:n, :n], g[:n, n:]

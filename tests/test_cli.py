@@ -423,6 +423,15 @@ class TestCycle:
         assert payload["error"] == "InvalidDimension"
         assert payload["message"].startswith(f"point {bad} ")
 
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_too_few_points(self, capsys, tmp_path, count):
+        f = tmp_path / "points.json"
+        f.write_text(json.dumps({"points": [np.eye(2).tolist()] * count}))
+        code, _, err = run(capsys, "cycle", "--points", str(f))
+        assert code == 1
+        assert json.loads(err) == {"error": "JacobiError",
+                                   "message": "need at least three points"}
+
     def test_asymmetric_point_error(self, capsys, tmp_path):
         # the points are symmetrized only after the asymmetry gate passed
         points = [np.zeros((2, 2)), np.eye(2), np.array([[2.0, 1.0],
@@ -433,7 +442,8 @@ class TestCycle:
         assert code == 1
         assert json.loads(err) == {
             "error": "InvalidBasis",
-            "message": "asymmetry 1 exceeds tolerance 1e-10"}
+            "message": "asymmetry 1 exceeds tolerance 1e-10 in matrix at "
+                       "point 3"}
 
 
 class TestTableWindow:

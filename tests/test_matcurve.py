@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import zip_longest
 from math import comb
 
@@ -269,6 +270,13 @@ def test_out_of_domain():
         c.jet(100.0)
     with pytest.raises(DomainError):
         sample_curve(c, SampleGrid(0.0, 50.0, 11))
+
+
+def test_a_grid_past_the_domain_names_its_first_point_outside():
+    c = curve_from_scalars([lambda t: (t, 1.0, 0.0, 0.0)] * 2, (0.0, 1.0))
+    with pytest.raises(DomainError) as e:
+        sample_curve(c, SampleGrid(0.0, 1.5, 7))
+    assert str(e.value) == "t=1.25 outside domain [0.0, 1.0]"
 
 
 def test_jets_deterministic():
@@ -927,3 +935,62 @@ class TestJetSymmetry:
         for k, (got, a) in enumerate(zip((j.S, j.S1, j.S2, j.S3), raw)):
             want = 0.5 * (a + a.swapaxes(-1, -2)) if k == order else a
             assert got.tobytes() == want.tobytes()
+
+    def test_a_lower_order_wins_within_a_sample_only(self):
+        # each order is checked, finiteness then symmetry, before the next
+        ts = np.linspace(0.0, 1.0, 9)
+
+        def curve(nan_at):
+            c = self.curve(1, [3], 1.0)
+            raw = c._eval
+
+            def evaluator(tq):
+                mats = list(raw(tq))
+                mats[2] = mats[2].copy()
+                mats[2][nan_at, 1, 1] = np.nan
+                return tuple(mats)
+
+            return SymmetricMatrixCurve(2, evaluator, (0.0, 1.0))
+
+        with pytest.raises(InvalidBasis) as e:
+            curve(3).jets(ts)
+        assert str(e.value) == ("asymmetry 1 exceeds tolerance 1e-08 in jet "
+                                "of order 1 at t=0.375")
+        with pytest.raises(InvalidBasis) as e:
+            curve(2).jets(ts)
+        assert str(e.value) == "jet of order 2 not finite at t=0.25"
+
+
+class TestEntryGate:
+    """Evaluator jets, table samples and `cycle --points` matrices enter
+    through symspace.symmetric_input, whose errors name the sample."""
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.0], ids=["nan", "asymmetric"])
+    @pytest.mark.parametrize("entry", ["jets", "table_curve", "cycle"])
+    def test_the_error_names_the_sample(self, capsys, tmp_path, entry, bad):
+        if entry == "jets":
+            ts = np.linspace(0.0, 1.0, 9)
+            with pytest.raises(InvalidBasis) as e:
+                TestJetSymmetry.curve(2, [3, 5], bad).jets(ts)
+            name, message, where = "InvalidBasis", str(e.value), "t=0.375"
+        elif entry == "table_curve":
+            ts = np.linspace(0.0, 1.0, 11)
+            S = ts[:, None, None] * np.diag([1.0, 2.0])
+            S[[4, 6], 0, 1] += bad
+            with pytest.raises(InvalidBasis) as e:
+                table_curve(ts, S)
+            name, message, where = "InvalidBasis", str(e.value), "t=0.4"
+        else:
+            points = np.array([k * np.eye(2) for k in range(5)])
+            points[[2, 4], 0, 1] += bad
+            f = tmp_path / "points.json"
+            f.write_text(json.dumps({"points": points.tolist()}))
+            assert main(["cycle", "--points", str(f)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            name, message, where = err["error"], err["message"], "point 3"
+        # json_array has judged a non-finite point before the entry gate
+        assert name == ("InvalidDimension" if entry == "cycle" and bad != 1.0
+                        else "InvalidBasis")
+        assert re.search(rf"(^| ){re.escape(where)}( |$)", message), message
+        if entry == "jets":
+            assert "jet of order 2" in message

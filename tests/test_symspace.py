@@ -25,7 +25,6 @@ from jacobi.symspace import (
     _entrywise,
     _matrix_maxabs,
     apply_symplectic,
-    asymmetry_gate,
     chart_inverse,
     chart_translate_invert,
     complete_symplectic_basis,
@@ -35,6 +34,7 @@ from jacobi.symspace import (
     is_symplectic_frame,
     random_csp,
     random_hamiltonian,
+    symmetric_input,
     symmetrize,
     symplectic_form,
     velocity_form,
@@ -318,28 +318,79 @@ class TestConformalSymplectic:
         assert np.array_equal(conformal_symplectic(g, 2), g)
 
 
+def chart_points(s, tol=SYM_TOL):
+    """symmetric_input on the stack s, naming its samples "point i"."""
+    gates = Gates()
+    out = symmetric_input(gates, s, tol, "matrix", lambda i: f"point {i}")
+    gates.raise_error()
+    return out
+
+
 def test_chart_point_symmetrizes_noise():
-    noisy = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]])
-    assert asymmetry_gate(Gates(), noisy, SYM_TOL).error is None
-    s = symmetrize(noisy)
-    assert np.array_equal(s, s.T)
+    noisy = np.array([[[1.0, 0.5 + 1e-12], [0.5, 2.0]]])
+    s = chart_points(noisy)
+    assert np.array_equal(s, s.swapaxes(-1, -2))
+    assert np.array_equal(s, symmetrize(noisy))
 
 
 def test_chart_point_rejects_gross_asymmetry():
-    # symmetrize itself never judges; the gate names the asymmetry
-    gross = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(InvalidBasis,
-                       match="asymmetry 1 exceeds tolerance 1e-10"):
-        asymmetry_gate(Gates(), gross, SYM_TOL).raise_error()
-    assert np.array_equal(symmetrize(gross), [[1.0, 0.5], [0.5, 1.0]])
+    # symmetrize itself never judges; the gate names the asymmetry and
+    # the sample
+    gross = np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]])
+    with pytest.raises(InvalidBasis) as e:
+        chart_points(gross)
+    assert str(e.value) == ("asymmetry 1 exceeds tolerance 1e-10 in matrix "
+                            "at point 1")
+    assert np.array_equal(symmetrize(gross[1]), [[1.0, 0.5], [0.5, 1.0]])
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_chart_point_rejects_a_non_finite_entry(entry):
     # an infinite entry once passed: its asymmetry inf was <= tol * inf
-    s = np.array([[1.0, entry], [0.5, 1.0]])
-    with pytest.raises(InvalidBasis):
-        asymmetry_gate(Gates(), s, SYM_TOL).raise_error()
+    s = np.array([np.eye(2), [[1.0, entry], [0.5, 1.0]]])
+    with pytest.raises(InvalidBasis, match="^matrix not finite at point 1$"):
+        chart_points(s)
+
+
+class TestSymmetricInput:
+    """symmetric_input gates the earliest failing sample, not finite before
+    asymmetric, and returns the samples before it."""
+
+    def test_a_bitwise_symmetric_stack_is_not_copied(self):
+        s = np.stack([np.eye(2), 2 * np.eye(2)])
+        out = chart_points(s)
+        assert np.shares_memory(out, s) and np.array_equal(out, s)
+
+    @pytest.mark.filterwarnings("error")
+    def test_earliest_sample_wins(self):
+        s = np.stack([np.eye(2)] * 4)
+        s[2, 0, 1] = np.nan
+        s[3, 0, 1] = 1.0
+        with pytest.raises(InvalidBasis, match="not finite at point 2$"):
+            chart_points(s)
+        s[1, 0, 1] = 1.0
+        with pytest.raises(InvalidBasis, match="in matrix at point 1$"):
+            chart_points(s)
+
+    def test_the_tolerance_is_relative_to_max_one_and_max_abs(self):
+        s = np.array([[[1e3, 1e3 + 1e-6], [1e3, 1e3]]])
+        # asymmetry 1e-6 exceeds 1e-10 * 1e3, and 1e-8 * 1, not 1e-8 * 1e3
+        with pytest.raises(InvalidBasis, match="^asymmetry 1e-06 exceeds"):
+            chart_points(s)
+        out = chart_points(s, tol=1e-8)
+        assert np.array_equal(out, out.swapaxes(-1, -2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_asymmetry_fails_without_a_warning(self):
+        s = np.array([np.eye(2), [[1.0, 1e308], [-1e308, 1.0]]])
+        with pytest.raises(InvalidBasis, match="^asymmetry inf exceeds"):
+            chart_points(s)
+
+    def test_the_samples_before_a_failure_are_returned(self):
+        s = np.stack([np.eye(2), [[1.0, 2.0], [1.0, 1.0]], np.eye(2)])
+        gates = Gates()
+        out = symmetric_input(gates, s, SYM_TOL, "matrix", str)
+        assert gates.stop == 1 and np.array_equal(out, s[:1])
 
 
 # stacks (m, n, n) of the values the per-sample gates meet, m = 0 included
@@ -581,6 +632,23 @@ class TestStackedChartOperations:
             apply_symplectic(symplectic_form(2), s)  # P + Q S = S
         with pytest.raises(NotTransverse, match=f"at sample {k} "):
             chart_translate_invert(s + np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("op", ["apply_symplectic",
+                                    "chart_translate_invert",
+                                    "frame_from_chart_pair",
+                                    "complete_symplectic_basis"])
+    def test_nested_lists_give_the_array_bits(self, op):
+        # S.shape, or list - list, once raised on nested lists
+        S, other = [[1.0, 0.5], [0.5, 2.0]], [[3.0, -1.0], [-1.0, 1.0]]
+        M = [[1.0, 0.0], [2.0, 1.0]]
+        args = {"apply_symplectic": (random_csp(1, 0.5, 2, 0.2).tolist(), S),
+                "chart_translate_invert": (S, other),
+                "frame_from_chart_pair": (M, S, other),
+                "complete_symplectic_basis": (M, S, other)}[op]
+        f = globals()[op]
+        want = f(*(np.array(a) for a in args))
+        got = f(*args)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def spectrum_stack(rng, m, n, log_cond, sign):
