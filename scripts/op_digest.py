@@ -25,6 +25,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402
+from jacobi.matcurve import CurveJet  # noqa: E402
 
 # a fixed name for the run's temporary directory, which CLI messages may
 # contain
@@ -39,6 +40,11 @@ def feed(h, value, workdir):
     elif isinstance(value, np.ndarray):
         h.update(f"array {value.dtype.str} {value.shape}\n".encode())
         h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, CurveJet):
+        # by value, not by field layout: t and each jet order in turn
+        h.update(b"CurveJet\n")
+        for v in (value.t, value.S, value.S1, value.S2, value.S3):
+            feed(h, v, workdir)
     elif dataclasses.is_dataclass(value):
         h.update(f"{type(value).__name__}\n".encode())
         for f in dataclasses.fields(value):

@@ -178,7 +178,7 @@ def screen(curve, grid, adm_tol=ADM_TOL):
                         MonotonicityFailure(jets.t[i])).raise_error()
         ana.velocity_sign = int(sign[0])
         if ana.flipped:
-            jets = CurveJet(jets.t, -jets.S, -jets.S1, -jets.S2, -jets.S3)
+            jets = CurveJet(jets.t, -jets.orders)
             sign = -sign
         ana.jets = jets
         gates = Gates()

@@ -5,7 +5,7 @@ subspaces: t maps to the span of [I; S(t)].  Evaluators map a vector of
 parameters to the value and the first three derivatives; nothing in the
 pipeline differentiates S beyond order 3 (higher-order quantities are reached
 through scalar series that are finite-differenced on grids).  A sampled curve
-is one CurveJet whose fields carry a leading sample axis.
+is one CurveJet: its t (m,) and the stack (4, m, n, n) of S, S', S'', S'''.
 """
 
 from __future__ import annotations
@@ -250,19 +250,26 @@ class Series:
 
 
 @dataclass(frozen=True)
-class CurveJet(Series):
-    """Value and first three derivatives of a curve at t: one sample, or a
-    series (t of shape (m,), matrices (m, n, n))."""
+class CurveJet:
+    """Value and first three derivatives of a curve at t as one stack
+    `orders`: (4, n, n) at one sample, or (4, m, n, n) over a series with t
+    of shape (m,).  S, S1, S2 and S3 are the views orders[0] to orders[3];
+    indexing takes the sample axis."""
 
     t: float | np.ndarray
-    S: np.ndarray
-    S1: np.ndarray
-    S2: np.ndarray
-    S3: np.ndarray
+    orders: np.ndarray
+
+    S = property(lambda self: self.orders[0])
+    S1 = property(lambda self: self.orders[1])
+    S2 = property(lambda self: self.orders[2])
+    S3 = property(lambda self: self.orders[3])
+
+    def __getitem__(self, i):
+        return CurveJet(np.asarray(self.t)[i], self.orders[:, i])
 
     @property
     def n(self):
-        return self.S.shape[-1]
+        return self.orders.shape[-1]
 
 
 class SymmetricMatrixCurve:
@@ -270,11 +277,12 @@ class SymmetricMatrixCurve:
 
     `kind` is one of analytic / preset / polynomial / fourier / table /
     frame; the evaluator must be pure and maps a parameter vector of shape
-    (m,) to four (m, n, n) arrays.  A curve known only at nodes (a table,
-    a frame curve, or a transform of one) lists them in `table_ts`, else
-    None.  Regularity (S' invertible, i.e. cond(S') at most COND_MAX: a
-    scale-free test, so c S is regular wherever S is) is checked lazily at
-    the points actually queried.
+    (m,) to the stack (4, m, n, n) of S, S', S'', S''' (or its four
+    (m, n, n) arrays), the `orders` of the CurveJet `jets` returns.  A
+    curve known only at nodes (a table, a frame curve, or a transform of
+    one) lists them in `table_ts`, else None.  Regularity (S' invertible,
+    i.e. cond(S') at most COND_MAX: a scale-free test, so c S is regular
+    wherever S is) is checked lazily at the points actually queried.
     """
 
     table_ts = None
@@ -308,13 +316,13 @@ class SymmetricMatrixCurve:
         mats = [symmetric_input(gates, a, JET_SYM_TOL, f"jet of order {k}",
                                 lambda i: f"t={float(ts[i])!r}")
                 for k, a in enumerate(mats)]
-        mats = [a[:gates.stop] for a in mats]
+        orders = np.stack([a[:gates.stop] for a in mats])
         form = None
         if check_regular:
-            form = velocity_form(mats[1])
+            form = velocity_form(orders[1])
             gates.require(form[0], lambda i: RegularityFailure(ts[i]))
         gates.raise_error()
-        return CurveJet(ts, *mats), form
+        return CurveJet(ts, orders), form
 
     def jet(self, t, check_regular=True):
         """The jet at one parameter: the one sample of `jets([t])`."""
@@ -344,7 +352,7 @@ def curve_from_scalars(entries, domain, kind="analytic", name=None):
         out = np.zeros((4, ts.size, n, n))
         for i, e in enumerate(entries):
             out[:, :, i, i] = np.broadcast_arrays(*e(ts), ts)[:4]
-        return tuple(out)
+        return out
 
     return SymmetricMatrixCurve(n, evaluator, domain, kind=kind, name=name)
 
@@ -391,7 +399,7 @@ def fourier_curve(cos_coeffs, sin_coeffs, domain, omega=1.0, name=None):
                 mats[i, j] += (a * c + b * s, w * (-a * s + b * c),
                                w**2 * (-a * c - b * s), w**3 * (a * s - b * c))
         mats = mats.transpose(2, 3, 0, 1)
-        return tuple(0.5 * (m + m.swapaxes(-1, -2)) for m in mats)
+        return 0.5 * (mats + mats.swapaxes(-1, -2))
 
     return SymmetricMatrixCurve(n, evaluator, domain, kind="fourier", name=name)
 
@@ -416,19 +424,17 @@ def table_curve(ts, S_values, name=None):
     values = symmetric_input(gates, values, JET_SYM_TOL, "sample",
                              lambda i: f"t={float(ts[i])!r}")
     gates.raise_error()
-    d1 = finite_diff(values, h, 1)
-    d2 = finite_diff(values, h, 2)
-    d3 = finite_diff(values, h, 3)
+    jets = np.stack([values] + [finite_diff(values, h, k) for k in (1, 2, 3)])
     # interior third derivatives upgraded to the O(h^4) wide stencil; the
     # TABLE_TRIM rows at each end keep the five-point O(h^2) values
-    d3[3:-3] = _stencil(values, STENCIL_3_WIDE, 3, len(values) - 3, h**3)
-    return node_curve(ts, (values, d1, d2, d3), "table", name)
+    jets[3, 3:-3] = _stencil(values, STENCIL_3_WIDE, 3, len(values) - 3, h**3)
+    return node_curve(ts, jets, "table", name)
 
 
 def node_curve(ts, jets, kind, name):
     """Curve of the given kind known only at the uniformly spaced nodes ts
-    (kept as `table_ts`), by its four (m, n, n) jet arrays there; a query
-    off the nodes raises DomainError."""
+    (kept as `table_ts`), by the stack (4, m, n, n) of its jets there; a
+    query off the nodes raises DomainError."""
     h = ts[1] - ts[0]
 
     def evaluator(tq):
@@ -436,9 +442,9 @@ def node_curve(ts, jets, kind, name):
         Gates().require(np.abs(ts[i] - tq) <= NODE_TOL * max(1.0, abs(h)),
                         lambda k: DomainError(f"t={float(tq[k])} is not a "
                                               "table node")).raise_error()
-        return tuple(a[i] for a in jets)
+        return jets[:, i]
 
-    c = SymmetricMatrixCurve(jets[0].shape[-1], evaluator, (ts[0], ts[-1]),
+    c = SymmetricMatrixCurve(jets.shape[-1], evaluator, (ts[0], ts[-1]),
                              kind=kind, name=name)
     c.table_ts = ts
     return c
@@ -481,15 +487,11 @@ def reparametrized_curve(curve, psi_jet, domain, name=None):
         # float arrays: a scalar psi' is raised by numpy's array power too
         p, p1, p2, p3 = np.array(np.broadcast_arrays(*psi_jet(us), us)[:4],
                                  dtype=float)
-        j = curve.jets(p, check_regular=False)
+        S, S1, S2, S3 = curve.jets(p, check_regular=False).orders
         p1, p2, p11, p3, p12, p111 = (
             f[:, None, None] for f in (p1, p2, p1**2, p3, 3 * p1 * p2, p1**3))
-        return (
-            j.S,
-            p1 * j.S1,
-            p2 * j.S1 + p11 * j.S2,
-            p3 * j.S1 + p12 * j.S2 + p111 * j.S3,
-        )
+        return (S, p1 * S1, p2 * S1 + p11 * S2,
+                p3 * S1 + p12 * S2 + p111 * S3)
 
     return SymmetricMatrixCurve(curve.n, evaluator, domain,
                                 kind="analytic", name=name)
@@ -542,9 +544,7 @@ def transformed_curve(curve, g, name=None):
     half_s = 0.5 * np.trace(P.T @ T - R.T @ Q) / n
 
     def evaluator(ts):
-        j = curve.jets(ts, check_regular=False)
-        S, S1, S2, S3 = j.S, j.S1, j.S2, j.S3
-        del j
+        S, S1, S2, S3 = curve.jets(ts, check_regular=False).orders
         K, inside = chart_inverse(P + Q @ S)
         Gates().require(inside, lambda i: NotInChart(
             f"P + Q S is singular at t={float(ts[i])!r}: the image leaves "

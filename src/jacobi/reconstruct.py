@@ -240,8 +240,8 @@ def frame_curve(p: InvariantPrescription, frames):
     x = -s1 @ a1 @ a_inv
     s2 = x + x.swapaxes(-1, -2)
     y = -(s2 @ a1 + s1 @ a2 + x @ a1) @ a_inv
-    return node_curve(ts, (S, s1, s2, y + y.swapaxes(-1, -2)), "frame",
-                      "reconstructed")
+    return node_curve(ts, np.stack([S, s1, s2, y + y.swapaxes(-1, -2)]),
+                      "frame", "reconstructed")
 
 
 def frame_deviation(p: InvariantPrescription, frames):

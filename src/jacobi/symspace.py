@@ -156,7 +156,7 @@ def symmetric_input(gates, s, tol, what, at):
         f"asymmetry {resid[i]:g} exceeds tolerance {tol:g} in {what} at "
         f"{at(i)}"))
     s = s[:gates.stop]
-    return 0.5 * (s + s.swapaxes(-1, -2))
+    return 0.5 * s + 0.5 * s.swapaxes(-1, -2)
 
 
 def bitwise_symmetric(s):
@@ -167,13 +167,13 @@ def bitwise_symmetric(s):
 
 
 def symmetrize(s):
-    """Return (s + s^T)/2, without judging the asymmetry (symmetric_input
-    does).  A stack equal to its transpose bit for bit is returned as it
-    is, not copied: the mean would give the same bits, except that an
-    entry above DBL_MAX/2 would overflow to inf.  A pair of -0.0 and +0.0
-    differs in its bits, so it is still averaged (to +0.0)."""
+    """Return s/2 + s^T/2 (halved first, so no sum overflows), without
+    judging the asymmetry (symmetric_input does).  A stack equal to its
+    transpose bit for bit is returned as it is, not copied: the mean would
+    give the same bits, except where a half is subnormal.  A pair of -0.0
+    and +0.0 differs in its bits, so it is still averaged (to +0.0)."""
     s = np.asarray(s, dtype=float)
-    return s if bitwise_symmetric(s) else 0.5 * (s + s.swapaxes(-1, -2))
+    return s if bitwise_symmetric(s) else 0.5 * s + 0.5 * s.swapaxes(-1, -2)
 
 
 def symplectic_form(n):

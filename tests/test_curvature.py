@@ -37,7 +37,7 @@ from .conftest import admissible_quartics, random_quartic
 def scalar_jet(t, f, f1, f2, f3):
     """1x1 jet from scalar derivative values (internal tests only)."""
     one = np.ones((1, 1))
-    return CurveJet(t, f * one, f1 * one, f2 * one, f3 * one)
+    return CurveJet(t, np.array([f * one, f1 * one, f2 * one, f3 * one]))
 
 
 class TestScalarSchwarzian:
@@ -82,14 +82,14 @@ class TestScalarSchwarzian:
 
 class TestMatrixSchwarzian:
     def test_affine_line_is_flat(self):
-        j = CurveJet(0.0, np.zeros((2, 2)), np.diag([1.0, 3.0]),
-                     np.zeros((2, 2)), np.zeros((2, 2)))
+        j = CurveJet(0.0, np.array([np.zeros((2, 2)), np.diag([1.0, 3.0]),
+                                    np.zeros((2, 2)), np.zeros((2, 2))]))
         assert np.allclose(matrix_schwarzian(j), 0.0)
 
     def test_diagonal_curve_reduces_to_scalars(self):
         # S = diag(e^t, tan t) at t = 0
-        j = CurveJet(0.0, np.diag([1.0, 0.0]), np.diag([1.0, 1.0]),
-                     np.diag([1.0, 0.0]), np.diag([1.0, 2.0]))
+        j = CurveJet(0.0, np.array([np.diag([1.0, 0.0]), np.diag([1.0, 1.0]),
+                                    np.diag([1.0, 0.0]), np.diag([1.0, 2.0])]))
         assert np.allclose(matrix_schwarzian(j), np.diag([-0.5, 2.0]))
 
     def test_first_preset_constant_spectrum(self):
@@ -113,7 +113,7 @@ class TestMatrixSchwarzian:
 
         for t in (0.0, 0.5, 1.5):
             l0, l1, l2, l3 = lam(t)
-            j = CurveJet(t, l0 * s1, l1 * s1, l2 * s1, l3 * s1)
+            j = CurveJet(t, np.array([l0 * s1, l1 * s1, l2 * s1, l3 * s1]))
             assert np.max(np.abs(matrix_schwarzian(j))) <= 1e-8
 
     @settings(max_examples=25, deadline=None)
@@ -163,14 +163,14 @@ class TestRicci:
             assert np.max(np.abs(gram - np.eye(3))) <= 1e-8
 
     def test_indefinite_velocity_rejected(self):
-        j = CurveJet(0.0, np.zeros((2, 2)), np.diag([1.0, -1.0]),
-                     np.diag([0.1, 0.1]), np.diag([0.2, 0.3]))
+        j = CurveJet(0.0, np.array([np.zeros((2, 2)), np.diag([1.0, -1.0]),
+                                    np.diag([0.1, 0.1]), np.diag([0.2, 0.3])]))
         with pytest.raises(MonotonicityFailure):
             ricci(j)
 
     def test_negative_definite_velocity_rejected(self):
-        j = CurveJet(0.0, np.zeros((2, 2)), -np.eye(2),
-                     np.diag([0.1, 0.1]), np.diag([0.2, 0.3]))
+        j = CurveJet(0.0, np.array([np.zeros((2, 2)), -np.eye(2),
+                                    np.diag([0.1, 0.1]), np.diag([0.2, 0.3])]))
         with pytest.raises(MonotonicityFailure):
             ricci(j)
 
@@ -180,9 +180,9 @@ class TestRicci:
         ts = np.linspace(0.0, 1.0, 6)
         s1 = np.tile(np.eye(2), (6, 1, 1))
         s1[2], s1[4] = np.diag([1.0, -1.0]), -np.eye(2)
-        jets = CurveJet(ts, np.zeros((6, 2, 2)), s1,
-                        np.tile(np.diag([0.1, 0.1]), (6, 1, 1)),
-                        np.tile(np.diag([0.2, 0.3]), (6, 1, 1)))
+        jets = CurveJet(ts, np.array([
+            np.zeros((6, 2, 2)), s1, np.tile(np.diag([0.1, 0.1]), (6, 1, 1)),
+            np.tile(np.diag([0.2, 0.3]), (6, 1, 1))]))
         with pytest.raises(MonotonicityFailure) as exc:
             ricci(jets)
         with pytest.raises(MonotonicityFailure) as single:
@@ -226,8 +226,8 @@ class TestDerivativeCurve:
             assert np.allclose(s0, ref, atol=1e-9)
 
     def test_affine_line_inflection(self):
-        j = CurveJet(0.0, np.zeros((2, 2)), np.diag([1.0, 2.0]),
-                     np.zeros((2, 2)), np.zeros((2, 2)))
+        j = CurveJet(0.0, np.array([np.zeros((2, 2)), np.diag([1.0, 2.0]),
+                                    np.zeros((2, 2)), np.zeros((2, 2))]))
         with pytest.raises(InflectionPoint):
             derivative_curve(j)
 
@@ -309,9 +309,9 @@ class TestGates:
 
 
 class TestNonFinite:
-    NAN_S1 = CurveJet(0.0, np.zeros((2, 2)), np.array([[np.nan, 0.0],
-                                                       [0.0, 1.0]]),
-                      np.diag([0.1, 0.1]), np.diag([0.2, 0.3]))
+    NAN_S1 = CurveJet(0.0, np.array([
+        np.zeros((2, 2)), [[np.nan, 0.0], [0.0, 1.0]], np.diag([0.1, 0.1]),
+        np.diag([0.2, 0.3])]))
 
     def test_ricci_of_a_nan_velocity_is_a_typed_error(self):
         # it once returned NaN eigendata while the screen rejected the jet
@@ -347,8 +347,9 @@ class TestNonFinite:
         s1[4] = np.diag([1.0, -1.0])
         s3 = np.tile(np.diag([0.2, 0.3]), (6, 1, 1))
         s3[2, 0, 1] = 1.0 if asymmetric else 0.0
-        jets = CurveJet(ts, np.zeros((6, 2, 2)), s1,
-                        np.tile(np.diag([0.1, 0.1]), (6, 1, 1)), s3)
+        jets = CurveJet(ts, np.array([np.zeros((6, 2, 2)), s1,
+                                      np.tile(np.diag([0.1, 0.1]), (6, 1, 1)),
+                                      s3]))
         with pytest.raises(error) as exc:
             ricci(jets)
         assert exc.value.t == ts[stop] and seen == [stop]

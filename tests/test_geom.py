@@ -251,9 +251,13 @@ class TestFlipInvariance:
     def test_negated_curve_has_identical_invariants(self, unit_grid):
         # Schwarzian is even in S, so negation only affects normalization
         a = analyze(preset_curve("paper-6.2-ex1"), unit_grid)
-        b = analyze(transformed_curve(preset_curve("paper-6.2-ex1"), NEGATE),
-                    unit_grid)
+        negated = transformed_curve(preset_curve("paper-6.2-ex1"), NEGATE)
+        b = analyze(negated, unit_grid)
         assert b.flipped and not a.flipped
+        # the analysis holds exactly the negated jets of the negated curve
+        jets = negated.jets(unit_grid.points)
+        assert b.jets.t.tobytes() == jets.t.tobytes()
+        assert b.jets.orders.tobytes() == (-jets.orders).tobytes()
         assert np.allclose(a.reduced.Kdiag, b.reduced.Kdiag, atol=1e-10)
         assert np.allclose(a.arc.zeta, b.arc.zeta, atol=1e-12)
 

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 from itertools import zip_longest
 from math import comb
 
@@ -629,13 +630,39 @@ def test_preset_domain_is_set_before_reparam():
         sample_curve(c, SampleGrid(0.0, 0.2, 11))
 
 
-@pytest.mark.parametrize("m", [1, 2, 5])
-def test_evaluator_must_return_stacked_jets(m):
+@pytest.mark.parametrize("m, ragged", [(1, False), (2, False), (5, False),
+                                       (5, True)],
+                         ids=["1", "2", "5", "ragged"])
+def test_evaluator_must_return_stacked_jets(m, ragged):
     # (n, n) matrices for a vector of m parameters are rejected, also when
-    # m = n and they would broadcast
-    c = SymmetricMatrixCurve(2, lambda ts: (np.eye(2),) * 4, (0.0, 1.0))
+    # m = n and they would broadcast; so are four arrays of unequal shapes
+    def evaluator(ts):
+        if ragged:
+            return [np.zeros((ts.size, 2, k)) for k in (2, 2, 2, 3)]
+        return (np.eye(2),) * 4
+
+    c = SymmetricMatrixCurve(2, evaluator, (0.0, 1.0))
     with pytest.raises(InvalidDimension):
         c.jets(np.linspace(0.0, 1.0, m))
+
+
+def test_a_jet_series_is_one_stack_indexed_along_its_samples():
+    ts = np.linspace(0.0, 1.0, 9)
+    j = preset_curve("paper-6.2-ex2").jets(ts)
+    assert [f.name for f in fields(j)] == ["t", "orders"]
+    assert j.orders.shape == (4, 9, 2, 2)
+    views = (j.S, j.S1, j.S2, j.S3)
+    for k, v in enumerate(views):
+        assert np.shares_memory(v, j.orders) and np.array_equal(v, j.orders[k])
+    for i in (2, slice(3)):
+        part = j[i]
+        assert np.array_equal(part.t, ts[i])
+        assert [a.tobytes() for a in (part.S, part.S1, part.S2, part.S3)] == [
+            v[i].tobytes() for v in views]
+    # a single sample's [None] is the series of that one sample
+    one = j[2][None]
+    assert np.array_equal(one.t, ts[2:3])
+    assert one.orders.tobytes() == j[2:3].orders.tobytes()
 
 
 class TestVectorisedEvaluators:
@@ -933,8 +960,12 @@ class TestJetSymmetry:
         raw = c._eval(ts)
         j = c.jets(ts)
         for k, (got, a) in enumerate(zip((j.S, j.S1, j.S2, j.S3), raw)):
-            want = 0.5 * (a + a.swapaxes(-1, -2)) if k == order else a
+            want = 0.5 * a + 0.5 * a.swapaxes(-1, -2) if k == order else a
             assert got.tobytes() == want.tobytes()
+        # the same jets as one (4, m, n, n) array give the same bytes
+        stacked = SymmetricMatrixCurve(2, lambda tq: np.array(c._eval(tq)),
+                                       (0.0, 1.0))
+        assert stacked.jets(ts).orders.tobytes() == j.orders.tobytes()
 
     def test_a_lower_order_wins_within_a_sample_only(self):
         # each order is checked, finiteness then symmetry, before the next

@@ -386,6 +386,14 @@ class TestSymmetricInput:
         with pytest.raises(InvalidBasis, match="^asymmetry inf exceeds"):
             chart_points(s)
 
+    @pytest.mark.filterwarnings("error")
+    def test_averaging_near_the_largest_float_does_not_overflow(self):
+        # the sum of the pair would exceed DBL_MAX; the sum of halves does not
+        s = np.array([[[0.3, 1e308], [np.nextafter(1e308, 0), 0.6]]])
+        out = chart_points(s)
+        assert np.isfinite(out).all()
+        assert np.array_equal(out, out.swapaxes(-1, -2))
+
     def test_the_samples_before_a_failure_are_returned(self):
         s = np.stack([np.eye(2), [[1.0, 2.0], [1.0, 1.0]], np.eye(2)])
         gates = Gates()
@@ -455,15 +463,20 @@ class TestEntrywise:
 class TestSymmetrize:
     @settings(max_examples=100, deadline=None)
     @given(stacks, st.booleans())
+    @example(np.full((1, 2, 2), 5e-324), False)  # the mean would be 0
     def test_a_bitwise_symmetric_stack_is_returned_itself(self, a, mirror):
         if mirror:  # + 0.0 on both sides keeps the pairs bitwise equal
             a = np.triu(a) + np.triu(a, 1).swapaxes(-1, -2)
         with np.errstate(invalid="ignore"):  # inf + -inf
             out = symmetrize(a)
-            ref = 0.5 * (a + a.swapaxes(-1, -2))
-        assert same_bits(out, ref)
+            ref = 0.5 * a + 0.5 * a.swapaxes(-1, -2)
         bits = a.view(np.uint64)
         assert (out is a) == np.array_equal(bits, bits.swapaxes(-1, -2))
+        # a symmetric stack is its own mean, bar a nonzero entry below
+        # 2 * tiny, whose half is subnormal and may round
+        same = np.abs(a) >= 2 * np.finfo(float).tiny
+        same |= (a == 0) | np.isnan(a) | (out is not a)
+        assert same_bits(out[same], ref[same])
 
     def test_signed_zero_pairs_are_averaged(self):
         # -0.0 == +0.0, but the bits differ: the pair becomes +0.0
