@@ -35,7 +35,6 @@ from .symspace import (
     chart_translate_invert,
     definite_eigh,
     symmetrize,
-    velocity_form,
 )
 from .tolerances import RICCI_SYM_TOL
 
@@ -51,19 +50,13 @@ def scalar_schwarzian(f1, f2, f3):
 
 
 def matrix_schwarzian(j: CurveJet):
-    """(S')^(-1) S''' - (3/2)((S')^(-1) S'')^2.
-
-    Not symmetric in general; it is similar to a symmetric matrix via the
-    velocity form (see ricci).
-    """
+    """(S')^(-1) S''' - (3/2)((S')^(-1) S'')^2, where the jets' velocity
+    form (judged here if not yet) finds S' regular.  Not symmetric in
+    general; it is similar to a symmetric matrix via the velocity form (see
+    ricci)."""
     ts = np.atleast_1d(j.t)
-    Gates().require(velocity_form(j.S1)[0],
+    Gates().require(j.judged().form[0],
                     lambda i: RegularityFailure(ts[i])).raise_error()
-    return _schwarzian(j)
-
-
-def _schwarzian(j):
-    # matrix_schwarzian of jets whose S' is known regular, by one LU of S'
     a, b = np.split(np.linalg.solve(j.S1, np.concatenate([j.S3, j.S2], -1)),
                     2, axis=-1)
     return a - 1.5 * b @ b
@@ -104,21 +97,21 @@ def ricci(j: CurveJet):
     """
     if np.ndim(j.t) == 0:
         return ricci(j[None])[0]
-    regular, sign, l_inv = velocity_form(j.S1)
-    gates = Gates().require(regular, lambda i: RegularityFailure(j.t[i]))
-    rs = _ricci(gates, j, sign, l_inv)
+    gates = Gates()
+    rs = _ricci(gates, j)
     gates.raise_error()
     return rs
 
 
-def _ricci(gates, j: CurveJet, sign, l_inv):
-    """ricci of the jet series j on the samples that pass `gates`, given
-    the sign and l_inv of the velocity_form of its S'.  Adds to `gates`, in
-    order, the asymmetry of S' Sch and the definiteness of S' (sign +1), so
-    the one stacked eigensolve sees only regular, positive definite
-    samples."""
-    j = j[:gates.stop]
-    sch = _schwarzian(j)
+def _ricci(gates, j: CurveJet):
+    """ricci of the jet series j on the samples that pass `gates`.  Adds to
+    `gates`, in order, the regularity of S' by the jets' velocity form, the
+    asymmetry of S' Sch and the definiteness of S' (sign +1), so the one
+    stacked eigensolve sees only regular, positive definite samples."""
+    j = j.judged()
+    regular, sign, l_inv = j.form
+    j = j[:gates.require(regular, lambda i: RegularityFailure(j.t[i])).stop]
+    sch = matrix_schwarzian(j)
     # S' * Sch = S''' - 1.5 S'' (S')^(-1) S'' is symmetric by construction;
     # asymmetry beyond roundoff means a corrupted jet.
     a = j.S1 @ sch

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _schwarzian
+from .curvature import matrix_schwarzian
 from .errors import Gates, NoFit, NotGeneralPosition, ZeroDirection
 from .matcurve import sample_curve
 from .symspace import _maxabs, chart_inverse, symmetrize
@@ -50,8 +50,8 @@ class Cycle:
 
 def is_flat(curve, grid, tol=FLAT_TOL):
     """True iff sup_t ||Schwarzian(S)||_inf <= tol over the grid."""
-    # sample_curve has judged S' regular
-    return _maxabs(_schwarzian(sample_curve(curve, grid))) <= tol
+    # matrix_schwarzian reads the verdict on S' that sample_curve made
+    return _maxabs(matrix_schwarzian(sample_curve(curve, grid))) <= tol
 
 
 def mobius_fit(jets):

@@ -21,7 +21,7 @@ from .errors import (
     RegularityFailure,
     RepeatedEigenvalues,
 )
-from .matcurve import CurveJet, finite_diff
+from .matcurve import CurveJet, finite_diff, sample_curve
 from .symspace import _entrywise
 from .tolerances import ADM_TOL, EIG_GAP_TOL, NORM_TOL
 
@@ -117,8 +117,8 @@ class Analysis:
 
     `screen` sets the fields up to `error`, `pipeline.complete` the
     FrenetFrame `frame` and the ReducedCartan `reduced`.  `jets` is the
-    grid's jet series, negated when the velocity form is negative definite
-    (`flipped`: velocity_sign < 0; the spectrum is unchanged, the
+    grid's judged jet series, negated when the velocity form is negative
+    definite (`flipped`: velocity_sign < 0; the spectrum is unchanged, the
     normalization then well-posed).  `error` is the typed error of the
     first failed step; the fields of the later steps are then left unset.
     """
@@ -173,16 +173,16 @@ def screen(curve, grid, adm_tol=ADM_TOL):
     ana = Analysis(curve, grid)
     try:
         # one velocity_form of S' judges regularity, sign and definiteness
-        jets, (_, sign, l_inv) = curve._jets(grid.points, True)
+        jets = sample_curve(curve, grid)
+        regular, sign, l_inv = jets.form
         Gates().require((sign != 0) & (sign == sign[0]), lambda i:
                         MonotonicityFailure(jets.t[i])).raise_error()
         ana.velocity_sign = int(sign[0])
         if ana.flipped:
-            jets = CurveJet(jets.t, -jets.orders)
-            sign = -sign
+            jets = CurveJet(jets.t, -jets.orders, (regular, -sign, l_inv))
         ana.jets = jets
         gates = Gates()
-        rs = _ricci(gates, jets, sign, l_inv)
+        rs = _ricci(gates, jets)
         mu = rs.eigvals
         if mu.shape[1] > 1:
             gap = _entrywise(np.minimum, np.diff(mu, axis=1), 1)

@@ -10,7 +10,7 @@ is one CurveJet: its t (m,) and the stack (4, m, n, n) of S, S', S'', S'''.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import zip_longest
 from typing import Callable
 
@@ -254,10 +254,12 @@ class CurveJet:
     """Value and first three derivatives of a curve at t as one stack
     `orders`: (4, n, n) at one sample, or (4, m, n, n) over a series with t
     of shape (m,).  S, S1, S2 and S3 are the views orders[0] to orders[3];
-    indexing takes the sample axis."""
+    indexing takes the sample axis, of `form` too.  `form` is the
+    velocity_form (regular, sign, l_inv) of S1 once judged, else None."""
 
     t: float | np.ndarray
     orders: np.ndarray
+    form: tuple | None = None
 
     S = property(lambda self: self.orders[0])
     S1 = property(lambda self: self.orders[1])
@@ -265,7 +267,15 @@ class CurveJet:
     S3 = property(lambda self: self.orders[3])
 
     def __getitem__(self, i):
-        return CurveJet(np.asarray(self.t)[i], self.orders[:, i])
+        form = self.form and tuple(None if a is None else a[i]
+                                   for a in self.form)
+        return CurveJet(np.asarray(self.t)[i], self.orders[:, i], form)
+
+    def judged(self):
+        """These jets with the velocity_form of S1 set, judged only once."""
+        if self.form is not None:
+            return self
+        return replace(self, form=velocity_form(self.S1))
 
     @property
     def n(self):
@@ -298,13 +308,9 @@ class SymmetricMatrixCurve:
         """Jet series at the parameters `ts`, the only evaluation path.  The
         checks run in the order domain, shape, then finiteness and symmetry
         of each jet order in turn (symspace.symmetric_input, which
-        symmetrizes), then regularity; the earliest failing sample's error
-        is raised, and an error of the evaluator comes before all of them."""
-        return self._jets(ts, check_regular)[0]
-
-    def _jets(self, ts, check_regular):
-        """jets(ts, check_regular) and the velocity_form of its S' stack,
-        from which regularity was judged (None when unchecked)."""
+        symmetrizes), then regularity, which leaves the jets judged; the
+        earliest failing sample's error is raised, and an error of the
+        evaluator comes before all of them."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain
         gates = Gates().require((lo <= ts) & (ts <= hi), lambda i: DomainError(
@@ -316,13 +322,12 @@ class SymmetricMatrixCurve:
         mats = [symmetric_input(gates, a, JET_SYM_TOL, f"jet of order {k}",
                                 lambda i: f"t={float(ts[i])!r}")
                 for k, a in enumerate(mats)]
-        orders = np.stack([a[:gates.stop] for a in mats])
-        form = None
+        jets = CurveJet(ts, np.stack([a[:gates.stop] for a in mats]))
         if check_regular:
-            form = velocity_form(orders[1])
-            gates.require(form[0], lambda i: RegularityFailure(ts[i]))
+            jets = jets.judged()
+            gates.require(jets.form[0], lambda i: RegularityFailure(ts[i]))
         gates.raise_error()
-        return CurveJet(ts, orders), form
+        return jets
 
     def jet(self, t, check_regular=True):
         """The jet at one parameter: the one sample of `jets([t])`."""
@@ -418,8 +423,10 @@ def table_curve(ts, S_values, name=None):
     if ts.size < 7:
         raise TooFewSamples("table needs at least 7 samples")
     h = ts[1] - ts[0]
-    if not np.max(np.abs(np.diff(ts) - h)) <= NODE_TOL * max(1.0, abs(h)):
-        raise DomainError("table nodes must be uniformly spaced")
+    if not (h > 0 and np.max(np.abs(np.diff(ts) - h))
+            <= NODE_TOL * max(1.0, h)):
+        raise DomainError("table nodes must be strictly increasing and "
+                          "uniformly spaced")
     gates = Gates()
     values = symmetric_input(gates, values, JET_SYM_TOL, "sample",
                              lambda i: f"t={float(ts[i])!r}")
@@ -550,7 +557,6 @@ def transformed_curve(curve, g, name=None):
             f"P + Q S is singular at t={float(ts[i])!r}: the image leaves "
             "the chart")).raise_error()
         Sg = (R + T @ S) @ K
-        del S
         Kt = K.swapaxes(-1, -2)
 
         def congruent(a):
@@ -563,7 +569,7 @@ def transformed_curve(curve, g, name=None):
         G2 = S2 - H - H.swapaxes(-1, -2)
         A = (S2 @ ((2 * U + U.swapaxes(-1, -2)) @ S1)
              - (2 * H + H.swapaxes(-1, -2)) @ US1)
-        del S2, U, US1, H
+        del U, US1, H
         S3 = S3 - A - A.swapaxes(-1, -2)
         del A
         return (0.5 * (Sg + Sg.swapaxes(-1, -2)), congruent(S1),

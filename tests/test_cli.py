@@ -671,6 +671,19 @@ class TestMalformedJson:
         assert (name, message) == ("InvalidDimension",
                                    "samples.S has entries that are not finite")
 
+    @pytest.mark.filterwarnings("error")
+    def test_table_nodes_all_equal(self, capsys, tmp_path):
+        # equal nodes once reached the stencils, which divided by h = 0
+        S = sample_curve(preset_curve("paper-6.2-ex1"),
+                         SampleGrid(-0.05, 1.05, 221)).S
+        spec = {"n": 2, "kind": "table",
+                "samples": {"t": [0.5] * 221, "S": S.tolist()}}
+        name, message = self.error(capsys, tmp_path, json.dumps(spec),
+                                   "analyze", "BAD")
+        assert (name, message) == (
+            "DomainError",
+            "table nodes must be strictly increasing and uniformly spaced")
+
     def test_polynomial_domain_not_numbers(self, capsys, tmp_path):
         spec = {"n": 1, "kind": "polynomial", "entries": [[[0.0, 1.0]]],
                 "domain": ["a", 1]}

@@ -307,6 +307,26 @@ class TestGates:
         assert gates.stop == 2 and gates.error.t == 2.0
         assert Gates().require(x[:2] <= 1.0, None).error is None
 
+    def test_velocity_is_factored_once_per_stack(self, monkeypatch):
+        # checked jets carry their velocity form, which ricci and
+        # matrix_schwarzian read instead of factoring S' again; unchecked
+        # jets are judged once, by the call that needs the form
+        calls = []
+
+        def cholesky(a, _fn=np.linalg.cholesky):
+            calls.append(a)
+            return _fn(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        c = random_quartic(0, 2)
+        ts = np.linspace(0.0, 1.0, 11)
+        for run in (lambda: ricci(c.jet(0.5)),
+                    lambda: matrix_schwarzian(c.jets(ts)),
+                    lambda: ricci(c.jets(ts, check_regular=False))):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
 
 class TestNonFinite:
     NAN_S1 = CurveJet(0.0, np.array([

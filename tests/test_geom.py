@@ -385,8 +385,11 @@ def analysis_record(curve, grid):
     for part in (ana.jets, ana.ricci_series, ana.arc, ana.frame,
                  ana.reduced):
         record += [np.asarray(getattr(part, f.name)).tobytes()
-                   for f in dataclasses.fields(part)]
-    return record
+                   for f in dataclasses.fields(part) if f.name != "form"]
+    # the jets' verdict on S': l_inv is None on the spectral path by design
+    # and is no output
+    regular, sign, _ = ana.jets.form
+    return record + [regular.tobytes(), sign.tobytes()]
 
 
 def conditioned_curve(rng, n, log_cond, sign):

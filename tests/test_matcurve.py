@@ -367,10 +367,14 @@ class TestTableCurve:
         vals[5] = 0.0
         assert np.array_equal(c.jet(ts[5]).S, ts[5] * np.eye(2))
 
+    @pytest.mark.filterwarnings("error")
     def test_nonuniform_rejected(self):
-        ts = np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5, 0.6])
-        with pytest.raises(DomainError):
-            table_curve(ts, [t * np.eye(2) for t in ts])
+        # equal nodes once passed to the stencils, which divided by h = 0;
+        # decreasing ones failed later as a window of too few samples
+        for ts in ([0.0, 0.1, 0.25, 0.3, 0.4, 0.5, 0.6], [0.5] * 7,
+                   np.linspace(0.6, 0.0, 7)):
+            with pytest.raises(DomainError, match="strictly increasing"):
+                table_curve(ts, [t * np.eye(2) for t in ts])
 
 
 class TestTransformedCurve:
@@ -649,20 +653,28 @@ def test_evaluator_must_return_stacked_jets(m, ragged):
 def test_a_jet_series_is_one_stack_indexed_along_its_samples():
     ts = np.linspace(0.0, 1.0, 9)
     j = preset_curve("paper-6.2-ex2").jets(ts)
-    assert [f.name for f in fields(j)] == ["t", "orders"]
+    assert [f.name for f in fields(j)] == ["t", "orders", "form"]
     assert j.orders.shape == (4, 9, 2, 2)
     views = (j.S, j.S1, j.S2, j.S3)
     for k, v in enumerate(views):
         assert np.shares_memory(v, j.orders) and np.array_equal(v, j.orders[k])
+    # jets checked for regularity carry the velocity form of their S'
+    assert j.judged() is j
     for i in (2, slice(3)):
         part = j[i]
         assert np.array_equal(part.t, ts[i])
         assert [a.tobytes() for a in (part.S, part.S1, part.S2, part.S3)] == [
             v[i].tobytes() for v in views]
+        assert [np.asarray(a).tobytes() for a in part.form] == [
+            a[i].tobytes() for a in j.form]
     # a single sample's [None] is the series of that one sample
     one = j[2][None]
     assert np.array_equal(one.t, ts[2:3])
     assert one.orders.tobytes() == j[2:3].orders.tobytes()
+    assert [a.tobytes() for a in one.form] == [
+        a.tobytes() for a in j[2:3].form]
+    # unchecked jets are not judged
+    assert preset_curve("paper-6.2-ex2").jets(ts, False).form is None
 
 
 class TestVectorisedEvaluators:

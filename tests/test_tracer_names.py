@@ -31,3 +31,19 @@ def test_wrapped_methods_exist():
                for module, cls, method, *_ in load_tracing().METHODS
                if method not in vars(getattr(jacobi_module(module), cls))]
     assert missing == []
+
+
+def test_analyze_reaches_the_traced_sampling_and_schwarzian():
+    # the screen samples through sample_curve and computes the Schwarzian
+    # through matrix_schwarzian, so neither layer reads 0 in a trace
+    from jacobi.matcurve import SampleGrid, preset_curve
+    from jacobi.pipeline import analyze
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        analyze(preset_curve("paper-6.2-ex1"), SampleGrid(0.0, 1.0, 41))
+    finally:
+        tracer.remove()
+    assert tracer.count("matcurve.sample") == 1
+    assert tracer.count("curvature.schwarzian") == 1
