@@ -10,12 +10,19 @@ trees that print the same three values compute the same bits on the
 benchmark's inputs and fail the same operations.  No file under bench/ is
 written to; the CLI's output files go to a temporary directory.
 
+Before that summary line it prints a ledger: one JSON line per operation
+with its seed, workload, index, class, whether its check passed, its error
+type, its k_err and k_dev, and the first 16 hex digits of the SHA-256 of
+its own result.  `diff` of the output of two trees lists the operations
+that moved.
+
     PYTHONPATH=src python3 scripts/op_digest.py SEED [SEED ...]
 """
 
 import argparse
 import dataclasses
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -64,21 +71,32 @@ def feed(h, value, workdir):
 
 def digest(seeds):
     """(operations, failed, SHA-256 hex digest) over every operation of
-    every workload at each seed."""
+    every workload at each seed; prints each operation's ledger line."""
     h, count, failed = hashlib.sha256(), 0, 0
     for seed in seeds:
         for name in workloads.WORKLOADS:
             with tempfile.TemporaryDirectory() as tmp:
                 w = workloads.build(name, np.random.default_rng(seed),
                                     Path(tmp))
-                for op in (op for ops in w.cycles for op in ops):
+                ops = (op for ops in w.cycles for op in ops)
+                for index, op in enumerate(ops):
                     try:
                         result, exc = op.call(), None
                     except Exception as e:  # part of the digest
                         result, exc = None, e
-                    failed += not op.check(result, exc).ok
+                    outcome = op.check(result, exc)
+                    failed += not outcome.ok
                     count += 1
-                    feed(h, (op.cls, exc if exc is not None else result), tmp)
+                    value = (op.cls, exc if exc is not None else result)
+                    own = hashlib.sha256()
+                    feed(h, value, tmp)
+                    feed(own, value, tmp)
+                    print(json.dumps({
+                        "seed": seed, "workload": name, "op": index,
+                        "class": op.cls, "ok": outcome.ok,
+                        "error": outcome.error, "k_err": outcome.k_err,
+                        "k_dev": outcome.k_dev,
+                        "sha256": own.hexdigest()[:16]}))
     return count, failed, h.hexdigest()
 
 

@@ -15,7 +15,7 @@ a series gives each sample's numbers, or the earliest failing sample's error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     RegularityFailure,
     SingularParameter,
 )
-from .matcurve import CurveJet, Series
+from .matcurve import CurveJet
 from .symspace import (
     _matrix_maxabs,
     _maxabs,
@@ -63,7 +63,7 @@ def matrix_schwarzian(j: CurveJet):
 
 
 @dataclass(frozen=True)
-class RicciData(Series):
+class RicciData:
     """Spectral data of the curvature operator at one parameter or a series.
 
     `schwarzian` is the operator's matrix in the moving basis; `eigvecs` M is
@@ -96,7 +96,8 @@ def ricci(j: CurveJet):
     is judged by the admissibility screen (geom.screen).
     """
     if np.ndim(j.t) == 0:
-        return ricci(j[None])[0]
+        rs = ricci(j[None])
+        return RicciData(*(getattr(rs, f.name)[0] for f in fields(rs)))
     gates = Gates()
     rs = _ricci(gates, j)
     gates.raise_error()

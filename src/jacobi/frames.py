@@ -145,7 +145,7 @@ def reduced_invariants(ff: FrenetFrame, arc: ArcData, k):
     them (a greedy spanning forest: no conflicts, components are disjoint).
     """
     ms = ff.M
-    a = np.linalg.solve(ms, finite_diff(ms, arc.h, 1))
+    a = np.linalg.solve(ms, finite_diff(ms, arc.ts[1] - arc.ts[0], 1))
     sig = (a - a.swapaxes(-1, -2)) / (2.0 * arc.zeta)[:, None, None]
     kd = -k / 2
     n = kd.shape[1]

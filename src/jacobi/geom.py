@@ -43,10 +43,6 @@ class ArcData:
     sphi: np.ndarray
     arclength: np.ndarray
 
-    @property
-    def h(self):
-        return float(self.ts[1] - self.ts[0])
-
 
 def centered_schwarzian_det(sch):
     """det(Sch - (tr Sch / n) Id) — the admissibility determinant."""
@@ -179,7 +175,8 @@ def screen(curve, grid, adm_tol=ADM_TOL):
                         MonotonicityFailure(jets.t[i])).raise_error()
         ana.velocity_sign = int(sign[0])
         if ana.flipped:
-            jets = CurveJet(jets.t, -jets.orders, (regular, -sign, l_inv))
+            np.negative(jets.orders, out=jets.orders)
+            jets = CurveJet(jets.t, jets.orders, (regular, -sign, l_inv))
         ana.jets = jets
         gates = Gates()
         rs = _ricci(gates, jets)

@@ -10,7 +10,7 @@ is one CurveJet: its t (m,) and the stack (4, m, n, n) of S, S', S'', S'''.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import zip_longest
 from typing import Callable
 
@@ -227,10 +227,13 @@ class SampleGrid:
     m: int
 
     def __post_init__(self):
-        if not self.t0 < self.t1:
-            raise DomainError(f"need t0 < t1, got [{self.t0}, {self.t1}]")
-        if self.m < 7:
-            raise DomainError("need at least 7 samples for five-point stencils")
+        # on Python floats, so an infinite or NaN span fails without a warning
+        if not 0 < float(self.t1) - float(self.t0) < np.inf:
+            raise DomainError(f"need a finite span t0 < t1, got "
+                              f"[{self.t0}, {self.t1}]")
+        if not (isinstance(self.m, (int, np.integer)) and self.m >= 7):
+            raise DomainError("need a whole number of at least 7 samples for "
+                              "five-point stencils")
 
     @property
     def h(self):
@@ -239,14 +242,6 @@ class SampleGrid:
     @property
     def points(self):
         return np.linspace(self.t0, self.t1, self.m)
-
-
-class Series:
-    """Record of fields with a leading sample axis; indexing indexes each."""
-
-    def __getitem__(self, i):
-        return type(self)(*(np.asarray(getattr(self, f.name))[i]
-                            for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -288,10 +283,11 @@ class SymmetricMatrixCurve:
     `kind` is one of analytic / preset / polynomial / fourier / table /
     frame; the evaluator must be pure and maps a parameter vector of shape
     (m,) to the stack (4, m, n, n) of S, S', S'', S''' (or its four
-    (m, n, n) arrays), the `orders` of the CurveJet `jets` returns.  A
-    curve known only at nodes (a table, a frame curve, or a transform of
-    one) lists them in `table_ts`, else None.  Regularity (S' invertible,
-    i.e. cond(S') at most COND_MAX: a scale-free test, so c S is regular
+    (m, n, n) arrays), a new array on every call: `jets` symmetrizes it in
+    place and hands it to its caller as the CurveJet's `orders`.  A curve
+    known only at nodes (a table, a frame curve, or a transform of one)
+    lists them in `table_ts`, else None.  Regularity (S' invertible, i.e.
+    cond(S') at most COND_MAX: a scale-free test, so c S is regular
     wherever S is) is checked lazily at the points actually queried.
     """
 
@@ -308,7 +304,7 @@ class SymmetricMatrixCurve:
         """Jet series at the parameters `ts`, the only evaluation path.  The
         checks run in the order domain, shape, then finiteness and symmetry
         of each jet order in turn (symspace.symmetric_input, which
-        symmetrizes), then regularity, which leaves the jets judged; the
+        symmetrizes in place), then regularity, which judges the jets; the
         earliest failing sample's error is raised, and an error of the
         evaluator comes before all of them."""
         ts = np.asarray(ts, dtype=float)
@@ -316,13 +312,14 @@ class SymmetricMatrixCurve:
         gates = Gates().require((lo <= ts) & (ts <= hi), lambda i: DomainError(
             f"t={float(ts[i])} outside domain [{lo}, {hi}]"))
         ts = ts[:gates.stop]
-        mats = [np.asarray(a, dtype=float) for a in self._eval(ts)]
-        if [a.shape for a in mats] != [(ts.size, self.n, self.n)] * 4:
+        out = self._eval(ts)
+        if [np.shape(a) for a in out] != [(ts.size, self.n, self.n)] * 4:
             raise InvalidDimension("evaluator must return four m x n x n arrays")
-        mats = [symmetric_input(gates, a, JET_SYM_TOL, f"jet of order {k}",
-                                lambda i: f"t={float(ts[i])!r}")
-                for k, a in enumerate(mats)]
-        jets = CurveJet(ts, np.stack([a[:gates.stop] for a in mats]))
+        orders = np.asarray(out, dtype=float)
+        for k, a in enumerate(orders):
+            symmetric_input(gates, a, JET_SYM_TOL, f"jet of order {k}",
+                            lambda i: f"t={float(ts[i])!r}")
+        jets = CurveJet(ts, orders[:, :gates.stop])
         if check_regular:
             jets = jets.judged()
             gates.require(jets.form[0], lambda i: RegularityFailure(ts[i]))
@@ -382,8 +379,9 @@ def polynomial_curve(coeffs, domain, name=None):
         d[0] = np.where(length <= order, tensor[0] * 0, d[0])
 
     def evaluator(ts):
-        mats = (npoly.polyval(ts[:, None, None], c, tensor=False) for c in tensors)
-        return tuple(0.5 * (m + m.swapaxes(-1, -2)) for m in mats)
+        mats = np.array([npoly.polyval(ts[:, None, None], c, tensor=False)
+                         for c in tensors])
+        return 0.5 * (mats + mats.swapaxes(-1, -2))
 
     return SymmetricMatrixCurve(n, evaluator, domain, kind="polynomial",
                                 name=name)
@@ -487,18 +485,21 @@ def reparametrized_curve(curve, psi_jet, domain, name=None):
         Sbar''  = psi'' S' + psi'^2 S''
         Sbar''' = psi''' S' + 3 psi' psi'' S'' + psi'^3 S'''
     `psi_jet` is called once on the whole parameter vector, as the entries
-    of `curve_from_scalars` are.
+    of `curve_from_scalars` are.  Its jets overwrite the curve's stack,
+    order 3 first, so each order is read before it is replaced.
     """
 
     def evaluator(us):
         # float arrays: a scalar psi' is raised by numpy's array power too
         p, p1, p2, p3 = np.array(np.broadcast_arrays(*psi_jet(us), us)[:4],
                                  dtype=float)
-        S, S1, S2, S3 = curve.jets(p, check_regular=False).orders
+        S, S1, S2, S3 = jets = curve.jets(p, check_regular=False).orders
         p1, p2, p11, p3, p12, p111 = (
             f[:, None, None] for f in (p1, p2, p1**2, p3, 3 * p1 * p2, p1**3))
-        return (S, p1 * S1, p2 * S1 + p11 * S2,
-                p3 * S1 + p12 * S2 + p111 * S3)
+        jets[3] = p3 * S1 + p12 * S2 + p111 * S3
+        jets[2] = p2 * S1 + p11 * S2
+        S1 *= p1
+        return jets
 
     return SymmetricMatrixCurve(curve.n, evaluator, domain,
                                 kind="analytic", name=name)
@@ -542,7 +543,8 @@ def transformed_curve(curve, g, name=None):
     conformal symplectic raises InvalidTransform here, before any
     evaluation; a P + Q S that is singular at a queried t (by the
     condition rule of symspace.chart_inverse) raises NotInChart naming the
-    earliest such t.  The image keeps the curve's `table_ts`.
+    earliest such t.  Its jets overwrite the curve's stack, order 3 first
+    and order 0 last, and it keeps the curve's `table_ts`.
     """
     n = curve.n
     g = conformal_symplectic(g, n)
@@ -551,7 +553,7 @@ def transformed_curve(curve, g, name=None):
     half_s = 0.5 * np.trace(P.T @ T - R.T @ Q) / n
 
     def evaluator(ts):
-        S, S1, S2, S3 = curve.jets(ts, check_regular=False).orders
+        S, S1, S2, S3 = jets = curve.jets(ts, check_regular=False).orders
         K, inside = chart_inverse(P + Q @ S)
         Gates().require(inside, lambda i: NotInChart(
             f"P + Q S is singular at t={float(ts[i])!r}: the image leaves "
@@ -570,10 +572,12 @@ def transformed_curve(curve, g, name=None):
         A = (S2 @ ((2 * U + U.swapaxes(-1, -2)) @ S1)
              - (2 * H + H.swapaxes(-1, -2)) @ US1)
         del U, US1, H
-        S3 = S3 - A - A.swapaxes(-1, -2)
+        jets[3] = congruent(S3 - A - A.swapaxes(-1, -2))
         del A
-        return (0.5 * (Sg + Sg.swapaxes(-1, -2)), congruent(S1),
-                congruent(G2), congruent(S3))
+        jets[2] = congruent(G2)
+        jets[1] = congruent(S1)
+        jets[0] = 0.5 * (Sg + Sg.swapaxes(-1, -2))
+        return jets
 
     moved = SymmetricMatrixCurve(n, evaluator, curve.domain,
                                  kind="analytic", name=name)

@@ -136,8 +136,8 @@ def symmetric_input(gates, s, tol, what, at):
     first each sample that is not finite fails, then each whose asymmetry
     exceeds `tol` times max(1, max|s|).  Returns the samples before
     `gates.stop`: as they are if the stack equals its transpose bit for
-    bit, else averaged with their transposes.  An error names `what` and
-    the sample, `at(i)`."""
+    bit, else averaged with their transposes in place, in the caller's
+    float array.  An error names `what` and the sample, `at(i)`."""
     s = np.asarray(s, dtype=float)[:gates.stop]
     # max|s| is finite exactly where every entry of s is; no arithmetic on
     # a sample that failed a gate
@@ -156,7 +156,7 @@ def symmetric_input(gates, s, tol, what, at):
         f"asymmetry {resid[i]:g} exceeds tolerance {tol:g} in {what} at "
         f"{at(i)}"))
     s = s[:gates.stop]
-    return 0.5 * s + 0.5 * s.swapaxes(-1, -2)
+    return np.add(0.5 * s, 0.5 * s.swapaxes(-1, -2), out=s)
 
 
 def bitwise_symmetric(s):

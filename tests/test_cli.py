@@ -696,6 +696,19 @@ class TestMalformedJson:
         assert name == "InvalidDimension"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "paper-6.2-ex1", "--t0", "0", "--t1", "inf"],
+    ["cycle", "--preset", "affine-line", "--t0", "0", "--t1", "inf"],
+])
+def test_an_infinite_window_is_a_domain_error(argv, capsys):
+    # the window's points once warned and held NaN, and the analysis
+    # reported t=nan outside the domain
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "DomainError"
+
+
 class TestPresets:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "presets")

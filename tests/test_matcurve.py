@@ -193,6 +193,18 @@ class TestSampleGrid:
         with pytest.raises(DomainError):
             SampleGrid(0.0, 1.0, 5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t0, t1, m", [
+        (0.0, np.inf, 11), (-np.inf, 0.0, 11), (-1e308, 1e308, 11),
+        (0.0, np.nan, 11), (np.nan, 1.0, 11), (0.0, 1.0, 7.5),
+        (0.0, 1.0, 11.0), (0.0, 1.0, np.inf),
+    ])
+    def test_window_must_be_finite_and_m_whole(self, t0, t1, m):
+        # an infinite span once passed, and its points warned and held NaN;
+        # a fractional m once passed, and its points raised TypeError
+        with pytest.raises(DomainError):
+            SampleGrid(t0, t1, m)
+
     def test_points_and_spacing(self):
         g = SampleGrid(0.0, 1.0, 11)
         assert g.h == pytest.approx(0.1)
@@ -648,6 +660,36 @@ def test_evaluator_must_return_stacked_jets(m, ragged):
     c = SymmetricMatrixCurve(2, evaluator, (0.0, 1.0))
     with pytest.raises(InvalidDimension):
         c.jets(np.linspace(0.0, 1.0, m))
+
+
+def test_jets_are_the_evaluators_stack():
+    # a float (4, m, n, n) stack becomes the jets' orders, not a copy
+    made = []
+
+    def evaluator(ts):
+        made.append(np.zeros((4, ts.size, 2, 2)))
+        made[-1][0] = ts[:, None, None] * np.diag([1.0, 2.0])
+        made[-1][1] = np.diag([1.0, 2.0])
+        return made[-1]
+
+    j = SymmetricMatrixCurve(2, evaluator, (0.0, 1.0)).jets(
+        np.linspace(0.0, 1.0, 9))
+    assert np.shares_memory(j.orders, made[-1])
+
+
+def test_derived_curves_leave_their_base_unchanged():
+    # a csp image and a reparametrization overwrite the jets their base
+    # hands them, which are new on every call: the table's stored jets,
+    # which its evaluator indexes, stay as they were
+    ts = np.linspace(-0.05, 1.05, 221)
+    table = table_curve(ts, preset_curve("paper-6.2-ex1").jets(ts).S)
+    before = table.jets(ts).orders
+    image = transformed_curve(table, random_csp(3, 0.5, 2, 0.2))
+    image.jets(ts)
+    # u -> 2u maps ts[5:116] onto the nodes ts[0::2]
+    reparametrized_curve(image, affine_reparam(2.0, 0.0),
+                         (ts[5], ts[115])).jets(ts[5:116])
+    assert table.jets(ts).orders.tobytes() == before.tobytes()
 
 
 def test_a_jet_series_is_one_stack_indexed_along_its_samples():

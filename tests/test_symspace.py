@@ -361,6 +361,12 @@ class TestSymmetricInput:
         out = chart_points(s)
         assert np.shares_memory(out, s) and np.array_equal(out, s)
 
+    def test_an_asymmetric_stack_is_averaged_in_its_own_memory(self):
+        s = np.array([np.eye(2), [[1.0, 0.5 + 1e-12], [0.5, 2.0]]])
+        want = 0.5 * s + 0.5 * s.swapaxes(-1, -2)
+        out = chart_points(s)
+        assert np.shares_memory(out, s) and out.tobytes() == want.tobytes()
+
     @pytest.mark.filterwarnings("error")
     def test_earliest_sample_wins(self):
         s = np.stack([np.eye(2)] * 4)
