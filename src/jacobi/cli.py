@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -406,6 +407,11 @@ def build_parser():
 
     sp = sub.add_parser("presets", help="list built-in curves")
     sp.set_defaults(func=cmd_presets)
+    # argparse reads only -N and -N.N as negative numbers, so --t0 -5e-2
+    # would take -5e-2 for an option; no option starts with - and a digit,
+    # or -. and a digit, so every such token is a value
+    for parser in (p, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"^-\.?\d")
     return p
 
 

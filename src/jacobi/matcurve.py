@@ -26,7 +26,7 @@ from .errors import (
     RegularityFailure,
     TooFewSamples,
 )
-from .symspace import (_entrywise, chart_inverse, conformal_symplectic,
+from .symspace import (_entrywise, chart_point, conformal_symplectic,
                        symmetric_input, velocity_form)
 from .tolerances import JET_SYM_TOL, NODE_TOL
 
@@ -194,7 +194,8 @@ def finite_diff(values, h, order=1):
     Five-point central stencils in the interior, one-sided five-point rows at
     the two boundary points on each end (coefficients in STENCILS).  `order`
     may be 1, 2 or 3; the classic contract is orders 1 and 2, order 3 is used
-    internally for table-kind curves.  Samples run along the first axis.
+    internally for table-kind curves.  Samples run along the first axis.  A
+    step h whose h**order is 0 or not finite raises DomainError.
     """
     if order not in STENCILS:
         raise ValueError(f"unsupported derivative order {order}")
@@ -202,7 +203,12 @@ def finite_diff(values, h, order=1):
     m = len(values)
     if m < 5:
         raise TooFewSamples(f"need >= 5 samples, got {m}")
-    st, hk = STENCILS[order], h**order
+    st = STENCILS[order]
+    with np.errstate(over="ignore"):
+        hk = np.float64(h) ** order
+    if not 0 < abs(hk) < np.inf:
+        raise DomainError(f"h**{order} = {float(hk)!r} for the step "
+                          f"h={float(h)!r}: out of range for the stencils")
     out = np.empty_like(values)
     out[2:m - 2] = _stencil(values, st["central"], 2, m - 2, hk)
     # the four edge rows at once, each summed in its row's order from 0 as
@@ -392,12 +398,14 @@ def fourier_curve(cos_coeffs, sin_coeffs, domain, omega=1.0, name=None):
     The shorter of an entry's cos and sin lists is padded with zeros."""
     n = len(cos_coeffs)
 
+    # on float64, so a jet that overflows is inf or NaN, for jets' gate
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluator(ts):
         mats = np.zeros((n, n, 4, ts.size))
         for i, j in np.ndindex(n, n):
             for k, (a, b) in enumerate(zip_longest(
                     cos_coeffs[i][j], sin_coeffs[i][j], fillvalue=0.0)):
-                w = k * omega
+                w = np.float64(k * omega)
                 c, s = np.cos(w * ts), np.sin(w * ts)
                 mats[i, j] += (a * c + b * s, w * (-a * s + b * c),
                                w**2 * (-a * c - b * s), w**3 * (a * s - b * c))
@@ -486,9 +494,12 @@ def reparametrized_curve(curve, psi_jet, domain, name=None):
         Sbar''' = psi''' S' + 3 psi' psi'' S'' + psi'^3 S'''
     `psi_jet` is called once on the whole parameter vector, as the entries
     of `curve_from_scalars` are.  Its jets overwrite the curve's stack,
-    order 3 first, so each order is read before it is replaced.
+    order 3 first, so each order is read before it is replaced.  A jet that
+    overflows is inf or NaN, without a warning, and fails the gate of
+    `jets`.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluator(us):
         # float arrays: a scalar psi' is raised by numpy's array power too
         p, p1, p2, p3 = np.array(np.broadcast_arrays(*psi_jet(us), us)[:4],
@@ -517,6 +528,8 @@ def affine_reparam(a, b):
 def sine_reparam(a=1.0, b=0.0, eps=0.1, omega=1.0):
     """u -> a u + b + eps sin(omega u); increasing when a > eps omega."""
 
+    omega = np.float64(omega)  # numpy's power overflows to inf
+
     def jet(u):
         return (
             a * u + b + eps * np.sin(omega * u),
@@ -531,8 +544,8 @@ def sine_reparam(a=1.0, b=0.0, eps=0.1, omega=1.0):
 def transformed_curve(curve, g, name=None):
     """Image of the curve under a conformal symplectic map, in the same chart.
 
-    With g = [[P, Q], [R, T]] and g^T J g = s J, the frame [I; S] maps to
-    [P + Q S; R + T S] and the chart point is Sg = (R + T S) K with
+    With g = [[P, Q], [R, T]] and g^T J g = s J (conformal_symplectic's g
+    and s), chart_point reads [P + Q S; R + T S] off as Sg = (R + T S) K,
     K = (P + Q S)^(-1).  The map acts on the velocity by congruence,
     Sg' = s K^T S' K; with U = K Q (so K' = -U S' K) and V = U + U^T,
         Sg''  = s K^T G2 K,  G2 = S'' - S' V S',
@@ -541,29 +554,25 @@ def transformed_curve(curve, g, name=None):
     (U' = -U S' U).  The bracket of Sg''' is evaluated as S''' - A - A^T,
     A = S'' (2U + U^T) S' - (2H + H^T) U S', H = S' U S'.  A g that is not
     conformal symplectic raises InvalidTransform here, before any
-    evaluation; a P + Q S that is singular at a queried t (by the
-    condition rule of symspace.chart_inverse) raises NotInChart naming the
-    earliest such t.  Its jets overwrite the curve's stack, order 3 first
-    and order 0 last, and it keeps the curve's `table_ts`.
+    evaluation; a P + Q S that is singular at a queried t (by
+    chart_point's rule) raises NotInChart naming the earliest such t.  Its
+    jets overwrite the curve's stack, order 3 first and order 0 last, and
+    it keeps the curve's `table_ts`.
     """
     n = curve.n
-    g = conformal_symplectic(g, n)
-    P, Q = g[:n, :n], g[:n, n:]
-    R, T = g[n:, :n], g[n:, n:]
-    half_s = 0.5 * np.trace(P.T @ T - R.T @ Q) / n
+    g, s = conformal_symplectic(g, n)
+    P, Q, R, T = g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
 
     def evaluator(ts):
         S, S1, S2, S3 = jets = curve.jets(ts, check_regular=False).orders
-        K, inside = chart_inverse(P + Q @ S)
-        Gates().require(inside, lambda i: NotInChart(
+        Sg, K = chart_point(P + Q @ S, R + T @ S, lambda i: NotInChart(
             f"P + Q S is singular at t={float(ts[i])!r}: the image leaves "
-            "the chart")).raise_error()
-        Sg = (R + T @ S) @ K
+            "the chart"))
         Kt = K.swapaxes(-1, -2)
 
         def congruent(a):
             c = Kt @ a @ K
-            return half_s * (c + c.swapaxes(-1, -2))
+            return 0.5 * s * (c + c.swapaxes(-1, -2))
 
         U = K @ Q
         US1 = U @ S1
@@ -576,7 +585,7 @@ def transformed_curve(curve, g, name=None):
         del A
         jets[2] = congruent(G2)
         jets[1] = congruent(S1)
-        jets[0] = 0.5 * (Sg + Sg.swapaxes(-1, -2))
+        jets[0] = Sg
         return jets
 
     moved = SymmetricMatrixCurve(n, evaluator, curve.domain,

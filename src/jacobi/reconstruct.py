@@ -25,7 +25,7 @@ from .matcurve import (SampleGrid, finite_diff, json_array, json_integer,
                        json_numbers, node_curve, require_keys)
 from .pipeline import analyze
 from .symspace import (_entrywise, _matrix_maxabs, _maxabs, chart_inverse,
-                       is_symplectic_frame, symmetrize)
+                       chart_point, is_symplectic_frame, symmetrize)
 from .tolerances import (EIG_GAP_TOL, NORM_TOL, RESID_MAX, ROUNDTRIP_TOL,
                          SKEW_TOL, STEP_MAX)
 
@@ -47,6 +47,9 @@ class InvariantPrescription:
     F0: np.ndarray
     warnings: list = field(default_factory=list)
 
+    # a check that overflows reads inf or NaN, which fails it, and records
+    # its warning
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
         self.Sigma = np.asarray(self.Sigma, dtype=float)
@@ -146,11 +149,13 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     nodes = 0.5 + np.array([[-1.0], [1.0]]) * np.sqrt(3.0) / 6.0
     c1, c2 = p.structure_matrix()(ts[:-1] + nodes * h)
     hs = h[:, None, None]
-    omega = (0.5 * hs * (c1 + c2)
-             + (np.sqrt(3.0) / 12.0) * hs**2 * (c1 @ c2 - c2 @ c1))
-    omega -= omega @ omega @ omega / 12.0
-    radius = np.sqrt(_entrywise(np.maximum,
-                                np.abs(omega @ omega).sum(axis=-1), 1))
+    # a step that overflows has an inf or NaN radius, which fails the gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = (0.5 * hs * (c1 + c2)
+                 + (np.sqrt(3.0) / 12.0) * hs**2 * (c1 @ c2 - c2 @ c1))
+        omega -= omega @ omega @ omega / 12.0
+        radius = np.sqrt(_entrywise(np.maximum,
+                                    np.abs(omega @ omega).sum(axis=-1), 1))
     Gates().require(radius <= STEP_MAX,
                     lambda i: StepTooCoarse(ts[i])).raise_error()
     d = np.linalg.solve(np.eye(f0.shape[0]) - 0.5 * omega, omega)
@@ -177,16 +182,10 @@ def curve_from_frame(frames):
     a, b = frames[:, :n, :n], frames[:, n:, :n]
     _, inside = chart_inverse(a)
     S = np.full(a.shape, np.nan)
-    S[inside] = _chart(a[inside], b[inside])
+    S[inside] = symmetrize(b[inside] @ np.linalg.inv(a[inside]))
     edges = np.flatnonzero(np.diff(np.concatenate([[0], inside, [0]])))
     segments = [(int(i), int(j) - 1) for i, j in zip(edges[::2], edges[1::2])]
     return S, segments
-
-
-def _chart(a, b):
-    """S = B A^(-1) of the A and B blocks of in-chart frames."""
-    return symmetrize(np.linalg.solve(
-        a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2))
 
 
 @dataclass
@@ -222,16 +221,13 @@ def frame_curve(p: InvariantPrescription, frames):
     A' = A Sigma + Abar, A'' = A' Sigma + A Sigma' + A diag K + Abar Sigma
     (Sigma' by finite_diff) and, F being symplectic, S' = A^(-T) A^(-1),
     S'' = X + X^T with X = -S' A' A^(-1), S''' = Y + Y^T with
-    Y = -(S'' A' + S' A'' + X A') A^(-1).  S and the chart rule
-    (symspace.chart_inverse) are curve_from_frame's: a node outside the
+    Y = -(S'' A' + S' A'' + X A') A^(-1).  S, A^(-1) and the chart rule
+    are symspace.chart_point's, as in curve_from_frame: a node outside the
     chart raises NotInChart at the earliest such node."""
     n, ts = p.n, p.ts
     a, abar = frames[:, :n, :n], frames[:, :n, n:]
-    a_inv, inside = chart_inverse(a)
-    Gates().require(inside, lambda i: NotInChart(
-        f"the frame's A block is singular at t={float(ts[i])!r}")
-    ).raise_error()
-    S = _chart(a, frames[:, n:, :n])
+    S, a_inv = chart_point(a, frames[:, n:, :n], lambda i: NotInChart(
+        f"the frame's A block is singular at t={float(ts[i])!r}"))
     sig = p.Sigma
     a1 = a @ sig + abar
     a2 = (a1 @ sig + a @ finite_diff(sig, ts[1] - ts[0], 1)

@@ -242,21 +242,36 @@ def chart_translate_invert(S, S_ref):
     return symmetrize(diff_inv)
 
 
+def chart_point(a, b, error):
+    """(S, A^(-1)) of the span of [A; B], one basis or a stack: the one
+    read-off of a chart point, S = B A^(-1).  A is judged by chart_inverse,
+    and error(i) is raised at the earliest sample outside the chart."""
+    a_inv, inside = chart_inverse(a)
+    Gates().require(inside, error).raise_error()
+    return symmetrize(b @ a_inv), a_inv
+
+
 def conformal_symplectic(g, n):
-    """g as a float array, checked to be a 2n x 2n conformal symplectic map:
-    g^T J g = s J with s nonzero.  Both tests are relative to maxabs(g)^2,
-    so c g passes exactly when g does."""
+    """(g, s) of a 2n x 2n conformal symplectic map g, g^T J g = s J with s
+    nonzero: g as a float array scaled by the power of two that puts
+    max|g| in [1/2, 1) (exact; a map acts on charts as its multiples do),
+    and s = tr(P^T T - R^T Q) / n of its blocks [[P, Q], [R, T]].  Both
+    tests are relative to max|g|^2, so c g passes exactly when g does."""
     g = np.asarray(g, dtype=float)
     if g.shape != (2 * n, 2 * n):
         raise InvalidDimension(f"expected {2*n}x{2*n} transform, got {g.shape}")
+    size, exponent = np.frexp(_maxabs(g))  # max|g| = size 2^exponent
+    if not 0 < size < np.inf:
+        raise InvalidTransform("matrix is not conformal symplectic")
+    g = np.ldexp(g, -exponent)
+    P, Q, R, T = g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
+    scale = np.trace(P.T @ T - R.T @ Q) / n
     j = symplectic_form(n)
     gjg = g.T @ j @ g
-    scale = np.trace(gjg[:n, n:]) / n
-    size = _maxabs(g) ** 2
-    if not (abs(scale) > CSP_SCALE_MIN * size
-            and _maxabs(gjg - scale * j) <= FRAME_TOL * size):
+    if not (abs(scale) > CSP_SCALE_MIN * size**2
+            and _maxabs(gjg - scale * j) <= FRAME_TOL * size**2):
         raise InvalidTransform("matrix is not conformal symplectic")
-    return g
+    return g, scale
 
 
 def apply_symplectic(g, S):
@@ -269,15 +284,11 @@ def apply_symplectic(g, S):
     """
     S = np.asarray(S, dtype=float)
     n = S.shape[-1]
-    g = conformal_symplectic(g, n)
-    P, Q = g[:n, :n], g[:n, n:]
-    R, T = g[n:, :n], g[n:, n:]
-    # transformed_curve's formula, so an image curve's S has these bits
-    K, inside = chart_inverse(P + Q @ S)
-    Gates().require(inside, lambda i: NotInChart(
+    g, _ = conformal_symplectic(g, n)
+    P, Q, R, T = g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
+    return chart_point(P + Q @ S, R + T @ S, lambda i: NotInChart(
         f"P + Q S is singular at sample {i} (condition number above "
-        f"{COND_MAX:g})")).raise_error()
-    return symmetrize((R + T @ S) @ K)
+        f"{COND_MAX:g})"))[0]
 
 
 def random_hamiltonian(rng, n, scale=1.0):

@@ -260,6 +260,20 @@ class TestCompare:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "InvalidTransform"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_a_map_of_any_scale_is_accepted(self, c, capsys, tmp_path):
+        # c I acts on charts as the identity: max|g|^2 once overflowed (an
+        # OverflowError traceback) or underflowed to 0 (InvalidTransform)
+        spec = {"n": 2, "kind": "preset", "name": "paper-6.2-ex1",
+                "domain": [0, 1], "transform": (c * np.eye(4)).tolist()}
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps(spec))
+        code, out, _ = run(capsys, "compare", "paper-6.2-ex1", str(f),
+                           "--t0", "0", "--t1", "1")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "equivalent"
+
     def test_missing_domain_is_an_error(self, capsys, tmp_path):
         f = tmp_path / "curve.json"
         f.write_text(json.dumps({"n": 2, "kind": "polynomial",
@@ -330,6 +344,23 @@ class TestReconstruct:
         f = self.prescription(tmp_path, [1.0, -100.0], m=9)
         code, _, err = run(capsys, "reconstruct", str(f))
         assert code == 1
+        assert json.loads(err)["error"] == "StepTooCoarse"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key,value", [
+        ("K", [1e300, -1.0]),
+        ("Sigma", [[0.0, 1e300], [-1e300, 0.0]]),
+    ])
+    def test_an_overflowing_step_is_too_coarse(self, key, value, capsys,
+                                               tmp_path):
+        # the centered product and the Cayley step once overflowed with
+        # numeric warnings before the step gate decided
+        f = self.prescription(tmp_path, [0.0, -1.0], m=51)
+        spec = json.loads(f.read_text())
+        spec[key] = value
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "reconstruct", str(f))
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "StepTooCoarse"
 
 
@@ -709,6 +740,52 @@ def test_an_infinite_window_is_a_domain_error(argv, capsys):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def _tiny_window_table():
+    # every sample finite, but h^2 of the node step is 0
+    ts = np.linspace(0.0, 1e-200, 50)
+    return {"n": 2, "kind": "table", "samples": {
+        "t": ts.tolist(),
+        "S": preset_curve("paper-6.2-ex1").jets(ts).S.tolist()}}
+
+
+OUT_OF_RANGE = {
+    # fourier_curve's w**2 on Python floats raised OverflowError
+    "fourier-omega": (lambda: {
+        "n": 2, "kind": "fourier", "domain": [0, 1], "omega": 1e200,
+        "entries": {"cos": [[[0, 1], [0]], [[0], [0, 2]]],
+                    "sin": [[[0], [0]], [[0], [0]]]}}, "InvalidBasis"),
+    # the chain rule's psi'^2 and psi'^3 overflowed with warnings
+    "affine-reparam": (lambda: {
+        "n": 2, "kind": "preset", "name": "paper-6.2-ex1",
+        "reparam": {"type": "affine", "a": 1e300, "domain": [0, 1e-300]}},
+        "InvalidBasis"),
+    # sine_reparam's omega**2 on Python floats raised OverflowError
+    "sine-reparam": (lambda: {
+        "n": 2, "kind": "preset", "name": "paper-6.2-ex1",
+        "reparam": {"type": "sine", "omega": 1e200, "eps": 1e-300,
+                    "domain": [0, 1]}}, "InvalidBasis"),
+    # finite_diff divided by the h^2 that underflowed to 0
+    "tiny-window": (None, "DomainError"),
+    "tiny-table": (_tiny_window_table, "DomainError"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_an_input_out_of_float_range_is_one_typed_error(case, capsys,
+                                                        tmp_path):
+    spec, error = OUT_OF_RANGE[case]
+    if spec is None:
+        argv = ["--preset", "paper-6.2-ex1", "--t0", "0", "--t1", "1e-300"]
+    else:
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps(spec()))
+        argv = [str(f)]
+    code, out, err = run(capsys, "analyze", *argv)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
 class TestPresets:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "presets")
@@ -818,6 +895,26 @@ class TestFlags:
             assert run(capsys, *argv, *extra)[0] == 0
         adm = tolerances.ADM_TOL
         assert seen == [tolerances.STRICT_FACTOR * adm, adm] * 2
+
+    def test_a_negative_number_in_exponent_form_is_a_value(self, capsys,
+                                                           tmp_path):
+        # argparse alone reads -5e-2 as an option and exits 2
+        for t0 in ("-5e-2", "-0.05"):
+            code, _, _ = run(capsys, "analyze", "--preset", "paper-6.2-ex1",
+                             "--t0", t0, "--t1", "1", "--out",
+                             str(tmp_path / t0))
+            assert code == 0
+        assert ((tmp_path / "-5e-2" / "analysis.json").read_bytes()
+                == (tmp_path / "-0.05" / "analysis.json").read_bytes())
+
+    @pytest.mark.parametrize("argv,t0,m", [
+        (["--t0=-5e-2"], -0.05, 201),
+        (["--t0", "-1e300", "-m", "5"], -1e300, 5),
+        (["--t0", "-.5"], -0.5, 201),
+    ])
+    def test_negative_numbers_parse(self, argv, t0, m):
+        args = cli.build_parser().parse_args(["analyze", *argv])
+        assert (args.t0, args.m) == (t0, m)
 
     def test_version_exit_leaves_the_parser_usable(self, capsys):
         with pytest.raises(SystemExit) as e:

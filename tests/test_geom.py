@@ -31,7 +31,7 @@ from jacobi.matcurve import (
 )
 from jacobi.pipeline import analyze
 from jacobi.reconstruct import roundtrip
-from jacobi.symspace import random_csp
+from jacobi.symspace import conformal_symplectic, random_csp
 
 from .conftest import admissible_quartics, random_quartic
 from .test_cli import _stable_ref
@@ -319,12 +319,22 @@ class TestOneDecompositionOfVelocity:
         # one certificate of S' per analysis
         assert [name for name, _ in calls].count("cholesky") == 2
 
+    def test_roundtrip_solves_five_times(self, monkeypatch):
+        # the Schwarzian and the Sigma of each analysis, and the Cayley
+        # steps; the rebuilt curve is read off by the inverse that judges
+        # its A blocks, not by a solve of its own
+        calls = self.count_linalg(monkeypatch)
+        roundtrip(preset_curve("paper-6.2-ex1"), SampleGrid(0, 1, 201))
+        assert [name for name, _ in calls].count("solve") == 5
+
     def test_transformed_curve_inverts_its_chart_once(self, monkeypatch):
         g = random_csp(5, scale=0.7, n=2, ham_scale=0.3)
         grid = SampleGrid(0, 1, 201)
         base = preset_curve("paper-6.2-ex1")
         S = sample_curve(base, grid).S
-        chart = g[:2, :2] + g[:2, 2:] @ S
+        # the matrix inverted is P + Q S of the normalized map
+        gn, _ = conformal_symplectic(g, 2)
+        chart = gn[:2, :2] + gn[:2, 2:] @ S
         calls = self.count_linalg(monkeypatch)
         analyze(transformed_curve(base, g), grid)
         assert sum(name in ("solve", "inv") and np.array_equal(a, chart)
@@ -341,8 +351,9 @@ class TestOneDecompositionOfVelocity:
         base = curve_from_scalars([bench_tan_entry(x) for x in a],
                                   (-dom, dom))
         g = random_csp(seed, 0.5, n, 0.2)
+        gn, _ = conformal_symplectic(g, n)
         grid = SampleGrid(0, 1, 201)
-        chart = g[:n, :n] + g[:n, n:] @ sample_curve(base, grid).S
+        chart = gn[:n, :n] + gn[:n, n:] @ sample_curve(base, grid).S
         calls = self.count_linalg(monkeypatch)
         analyze(transformed_curve(base, g), grid)
         assert [name for name, _ in calls if name == "svd"] == []

@@ -283,12 +283,20 @@ class TestRandomCsp:
 
 
 class TestConformalSymplectic:
-    """Both tests of conformal_symplectic are relative to maxabs(g)^2."""
+    """Both tests of conformal_symplectic are relative to maxabs(g)^2, and
+    it returns g scaled by the power of two that puts max|g| in [1/2, 1)."""
+
+    @staticmethod
+    def normalized(g):
+        return np.ldexp(g, -np.frexp(np.max(np.abs(g)))[1])
 
     def test_small_multiple_of_identity_accepted(self):
-        # 1e-7 I acts on charts as the identity; its form scale is 1e-14
+        # 1e-7 I acts on charts as the identity; it is returned as c I with
+        # c in [1/2, 1), and its form scale is c^2
         g = 1e-7 * np.eye(4)
-        assert np.array_equal(conformal_symplectic(g, 2), g)
+        gn, scale = conformal_symplectic(g, 2)
+        assert np.array_equal(gn, self.normalized(g))
+        assert 0.5 <= gn[0, 0] < 1.0 and scale == gn[0, 0] ** 2
         s = np.array([[1.0, 0.5], [0.5, 2.0]])
         assert np.allclose(apply_symplectic(g, s), s)
 
@@ -315,7 +323,9 @@ class TestConformalSymplectic:
     @example(0, 6.0)
     def test_scaled_random_csp_accepted(self, seed, log_c):
         g = 10.0**log_c * random_csp(seed, scale=0.5, n=2, ham_scale=0.5)
-        assert np.array_equal(conformal_symplectic(g, 2), g)
+        gn, _ = conformal_symplectic(g, 2)
+        assert np.array_equal(gn, self.normalized(g))
+        assert 0.5 <= np.max(np.abs(gn)) < 1.0
 
 
 def chart_points(s, tol=SYM_TOL):
@@ -799,9 +809,7 @@ def chart_reference(frames):
     if inside.any():
         inside[inside] = np.linalg.cond(a[inside]) <= COND_MAX
     S = np.full(a.shape, np.nan)
-    S[inside] = symmetrize(np.linalg.solve(
-        a[inside].swapaxes(-1, -2), b[inside].swapaxes(-1, -2)
-    ).swapaxes(-1, -2))
+    S[inside] = symmetrize(b[inside] @ np.linalg.inv(a[inside]))
     return S, inside
 
 

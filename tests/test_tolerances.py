@@ -66,3 +66,21 @@ def test_one_invertibility_rule():
     assert sites == {"COND_MAX": {"symspace", "tolerances"},
                      "cond": {("symspace", "chart_inverse")},
                      "eigvalsh": {("symspace", "velocity_form")}}
+
+
+def test_one_read_off_rule_and_one_conformal_factor():
+    # a chart point is read off its basis [A; B] as B A^(-1) through the
+    # inverse that judges A (symspace.chart_point), so solve is left to
+    # the linear systems that are not read-offs; the conformal factor of a
+    # map is a trace in conformal_symplectic alone
+    sites = {"solve": set(), "trace": set()}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, scope in identifiers(path):
+            if name in sites:
+                sites[name].add((path.stem, scope))
+    assert sites == {"solve": {("curvature", "matrix_schwarzian"),
+                               ("frames", "reduced_invariants"),
+                               ("reconstruct", "integrate_frame")},
+                     "trace": {("curvature", "_ricci"),
+                               ("geom", "centered_schwarzian_det"),
+                               ("symspace", "conformal_symplectic")}}
