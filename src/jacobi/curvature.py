@@ -25,10 +25,12 @@ from .errors import (
     InflectionPoint,
     MonotonicityFailure,
     RegularityFailure,
+    RepeatedEigenvalues,
     SingularParameter,
 )
 from .matcurve import CurveJet
 from .symspace import (
+    _entrywise,
     _matrix_maxabs,
     _maxabs,
     chart_inverse,
@@ -36,7 +38,7 @@ from .symspace import (
     definite_eigh,
     symmetrize,
 )
-from .tolerances import RICCI_SYM_TOL
+from .tolerances import EIG_GAP_TOL, RICCI_SYM_TOL
 
 # parameter step of verify_derivative_curve's second difference
 VERIFY_STEP = 1e-3
@@ -89,26 +91,21 @@ def _not_monotone(t, sign):
 def ricci(j: CurveJet):
     """Diagonalize the curvature operator with S'-orthonormal eigenvectors.
 
-    Requires S' positive definite (monotone curve): one velocity_form of
-    S' judges regularity and definiteness.  Negate a curve with negative
-    definite S' first (the Schwarzian is even: the spectrum is unchanged,
-    only the normalization is affected).  Whether the spectrum is distinct
-    is judged by the admissibility screen (geom.screen).
+    Gates each sample, in order: S' regular by the jets' velocity form,
+    S' Sch symmetric, S' positive definite (so the one stacked eigensolve
+    sees only regular, positive definite samples), and the spectrum
+    distinct, its smallest gap at least EIG_GAP_TOL times its diameter
+    (else RepeatedEigenvalues with that gap); raises the error of the
+    earliest failing sample and its first failed gate.  A fully collapsed
+    spectrum (diameter 0: multiples of Id, flat curves) passes and is left
+    to the arc element.  Negate a curve with negative definite S' first
+    (the Schwarzian is even: the spectrum is unchanged, only the
+    normalization is affected).
     """
     if np.ndim(j.t) == 0:
         rs = ricci(j[None])
         return RicciData(*(getattr(rs, f.name)[0] for f in fields(rs)))
     gates = Gates()
-    rs = _ricci(gates, j)
-    gates.raise_error()
-    return rs
-
-
-def _ricci(gates, j: CurveJet):
-    """ricci of the jet series j on the samples that pass `gates`.  Adds to
-    `gates`, in order, the regularity of S' by the jets' velocity form, the
-    asymmetry of S' Sch and the definiteness of S' (sign +1), so the one
-    stacked eigensolve sees only regular, positive definite samples."""
     j = j.judged()
     regular, sign, l_inv = j.form
     j = j[:gates.require(regular, lambda i: RegularityFailure(j.t[i])).stop]
@@ -125,6 +122,11 @@ def _ricci(gates, j: CurveJet):
     stop = gates.stop
     a, s1 = (0.5 * (a + a.swapaxes(-1, -2)))[:stop], j.S1[:stop]
     mu, m = definite_eigh(a, s1, None if l_inv is None else l_inv[:stop])
+    if mu.shape[1] > 1:
+        gap = _entrywise(np.minimum, np.diff(mu, axis=1), 1)
+        gates.require(gap >= EIG_GAP_TOL * (mu[:, -1] - mu[:, 0]),
+                      lambda i: RepeatedEigenvalues(j.t[i], float(gap[i])))
+    gates.raise_error()
     return RicciData(
         t=j.t,
         schwarzian=sch,

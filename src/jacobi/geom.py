@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import RicciData, _ricci
+from .curvature import RicciData, ricci
 from .errors import (
     ComplexEigenvalues,
     Gates,
@@ -22,8 +22,7 @@ from .errors import (
     RepeatedEigenvalues,
 )
 from .matcurve import CurveJet, finite_diff, sample_curve
-from .symspace import _entrywise
-from .tolerances import ADM_TOL, EIG_GAP_TOL, NORM_TOL
+from .tolerances import ADM_TOL, NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,13 @@ def centered_schwarzian_det(sch):
 
 def zeta_series(ricci_series, adm_tol=ADM_TOL):
     """Arc element and derived scalars from the Schwarzians of a sampled
-    curve (the RicciData series of its grid)."""
+    curve (the RicciData series of its grid).  The admissibility
+    determinant must be at least adm_tol and positive, whatever adm_tol."""
     ts = ricci_series.t
     h = ts[1] - ts[0]
     n = ricci_series.eigvals.shape[-1]
     det = np.abs(centered_schwarzian_det(ricci_series.schwarzian))
-    Gates().require(det >= adm_tol,
+    Gates().require((det >= adm_tol) & (det > 0),
                     lambda i: NotAdmissible(ts[i])).raise_error()
     zeta = det ** (1.0 / (2 * n))
     zeta1 = finite_diff(zeta, h, 1)
@@ -157,14 +157,13 @@ class Analysis:
 def screen(curve, grid, adm_tol=ADM_TOL):
     """Open an Analysis: sample the curve once and run the four-step screen.
 
-    Steps: (1) velocity form definite of constant sign, (2) curvature
-    spectrum real and distinct, (3)+(4) admissibility determinant bounded
-    away from zero so the arc element exists.  A spectrum is not distinct
-    when its smallest gap is below EIG_GAP_TOL times its diameter; a fully
-    collapsed spectrum (diameter 0, e.g. scalar multiples of the identity
-    or flat curves) is left to the arc-element step, which it always fails
-    with the more informative verdict.  Failures of these steps are
-    recorded in `error`, not raised: that of the earliest failing sample.
+    Steps: (1) velocity form definite of constant sign (sample_curve's
+    velocity form; a negative definite curve is negated), (2) curvature
+    spectrum real and distinct (ricci, whose RepeatedEigenvalues gives
+    `min_eig_gap` on failure), (3)+(4) admissibility determinant positive
+    and bounded away from zero so the arc element exists (zeta_series).
+    Failures of these steps are recorded in `error`, not raised: that of
+    the earliest failing sample.
     """
     ana = Analysis(curve, grid)
     try:
@@ -178,19 +177,13 @@ def screen(curve, grid, adm_tol=ADM_TOL):
             np.negative(jets.orders, out=jets.orders)
             jets = CurveJet(jets.t, jets.orders, (regular, -sign, l_inv))
         ana.jets = jets
-        gates = Gates()
-        rs = _ricci(gates, jets)
-        mu = rs.eigvals
-        if mu.shape[1] > 1:
-            gap = _entrywise(np.minimum, np.diff(mu, axis=1), 1)
-            gates.require(
-                gap >= EIG_GAP_TOL * (mu[:, -1] - mu[:, 0]),
-                lambda i: RepeatedEigenvalues(jets.t[i], float(gap[i])))
-            ana.min_eig_gap = (float(np.min(gap)) if gates.error is None
-                               else getattr(gates.error, "gap", None))
-        gates.raise_error()
+        rs = ricci(jets)
+        if rs.eigvals.shape[1] > 1:
+            ana.min_eig_gap = float(np.min(np.diff(rs.eigvals, axis=1)))
         ana.ricci_series = rs
         ana.arc = zeta_series(rs, adm_tol=adm_tol)
+    except RepeatedEigenvalues as e:
+        ana.min_eig_gap, ana.error = e.gap, e
     except SCREEN_ERRORS as e:
         ana.error = e
     return ana

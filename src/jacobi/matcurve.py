@@ -437,10 +437,15 @@ def table_curve(ts, S_values, name=None):
     values = symmetric_input(gates, values, JET_SYM_TOL, "sample",
                              lambda i: f"t={float(ts[i])!r}")
     gates.raise_error()
-    jets = np.stack([values] + [finite_diff(values, h, k) for k in (1, 2, 3)])
-    # interior third derivatives upgraded to the O(h^4) wide stencil; the
-    # TABLE_TRIM rows at each end keep the five-point O(h^2) values
-    jets[3, 3:-3] = _stencil(values, STENCIL_3_WIDE, 3, len(values) - 3, h**3)
+    # on float64, so a stencil row that overflows is inf or NaN, for jets'
+    # gate at the nodes sampled
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = np.stack([values] + [finite_diff(values, h, k)
+                                    for k in (1, 2, 3)])
+        # interior third derivatives upgraded to the O(h^4) wide stencil;
+        # the TABLE_TRIM rows at each end keep the five-point O(h^2) values
+        jets[3, 3:-3] = _stencil(values, STENCIL_3_WIDE, 3, len(values) - 3,
+                                 h**3)
     return node_curve(ts, jets, "table", name)
 
 

@@ -66,8 +66,8 @@ class InvariantPrescription:
         if not dev <= NORM_TOL:
             self.warnings.append("centered curvature product deviates "
                                  f"from 1 (max dev {dev:.3e})")
-        # the screen's gap rule with <=: a fully collapsed spectrum is
-        # flagged here, where the screen leaves it to the arc-element step
+        # ricci's gap rule with <=: a fully collapsed spectrum is flagged
+        # here, where ricci leaves it to the arc element
         ds = np.sort(d, axis=1)
         gap = np.min(np.diff(ds, axis=1), axis=1, initial=np.inf)
         if not np.all(gap > EIG_GAP_TOL * (ds[:, -1] - ds[:, 0])):

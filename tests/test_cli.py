@@ -9,8 +9,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from jacobi import cli, tolerances
 from jacobi.cli import _invariant_csv, _json, main
+from jacobi.errors import InvalidBasis
 from jacobi.frames import ReducedCartan
-from jacobi.matcurve import SampleGrid, preset_curve, sample_curve
+from jacobi.matcurve import (SampleGrid, curve_from_json, preset_curve,
+                             sample_curve)
 from jacobi.symspace import random_csp, symplectic_form
 
 from .conftest import quartic_coeffs, random_quartic
@@ -179,6 +181,19 @@ class TestAnalyze:
         # 1e300 * 0.1 is still astronomically loose, so both behave the
         # same here; the factor is visible on the equivalence tolerance
         assert code_loose == code_strict
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_a_vanishing_arc_element_fails_at_any_tolerance(self, capsys,
+                                                            tol):
+        # det = 0 on the affine line passed a tolerance of 0 or below, and
+        # its zeta = 0 ended in a divide warning and a NaN normalization
+        code, out, err = run(capsys, "analyze", "--preset", "affine-line",
+                             "--t0", "0", "--t1", "1", "--tol-adm", tol)
+        assert (code, err) == (2, "")
+        report = json.loads(out)["admissibility"]
+        assert report["first_failure"] == "arc-element"
+        assert report["failure_t"] == 0.0
 
     def test_transform_leaving_the_chart_is_an_error(self, capsys, tmp_path):
         # S(0) = 0, so P + Q S is singular at t = 0 under J
@@ -538,6 +553,24 @@ class TestTableWindow:
         payload = json.loads(out)
         assert code == 0 and payload["k_deviation"] <= 1e-8
         assert payload["arclength"]["a"] == payload["arclength"]["b"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_edge_stencils_that_overflow(self, capsys, tmp_path):
+        # a table near the float range: its edge rows overflow without a
+        # warning, the trimmed window never samples them, and a jet at an
+        # end node is a typed error
+        f = tmp_path / "big.json"
+        s = 1e307 * preset_curve("paper-6.2-ex1").jets(self.NODES).S
+        f.write_text(json.dumps({
+            "n": 2, "kind": "table",
+            "samples": {"t": self.NODES.tolist(), "S": s.tolist()}}))
+        code, out, err = run(capsys, "analyze", str(f))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["admissibility"]["admissible"] is True
+        curve = curve_from_json(json.loads(f.read_text()))
+        with pytest.raises(InvalidBasis,
+                           match="jet of order 1 not finite at t=1.05"):
+            curve.jet(1.05)
 
 
 class TestRaggedJson:

@@ -18,8 +18,10 @@ from jacobi.errors import (
     JacobiError,
     MonotonicityFailure,
     RegularityFailure,
+    RepeatedEigenvalues,
     SingularParameter,
 )
+from jacobi.geom import screen
 from jacobi.matcurve import (
     CurveJet,
     SampleGrid,
@@ -194,10 +196,58 @@ class TestRicci:
             ricci(jets[4])
 
     def test_repeated_eigenvalues_left_to_the_screen(self):
-        # ricci reports a collapsed spectrum without judging it; the screen
-        # rejects it at the arc element (see test_geom)
+        # a fully collapsed spectrum passes ricci's gap gate and is left to
+        # the arc element, which rejects it (see test_geom)
         rd = ricci(preset_curve("scalar-tan-block").jet(0.2))
         assert rd.eigvals[0] == rd.eigvals[1]
+
+    @staticmethod
+    def near_gap_jets(ts, k, spoil=None):
+        """Jets with S' = Id, S'' = 0 and Sch = S''' = diag(0, 1, 2) before
+        sample k, diag(0, 1, 1 + 1e-9) (a relative gap below EIG_GAP_TOL)
+        from k on; `spoil` makes sample 2 asymmetric or sample 3
+        indefinite."""
+        m = ts.size
+        s1 = np.tile(np.eye(3), (m, 1, 1))
+        s3 = np.tile(np.diag([0.0, 1.0, 2.0]), (m, 1, 1))
+        s3[k:, 2, 2] = 1.0 + 1e-9
+        if spoil == "asymmetric":
+            s3[2, 0, 1] = 1.0
+        elif spoil == "indefinite":
+            s1[3, 1, 1] = -1.0
+        zero = np.zeros((m, 3, 3))
+        return CurveJet(ts, np.array([zero, s1, zero, s3]))
+
+    def test_near_repeated_spectrum_of_a_series(self):
+        # ricci judges the gap: the series' error is that of its earliest
+        # near-repeated sample, as that sample's single jet reports it, and
+        # the screen records the same verdict
+        grid, k = SampleGrid(0.0, 1.0, 8), 5
+        jets = self.near_gap_jets(grid.points, k)
+        with pytest.raises(RepeatedEigenvalues) as exc:
+            ricci(jets)
+        with pytest.raises(RepeatedEigenvalues) as single:
+            ricci(jets[k])
+        assert exc.value.t == grid.points[k]
+        assert str(exc.value) == str(single.value)
+        assert exc.value.gap == pytest.approx(1e-9, rel=1e-6)
+        c = SymmetricMatrixCurve(
+            3, lambda ts: self.near_gap_jets(ts, k).orders, (0.0, 1.0))
+        report = screen(c, grid).report()
+        assert report["first_failure"] == "spectrum-distinct"
+        assert report["failure_t"] == exc.value.t
+        assert report["min_eig_gap"] == exc.value.gap
+        assert report["messages"] == [str(exc.value)]
+
+    @pytest.mark.parametrize("spoil,error,stop", [
+        ("asymmetric", ComplexEigenvalues, 2),
+        ("indefinite", MonotonicityFailure, 3)])
+    def test_an_earlier_failed_gate_wins_over_the_gap(self, spoil, error,
+                                                      stop):
+        ts = np.linspace(0.0, 1.0, 8)
+        with pytest.raises(error) as exc:
+            ricci(self.near_gap_jets(ts, 5, spoil))
+        assert exc.value.t == ts[stop]
 
 
 class TestDerivativeCurve:

@@ -81,6 +81,6 @@ def test_one_read_off_rule_and_one_conformal_factor():
     assert sites == {"solve": {("curvature", "matrix_schwarzian"),
                                ("frames", "reduced_invariants"),
                                ("reconstruct", "integrate_frame")},
-                     "trace": {("curvature", "_ricci"),
+                     "trace": {("curvature", "ricci"),
                                ("geom", "centered_schwarzian_det"),
                                ("symspace", "conformal_symplectic")}}

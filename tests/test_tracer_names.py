@@ -35,7 +35,8 @@ def test_wrapped_methods_exist():
 
 def test_analyze_reaches_the_traced_sampling_and_schwarzian():
     # the screen samples through sample_curve and computes the Schwarzian
-    # through matrix_schwarzian, so neither layer reads 0 in a trace
+    # and its spectrum through ricci and matrix_schwarzian, so none of
+    # these layers reads 0 in a trace
     from jacobi.matcurve import SampleGrid, preset_curve
     from jacobi.pipeline import analyze
 
@@ -47,3 +48,4 @@ def test_analyze_reaches_the_traced_sampling_and_schwarzian():
         tracer.remove()
     assert tracer.count("matcurve.sample") == 1
     assert tracer.count("curvature.schwarzian") == 1
+    assert tracer.count("curvature.ricci") == 1
