@@ -16,7 +16,14 @@ type, its k_err and k_dev, and the first 16 hex digits of the SHA-256 of
 its own result.  `diff` of the output of two trees lists the operations
 that moved.
 
-    PYTHONPATH=src python3 scripts/op_digest.py SEED [SEED ...]
+With --against FILE, a saved output of this script (another tree's, at the
+same seeds), it then prints the transitions from that ledger to this one,
+grouped by class: pass -> fail, fail -> pass, a change of error type on a
+failing operation, and the largest k_err and k_dev change of each class
+that has one; and last, the count of operations whose own SHA-256 changed
+with no transition.  A ledger against itself prints no transition.
+
+    PYTHONPATH=src python3 scripts/op_digest.py SEED [SEED ...] [--against FILE]
 """
 
 import argparse
@@ -25,6 +32,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +78,10 @@ def feed(h, value, workdir):
 
 
 def digest(seeds):
-    """(operations, failed, SHA-256 hex digest) over every operation of
-    every workload at each seed; prints each operation's ledger line."""
-    h, count, failed = hashlib.sha256(), 0, 0
+    """(operations, failed, SHA-256 hex digest, ledger) over every
+    operation of every workload at each seed; prints each operation's
+    ledger line, and returns the lines as dicts."""
+    h, count, failed, ledger = hashlib.sha256(), 0, 0, []
     for seed in seeds:
         for name in workloads.WORKLOADS:
             with tempfile.TemporaryDirectory() as tmp:
@@ -91,21 +100,79 @@ def digest(seeds):
                     own = hashlib.sha256()
                     feed(h, value, tmp)
                     feed(own, value, tmp)
-                    print(json.dumps({
+                    ledger.append({
                         "seed": seed, "workload": name, "op": index,
                         "class": op.cls, "ok": outcome.ok,
                         "error": outcome.error, "k_err": outcome.k_err,
                         "k_dev": outcome.k_dev,
-                        "sha256": own.hexdigest()[:16]}))
-    return count, failed, h.hexdigest()
+                        "sha256": own.hexdigest()[:16]})
+                    print(json.dumps(ledger[-1]))
+    return count, failed, h.hexdigest(), ledger
+
+
+def read_ledger(path):
+    """The ledger lines of a saved output of this script, as dicts."""
+    lines = Path(path).read_text().splitlines()
+    return [json.loads(line) for line in lines if line.startswith("{")]
+
+
+def transitions(old, new):
+    """Report lines of the moves from the ledger old to the ledger new."""
+    def key(line):
+        return line["seed"], line["workload"], line["op"]
+
+    before = {key(line): line for line in old}
+    moves = defaultdict(lambda: defaultdict(list))
+    largest = defaultdict(dict)
+    quiet = unmatched = 0
+    for b in new:
+        a = before.pop(key(b), None)
+        if a is None:
+            unmatched += 1
+            continue
+        where = "seed {} {} op {}".format(*key(b))
+        if a["ok"] and not b["ok"]:
+            moves[b["class"]]["pass -> fail"].append(
+                f"{where} ({b['error']})")
+        elif b["ok"] and not a["ok"]:
+            moves[b["class"]]["fail -> pass"].append(
+                f"{where} (was {a['error']})")
+        elif a["error"] != b["error"]:
+            moves[b["class"]]["error type"].append(
+                f"{where} ({a['error']} -> {b['error']})")
+        elif a["sha256"] != b["sha256"]:
+            quiet += 1
+        for field in ("k_err", "k_dev"):
+            if a[field] is not None and b[field] is not None:
+                change = abs(b[field] - a[field])
+                if change > largest[b["class"]].get(field, (0.0,))[0]:
+                    largest[b["class"]][field] = (change, where)
+    out = []
+    for cls in sorted(set(moves) | set(largest)):
+        for kind, ops in moves[cls].items():
+            out.append(f"{cls}: {kind} {len(ops)}: {'; '.join(ops)}")
+        for field, (change, where) in sorted(largest[cls].items()):
+            out.append(f"{cls}: largest {field} change {change:.3e} "
+                       f"({where})")
+    count = sum(len(ops) for kinds in moves.values()
+                for ops in kinds.values())
+    out.append(f"transitions {count}, sha256 changed with no transition "
+               f"{quiet}, unmatched ops {unmatched + len(before)}")
+    return out
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("seeds", type=int, nargs="+")
+    p.add_argument("--against", metavar="FILE",
+                   help="a saved output of this script to report "
+                        "transitions from")
     args = p.parse_args(argv)
-    count, failed, hexdigest = digest(args.seeds)
+    old = None if args.against is None else read_ledger(args.against)
+    count, failed, hexdigest, ledger = digest(args.seeds)
     print(f"ops {count} failed {failed} sha256 {hexdigest}")
+    if old is not None:
+        print("\n".join(transitions(old, ledger)))
     return 0
 
 

@@ -35,7 +35,7 @@ def run(name, grid, out_dir=None):
     zeta_dev = float(np.max(np.abs(ana.reduced.zeta - 1.0)))
     m_dev = max(
         float(np.max(np.abs(m - ref["M"](t))))
-        for t, m in zip(ana.arc.ts, ana.frame.M)
+        for t, m in zip(ana.arc.ts, ana.frame[:, :2, :2])
     )
     print(f"{name}:")
     print(f"  |k - closed form|        = {k_dev:.3e}")

@@ -12,32 +12,18 @@ symplecticity residual.  Exits 1 if a preset does not close.
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from jacobi.errors import JacobiError
-from jacobi.matcurve import SampleGrid, polynomial_curve, preset_curve
+from jacobi.matcurve import SampleGrid, preset_curve
 from jacobi.pipeline import analyze
 from jacobi.reconstruct import roundtrip
 
-
-def random_quartic(seed, n=2, domain=(-0.5, 1.5)):
-    rng = np.random.default_rng(seed)
-
-    def sym(scale):
-        a = rng.normal(size=(n, n)) * scale
-        return 0.5 * (a + a.T)
-
-    p = sym(0.3) + np.eye(n) * (1.5 + rng.uniform(0, 1))
-    s0, q, r, t4 = sym(0.5), sym(0.6), sym(0.8), sym(0.8)
-    coeffs = [
-        [
-            [s0[i, j], p[i, j], q[i, j] / 2, r[i, j] / 6, t4[i, j] / 24]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return polynomial_curve(coeffs, domain, name=f"quartic-{n}-{seed}")
+# the test suite's random quartic, the one copy of the recipe
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.conftest import random_quartic  # noqa: E402
 
 
 def report(curve, grid):

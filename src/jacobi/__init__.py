@@ -27,7 +27,6 @@ from .cycles import (
 )
 from .errors import JacobiError
 from .frames import (
-    FrenetFrame,
     ReducedCartan,
     cartan_matrix,
     equivalent_reduced,
@@ -63,7 +62,6 @@ from .reconstruct import (
 from .symspace import (
     apply_symplectic,
     chart_translate_invert,
-    complete_symplectic_basis,
     frame_from_chart_pair,
     is_symplectic_frame,
     random_csp,

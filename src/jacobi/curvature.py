@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     ComplexEigenvalues,
+    DomainError,
     Gates,
     InflectionPoint,
     MonotonicityFailure,
@@ -55,13 +56,16 @@ def matrix_schwarzian(j: CurveJet):
     """(S')^(-1) S''' - (3/2)((S')^(-1) S'')^2, where the jets' velocity
     form (judged here if not yet) finds S' regular.  Not symmetric in
     general; it is similar to a symmetric matrix via the velocity form (see
-    ricci)."""
+    ricci).  Computed under np.errstate(all="ignore"), as `jets` runs the
+    evaluators: a Schwarzian out of float range is inf or NaN, without a
+    warning, and ricci gates it."""
     ts = np.atleast_1d(j.t)
     Gates().require(j.judged().form[0],
                     lambda i: RegularityFailure(ts[i])).raise_error()
-    a, b = np.split(np.linalg.solve(j.S1, np.concatenate([j.S3, j.S2], -1)),
-                    2, axis=-1)
-    return a - 1.5 * b @ b
+    with np.errstate(all="ignore"):
+        a, b = np.split(np.linalg.solve(
+            j.S1, np.concatenate([j.S3, j.S2], -1)), 2, axis=-1)
+        return a - 1.5 * b @ b
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,7 @@ def ricci(j: CurveJet):
     """Diagonalize the curvature operator with S'-orthonormal eigenvectors.
 
     Gates each sample, in order: S' regular by the jets' velocity form,
+    the Schwarzian finite (else DomainError: the jets are out of range),
     S' Sch symmetric, S' positive definite (so the one stacked eigensolve
     sees only regular, positive definite samples), and the spectrum
     distinct, its smallest gap at least EIG_GAP_TOL times its diameter
@@ -110,6 +115,11 @@ def ricci(j: CurveJet):
     regular, sign, l_inv = j.form
     j = j[:gates.require(regular, lambda i: RegularityFailure(j.t[i])).stop]
     sch = matrix_schwarzian(j)
+    stop = gates.require(np.isfinite(_matrix_maxabs(sch)), lambda i:
+                         DomainError(f"Schwarzian not finite at "
+                                     f"t={float(j.t[i])}: the jets are out "
+                                     "of range for the analysis")).stop
+    j, sch = j[:stop], sch[:stop]
     # S' * Sch = S''' - 1.5 S'' (S')^(-1) S'' is symmetric by construction;
     # asymmetry beyond roundoff means a corrupted jet.
     a = j.S1 @ sch

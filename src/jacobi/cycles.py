@@ -54,6 +54,7 @@ def is_flat(curve, grid, tol=FLAT_TOL):
     return _maxabs(matrix_schwarzian(sample_curve(curve, grid))) <= tol
 
 
+@np.errstate(all="ignore")
 def mobius_fit(jets):
     """Fit S(t) = ((a t + b)/(c t + d)) S1 to samples of a flat curve.
 
@@ -61,12 +62,16 @@ def mobius_fit(jets):
     differences (SVD); the scalar factors are then least-squares fitted with
     a Moebius function of t (homogeneous linear system in a, b, c, d).
     Returns ((a, b, c, d), S1, residual); coefficients are normalized to
-    unit max-magnitude with positive leading entry.
+    unit max-magnitude with positive leading entry.  Computed under
+    np.errstate(all="ignore"): a matrix of either SVD that is not finite
+    raises NoFit, as a residual that is not finite does.
     """
     ts, mats = jets.t, jets.S
     if ts.size < 4:
         raise NoFit(np.inf, "need at least 4 samples")
     diffs = (mats[1:] - mats[0]).reshape(ts.size - 1, -1)
+    if not np.isfinite(diffs).all():
+        raise NoFit(np.inf, "sample differences out of float range")
     _, svals, vt = np.linalg.svd(diffs, full_matrices=False)
     if svals[0] < ZERO_FLOOR:
         raise NoFit(np.inf, "samples are constant")
@@ -84,6 +89,8 @@ def mobius_fit(jets):
                                 "direction")
     # lam(t) (c t + d) - (a t + b) = 0: homogeneous least squares in (a,b,c,d)
     rows = np.column_stack([-ts, -np.ones_like(ts), lam * ts, lam])
+    if not np.isfinite(rows).all():
+        raise NoFit(np.inf, "fit rows out of float range")
     _, _, vt4 = np.linalg.svd(rows, full_matrices=False)
     coeffs = vt4[-1]
     coeffs = coeffs / _maxabs(coeffs)

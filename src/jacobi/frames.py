@@ -22,23 +22,6 @@ from .symspace import _entrywise, chart_inverse
 from .tolerances import EQUIV_TOL, MIN_OVERLAP, OVERLAP_SLACK, SIGN_TOL
 
 
-@dataclass(frozen=True)
-class FrenetFrame:
-    """Sign-continuous frame series along the sample grid of the arc.
-
-    frames[i] is the 2n x 2n symplectic frame at the i-th sample, the
-    sample axis first; its upper right block spans the derivative subspace.
-    """
-
-    frames: np.ndarray
-
-    @property
-    def M(self):
-        """The upper left n x n blocks: the bases M with M^T S' M = Id."""
-        n = self.frames.shape[-1] // 2
-        return self.frames[..., :n, :n]
-
-
 def _fix_signs(ms, ts):
     """Make eigenvector columns continuous in t; first sample gets the
     convention that each column's largest-magnitude entry is positive.
@@ -56,7 +39,9 @@ def _fix_signs(ms, ts):
 
 
 def frenet_frame(jets, ricci_series, arc: ArcData):
-    """Assemble the moving frame at every sample.
+    """The moving frame at every sample: an (m, 2n, 2n) stack of symplectic
+    frames, the sample axis first.  Its upper left block is M with
+    M^T S' M = Id; its upper right block spans the derivative subspace.
 
     Column order is by ascending curvature eigenvalue; the complement spans
     the derivative subspace Sbar = S - 2 S' corr^(-1) S' of the
@@ -80,7 +65,7 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     fr[:, n:, :n] = jets.S @ ms
     fr[:, :n, n:] = mbar
     fr[:, n:, n:] = jets.S @ mbar + jets.S1 @ ms
-    return FrenetFrame(fr)
+    return fr
 
 
 def cartan_matrix(Sigma, Kdiag):
@@ -96,7 +81,7 @@ def cartan_matrix(Sigma, Kdiag):
     return c
 
 
-def arc_normalized_frames(ff: FrenetFrame, arc: ArcData):
+def arc_normalized_frames(frames, arc: ArcData):
     """Frame series rescaled to the arc parametrization.
 
     The f columns scale by sqrt(zeta) and the fbar columns by 1/sqrt(zeta)
@@ -104,9 +89,9 @@ def arc_normalized_frames(ff: FrenetFrame, arc: ArcData):
     dF/dt = zeta(t) F C(t), C = cartan_matrix of Sigma before its canonical
     signs; the unscaled frames satisfy it only where zeta is constant.
     """
-    n = ff.M.shape[-1]
+    n = frames.shape[-1] // 2
     root = np.sqrt(arc.zeta)[:, None, None]
-    f = ff.frames.copy()
+    f = frames.copy()
     f[..., :n] *= root
     f[..., n:] /= root
     return f
@@ -132,7 +117,7 @@ class ReducedCartan:
         return -2.0 * self.Kdiag
 
 
-def reduced_invariants(ff: FrenetFrame, arc: ArcData, k):
+def reduced_invariants(frames, arc: ArcData, k):
     """Canonical blocks (Sigma, K) of the frame's Cartan matrix
     C = cartan_matrix(Sigma, K): Sigma = skew(M^(-1) M') / (2 zeta), M'
     finite-differenced from the sign-continuous M series, and K = -k/2 =
@@ -144,11 +129,11 @@ def reduced_invariants(ff: FrenetFrame, arc: ArcData, k):
     j's component so the entry at the first such sample is >= 0 and join
     them (a greedy spanning forest: no conflicts, components are disjoint).
     """
-    ms = ff.M
+    n = frames.shape[-1] // 2
+    ms = frames[:, :n, :n]
     a = np.linalg.solve(ms, finite_diff(ms, arc.ts[1] - arc.ts[0], 1))
     sig = (a - a.swapaxes(-1, -2)) / (2.0 * arc.zeta)[:, None, None]
     kd = -k / 2
-    n = kd.shape[1]
 
     # canonical signs
     eps = np.ones(n)

@@ -112,11 +112,12 @@ class Analysis:
     """Everything computed for one curve over one grid, as sample series.
 
     `screen` sets the fields up to `error`, `pipeline.complete` the
-    FrenetFrame `frame` and the ReducedCartan `reduced`.  `jets` is the
-    grid's judged jet series, negated when the velocity form is negative
-    definite (`flipped`: velocity_sign < 0; the spectrum is unchanged, the
-    normalization then well-posed).  `error` is the typed error of the
-    first failed step; the fields of the later steps are then left unset.
+    (m, 2n, 2n) frame stack `frame` and the ReducedCartan `reduced`.
+    `jets` is the grid's judged jet series, negated when the velocity form
+    is negative definite (`flipped`: velocity_sign < 0; the spectrum is
+    unchanged, the normalization then well-posed).  `error` is the typed
+    error of the first failed step; the fields of the later steps are then
+    left unset.
     """
 
     curve: object

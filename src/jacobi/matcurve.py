@@ -27,7 +27,7 @@ from .errors import (
     TooFewSamples,
 )
 from .symspace import (_entrywise, chart_point, conformal_symplectic,
-                       symmetric_input, velocity_form)
+                       symmetric_input, symmetrize, velocity_form)
 from .tolerances import JET_SYM_TOL, NODE_TOL
 
 # Five-point stencil coefficients on a uniform grid, exact rationals over the
@@ -247,7 +247,10 @@ class SampleGrid:
 
     @property
     def points(self):
-        return np.linspace(self.t0, self.t1, self.m)
+        # linspace's last product may round past the largest float on a
+        # span near it; that node is then set to t1
+        with np.errstate(over="ignore"):
+            return np.linspace(self.t0, self.t1, self.m)
 
 
 @dataclass(frozen=True)
@@ -312,13 +315,16 @@ class SymmetricMatrixCurve:
         of each jet order in turn (symspace.symmetric_input, which
         symmetrizes in place), then regularity, which judges the jets; the
         earliest failing sample's error is raised, and an error of the
-        evaluator comes before all of them."""
+        evaluator comes before all of them.  The evaluator runs on float64
+        under np.errstate(all="ignore"), so a jet that overflows or divides
+        by zero is inf or NaN, without a warning, and fails the gate."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.domain
         gates = Gates().require((lo <= ts) & (ts <= hi), lambda i: DomainError(
             f"t={float(ts[i])} outside domain [{lo}, {hi}]"))
         ts = ts[:gates.stop]
-        out = self._eval(ts)
+        with np.errstate(all="ignore"):
+            out = self._eval(ts)
         if [np.shape(a) for a in out] != [(ts.size, self.n, self.n)] * 4:
             raise InvalidDimension("evaluator must return four m x n x n arrays")
         orders = np.asarray(out, dtype=float)
@@ -378,16 +384,17 @@ def polynomial_curve(coeffs, domain, name=None):
     tensor = np.array(list(zip_longest(*entries, fillvalue=0.0)),
                       dtype=float).reshape(-1, n, n)
     length = np.array([len(c) for c in entries]).reshape(n, n)
-    tensors = [npoly.polyder(tensor, order, axis=0) for order in range(4)]
+    # a coefficient times its degree that overflows is inf, which jets gates
+    with np.errstate(over="ignore"):
+        tensors = [npoly.polyder(tensor, order, axis=0) for order in range(4)]
     for order, d in enumerate(tensors):
         # an entry differentiated away is polyder's c[:1] * 0, the signed
         # zero of its constant term
         d[0] = np.where(length <= order, tensor[0] * 0, d[0])
 
     def evaluator(ts):
-        mats = np.array([npoly.polyval(ts[:, None, None], c, tensor=False)
-                         for c in tensors])
-        return 0.5 * (mats + mats.swapaxes(-1, -2))
+        return symmetrize([npoly.polyval(ts[:, None, None], c, tensor=False)
+                           for c in tensors])
 
     return SymmetricMatrixCurve(n, evaluator, domain, kind="polynomial",
                                 name=name)
@@ -398,8 +405,6 @@ def fourier_curve(cos_coeffs, sin_coeffs, domain, omega=1.0, name=None):
     The shorter of an entry's cos and sin lists is padded with zeros."""
     n = len(cos_coeffs)
 
-    # on float64, so a jet that overflows is inf or NaN, for jets' gate
-    @np.errstate(over="ignore", invalid="ignore")
     def evaluator(ts):
         mats = np.zeros((n, n, 4, ts.size))
         for i, j in np.ndindex(n, n):
@@ -499,12 +504,9 @@ def reparametrized_curve(curve, psi_jet, domain, name=None):
         Sbar''' = psi''' S' + 3 psi' psi'' S'' + psi'^3 S'''
     `psi_jet` is called once on the whole parameter vector, as the entries
     of `curve_from_scalars` are.  Its jets overwrite the curve's stack,
-    order 3 first, so each order is read before it is replaced.  A jet that
-    overflows is inf or NaN, without a warning, and fails the gate of
-    `jets`.
+    order 3 first, so each order is read before it is replaced.
     """
 
-    @np.errstate(over="ignore", invalid="ignore")
     def evaluator(us):
         # float arrays: a scalar psi' is raised by numpy's array power too
         p, p1, p2, p3 = np.array(np.broadcast_arrays(*psi_jet(us), us)[:4],

@@ -212,7 +212,7 @@ def arc_uniform_prescription(analysis):
     tau = np.linspace(0.0, ell[-1], ell.size)
     sig, kd = invariant_spline(ell, rc.Sigma, rc.Kdiag)(tau)
     return InvariantPrescription(ts=tau, Sigma=sig, Kdiag=kd,
-                                 F0=analysis.frame.frames[0])
+                                 F0=analysis.frame[0])
 
 
 def frame_curve(p: InvariantPrescription, frames):

@@ -201,21 +201,11 @@ def is_symplectic_frame(F):
     return residual <= FRAME_TOL, residual
 
 
-def complete_symplectic_basis(M, S, Sbar):
-    """Unique complement Mbar = (Sbar - S)^(-1) (M^T)^(-1), the upper right
-    block of frame_from_chart_pair.
-
-    The columns of M are a basis of the subspace with chart coordinate S;
-    the returned Mbar spans the subspace at Sbar so that the combined frame
-    is symplectic: M^T (Sbar - S) Mbar = Id.
-    """
-    n = np.shape(M)[-1]
-    return frame_from_chart_pair(M, S, Sbar)[..., :n, n:]
-
-
 def frame_from_chart_pair(M, S, Sbar):
     """Symplectic frame matrix (..., 2n, 2n) with f spanning S (basis M) and
-    fbar spanning Sbar; a singular M or Sbar - S raises."""
+    fbar spanning Sbar; a singular M or Sbar - S raises.  Its upper right
+    block is the basis completion: the unique Mbar = (Sbar - S)^(-1) M^(-T),
+    with M^T (Sbar - S) Mbar = Id."""
     M, S, Sbar = (np.asarray(a, dtype=float) for a in (M, S, Sbar))
     m_inv, m_inside = chart_inverse(M)
     diff_inv, diff_inside = chart_inverse(Sbar - S)

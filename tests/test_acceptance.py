@@ -62,7 +62,7 @@ def test_01_first_example_reproduction(unit_grid):
     assert np.max(np.abs(k - np.array([-2.0, 0.0]))) <= 1e-5
     assert np.max(np.abs(ana.reduced.Sigma)) <= 1e-6
     assert np.max(np.abs(ana.reduced.zeta - 1.0)) <= 1e-5
-    for t, m in zip(ana.arc.ts, ana.frame.M):
+    for t, m in zip(ana.arc.ts, ana.frame[:, :2, :2]):
         ref = np.diag([np.cosh(t) + np.sinh(t), 1.0 + t])
         dev = min(
             np.max(np.abs(m @ np.diag(signs) - ref))

@@ -20,6 +20,7 @@ from jacobi.errors import (
 from jacobi.curvature import ricci
 from jacobi.geom import zeta_series
 from jacobi.matcurve import (
+    CurveJet,
     SampleGrid,
     SymmetricMatrixCurve,
     polynomial_curve,
@@ -146,6 +147,18 @@ class TestMobiusFit:
         jets = sample_curve(c, SampleGrid(0.1, 0.3, 7))
         with pytest.raises(NoFit):
             mobius_fit(jets[:3])
+
+    @pytest.mark.filterwarnings("error")
+    def test_samples_out_of_float_range(self):
+        # sample differences, or the fit's rows lambda(t) t, past the
+        # largest float are a NoFit, not a numeric warning
+        orders = np.zeros((4, 7, 1, 1))
+        orders[0, :, 0, 0] = [-1e308 + k * (1e308 / 3) for k in range(7)]
+        with pytest.raises(NoFit, match="sample differences"):
+            mobius_fit(CurveJet(np.linspace(0.0, 1.0, 7), orders))
+        line = polynomial_curve([[[0.0, 1.0]]], (0.0, 1e300))
+        with pytest.raises(NoFit, match="fit rows"):
+            mobius_fit(sample_curve(line, SampleGrid(0.0, 1e300, 21)))
 
 
 class TestCycleThrough:

@@ -1,17 +1,15 @@
 import itertools
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from dataclasses import fields, replace
+from dataclasses import replace
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jacobi.curvature import derivative_curve
 from jacobi.errors import EigenCrossing, GridMismatch, JacobiError
 from jacobi.frames import (
-    FrenetFrame,
     arc_normalized_frames,
     cartan_matrix,
     equivalent_reduced,
@@ -47,21 +45,21 @@ def ode_residuals(ana, fs, h):
 class TestFrenetFrame:
     def test_first_preset_basis(self, unit_grid):
         ana = analyze(preset_curve("paper-6.2-ex1"), unit_grid)
-        for t, m in zip(ana.arc.ts, ana.frame.M):
+        for t, m in zip(ana.arc.ts, ana.frame[:, :2, :2]):
             ref = np.diag([np.cosh(t) + np.sinh(t), 1 + t])
             assert np.max(np.abs(m - ref)) <= 1e-9
 
     def test_second_preset_basis(self, unit_grid):
         # valid where cos + sin > 0, i.e. the whole [0, 1] window
         ana = analyze(preset_curve("paper-6.2-ex2"), unit_grid)
-        for t, m in zip(ana.arc.ts, ana.frame.M):
+        for t, m in zip(ana.arc.ts, ana.frame[:, :2, :2]):
             ref = np.diag([1 + t, np.cos(t) + np.sin(t)])
             assert np.max(np.abs(m - ref)) <= 1e-9
 
     def test_frames_symplectic(self, coarse_grid):
         for c in admissible_quartics(range(12), want=5):
             ana = analyze(c, coarse_grid)
-            resid = is_symplectic_frame(ana.frame.frames)[1]
+            resid = is_symplectic_frame(ana.frame)[1]
             assert np.max(resid) <= 1e-7, c.name
 
     @settings(max_examples=30, deadline=None)
@@ -81,11 +79,11 @@ class TestFrenetFrame:
             assume(False)
         jets = ana.jets
         ref = frame_from_chart_pair(
-            ana.frame.M, jets.S,
+            ana.frame[:, :n, :n], jets.S,
             derivative_curve(jets, ana.arc.zeta1 / ana.arc.zeta))
-        assert (np.max(np.abs(ana.frame.frames - ref))
+        assert (np.max(np.abs(ana.frame - ref))
                 <= 1e-10 * np.max(np.abs(ref)))
-        frames = ana.frame.frames
+        frames = ana.frame
         scale = np.maximum(1.0, np.max(np.abs(frames), axis=(1, 2)) ** 2)
         assert np.max(is_symplectic_frame(frames)[1] / scale) <= 1e-13
 
@@ -104,15 +102,16 @@ class TestFrenetFrame:
                 monkeypatch.setattr(module, "is_symplectic_frame", counted)
         ana = analyze(preset_curve("paper-6.2-ex1"), unit_grid)
         assert calls == []
-        assert [f.name for f in fields(ana.frame)] == ["frames"]
-        assert np.array_equal(ana.frame.M, ana.frame.frames[:, :2, :2])
+        # the frame is a plain (m, 2n, 2n) float stack
+        assert type(ana.frame) is np.ndarray and ana.frame.dtype == float
+        assert ana.frame.shape == (unit_grid.m, 4, 4)
 
     def test_velocity_inverse_identity(self, coarse_grid):
         # (S')^(-1) = M M^T for the normalized eigenbasis
         for c in admissible_quartics(range(8), want=3):
             ana = analyze(c, coarse_grid)
             jets = sample_curve(c, coarse_grid)
-            for s1, m in zip(jets.S1, ana.frame.M):
+            for s1, m in zip(jets.S1, ana.frame[:, :2, :2]):
                 lhs = np.linalg.inv(s1)
                 assert np.max(np.abs(lhs - m @ m.T)) <= 1e-8 * max(
                     1.0, np.max(np.abs(lhs))
@@ -120,7 +119,7 @@ class TestFrenetFrame:
 
     def test_column_continuity(self, unit_grid):
         ana = analyze(preset_curve("paper-6.2-ex2"), unit_grid)
-        ms = ana.frame.M
+        ms = ana.frame[:, :2, :2]
         for i in range(1, len(ms)):
             for c in range(2):
                 assert ms[i][:, c] @ ms[i - 1][:, c] > 0
@@ -155,7 +154,7 @@ class TestCartanMatrix:
         # finite-differencing the frame series (interior rows only)
         for name in ("paper-6.2-ex1", "paper-6.2-ex2"):
             ana = analyze(preset_curve(name), unit_grid)
-            resid = ode_residuals(ana, ana.frame.frames, unit_grid.h)
+            resid = ode_residuals(ana, ana.frame, unit_grid.h)
             assert np.max(resid) <= 1e-4, (name, np.argmax(resid) + 2)
 
     def test_defining_ode_residual_random(self, coarse_grid):
@@ -198,8 +197,7 @@ class TestReducedInvariants:
             ana = analyze(c, unit_grid)
             for eps in itertools.product((1.0, -1.0), repeat=ana.reduced.n):
                 # flipping frame columns conjugates Sigma by diag(eps)
-                flipped = FrenetFrame(ana.frame.frames
-                                      * np.concatenate([eps, eps]))
+                flipped = ana.frame * np.concatenate([eps, eps])
                 rc = reduced_invariants(flipped, ana.arc,
                                         ana.reduced.curvatures())
                 assert np.allclose(rc.Sigma, ana.reduced.Sigma, atol=1e-12)
@@ -246,17 +244,19 @@ def rotation_m(rate, m=101):
 
 def synthetic_frame(ms, s_last=1.0):
     """reduced_invariants arguments for the eigenvector series ms on [0, 1]
-    with zeta = 1 and fixed distinct curvatures; the last column of ms is
-    multiplied by s_last."""
+    with zeta = 1 and fixed distinct curvatures: a frame stack whose upper
+    left blocks are ms, the last column multiplied by s_last (the other
+    blocks, which reduced_invariants does not read, are zero)."""
     m, n = ms.shape[:2]
-    ms = ms.copy()
-    ms[:, :, -1] *= s_last
+    frames = np.zeros((m, 2 * n, 2 * n))
+    frames[:, :n, :n] = ms
+    frames[:, :n, n - 1] *= s_last
     ts = np.linspace(0.0, 1.0, m)
     one, zero = np.ones(m), np.zeros(m)
     arc = ArcData(ts=ts, zeta=one, zeta1=zero, zeta2=zero, sphi=zero,
                   arclength=ts)
     k = np.tile(np.arange(n, dtype=float), (m, 1))
-    return SimpleNamespace(M=ms), arc, k
+    return frames, arc, k
 
 
 class TestInvariantSpline:

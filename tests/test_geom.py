@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,21 @@ from .test_cli import _stable_ref
 
 # S -> -S: a conformal symplectic map of scale -1
 NEGATE = np.diag([1.0, 1.0, -1.0, -1.0])
+
+
+def load_bench_inputs():
+    """bench/inputs.py, loaded from its file: the one copy of the
+    closed-form family, whose roundoff some tests below depend on."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_INPUTS = load_bench_inputs()
 
 
 def ricci_series(curve, grid):
@@ -347,9 +365,7 @@ class TestOneDecompositionOfVelocity:
         # of P + Q S, so no sample needs an SVD
         rng = np.random.default_rng(seed)
         a = np.sort(rng.uniform(0.2, 1.3, size=n))
-        dom = 0.99 * np.pi / (2.0 * a.max())
-        base = curve_from_scalars([bench_tan_entry(x) for x in a],
-                                  (-dom, dom))
+        base = BENCH_INPUTS.tan_base(a)
         g = random_csp(seed, 0.5, n, 0.2)
         gn, _ = conformal_symplectic(g, n)
         grid = SampleGrid(0, 1, 201)
@@ -392,9 +408,8 @@ def analysis_record(curve, grid):
         ana = analyze(curve, grid)
     except JacobiError as e:
         return [type(e).__name__, str(e)]
-    record = [ana.velocity_sign, ana.min_eig_gap]
-    for part in (ana.jets, ana.ricci_series, ana.arc, ana.frame,
-                 ana.reduced):
+    record = [ana.velocity_sign, ana.min_eig_gap, ana.frame.tobytes()]
+    for part in (ana.jets, ana.ricci_series, ana.arc, ana.reduced):
         record += [np.asarray(getattr(part, f.name)).tobytes()
                    for f in dataclasses.fields(part) if f.name != "form"]
     # the jets' verdict on S': l_inv is None on the spectral path by design
@@ -466,19 +481,6 @@ class TestCertifiedVelocity:
             assert record(curve, grid) == certified
 
 
-def bench_tan_entry(a):
-    """The closed-form family's entry tan(a t)/a, in the benchmark's
-    formulas (whose roundoff decides the failure below)."""
-    def entry(t):
-        c = np.cos(a * t)
-        sec2 = c**-2
-        tn = np.tan(a * t)
-        return (tn / a, sec2, 2.0 * a * sec2 * tn,
-                2.0 * a * a * sec2 * (sec2 + 2.0 * tn**2))
-
-    return entry
-
-
 @pytest.mark.xfail(strict=True, raises=InflectionPoint, reason=(
     "known defect, ROADMAP item 8: S''(0) = 0 and the stencil zeta'(0) "
     "rounds to exactly 0, so corr = S'' - (zeta'/zeta) S' vanishes at t = 0 "
@@ -488,9 +490,8 @@ def test_untransformed_tan_base_through_t0():
     # draw_rates(default_rng(12), 3) of the benchmark inputs
     a = np.array([0.40825242299373743, 0.47590690391929075,
                   1.241428237145367])
-    dom = 0.99 * np.pi / (2.0 * a.max())
-    curve = curve_from_scalars([bench_tan_entry(x) for x in a], (-dom, dom))
-    k = analyze(curve, SampleGrid(0.0, 1.0, 201)).reduced.curvatures()
+    k = analyze(BENCH_INPUTS.tan_base(a),
+                SampleGrid(0.0, 1.0, 201)).reduced.curvatures()
     mu = np.sort(2.0 * a**2)
     k_exact = mu / np.prod(np.abs(mu - mu.mean())) ** (1.0 / a.size)
     # relative: with the gate removed this draw reads 1.9e-9 against
