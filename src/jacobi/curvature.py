@@ -96,15 +96,15 @@ def ricci(j: CurveJet):
     """Diagonalize the curvature operator with S'-orthonormal eigenvectors.
 
     Gates each sample, in order: S' regular by the jets' velocity form,
-    the Schwarzian finite (else DomainError: the jets are out of range),
-    S' Sch symmetric, S' positive definite (so the one stacked eigensolve
-    sees only regular, positive definite samples), and the spectrum
-    distinct, its smallest gap at least EIG_GAP_TOL times its diameter
-    (else RepeatedEigenvalues with that gap); raises the error of the
-    earliest failing sample and its first failed gate.  A fully collapsed
-    spectrum (diameter 0: multiples of Id, flat curves) passes and is left
-    to the arc element.  Negate a curve with negative definite S' first
-    (the Schwarzian is even: the spectrum is unchanged, only the
+    the Schwarzian and S' Sch finite (else DomainError: the jets are out
+    of range), S' Sch symmetric, S' positive definite (so the one stacked
+    eigensolve sees only regular, positive definite samples), and the
+    spectrum distinct, its smallest gap at least EIG_GAP_TOL times its
+    diameter (else RepeatedEigenvalues with that gap); raises the error of
+    the earliest failing sample and its first failed gate.  A fully
+    collapsed spectrum (diameter 0: multiples of Id, flat curves) passes
+    and is left to the arc element.  Negate a curve with negative definite
+    S' first (the Schwarzian is even: the spectrum is unchanged, only the
     normalization is affected).
     """
     if np.ndim(j.t) == 0:
@@ -121,16 +121,22 @@ def ricci(j: CurveJet):
                                      "of range for the analysis")).stop
     j, sch = j[:stop], sch[:stop]
     # S' * Sch = S''' - 1.5 S'' (S')^(-1) S'' is symmetric by construction;
-    # asymmetry beyond roundoff means a corrupted jet.
-    a = j.S1 @ sch
-    asym = _matrix_maxabs(a - a.swapaxes(-1, -2))
-    gates.require(asym <= RICCI_SYM_TOL * np.maximum(1.0, _matrix_maxabs(a)),
+    # asymmetry beyond roundoff means a corrupted jet.  A product out of
+    # float range is inf or NaN, without a warning, and is gated first.
+    with np.errstate(all="ignore"):
+        a = j.S1 @ sch
+        asym = _matrix_maxabs(a - a.swapaxes(-1, -2))
+    scale = _matrix_maxabs(a)
+    gates.require(np.isfinite(scale), lambda i: DomainError(
+        f"S' Sch not finite at t={float(j.t[i])}: the jets are out of range "
+        "for the analysis"))
+    gates.require(asym <= RICCI_SYM_TOL * np.maximum(1.0, scale),
                   lambda i: ComplexEigenvalues(
                       j.t[i], f"velocity-weighted curvature asymmetric "
                       f"({asym[i]:g}) at t={float(j.t[i])}"))
     gates.require(sign > 0, lambda i: _not_monotone(j.t[i], sign[i]))
     stop = gates.stop
-    a, s1 = (0.5 * (a + a.swapaxes(-1, -2)))[:stop], j.S1[:stop]
+    a, s1 = symmetrize(a[:stop]), j.S1[:stop]
     mu, m = definite_eigh(a, s1, None if l_inv is None else l_inv[:stop])
     if mu.shape[1] > 1:
         gap = _entrywise(np.minimum, np.diff(mu, axis=1), 1)

@@ -13,6 +13,7 @@ import numpy as np
 from .curvature import RicciData, ricci
 from .errors import (
     ComplexEigenvalues,
+    DomainError,
     Gates,
     JacobiError,
     MonotonicityFailure,
@@ -53,13 +54,19 @@ def centered_schwarzian_det(sch):
 def zeta_series(ricci_series, adm_tol=ADM_TOL):
     """Arc element and derived scalars from the Schwarzians of a sampled
     curve (the RicciData series of its grid).  The admissibility
-    determinant must be at least adm_tol and positive, whatever adm_tol."""
+    determinant, computed under np.errstate(all="ignore") as the
+    Schwarzian is, must be finite (else DomainError), then at least adm_tol
+    and positive, whatever adm_tol."""
     ts = ricci_series.t
     h = ts[1] - ts[0]
     n = ricci_series.eigvals.shape[-1]
-    det = np.abs(centered_schwarzian_det(ricci_series.schwarzian))
-    Gates().require((det >= adm_tol) & (det > 0),
-                    lambda i: NotAdmissible(ts[i])).raise_error()
+    with np.errstate(all="ignore"):
+        det = np.abs(centered_schwarzian_det(ricci_series.schwarzian))
+    Gates().require(np.isfinite(det), lambda i: DomainError(
+        f"admissibility determinant not finite at t={float(ts[i])}: the "
+        "Schwarzians are out of range for the analysis")).require(
+        (det >= adm_tol) & (det > 0),
+        lambda i: NotAdmissible(ts[i])).raise_error()
     zeta = det ** (1.0 / (2 * n))
     zeta1 = finite_diff(zeta, h, 1)
     zeta2 = finite_diff(zeta, h, 2)

@@ -406,16 +406,16 @@ def fourier_curve(cos_coeffs, sin_coeffs, domain, omega=1.0, name=None):
     n = len(cos_coeffs)
 
     def evaluator(ts):
-        mats = np.zeros((n, n, 4, ts.size))
+        mats = np.zeros((4, ts.size, n, n))
         for i, j in np.ndindex(n, n):
             for k, (a, b) in enumerate(zip_longest(
                     cos_coeffs[i][j], sin_coeffs[i][j], fillvalue=0.0)):
                 w = np.float64(k * omega)
                 c, s = np.cos(w * ts), np.sin(w * ts)
-                mats[i, j] += (a * c + b * s, w * (-a * s + b * c),
-                               w**2 * (-a * c - b * s), w**3 * (a * s - b * c))
-        mats = mats.transpose(2, 3, 0, 1)
-        return 0.5 * (mats + mats.swapaxes(-1, -2))
+                mats[:, :, i, j] += (a * c + b * s, w * (-a * s + b * c),
+                                     w**2 * (-a * c - b * s),
+                                     w**3 * (a * s - b * c))
+        return symmetrize(mats)
 
     return SymmetricMatrixCurve(n, evaluator, domain, kind="fourier", name=name)
 
@@ -576,11 +576,6 @@ def transformed_curve(curve, g, name=None):
             f"P + Q S is singular at t={float(ts[i])!r}: the image leaves "
             "the chart"))
         Kt = K.swapaxes(-1, -2)
-
-        def congruent(a):
-            c = Kt @ a @ K
-            return 0.5 * s * (c + c.swapaxes(-1, -2))
-
         U = K @ Q
         US1 = U @ S1
         H = S1 @ US1
@@ -588,10 +583,10 @@ def transformed_curve(curve, g, name=None):
         A = (S2 @ ((2 * U + U.swapaxes(-1, -2)) @ S1)
              - (2 * H + H.swapaxes(-1, -2)) @ US1)
         del U, US1, H
-        jets[3] = congruent(S3 - A - A.swapaxes(-1, -2))
+        jets[3] = s * symmetrize(Kt @ (S3 - A - A.swapaxes(-1, -2)) @ K)
         del A
-        jets[2] = congruent(G2)
-        jets[1] = congruent(S1)
+        jets[2] = s * symmetrize(Kt @ G2 @ K)
+        jets[1] = s * symmetrize(Kt @ S1 @ K)
         jets[0] = Sg
         return jets
 

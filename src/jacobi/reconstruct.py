@@ -25,7 +25,7 @@ from .matcurve import (SampleGrid, finite_diff, json_array, json_integer,
                        json_numbers, node_curve, require_keys)
 from .pipeline import analyze
 from .symspace import (_entrywise, _matrix_maxabs, _maxabs, chart_inverse,
-                       chart_point, is_symplectic_frame, symmetrize)
+                       chart_point, is_symplectic_frame)
 from .tolerances import (EIG_GAP_TOL, NORM_TOL, RESID_MAX, ROUNDTRIP_TOL,
                          SKEW_TOL, STEP_MAX)
 
@@ -176,13 +176,15 @@ def curve_from_frame(frames):
 
     Returns (S, segments): S (m, n, n) is NaN at the chart exits, where the
     A block is singular (symspace.chart_inverse's rule, cond(A) >
-    COND_MAX); `segments` lists the maximal in-chart index ranges.
+    COND_MAX), and symspace.chart_point's read-off elsewhere; `segments`
+    lists the maximal in-chart index ranges.
     """
     n = frames.shape[-1] // 2
     a, b = frames[:, :n, :n], frames[:, n:, :n]
     _, inside = chart_inverse(a)
     S = np.full(a.shape, np.nan)
-    S[inside] = symmetrize(b[inside] @ np.linalg.inv(a[inside]))
+    S[inside] = chart_point(a[inside], b[inside], lambda i: NotInChart(
+        f"the frame's A block is singular at sample {i}"))[0]
     edges = np.flatnonzero(np.diff(np.concatenate([[0], inside, [0]])))
     segments = [(int(i), int(j) - 1) for i, j in zip(edges[::2], edges[1::2])]
     return S, segments

@@ -126,7 +126,7 @@ def definite_eigh(a, b, l_inv=None):
     if l_inv is None:
         l_inv = np.linalg.inv(np.linalg.cholesky(b))
     c = l_inv @ a @ l_inv.swapaxes(-1, -2)
-    mu, v = np.linalg.eigh(0.5 * (c + c.swapaxes(-1, -2)))
+    mu, v = np.linalg.eigh(symmetrize(c))
     return mu, l_inv.swapaxes(-1, -2) @ v
 
 
@@ -286,8 +286,7 @@ def random_hamiltonian(rng, n, scale=1.0):
     m = rng.normal(size=(n, n)) * scale
     nn = rng.normal(size=(n, n)) * scale
     rr = rng.normal(size=(n, n)) * scale
-    nn = 0.5 * (nn + nn.T)
-    rr = 0.5 * (rr + rr.T)
+    nn, rr = symmetrize(nn), symmetrize(rr)
     h = np.zeros((2 * n, 2 * n))
     h[:n, :n] = m
     h[:n, n:] = nn

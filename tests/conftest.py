@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +16,22 @@ from jacobi.matcurve import SampleGrid, SymmetricMatrixCurve, polynomial_curve
 ROUNDTRIP_SEEDS = [0, 2, 3, 4, 9, 10, 11, 14, 19, 20]
 
 
+def load_bench_inputs():
+    """bench/inputs.py, loaded from its file: the one copy of the
+    benchmark's recipes (the quartic, the closed-form family), whose
+    roundoff some tests depend on."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_INPUTS = load_bench_inputs()
+
+
 def random_quartic(seed, n=2, domain=(-0.5, 1.5), scale=1.0):
     """Random monotone quartic matrix curve; dominant linear term keeps S'
     positive definite on [0, 1] for almost all seeds (inadmissible draws are
@@ -22,23 +42,11 @@ def random_quartic(seed, n=2, domain=(-0.5, 1.5), scale=1.0):
 
 
 def quartic_coeffs(seed, n=2, scale=1.0):
-    """random_quartic's entries, as polynomial_curve's coefficient lists."""
-    rng = np.random.default_rng(seed)
-
-    def sym(scale):
-        a = rng.normal(size=(n, n)) * scale
-        return 0.5 * (a + a.T)
-
-    p = sym(0.3) + np.eye(n) * (1.5 + rng.uniform(0, 1))
-    s0, q, r, t4 = sym(0.5), sym(0.6), sym(0.8), sym(0.8)
-    return [
-        [
-            [scale * float(c) for c in (s0[i, j], p[i, j], q[i, j] / 2,
-                                        r[i, j] / 6, t4[i, j] / 24)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    """random_quartic's entries, as polynomial_curve's coefficient lists:
+    the benchmark's recipe at default_rng(seed), times `scale`."""
+    coeffs = BENCH_INPUTS.quartic_coeffs(np.random.default_rng(seed), n)
+    return [[[scale * float(c) for c in entry] for entry in row]
+            for row in coeffs]
 
 
 def admissible_quartics(seeds, n=2, grid=None, want=None):

@@ -42,7 +42,11 @@ ERROR_NAMES = {name for name, value in vars(errors).items()
 # of float range (finite jets); a preset's division by zero where its
 # domain is widened to a pole (t / (1 + t) at t = -1); linspace's last
 # product past the largest float on a span near it; the Moebius fit of a
-# flat curve, whose rows lambda(t) t = t^2 pass the largest float
+# flat curve, whose rows lambda(t) t = t^2 pass the largest float; the
+# Fourier evaluator's mean of two finite entries; transformed_curve's
+# congruence mean, under the identity map; ricci's mean of S' Sch; S' Sch
+# out of float range (finite Schwarzian); the admissibility determinant
+# out of float range
 POLYDER = {"n": 2, "kind": "polynomial", "domain": [0, 1],
            "entries": [[[0, 1, 1.7e308], [0]], [[0], [0, 2]]]}
 POLYVAL = {"n": 2, "kind": "polynomial", "domain": [-1e300, 1],
@@ -55,6 +59,21 @@ POLE = {"kind": "preset", "name": "paper-6.2-ex1", "domain": [-1.0, 1.0]}
 EX1 = {"kind": "preset", "name": "paper-6.2-ex1"}
 LINE = {"n": 1, "kind": "polynomial", "domain": [0, 1e300],
         "entries": [[[0, 1]]]}
+FOURIER_MEAN = {"n": 2, "kind": "fourier", "domain": [0, 1],
+                "entries": {"cos": [[[0, 1], [1.7e308]], [[1.7e308], [0, 2]]],
+                            "sin": [[[0, 1], [0]], [[0], [0, 2]]]}}
+CONGRUENCE = {"n": 2, "kind": "polynomial", "domain": [0, 1],
+              "entries": [[[0, 1], [0, 2.5e307]], [[0, 2.5e307], [0, 2]]]}
+IDENTITY_MAP = {**CONGRUENCE, "transform": [
+    [float(i == j) for j in range(4)] for i in range(4)]}
+RICCI_MEAN = {"n": 2, "kind": "polynomial", "domain": [0, 1],
+              "entries": [[[0, 1e200, 4.1e253], [0]],
+                          [[0], [0, 2e200, 1e253]]]}
+VELOCITY_SCHWARZIAN = {"n": 2, "kind": "polynomial", "domain": [0, 1],
+                       "entries": [[[0, 1e200, 5e299], [0]],
+                                   [[0], [0, 2e200, 5e299]]]}
+DETERMINANT = {"n": 2, "kind": "polynomial", "domain": [0, 1],
+               "entries": [[[0, 1, 5e79], [0]], [[0], [0, 2, 2e80]]]}
 
 
 def entries(n, max_size=4):
@@ -172,6 +191,11 @@ def run_cli(obj, argv):
 @example(EX1, ["analyze", "CURVE", "--t0", "-1.7976931348623157e+308",
                "-m", "7"])
 @example(LINE, ["cycle", "CURVE", "-m", "21"])
+@example(FOURIER_MEAN, ["analyze", "CURVE", "-m", "21"])
+@example(IDENTITY_MAP, ["analyze", "CURVE", "-m", "21"])
+@example(RICCI_MEAN, ["analyze", "CURVE", "-m", "21"])
+@example(VELOCITY_SCHWARZIAN, ["analyze", "CURVE", "-m", "21"])
+@example(DETERMINANT, ["analyze", "CURVE", "-m", "21"])
 def test_cli_keeps_the_error_contract(obj, argv):
     code, _, err = run_cli(obj, argv)
     assert code in (0, 1, 2, 3), (code, err)
@@ -189,6 +213,11 @@ def test_cli_keeps_the_error_contract(obj, argv):
 @example(SCHWARZIAN, [0.0, 1.0], 21)
 @example(POLE, [-1.0, 1.0], 21)
 @example(EX1, [-1.7976931348623157e308, 1.0], 7)
+@example(FOURIER_MEAN, [0.0, 1.0], 21)
+@example(IDENTITY_MAP, [0.0, 1.0], 21)
+@example(RICCI_MEAN, [0.0, 1.0], 21)
+@example(VELOCITY_SCHWARZIAN, [0.0, 1.0], 21)
+@example(DETERMINANT, [0.0, 1.0], 21)
 def test_analyze_raises_only_typed_errors(obj, domain, m):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -200,18 +229,44 @@ def test_analyze_raises_only_typed_errors(obj, domain, m):
 
 def test_the_escapes_end_in_their_verdicts():
     # polyder's and polyval's overflow are one InvalidBasis line, and a
-    # Schwarzian out of float range one DomainError line
-    for obj, message in [
-            (POLYDER, "jet of order 1 not finite at t=0.0"),
-            (POLYVAL, "jet of order 0 not finite at t=-1e+300"),
-            (SCHWARZIAN, "Schwarzian not finite at t=0.0: the jets are out "
-                         "of range for the analysis")]:
+    # Schwarzian, S' Sch or admissibility determinant out of float range
+    # one DomainError line (S' Sch also for the 1 x 1 twin)
+    twin = {"n": 1, "kind": "polynomial", "domain": [0, 1],
+            "entries": [[[0, 1e200, 5e299]]]}
+    jets_out = "t=0.0: the jets are out of range for the analysis"
+    for obj, error, message in [
+            (POLYDER, "InvalidBasis", "jet of order 1 not finite at t=0.0"),
+            (POLYVAL, "InvalidBasis",
+             "jet of order 0 not finite at t=-1e+300"),
+            (SCHWARZIAN, "DomainError",
+             "Schwarzian not finite at " + jets_out),
+            (VELOCITY_SCHWARZIAN, "DomainError",
+             "S' Sch not finite at " + jets_out),
+            (twin, "DomainError", "S' Sch not finite at " + jets_out),
+            (DETERMINANT, "DomainError",
+             "admissibility determinant not finite at t=0.0: the "
+             "Schwarzians are out of range for the analysis")]:
         code, _, err = run_cli(obj, ["analyze", "CURVE", "-m", "21"])
-        assert code == 1 and json.loads(err)["message"] == message
-    # the mean of two finite entries is finite: the curve reaches the screen
-    code, out, _ = run_cli(MEAN, ["analyze", "CURVE", "-m", "21"])
-    assert code == 2
-    assert json.loads(out)["admissibility"]["first_failure"] == "arc-element"
-    # cycle still finds the curve of that Schwarzian not flat
+        assert code == 1
+        assert json.loads(err) == {"error": error, "message": message}
+    # the mean of two finite entries is finite: each curve reaches the
+    # screen
+    reports = {}
+    for name, obj, failure in [
+            ("mean", MEAN, "arc-element"),
+            ("fourier", FOURIER_MEAN, "velocity-definite"),
+            ("base", CONGRUENCE, "velocity-definite"),
+            ("identity", IDENTITY_MAP, "velocity-definite"),
+            ("ricci", RICCI_MEAN, "arc-element")]:
+        code, out, _ = run_cli(obj, ["analyze", "CURVE", "-m", "21"])
+        reports[name] = json.loads(out)["admissibility"]
+        assert code == 2 and reports[name]["first_failure"] == failure
+    assert reports["ricci"]["messages"] == ["curve not admissible at t=0.05"]
+    # the identity map leaves the verdict of its base as it is
+    assert reports["identity"] == reports["base"]
+    assert reports["base"]["messages"] == [
+        "velocity form not definite of constant sign at t=0.0"]
+    # cycle still finds the curve whose Schwarzian is out of range not
+    # flat
     code, out, _ = run_cli(SCHWARZIAN, ["cycle", "CURVE", "-m", "21"])
     assert code == 0 and json.loads(out)["flat"] is False

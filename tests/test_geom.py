@@ -1,8 +1,5 @@
 import dataclasses
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,27 +33,12 @@ from jacobi.pipeline import analyze
 from jacobi.reconstruct import roundtrip
 from jacobi.symspace import conformal_symplectic, random_csp
 
-from .conftest import admissible_quartics, random_quartic
+from .conftest import BENCH_INPUTS, admissible_quartics, random_quartic
 from .test_cli import _stable_ref
 
 
 # S -> -S: a conformal symplectic map of scale -1
 NEGATE = np.diag([1.0, 1.0, -1.0, -1.0])
-
-
-def load_bench_inputs():
-    """bench/inputs.py, loaded from its file: the one copy of the
-    closed-form family, whose roundoff some tests below depend on."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-BENCH_INPUTS = load_bench_inputs()
 
 
 def ricci_series(curve, grid):

@@ -71,9 +71,10 @@ def test_one_invertibility_rule():
 def test_one_read_off_rule_and_one_conformal_factor():
     # a chart point is read off its basis [A; B] as B A^(-1) through the
     # inverse that judges A (symspace.chart_point), so solve is left to
-    # the linear systems that are not read-offs; the conformal factor of a
-    # map is a trace in conformal_symplectic alone
-    sites = {"solve": set(), "trace": set()}
+    # the linear systems that are not read-offs and inv to the rules that
+    # judge a matrix; the conformal factor of a map is a trace in
+    # conformal_symplectic alone
+    sites = {"solve": set(), "trace": set(), "inv": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         for name, scope in identifiers(path):
             if name in sites:
@@ -83,4 +84,67 @@ def test_one_read_off_rule_and_one_conformal_factor():
                                ("reconstruct", "integrate_frame")},
                      "trace": {("curvature", "ricci"),
                                ("geom", "centered_schwarzian_det"),
-                               ("symspace", "conformal_symplectic")}}
+                               ("symspace", "conformal_symplectic")},
+                     "inv": {("symspace", "velocity_form"),
+                             ("symspace", "chart_inverse"),
+                             ("symspace", "definite_eigh")}}
+
+
+def transposed(node):
+    """x of a transpose x.T, x.swapaxes(...) or x.transpose(...), else
+    None."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        return node.value
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("swapaxes", "transpose")):
+        return node.func.value
+    return None
+
+
+def factors(node):
+    """The factors of a product (divisors included), or [node]."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                  (ast.Mult, ast.Div)):
+        return factors(node.left) + factors(node.right)
+    return [node]
+
+
+def is_constant(node):
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def sum_first_means(source):
+    """Line of each constant times the sum of an expression and its
+    transpose, such as 0.5 * (x + x.T) or 0.5 * s * (x + x.swapaxes(-1,
+    -2)): a mean spelled by hand."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        parts = factors(node)
+        if len(parts) < 2 or not any(map(is_constant, parts)):
+            continue
+        for part in parts:
+            if isinstance(part, ast.BinOp) and isinstance(part.op, ast.Add):
+                for x, y in ((part.left, part.right), (part.right, part.left)):
+                    base = transposed(y)
+                    if base is not None and ast.dump(base) == ast.dump(x):
+                        lines.add(part.lineno)
+    return sorted(lines)
+
+
+def test_one_mean_rule():
+    # every average of a matrix with its transpose is symspace.symmetrize,
+    # which halves first, so the mean of two finite entries is finite
+    hits = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+            for line in sum_first_means(path.read_text())]
+    assert hits == []
+    # the matcher finds the hand-written forms, and passes a sum that is
+    # not a mean (S'' = X + X^T) and the halved-first rule itself
+    assert sum_first_means("\n".join([
+        "0.5 * (x + x.T)",
+        "0.5 * s * (c + c.swapaxes(-1, -2))",
+        "(a.transpose(0, 2, 1) + a) / 2",
+        "x + x.swapaxes(-1, -2)",
+        "0.5 * s + 0.5 * s.swapaxes(-1, -2)",
+        "0.5 * (2 * u + u.T)"])) == [1, 2, 3]
