@@ -320,11 +320,12 @@ def cmd_cycle(args):
         return 0
     curve = _load_curve(args)
     grid = _grid_for(curve, args)
-    flat = is_flat(curve, grid, tol=args.tol_flat)
+    jets = sample_curve(curve, grid)
+    flat = is_flat(jets, tol=args.tol_flat)
     payload = {"curve": curve.name, "flat": flat}
     if flat:
         try:
-            coeffs, direction, resid = mobius_fit(sample_curve(curve, grid))
+            coeffs, direction, resid = mobius_fit(jets)
             payload["mobius"] = {"coeffs": list(coeffs),
                                  "direction": direction,
                                  "residual": resid}

@@ -14,7 +14,6 @@ import numpy as np
 
 from .curvature import matrix_schwarzian
 from .errors import Gates, NoFit, NotGeneralPosition, ZeroDirection
-from .matcurve import sample_curve
 from .symspace import _maxabs, chart_inverse, symmetrize
 from .tolerances import (FIT_TOL, FLAT_TOL, MEMBER_TOL, MOBIUS_DEN_MIN,
                          ZERO_FLOOR)
@@ -48,10 +47,11 @@ class Cycle:
     regular: bool
 
 
-def is_flat(curve, grid, tol=FLAT_TOL):
-    """True iff sup_t ||Schwarzian(S)||_inf <= tol over the grid."""
+def is_flat(jets, tol=FLAT_TOL):
+    """True iff sup_t ||Schwarzian(S)||_inf <= tol over the sampled jets
+    (matcurve.sample_curve's), which mobius_fit can then fit."""
     # matrix_schwarzian reads the verdict on S' that sample_curve made
-    return _maxabs(matrix_schwarzian(sample_curve(curve, grid))) <= tol
+    return _maxabs(matrix_schwarzian(jets)) <= tol
 
 
 @np.errstate(all="ignore")

@@ -5,10 +5,10 @@ spline) and a symplectic initial basis F0, integrate the linear frame ODE
 
     dF/dtau = F [[Sigma, K], [Id, Sigma]]
 
-with fourth-order Cayley step maps F <- F + F D formed for all intervals at
-once, read the curve off as S = B A^(-1) from the frame's first column block
-[A; B], and close the loop: analyze -> reconstruct -> re-analyze must
-reproduce the invariants.
+with fourth-order Cayley step maps I + D formed for all intervals at once
+and chained by one log-depth prefix product, read the curve off as
+S = B A^(-1) from the frame's first column block [A; B], and close the
+loop: analyze -> reconstruct -> re-analyze must reproduce the invariants.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (Gates, GridMismatch, InvalidDimension, NotInChart,
-                     StepTooCoarse, SymplecticityLoss)
+from .errors import (DomainError, Gates, GridMismatch, InvalidDimension,
+                     NotInChart, StepTooCoarse, SymplecticityLoss)
 from .frames import cartan_matrix, equivalent_reduced, invariant_spline
 from .geom import centered_product
 from .matcurve import (SampleGrid, finite_diff, json_array, json_integer,
@@ -130,19 +130,51 @@ def prescription_from_json(obj):
         Kdiag=np.broadcast_to(k, (m, n)).copy(), F0=f0.reshape(2 * n, 2 * n))
 
 
+def _prefix_products(d, work):
+    """Replace each d[i] of a stack (m, k, k), in place, by the Q with
+    I + Q = (I + d[0]) ... (I + d[i]), using work[:m // 2] as scratch.
+    Factors join as (I + A)(I + B) = I + (A + B + A B), so no I + d is
+    rounded, which would cost 1 ulp of I, not of d, a step.  A pairwise
+    scan: the up-sweep joins adjacent blocks of 1, 2, 4, ... factors into
+    the last entry of each pair of blocks, and the down-sweep joins each
+    block end still short of a full product to the full product before
+    it; about 2 log2(m) levels of stacked matmuls, under 2m products.  No
+    stack of m matrices is allocated: the page faults of a fresh one of a
+    few MB cost about as much as the products."""
+    def join(i, s):
+        # d[j] <- the join of d[j - s] and d[j], for j = i, i + 2s, ...
+        right = d[i::2 * s]
+        left = d[i - s::2 * s][:len(right)]
+        ab = np.matmul(left, right, out=work[:len(right)])
+        ab += left
+        right += ab
+
+    s = 1
+    while 2 * s <= len(d):
+        join(2 * s - 1, s)
+        s *= 2
+    while s > 1:
+        s //= 2
+        join(3 * s - 1, s)
+    return d
+
+
 def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
     """Fourth-order Cayley integration of the frame ODE over the
     prescription grid: on each interval, Omega = h/2 (C1 + C2) +
     (sqrt(3) h^2 / 12) [C1, C2] from C at the Gauss nodes
     tau + (1/2 -+ sqrt(3)/6) h, less Omega^3 / 12, and the step
-    F <- F + F D with D = cay(Omega) - I = (I - Omega/2)^(-1) Omega is
-    exactly symplectic.  Every D comes from one stacked solve; only the
-    product is a loop.  Returns (frames (m, 2n, 2n), max_residual), the
-    residual of a frame F being max|F^T J F - J| / max(1, max|F|^2): the
-    roundoff of a product of F's size grows with max|F|^2, so a fast-growing
-    frame is judged by that scale, and frames of size <= 1 absolutely.  The
-    earliest step over STEP_MAX raises StepTooCoarse, and a residual above
-    resid_max SymplecticityLoss.
+    F <- F (I + D) with D = cay(Omega) - I = (I - Omega/2)^(-1) Omega is
+    exactly symplectic.  Every D comes from one stacked solve, and the
+    products (I + D_0) ... (I + D_i) from one prefix scan of the D
+    (_prefix_products), with no loop over steps.  Returns (frames
+    (m, 2n, 2n), max_residual), the residual of a frame F being
+    max|F^T J F - J| / max(1, max|F|^2): the roundoff of a product of F's
+    size grows with max|F|^2, so a fast-growing frame is judged by that
+    scale, and frames of size <= 1 absolutely.  The earliest step over
+    STEP_MAX raises StepTooCoarse, the earliest frame whose residual is not
+    finite (the frame or F^T J F out of float range) DomainError, and a
+    residual above resid_max SymplecticityLoss.
     """
     ts, f0 = p.ts, p.F0
     h = np.diff(ts)
@@ -160,12 +192,19 @@ def integrate_frame(p: InvariantPrescription, resid_max=RESID_MAX):
                     lambda i: StepTooCoarse(ts[i])).raise_error()
     d = np.linalg.solve(np.eye(f0.shape[0]) - 0.5 * omega, omega)
     frames = np.empty((ts.size,) + f0.shape)
-    f = frames[0] = f0
-    for i, di in enumerate(d):
-        f = frames[i + 1] = f + f @ di
-    _, resid = is_symplectic_frame(frames[1:])
-    resid /= np.maximum(1.0, _matrix_maxabs(frames[1:]) ** 2)
-    resid = np.max(resid) if resid.size else 0.0
+    frames[0] = f0
+    # a frame out of float range has an inf or NaN residual, which fails
+    # the gate.  frames[1:] is the scan's scratch space until it is set to
+    # F0 (I + Q) = F0 + F0 Q
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(f0, _prefix_products(d, frames[1:]), out=frames[1:])
+        frames[1:] += f0
+        _, resid = is_symplectic_frame(frames[1:])
+        resid /= np.maximum(1.0, _matrix_maxabs(frames[1:]) ** 2)
+    Gates().require(np.isfinite(resid), lambda i: DomainError(
+        f"frame out of float range at t={float(ts[i + 1])}: its "
+        "symplecticity residual is not finite")).raise_error()
+    resid = np.max(resid, initial=0.0)
     if not resid <= resid_max:
         raise SymplecticityLoss(resid)
     return frames, resid

@@ -378,6 +378,22 @@ class TestReconstruct:
         assert code == 1 and out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "StepTooCoarse"
 
+    @pytest.mark.filterwarnings("error")
+    def test_frames_out_of_float_range_are_one_typed_error(self, capsys,
+                                                           tmp_path):
+        # every step is below STEP_MAX, but the frames grow like
+        # exp(sqrt(60) tau) and leave float range; the product and the
+        # residual once warned seven times and ended in a NaN residual
+        f = self.prescription(tmp_path, [50.0, 60.0], m=2001)
+        spec = json.loads(f.read_text())
+        spec["grid"]["t1"] = 200.0
+        f.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "reconstruct", str(f))
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "DomainError"
+        assert payload["message"].startswith("frame out of float range at t=")
+
 
 class TestCycle:
     def test_points_file(self, capsys, tmp_path):
@@ -435,6 +451,21 @@ class TestCycle:
         payload = json.loads(out)
         assert payload["flat"] is True
         assert "coeffs" in payload["mobius"]
+
+    def test_curve_is_sampled_once(self, capsys, monkeypatch):
+        # is_flat and mobius_fit read one sampling, whose velocity form is
+        # judged by one Cholesky factorization
+        calls = []
+
+        def cholesky(a, _fn=np.linalg.cholesky):
+            calls.append(a)
+            return _fn(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        code, out, _ = run(capsys, "cycle", "--preset", "affine-line",
+                           "--t0", "0", "--t1", "1")
+        assert code == 0 and "coeffs" in json.loads(out)["mobius"]
+        assert len(calls) == 1
 
     def test_curved_preset_not_flat(self, capsys):
         code, out, _ = run(capsys, "cycle", "--preset", "paper-6.2-ex1",

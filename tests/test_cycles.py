@@ -78,14 +78,15 @@ class TestIsFlat:
             [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 3.0]]],
             (-1.0, 2.0),
         )
-        assert is_flat(c, unit_grid)
+        assert is_flat(sample_curve(c, unit_grid))
 
     def test_mobius_multiple_is_flat(self, unit_grid):
         c = scalar_mobius_curve(2.0, 1.0, 1.0, 3.0, np.diag([1.0, -1.0]))
-        assert is_flat(c, unit_grid)
+        assert is_flat(sample_curve(c, unit_grid))
 
     def test_first_preset_is_not_flat(self, unit_grid):
-        assert not is_flat(preset_curve("paper-6.2-ex1"), unit_grid)
+        assert not is_flat(sample_curve(preset_curve("paper-6.2-ex1"),
+                                         unit_grid))
 
     def test_velocity_is_factored_once(self, unit_grid, monkeypatch):
         # sample_curve's gate on S' is the only one
@@ -99,7 +100,7 @@ class TestIsFlat:
         c = scalar_mobius_curve(2.0, 1.0, 1.0, 3.0, np.diag([1.0, 2.0]))
         for curve in (c, preset_curve("paper-6.2-ex1")):
             calls.clear()
-            is_flat(curve, unit_grid)
+            is_flat(sample_curve(curve, unit_grid))
             assert len(calls) == 1
 
     def test_flat_curve_is_inadmissible(self, unit_grid):
@@ -284,4 +285,5 @@ class TestFlatCurvesUnderTransforms:
         c = scalar_mobius_curve(2.0, 1.0, 1.0, 3.0, np.diag([1.0, -1.0]))
         for seed in range(3):
             g = random_csp(seed, scale=0.4, n=2, ham_scale=0.2)
-            assert is_flat(transformed_curve(c, g), unit_grid, tol=1e-6)
+            assert is_flat(sample_curve(transformed_curve(c, g), unit_grid),
+                           tol=1e-6)

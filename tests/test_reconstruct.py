@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobi import reconstruct
-from jacobi.errors import (InvalidDimension, JacobiError, MissingKey,
-                           NotInChart, StepTooCoarse, SymplecticityLoss)
+from jacobi.errors import (DomainError, InvalidDimension, JacobiError,
+                           MissingKey, NotInChart, StepTooCoarse,
+                           SymplecticityLoss)
 from jacobi.frames import cartan_matrix, equivalent_reduced
 from jacobi.matcurve import (STENCIL_3_WIDE, SampleGrid, _stencil,
                              finite_diff, preset_curve)
 from jacobi.pipeline import analyze
 from jacobi.reconstruct import (
     InvariantPrescription,
+    _prefix_products,
     arc_uniform_prescription,
     curve_from_frame,
     frame_curve,
@@ -20,7 +23,7 @@ from jacobi.reconstruct import (
     prescription_from_json,
     roundtrip,
 )
-from jacobi.symspace import is_symplectic_frame
+from jacobi.symspace import is_symplectic_frame, random_csp
 from jacobi.tolerances import RESID_MAX, ROUNDTRIP_TOL, STEP_MAX
 
 from .conftest import ROUNDTRIP_SEEDS, admissible_quartics, random_quartic
@@ -206,8 +209,6 @@ def cayley_per_step(p):
 def smooth_prescription(seed, n, m):
     """Sigma and K as random trigonometric polynomials on a random interval,
     from a random conformal symplectic initial frame."""
-    from jacobi.symspace import random_csp
-
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, rng.uniform(0.5, 2.0), m)
     waves = np.stack([np.ones(m), np.sin(ts), np.cos(2.0 * ts)], axis=1)
@@ -215,6 +216,34 @@ def smooth_prescription(seed, n, m):
     kd = waves @ rng.normal(size=(3, n))
     return InvariantPrescription(ts=ts, Sigma=sig - sig.swapaxes(1, 2),
                                  Kdiag=kd, F0=random_csp(seed, n=n))
+
+
+def sequential_products(d):
+    """Reference for the prefix scan: (I + d[0]) ... (I + d[i]) for each
+    i, one factor at a time."""
+    out = np.empty_like(d)
+    p = np.eye(d.shape[-1])
+    for i, di in enumerate(d):
+        p = out[i] = p + p @ di
+    return out
+
+
+class TestPrefixProducts:
+    # odd lengths, powers of two and their neighbours, and the lengths in
+    # between; the steps are of the size h = 1/m of a grid's
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.integers(1, 257) | st.sampled_from(
+               [2**j + e for j in range(1, 9) for e in (-1, 0, 1)]),
+           st.sampled_from([4, 6, 8, 12]), st.floats(0.1, 3.0))
+    def test_matches_the_sequential_product(self, seed, m, k, scale):
+        d = scale / m * np.random.default_rng(seed).normal(size=(m, k, k))
+        ref = sequential_products(d)
+        q = d.copy()
+        assert _prefix_products(q, np.empty_like(q[:m // 2])) is q
+        gap = np.abs(np.eye(k) + q - ref)
+        assert np.max(gap / np.max(np.abs(ref), axis=(1, 2),
+                                   keepdims=True)) <= 5e-14
 
 
 class TestCayleyStep:
@@ -357,6 +386,37 @@ class TestIntegrateFrame:
         assert np.array_equal(again, frames)
         with pytest.raises(SymplecticityLoss):
             integrate_frame(p, resid_max=0.5 * resid)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_constant_k_matches_the_exponential(self, n):
+        # Sigma = 0 and constant K: the frames are F0 expm(tau C) exactly.
+        # The integrator's own error is below 1e-17 a step here, so this
+        # measures the roundoff of chaining 3200 equal steps: the
+        # sequential F <- F + F D keeps 1.2e-14 of each frame, while a
+        # product of the I + D rounded to floats loses 2.6e-13
+        m = 3201
+        ts = np.linspace(0.0, 1.0, m)
+        kd = np.linspace(-4.0, 4.0, n)
+        f0 = random_csp(n, n=n)
+        p = InvariantPrescription(ts=ts, Sigma=np.zeros((m, n, n)),
+                                  Kdiag=np.tile(kd, (m, 1)), F0=f0)
+        frames, _ = integrate_frame(p)
+        exact = f0 @ scipy.linalg.expm(
+            ts[:, None, None] * cartan_matrix(np.zeros((n, n)), kd))
+        err = np.max(np.abs(frames - exact), axis=(1, 2))
+        assert np.max(err / np.max(np.abs(exact), axis=(1, 2))) <= 2e-14
+
+    @pytest.mark.filterwarnings("error")
+    def test_frames_out_of_float_range_are_a_domain_error(self):
+        # steps of 0.77 rad, below STEP_MAX, but the frames grow like
+        # exp(sqrt(60) tau): at tau = 46 max|F|^2, the residual's scale,
+        # passes the largest float, and the product and the residual once
+        # warned and ended in a NaN residual
+        p = constant_prescription([50.0, 60.0], m=2001, t1=200.0)
+        with pytest.raises(DomainError) as e:
+            integrate_frame(p)
+        assert str(e.value) == ("frame out of float range at t=46.0: its "
+                                "symplecticity residual is not finite")
 
     def test_residual_cap_enforced(self):
         p = constant_prescription([1.0, 0.0], m=51)
@@ -555,7 +615,6 @@ class TestRoundtrip:
         # initial frames give equivalent curves; the curves are read as
         # tables of their points, so the frames enter through the stencils
         from jacobi.matcurve import table_curve
-        from jacobi.symspace import random_csp
 
         ana = analyze(preset_curve("paper-6.2-ex2"), unit_grid)
         p = arc_uniform_prescription(ana)
