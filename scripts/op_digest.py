@@ -5,10 +5,12 @@ Builds the three workloads of bench/workloads.py at each seed, calls every
 operation once, and prints the operation count, the count whose check
 failed, and one SHA-256 over each operation's raw result: every array and
 verdict of an analysis, every field of a round-trip report, the exit code,
-stdout and stderr of a CLI call, and an error as its type and message.  Two
-trees that print the same three values compute the same bits on the
-benchmark's inputs and fail the same operations.  No file under bench/ is
-written to; the CLI's output files go to a temporary directory.
+stdout and stderr of a CLI call, the files a call creates or rewrites in
+its work directory (relative path and bytes: a CLI call's --out
+artifacts), and an error as its type and message.  Two trees that print
+the same three values compute the same bits on the benchmark's inputs and
+fail the same operations.  No file under bench/ is written to; the CLI's
+output files go to a temporary directory.
 
 Before that summary line it prints a ledger: one JSON line per operation
 with its seed, workload, index, class, whether its check passed, its error
@@ -18,10 +20,12 @@ that moved.
 
 With --against FILE, a saved output of this script (another tree's, at the
 same seeds), it then prints the transitions from that ledger to this one,
-grouped by class: pass -> fail, fail -> pass, a change of error type on a
-failing operation, and the largest k_err and k_dev change of each class
-that has one; and last, the count of operations whose own SHA-256 changed
-with no transition.  A ledger against itself prints no transition.
+grouped by class: pass -> fail and fail -> pass, then on lines of their
+own the changes of error type on an operation that fails at both, and the
+largest k_err and k_dev change of each class that has one; and last one
+summary line of counts: transitions (pass <-> fail only), fail -> fail
+error-type changes, operations whose own SHA-256 changed with no
+transition or type change, and unmatched operations.  A ledger against itself prints only zeros.
 
     PYTHONPATH=src python3 scripts/op_digest.py SEED [SEED ...] [--against FILE]
 """
@@ -68,6 +72,9 @@ def feed(h, value, workdir):
         h.update(f"seq {len(value)}\n".encode())
         for v in value:
             feed(h, v, workdir)
+    elif isinstance(value, bytes):
+        h.update(f"bytes {len(value)}\n".encode())
+        h.update(value)
     elif isinstance(value, str):
         h.update(f"str {value.replace(workdir, WORKDIR)!r}\n".encode())
     elif value is None or isinstance(value, (bool, int, float, np.generic)):
@@ -75,6 +82,33 @@ def feed(h, value, workdir):
     else:
         # a curve or evaluator object: its repr holds an address
         h.update(f"object {type(value).__name__}\n".encode())
+
+
+def snapshot(workdir):
+    """(mtime in ns, bytes) of every file under workdir, by relative
+    path."""
+    root = Path(workdir)
+    return {p.relative_to(root).as_posix(): (p.stat().st_mtime_ns,
+                                             p.read_bytes())
+            for p in root.rglob("*") if p.is_file()}
+
+
+def run_op(op, workdir):
+    """(outcome, value) of one call of op: value is what the digest hashes,
+    the op's class, its result or error, and, if the call created or
+    rewrote files under workdir, their (relative path, bytes) in path
+    order, with workdir's name in the bytes replaced by WORKDIR."""
+    before = snapshot(workdir)
+    try:
+        result, exc = op.call(), None
+    except Exception as e:  # part of the digest
+        result, exc = None, e
+    outcome = op.check(result, exc)
+    files = [(path, data.replace(str(workdir).encode(), WORKDIR.encode()))
+             for path, (stamp, data) in sorted(snapshot(workdir).items())
+             if before.get(path) != (stamp, data)]
+    value = (op.cls, exc if exc is not None else result)
+    return outcome, value + ((files,) if files else ())
 
 
 def digest(seeds):
@@ -89,14 +123,9 @@ def digest(seeds):
                                     Path(tmp))
                 ops = (op for ops in w.cycles for op in ops)
                 for index, op in enumerate(ops):
-                    try:
-                        result, exc = op.call(), None
-                    except Exception as e:  # part of the digest
-                        result, exc = None, e
-                    outcome = op.check(result, exc)
+                    outcome, value = run_op(op, tmp)
                     failed += not outcome.ok
                     count += 1
-                    value = (op.cls, exc if exc is not None else result)
                     own = hashlib.sha256()
                     feed(h, value, tmp)
                     feed(own, value, tmp)
@@ -117,12 +146,14 @@ def read_ledger(path):
 
 
 def transitions(old, new):
-    """Report lines of the moves from the ledger old to the ledger new."""
+    """Report lines of the moves from the ledger old to the ledger new; the
+    last is the summary line of counts."""
     def key(line):
         return line["seed"], line["workload"], line["op"]
 
     before = {key(line): line for line in old}
     moves = defaultdict(lambda: defaultdict(list))
+    retyped = defaultdict(list)
     largest = defaultdict(dict)
     quiet = unmatched = 0
     for b in new:
@@ -138,7 +169,7 @@ def transitions(old, new):
             moves[b["class"]]["fail -> pass"].append(
                 f"{where} (was {a['error']})")
         elif a["error"] != b["error"]:
-            moves[b["class"]]["error type"].append(
+            retyped[b["class"]].append(
                 f"{where} ({a['error']} -> {b['error']})")
         elif a["sha256"] != b["sha256"]:
             quiet += 1
@@ -148,16 +179,21 @@ def transitions(old, new):
                 if change > largest[b["class"]].get(field, (0.0,))[0]:
                     largest[b["class"]][field] = (change, where)
     out = []
-    for cls in sorted(set(moves) | set(largest)):
+    for cls in sorted(set(moves) | set(retyped) | set(largest)):
         for kind, ops in moves[cls].items():
             out.append(f"{cls}: {kind} {len(ops)}: {'; '.join(ops)}")
+        if retyped[cls]:
+            out.append(f"{cls}: fail -> fail error type {len(retyped[cls])}: "
+                       f"{'; '.join(retyped[cls])}")
         for field, (change, where) in sorted(largest[cls].items()):
             out.append(f"{cls}: largest {field} change {change:.3e} "
                        f"({where})")
     count = sum(len(ops) for kinds in moves.values()
                 for ops in kinds.values())
-    out.append(f"transitions {count}, sha256 changed with no transition "
-               f"{quiet}, unmatched ops {unmatched + len(before)}")
+    out.append(f"transitions {count}, fail -> fail error-type changes "
+               f"{sum(map(len, retyped.values()))}, sha256 changed with no "
+               f"transition or type change {quiet}, unmatched ops "
+               f"{unmatched + len(before)}")
     return out
 
 

@@ -74,7 +74,8 @@ class RicciData:
 
     `schwarzian` is the operator's matrix in the moving basis; `eigvecs` M is
     normalized against the velocity form: M^T S' M = Id, eigenvalues
-    ascending.
+    ascending; `eigvecs_inv` is M^(-1) = V^T L^T from the same reduction
+    (symspace.definite_eigh), which reduced_invariants reads Sigma with.
     """
 
     t: float | np.ndarray
@@ -82,6 +83,7 @@ class RicciData:
     ric: float | np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
+    eigvecs_inv: np.ndarray
 
 
 def _not_monotone(t, sign):
@@ -112,7 +114,7 @@ def ricci(j: CurveJet):
         return RicciData(*(getattr(rs, f.name)[0] for f in fields(rs)))
     gates = Gates()
     j = j.judged()
-    regular, sign, l_inv = j.form
+    regular, sign, factor = j.form
     j = j[:gates.require(regular, lambda i: RegularityFailure(j.t[i])).stop]
     sch = matrix_schwarzian(j)
     stop = gates.require(np.isfinite(_matrix_maxabs(sch)), lambda i:
@@ -137,7 +139,8 @@ def ricci(j: CurveJet):
     gates.require(sign > 0, lambda i: _not_monotone(j.t[i], sign[i]))
     stop = gates.stop
     a, s1 = symmetrize(a[:stop]), j.S1[:stop]
-    mu, m = definite_eigh(a, s1, None if l_inv is None else l_inv[:stop])
+    mu, m, m_inv = definite_eigh(a, s1,
+                                 None if factor is None else factor[:stop])
     if mu.shape[1] > 1:
         gap = _entrywise(np.minimum, np.diff(mu, axis=1), 1)
         gates.require(gap >= EIG_GAP_TOL * (mu[:, -1] - mu[:, 0]),
@@ -149,6 +152,7 @@ def ricci(j: CurveJet):
         ric=np.trace(sch, axis1=-2, axis2=-1),
         eigvals=mu,
         eigvecs=m,
+        eigvecs_inv=m_inv,
     )
 
 

@@ -22,11 +22,13 @@ from .symspace import _entrywise, chart_inverse
 from .tolerances import EQUIV_TOL, MIN_OVERLAP, OVERLAP_SLACK, SIGN_TOL
 
 
-def _fix_signs(ms, ts):
+def _fix_signs(ms, m_inv, ts):
     """Make eigenvector columns continuous in t; first sample gets the
     convention that each column's largest-magnitude entry is positive.
     The signs are cumulative products of the signs of consecutive column
-    overlaps; an overlap below MIN_OVERLAP is an eigenvalue crossing."""
+    overlaps; an overlap below MIN_OVERLAP is an eigenvalue crossing.
+    Returns M and M^(-1) with those signs on M's columns and on the
+    matching rows of M^(-1)."""
     first = ms[0][np.argmax(np.abs(ms[0]), axis=0), np.arange(ms.shape[-1])]
     norms = np.linalg.norm(ms, axis=1)
     cosang = (np.einsum("mic,mic->mc", ms[1:], ms[:-1])
@@ -35,13 +37,15 @@ def _fix_signs(ms, ts):
         _entrywise(np.logical_and, np.abs(cosang) >= MIN_OVERLAP, 1),
         lambda i: EigenCrossing(ts[i + 1])).raise_error()
     flips = np.where(np.concatenate([first[None], cosang]) < 0, -1.0, 1.0)
-    return ms * np.cumprod(flips, axis=0)[:, None, :]
+    signs = np.cumprod(flips, axis=0)
+    return ms * signs[:, None, :], m_inv * signs[:, :, None]
 
 
 def frenet_frame(jets, ricci_series, arc: ArcData):
-    """The moving frame at every sample: an (m, 2n, 2n) stack of symplectic
-    frames, the sample axis first.  Its upper left block is M with
-    M^T S' M = Id; its upper right block spans the derivative subspace.
+    """(frame, M^(-1)): the moving frame at every sample, an (m, 2n, 2n)
+    stack of symplectic frames with the sample axis first, and the inverse
+    of its upper left block M, which has M^T S' M = Id.  Its upper right
+    block spans the derivative subspace.
 
     Column order is by ascending curvature eigenvalue; the complement spans
     the derivative subspace Sbar = S - 2 S' corr^(-1) S' of the
@@ -53,7 +57,8 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     computed (the screen, or ricci), and M^T S' M = Id makes
     cond(M)^2 = cond(S').
     """
-    ms = _fix_signs(ricci_series.eigvecs, arc.ts)
+    ms, m_inv = _fix_signs(ricci_series.eigvecs, ricci_series.eigvecs_inv,
+                           arc.ts)
     corr = jets.S2 - (arc.zeta1 / arc.zeta)[:, None, None] * jets.S1
     Gates().require(chart_inverse(corr)[1],
                     lambda i: InflectionPoint(arc.ts[i])).raise_error()
@@ -65,7 +70,7 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     fr[:, n:, :n] = jets.S @ ms
     fr[:, :n, n:] = mbar
     fr[:, n:, n:] = jets.S @ mbar + jets.S1 @ ms
-    return fr
+    return fr, m_inv
 
 
 def cartan_matrix(Sigma, Kdiag):
@@ -117,11 +122,13 @@ class ReducedCartan:
         return -2.0 * self.Kdiag
 
 
-def reduced_invariants(frames, arc: ArcData, k):
+def reduced_invariants(frames, m_inv, arc: ArcData, k):
     """Canonical blocks (Sigma, K) of the frame's Cartan matrix
-    C = cartan_matrix(Sigma, K): Sigma = skew(M^(-1) M') / (2 zeta), M'
-    finite-differenced from the sign-continuous M series, and K = -k/2 =
-    -(diag(mu) - sphi Id) / (2 zeta^2) from the absolute curvatures k.
+    C = cartan_matrix(Sigma, K): Sigma = skew(M^(-1) M') / (2 zeta), with
+    M the frames' upper left blocks, M' finite-differenced from that
+    sign-continuous series and M^(-1) its inverse (frenet_frame's), and
+    K = -k/2 = -(diag(mu) - sphi Id) / (2 zeta^2) from the absolute
+    curvatures k.
 
     Sign freedom: replacing a frame column f_i by -f_i conjugates Sigma by a
     +-1 diagonal matrix.  Canonical choice: walk pairs (i, j) in order; if
@@ -130,8 +137,7 @@ def reduced_invariants(frames, arc: ArcData, k):
     them (a greedy spanning forest: no conflicts, components are disjoint).
     """
     n = frames.shape[-1] // 2
-    ms = frames[:, :n, :n]
-    a = np.linalg.solve(ms, finite_diff(ms, arc.ts[1] - arc.ts[0], 1))
+    a = m_inv @ finite_diff(frames[:, :n, :n], arc.ts[1] - arc.ts[0], 1)
     sig = (a - a.swapaxes(-1, -2)) / (2.0 * arc.zeta)[:, None, None]
     kd = -k / 2
 

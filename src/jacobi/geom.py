@@ -177,13 +177,13 @@ def screen(curve, grid, adm_tol=ADM_TOL):
     try:
         # one velocity_form of S' judges regularity, sign and definiteness
         jets = sample_curve(curve, grid)
-        regular, sign, l_inv = jets.form
+        regular, sign, factor = jets.form
         Gates().require((sign != 0) & (sign == sign[0]), lambda i:
                         MonotonicityFailure(jets.t[i])).raise_error()
         ana.velocity_sign = int(sign[0])
         if ana.flipped:
             np.negative(jets.orders, out=jets.orders)
-            jets = CurveJet(jets.t, jets.orders, (regular, -sign, l_inv))
+            jets = CurveJet(jets.t, jets.orders, (regular, -sign, factor))
         ana.jets = jets
         rs = ricci(jets)
         if rs.eigvals.shape[1] > 1:

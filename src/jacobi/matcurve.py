@@ -259,7 +259,7 @@ class CurveJet:
     `orders`: (4, n, n) at one sample, or (4, m, n, n) over a series with t
     of shape (m,).  S, S1, S2 and S3 are the views orders[0] to orders[3];
     indexing takes the sample axis, of `form` too.  `form` is the
-    velocity_form (regular, sign, l_inv) of S1 once judged, else None."""
+    velocity_form (regular, sign, factor) of S1 once judged, else None."""
 
     t: float | np.ndarray
     orders: np.ndarray

@@ -22,6 +22,6 @@ def complete(ana: Analysis):
     if ana.error is not None:
         raise ana.error
     k = absolute_curvature(ana.ricci_series, ana.arc)
-    ana.frame = frenet_frame(ana.jets, ana.ricci_series, ana.arc)
-    ana.reduced = reduced_invariants(ana.frame, ana.arc, k)
+    ana.frame, m_inv = frenet_frame(ana.jets, ana.ricci_series, ana.arc)
+    ana.reduced = reduced_invariants(ana.frame, m_inv, ana.arc, k)
     return ana

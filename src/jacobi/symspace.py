@@ -71,29 +71,46 @@ def cond_bound(a, a_inv):
 
 
 def velocity_form(s1):
-    """(regular, sign, l_inv) of the symmetric velocity forms s1 (the last
+    """(regular, sign, factor) of the symmetric velocity forms s1 (the last
     two axes): per sample, whether cond_2(s1) <= COND_MAX, and +1 or -1
     where s1 is definite of that sign, else 0.  The one rule behind every
-    gate on S'.  If cholesky(s1), else cholesky(-s1) (negation is exact),
-    succeeds with cond_bound(L, L^(-1)) <= COND_MAX / CERT_MARGIN at every
-    sample, that certifies all of them (cond_2(s1) = cond_2(L)^2; the
-    margin covers roundoff) and l_inv is that L^(-1); else one spectrum
-    judges each sample and l_inv is None.  A factor that succeeds but fails
-    its bound is not followed by the other sign."""
+    gate on S'.  If cholesky(s1) = L L^T, else cholesky(-s1) (negation is
+    exact), succeeds with cond_bound(L, L^(-1)) <= COND_MAX / CERT_MARGIN
+    at every sample, that certifies all of them (cond_2(s1) = cond_2(L)^2;
+    the margin covers roundoff) and factor is that L; else one spectrum
+    judges each sample and factor is None.  A factor that succeeds but
+    fails its bound is not followed by the other sign."""
     s1 = np.asarray(s1, dtype=float)
     for sign in (1, -1):
         try:
             factor = np.linalg.cholesky(s1 if sign > 0 else -s1)
-            l_inv = np.linalg.inv(factor)
         except np.linalg.LinAlgError:
             continue
-        if (cond_bound(factor, l_inv) <= COND_MAX / CERT_MARGIN).all():
+        bound = cond_bound(factor, triangular_inverse(factor))
+        if (bound <= COND_MAX / CERT_MARGIN).all():
             shape = s1.shape[:-2]
-            return np.ones(shape, bool), np.full(shape, sign), l_inv
+            return np.ones(shape, bool), np.full(shape, sign), factor
         break
     ev = np.linalg.eigvalsh(s1)
     sign = np.where(ev[..., 0] > 0, 1, np.where(ev[..., -1] < 0, -1, 0))
     return _eig_cond(s1, ev) <= COND_MAX, sign, None
+
+
+def triangular_inverse(factor):
+    """L^(-1) of lower triangular matrices L (the last two axes), by
+    forward substitution along the sample axis: row i is
+    -L[i, :i] L^(-1)[:i, :i] / L[i, i], one stacked matmul per row.  Like
+    LAPACK's inverse it does not warn: an L out of float range gives inf
+    or NaN entries, which cond_bound does not certify."""
+    n = factor.shape[-1]
+    out = np.zeros_like(factor)
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            row = factor[..., i, None, :i] @ out[..., :i, :i]
+            # + 0.0 writes a zero as +0.0, as LAPACK's inverse does
+            out[..., i, :i] = -row[..., 0, :] / factor[..., i, i, None] + 0.0
+            out[..., i, i] = 1.0 / factor[..., i, i]
+    return out
 
 
 def chart_inverse(d):
@@ -118,16 +135,57 @@ def chart_inverse(d):
     return d_inv, inside
 
 
-def definite_eigh(a, b, l_inv=None):
-    """Ascending mu and M with a M = b M diag(mu), M^T b M = Id, on stacks of
-    symmetric a and positive definite b (else LinAlgError): LAPACK sygvd's
-    reduction b = L L^T, (mu, V) = eigh(L^(-1) a L^(-T)), M = L^(-T) V.
-    `l_inv` is L^(-1) when the caller has it (velocity_form's)."""
-    if l_inv is None:
-        l_inv = np.linalg.inv(np.linalg.cholesky(b))
-    c = l_inv @ a @ l_inv.swapaxes(-1, -2)
-    mu, v = np.linalg.eigh(symmetrize(c))
-    return mu, l_inv.swapaxes(-1, -2) @ v
+def definite_eigh(a, b, factor=None):
+    """(mu, M, M^(-1)) with mu ascending, a M = b M diag(mu) and
+    M^T b M = Id, on stacks of symmetric a and positive definite b (else
+    LinAlgError): LAPACK sygvd's reduction b = L L^T, (mu, V) =
+    eigh(C) of C = L^(-1) a L^(-T), M = L^(-T) V and M^(-1) = V^T L^T.
+    `factor` is L when the caller has it (velocity_form's).  L^(-1) is
+    triangular_inverse's; for n = 2 the eigensolve is one Schur rotation
+    along the sample axis (schur2), else np.linalg.eigh.  M^(-1) is a
+    product, not a solve: as accurate as a solve with M, whatever
+    cond(b), where the equal M^T b loses digits as cond(b) grows."""
+    if factor is None:
+        factor = np.linalg.cholesky(b)
+    l_inv = triangular_inverse(factor)
+    c = symmetrize(l_inv @ a @ l_inv.swapaxes(-1, -2))
+    mu, v = schur2(c) if c.shape[-1] == 2 else np.linalg.eigh(c)
+    return (mu, l_inv.swapaxes(-1, -2) @ v,
+            v.swapaxes(-1, -2) @ factor.swapaxes(-1, -2))
+
+
+def schur2(c):
+    """(mu, V) of symmetric 2 x 2 matrices c (the last two axes), as
+    np.linalg.eigh returns them: mu ascending, c V = V diag(mu), V
+    orthogonal.  One symmetric Schur rotation (Golub & Van Loan, Matrix
+    Computations, Alg. 8.5.1) per sample: with tau = (c11 - c00) / 2 c01,
+    t = sign(tau) / (|tau| + sqrt(1 + tau^2)), here multiplied through by
+    2 |c01| so that no quotient overflows (tau = 0 takes the sign of c01),
+    is the tangent of the rotation [[cs, sn], [-sn, cs]],
+    cs = 1 / sqrt(1 + t^2), sn = t cs, that takes c to
+    diag(c00 - t c01, c11 + t c01).  A diagonal c has t = 0: mu is its
+    diagonal, exactly.  As eigh, it does not warn: a matrix whose rotation
+    leaves float range (a non-finite entry, or entries near the largest
+    float) gives NaN eigenvalues."""
+    c00, c01, c11 = c[..., 0, 0], c[..., 0, 1], c[..., 1, 1]
+    with np.errstate(all="ignore"):
+        d = c11 - c00
+        den = np.abs(d) + np.hypot(d, 2.0 * c01)
+        # den = 0 only where c01 = 0: c is diagonal already
+        t = (np.where(d < 0, -2.0, 2.0) * c01
+             / np.where(den == 0, 1.0, den))
+        cs = 1.0 / np.sqrt(1.0 + t * t)
+        sn = t * cs
+        bad = ~np.isfinite(den)
+        lo = np.where(bad, np.nan, c00 - t * c01)
+        hi = np.where(bad, np.nan, c11 + t * c01)
+    # V's columns are (cs, -sn) for lo and (sn, cs) for hi; ascending order
+    # swaps them where lo > hi
+    swap = lo > hi
+    mu = np.stack([np.where(swap, hi, lo), np.where(swap, lo, hi)], -1)
+    v = np.stack([np.where(swap, sn, cs), np.where(swap, cs, sn),
+                  np.where(swap, cs, -sn), np.where(swap, -sn, cs)], -1)
+    return mu, v.reshape(v.shape[:-1] + (2, 2))
 
 
 def symmetric_input(gates, s, tol, what, at):

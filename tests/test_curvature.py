@@ -407,9 +407,9 @@ class TestNonFinite:
         seen = []
         real = curvature.definite_eigh
 
-        def counted(a, b, l_inv=None):
+        def counted(a, b, factor=None):
             seen.append(len(b))
-            return real(a, b, l_inv)
+            return real(a, b, factor)
 
         monkeypatch.setattr(curvature, "definite_eigh", counted)
         ts = np.linspace(0.0, 1.0, 6)

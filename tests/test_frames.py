@@ -13,6 +13,7 @@ from jacobi.frames import (
     arc_normalized_frames,
     cartan_matrix,
     equivalent_reduced,
+    frenet_frame,
     invariant_spline,
     reduced_invariants,
 )
@@ -195,11 +196,13 @@ class TestReducedInvariants:
         for c in [preset_curve("paper-6.2-ex1")] + admissible_quartics(
                 range(10), n=3, want=2):
             ana = analyze(c, unit_grid)
+            _, m_inv = frenet_frame(ana.jets, ana.ricci_series, ana.arc)
             for eps in itertools.product((1.0, -1.0), repeat=ana.reduced.n):
-                # flipping frame columns conjugates Sigma by diag(eps)
+                # flipping frame columns, and the matching rows of M^(-1),
+                # conjugates Sigma by diag(eps)
                 flipped = ana.frame * np.concatenate([eps, eps])
-                rc = reduced_invariants(flipped, ana.arc,
-                                        ana.reduced.curvatures())
+                rc = reduced_invariants(flipped, m_inv * np.array(eps)[:, None],
+                                        ana.arc, ana.reduced.curvatures())
                 assert np.allclose(rc.Sigma, ana.reduced.Sigma, atol=1e-12)
                 assert np.array_equal(rc.Kdiag, ana.reduced.Kdiag)
 
@@ -246,17 +249,19 @@ def synthetic_frame(ms, s_last=1.0):
     """reduced_invariants arguments for the eigenvector series ms on [0, 1]
     with zeta = 1 and fixed distinct curvatures: a frame stack whose upper
     left blocks are ms, the last column multiplied by s_last (the other
-    blocks, which reduced_invariants does not read, are zero)."""
+    blocks, which reduced_invariants does not read, are zero), and the
+    inverses of those blocks."""
     m, n = ms.shape[:2]
     frames = np.zeros((m, 2 * n, 2 * n))
     frames[:, :n, :n] = ms
     frames[:, :n, n - 1] *= s_last
+    m_inv = np.linalg.inv(frames[:, :n, :n])
     ts = np.linspace(0.0, 1.0, m)
     one, zero = np.ones(m), np.zeros(m)
     arc = ArcData(ts=ts, zeta=one, zeta1=zero, zeta2=zero, sphi=zero,
                   arclength=ts)
     k = np.tile(np.arange(n, dtype=float), (m, 1))
-    return frames, arc, k
+    return frames, m_inv, arc, k
 
 
 class TestInvariantSpline:

@@ -278,12 +278,14 @@ class TestOneDecompositionOfVelocity:
     @staticmethod
     def count_linalg(monkeypatch):
         """Record (name, first array argument) of every call of eigvalsh,
-        svd, solve, inv and cholesky, and of einsum its operand count."""
+        eigh, svd, solve, inv and cholesky, and of einsum its operand
+        count."""
         calls = []
         # np.linalg.cond reaches svd through the implementation module
         impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
         for module in (np.linalg, impl):
-            for name in ("eigvalsh", "svd", "solve", "inv", "cholesky"):
+            for name in ("eigvalsh", "eigh", "svd", "solve", "inv",
+                         "cholesky"):
                 def counted(a, *args, _fn=getattr(module, name), _name=name,
                             **kwargs):
                     calls.append((_name, np.array(a)))
@@ -306,9 +308,21 @@ class TestOneDecompositionOfVelocity:
         chol = [a for name, a in calls if name == "cholesky"]
         assert len(chol) == 1 and np.array_equal(chol[0], ana.jets.S1)
         assert [name for name, _ in calls if name == "svd"] == []
-        # one for the Schwarzian, one for the Sigma of the reduced invariant
-        assert len([name for name, _ in calls if name == "solve"]) <= 2
+        # the Schwarzian's; Sigma is read off with M^(-1), a product
+        assert [name for name, _ in calls if name == "solve"] == ["solve"]
+        # n = 2: the eigensolve is a Schur rotation on the sample axis, and
+        # the one inverse is the frame's gate on corr
+        assert [name for name, _ in calls if name == "eigh"] == []
+        assert [name for name, _ in calls if name == "inv"] == ["inv"]
         assert ("einsum", 3) not in calls
+
+    def test_n3_analysis_calls_eigh_once(self, monkeypatch):
+        # above n = 2 the eigensolve of C = L^(-1) A L^(-T) is LAPACK's
+        c = admissible_quartics(range(10), n=3, want=1)[0]
+        calls = self.count_linalg(monkeypatch)
+        analyze(c, SampleGrid(0, 1, 201))
+        assert [name for name, _ in calls].count("eigh") == 1
+        assert [name for name, _ in calls].count("solve") == 1
 
     def test_roundtrip_takes_no_svd(self, monkeypatch):
         # the chart exits of the rebuilt curve are cleared from A^(-1)
@@ -319,13 +333,13 @@ class TestOneDecompositionOfVelocity:
         # one certificate of S' per analysis
         assert [name for name, _ in calls].count("cholesky") == 2
 
-    def test_roundtrip_solves_five_times(self, monkeypatch):
-        # the Schwarzian and the Sigma of each analysis, and the Cayley
-        # steps; the rebuilt curve is read off by the inverse that judges
-        # its A blocks, not by a solve of its own
+    def test_roundtrip_solves_three_times(self, monkeypatch):
+        # the Schwarzian of each analysis, and the Cayley steps; the
+        # rebuilt curve is read off by the inverse that judges its A blocks,
+        # not by a solve of its own, and Sigma by M^(-1), a product
         calls = self.count_linalg(monkeypatch)
         roundtrip(preset_curve("paper-6.2-ex1"), SampleGrid(0, 1, 201))
-        assert [name for name, _ in calls].count("solve") == 5
+        assert [name for name, _ in calls].count("solve") == 3
 
     def test_transformed_curve_inverts_its_chart_once(self, monkeypatch):
         g = random_csp(5, scale=0.7, n=2, ham_scale=0.3)
@@ -394,7 +408,7 @@ def analysis_record(curve, grid):
     for part in (ana.jets, ana.ricci_series, ana.arc, ana.reduced):
         record += [np.asarray(getattr(part, f.name)).tobytes()
                    for f in dataclasses.fields(part) if f.name != "form"]
-    # the jets' verdict on S': l_inv is None on the spectral path by design
+    # the jets' verdict on S': factor is None on the spectral path by design
     # and is no output
     regular, sign, _ = ana.jets.form
     return record + [regular.tobytes(), sign.tobytes()]

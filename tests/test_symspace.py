@@ -33,9 +33,11 @@ from jacobi.symspace import (
     is_symplectic_frame,
     random_csp,
     random_hamiltonian,
+    schur2,
     symmetric_input,
     symmetrize,
     symplectic_form,
+    triangular_inverse,
     velocity_form,
 )
 from jacobi.tolerances import COND_MAX, FRAME_TOL, SYM_TOL
@@ -581,7 +583,7 @@ class TestDefiniteEigh:
     def test_matches_scipy_generalized_eigh(self, seed, n):
         rng = np.random.default_rng(seed)
         a, b = symmetric_stack(rng, 8, n), spd_stack(rng, 8, n)
-        mu, m = definite_eigh(a, b)
+        mu, m, m_inv = definite_eigh(a, b)
         for i in range(len(a)):
             ref_mu, ref_m = scipy.linalg.eigh(a[i], b[i])
             scale = np.max(np.abs(ref_mu))
@@ -593,12 +595,163 @@ class TestDefiniteEigh:
             assert np.max(np.abs(m[i] * signs - ref_m)) <= 1e-10
         eye = np.eye(n)
         assert np.max(np.abs(m.swapaxes(-1, -2) @ b @ m - eye)) <= 1e-12
+        assert np.max(np.abs(m_inv @ m - eye)) <= 1e-12
         resid = a @ m - b @ m * mu[:, None, :]
         assert np.max(np.abs(resid)) <= 1e-12 * max(1.0, np.max(np.abs(mu)))
 
     def test_indefinite_pencil_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
             definite_eigh(np.eye(2)[None], np.diag([1.0, -1.0])[None])
+
+
+def lower_triangular_stack(rng, m, n, log_spread):
+    """Lower triangular matrices with a positive diagonal log-spaced over
+    10^log_spread at a random scale, and normal entries below it of the
+    size of their row's diagonal."""
+    d = 10.0 ** (rng.uniform(0.0, log_spread, size=(m, n))
+                 + rng.uniform(-100.0, 100.0))
+    low = np.tril(rng.normal(size=(m, n, n)), -1) * d[:, :, None]
+    return low + d[:, :, None] * np.eye(n)
+
+
+class TestTriangularInverse:
+    """Forward substitution along the sample axis against LAPACK's
+    inverse."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+           st.sampled_from([0, 1, 7]), st.floats(0.0, 8.0))
+    def test_matches_numpy_inverse(self, seed, n, m, log_spread):
+        eps = np.finfo(float).eps
+        factor = lower_triangular_stack(np.random.default_rng(seed), m, n,
+                                        log_spread)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = triangular_inverse(factor)
+        assert x.shape == factor.shape and not np.triu(x, 1).any()
+        if not m:
+            return
+        ref = np.linalg.inv(factor)
+        # the two algorithms agree to the inverse's conditioning
+        cond = np.linalg.cond(factor)
+        assert np.all(np.max(np.abs(x - ref), axis=(1, 2))
+                      <= n * eps * cond * np.max(np.abs(ref), axis=(1, 2)))
+        # forward substitution's residual bound, entry by entry
+        resid = np.abs(factor @ x - np.eye(n))
+        assert np.all(resid <= n * eps * (np.abs(factor) @ np.abs(x)))
+        # a diagonal L (the presets') gives LAPACK's bits
+        diag = factor * np.eye(n)
+        assert same_bits(triangular_inverse(diag), np.linalg.inv(diag))
+
+
+def schur2_cases():
+    """Symmetric 2 x 2 matrices at the edges of the kernel: an off-diagonal
+    zero, equal diagonal entries, both, signed zeros, subnormals and
+    entries of 1e+-300."""
+    tiny = np.nextafter(0.0, 1.0)
+    cases = [[[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.0], [0.0, 1.0]],
+             [[3.0, 1.0], [1.0, 3.0]], [[3.0, -1.0], [-1.0, 3.0]],
+             [[3.0, 0.0], [0.0, 3.0]], [[0.0, 0.0], [0.0, 0.0]],
+             [[-0.0, -0.0], [-0.0, -0.0]], [[0.0, -0.0], [-0.0, 0.0]],
+             [[1.0, -0.0], [-0.0, -1.0]], [[1.0, tiny], [tiny, 2.0]],
+             [[tiny, tiny], [tiny, tiny]], [[tiny, 0.0], [0.0, 2 * tiny]],
+             [[1e-310, 3e-310], [3e-310, -2e-310]],
+             [[1e300, 1e-300], [1e-300, -1e300]],
+             [[1e-300, 1e300], [1e300, 1e-300]],
+             [[1e300, 1e300], [1e300, 1e300]],
+             [[-1e300, 1e300], [1e300, 1e-300]],
+             [[1e-300, 1e-300], [1e-300, 2e-300]],
+             [[1.0, 1e-300], [1e-300, 1.0]], [[1e300, 0.0], [0.0, 1e300]]]
+    return np.array(cases)
+
+
+def symmetric_2x2(seed, m=64):
+    """Symmetric 2 x 2 matrices with entries of scales 1e-5 to 1e5 within
+    a matrix and 1e+-300 between matrices."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, 2, 2)) * 10.0 ** rng.uniform(-5, 5, (m, 2, 2))
+    a = a * 10.0 ** rng.uniform(-300, 300, (m, 1, 1))
+    return 0.5 * a + 0.5 * a.swapaxes(-1, -2)
+
+
+class TestSchur2:
+    """The n = 2 eigensolve against LAPACK's, under numeric warnings as
+    errors: mu to 8 eps max|C|, with the residual and orthonormality of V
+    checked (plus the subnormal spacing where C is subnormal)."""
+
+    @staticmethod
+    def check(c):
+        eps, tiny = np.finfo(float).eps, np.nextafter(0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, v = schur2(c)
+        tol = 8 * eps * np.max(np.abs(c), axis=(1, 2)) + 4 * tiny
+        assert np.all(mu[:, 0] <= mu[:, 1])
+        assert np.all(np.max(np.abs(mu - np.linalg.eigvalsh(c)), axis=1)
+                      <= tol)
+        resid = c @ v - v * mu[:, None, :]
+        assert np.all(np.max(np.abs(resid), axis=(1, 2)) <= tol)
+        assert np.max(np.abs(v.swapaxes(-1, -2) @ v - np.eye(2))) <= 4 * eps
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_numpy_eigh(self, seed):
+        self.check(symmetric_2x2(seed))
+
+    def test_edge_cases(self):
+        c = schur2_cases()
+        self.check(c)
+        # a diagonal matrix is its own spectrum, bit for bit
+        diag = np.flatnonzero(c[:, 0, 1] == 0)
+        assert np.array_equal(schur2(c[diag])[0],
+                              np.sort(np.diagonal(c[diag], 0, 1, 2), 1))
+
+    def test_out_of_range_gives_nan_without_a_warning(self):
+        c = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan],
+                                                     [np.nan, 1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, _ = schur2(c)
+        assert np.isnan(mu).all()
+
+
+def sigma_read_off_errors(log_cond, n, seed):
+    """Relative errors of M^(-1) X, X random, from definite_eigh's M^(-1),
+    from np.linalg.solve(M, X) and from M^T b X, each against a 40-digit
+    mpmath solve with the same M, on a b with cond(b) = 10^log_cond."""
+    import mpmath
+
+    rng = np.random.default_rng(seed)
+    b = spectrum_stack(rng, 4, n, log_cond, 1)
+    b = 0.5 * b + 0.5 * b.swapaxes(-1, -2)
+    _, m, m_inv = definite_eigh(symmetric_stack(rng, 4, n), b)
+    x = rng.normal(size=m.shape)
+    errors = np.zeros(3)
+    with mpmath.workdps(40):
+        for i in range(len(m)):
+            ref = mpmath.matrix(m[i].tolist()) ** -1 * mpmath.matrix(
+                x[i].tolist())
+            scale = max(abs(v) for v in ref)
+            for k, p in enumerate((m_inv[i] @ x[i],
+                                   np.linalg.solve(m[i], x[i]),
+                                   m[i].T @ b[i] @ x[i])):
+                err = max(abs(mpmath.mpf(float(p[r, c])) - ref[r, c])
+                          for r in range(n) for c in range(n))
+                errors[k] = max(errors[k], float(err / scale))
+    return errors
+
+
+@pytest.mark.parametrize("log_cond", [2, 5, 8, 11])
+def test_sigma_read_off_is_as_accurate_as_a_solve(log_cond):
+    # reduced_invariants reads Sigma with definite_eigh's M^(-1) = V^T L^T:
+    # within ten times a solve's error at every cond(S'), where the equal
+    # M^T S' loses digits in proportion to cond(S')^(1/2)
+    errors = np.max([sigma_read_off_errors(log_cond, n, 10 * log_cond + n)
+                     for n in (2, 3, 4, 6)], axis=0)
+    new, solve, transpose = errors
+    assert new <= 10 * solve
+    if log_cond >= 8:
+        assert transpose > 10 * solve
 
 
 def eig_cond(a):
@@ -698,7 +851,7 @@ def spectral_rule(s):
 class TestDefiniteCertificate:
     """velocity_form gives the spectral rule's regular and sign at every
     sample: by its Cholesky certificate where that clears the stack (with
-    that factor's inverse), else by the spectrum."""
+    that factor, LAPACK's bit for bit), else by the spectrum."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 6]),
@@ -707,17 +860,16 @@ class TestDefiniteCertificate:
                                                      log_cond, sign):
         s = spectrum_stack(np.random.default_rng(seed), 8, n, log_cond, sign)
         s = 0.5 * (s + s.swapaxes(-1, -2))
-        regular, got_sign, l_inv = velocity_form(s)
+        regular, got_sign, factor = velocity_form(s)
         ref_regular, ref_sign = spectral_rule(s)
         assert same_bits(regular, ref_regular)
         assert np.array_equal(got_sign, ref_sign)
-        if l_inv is None:
+        if factor is None:
             # cleared stacks of one sign: all with cond(s) <= 1e9
             assert sign == 0 or log_cond > 9.0 - np.log10(n * n)
             return
         assert regular.all() and np.all(got_sign == sign)
-        assert same_bits(l_inv, np.linalg.inv(np.linalg.cholesky(
-            s if sign > 0 else -s)))
+        assert same_bits(factor, np.linalg.cholesky(s if sign > 0 else -s))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
@@ -743,8 +895,8 @@ class TestDefiniteCertificate:
         s = np.array(stack)
         s = 0.5 * (s + s.swapaxes(-1, -2))
         ref_regular, ref_sign = spectral_rule(s)
-        regular, sign, l_inv = velocity_form(s)
-        if l_inv is None:
+        regular, sign, factor = velocity_form(s)
+        if factor is None:
             assert same_bits(regular, ref_regular)
             assert np.array_equal(sign, ref_sign)
         for k, sk in enumerate(s):
@@ -763,8 +915,8 @@ class TestDefiniteCertificate:
             return _fn(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-        regular, sign, l_inv = velocity_form(s)
-        assert l_inv is None and len(calls) == 1
+        regular, sign, factor = velocity_form(s)
+        assert factor is None and len(calls) == 1
         assert regular.tolist() == [True] and sign.tolist() == [1]
 
     @pytest.mark.parametrize("big,small", [(1e3, 1e-320), (1e200, 1e-120)])
@@ -777,8 +929,8 @@ class TestDefiniteCertificate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x, sign in ((s, 1), (-s, -1)):
-                regular, got_sign, l_inv = velocity_form(x[None])
-                assert l_inv is None
+                regular, got_sign, factor = velocity_form(x[None])
+                assert factor is None
                 assert regular.tolist() == [False]
                 assert got_sign.tolist() == [sign]
             with pytest.raises(NotTransverse):
@@ -791,9 +943,9 @@ class TestDefiniteCertificate:
     def test_definite_eigh_takes_the_certificate_factor(self):
         rng = np.random.default_rng(7)
         a, b = symmetric_stack(rng, 6, 3), spd_stack(rng, 6, 3)
-        regular, sign, l_inv = velocity_form(b)
+        regular, sign, factor = velocity_form(b)
         assert regular.all() and np.all(sign == 1)
-        for x, y in zip(definite_eigh(a, b, l_inv), definite_eigh(a, b)):
+        for x, y in zip(definite_eigh(a, b, factor), definite_eigh(a, b)):
             assert same_bits(x, y)
 
 

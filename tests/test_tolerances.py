@@ -71,23 +71,22 @@ def test_one_invertibility_rule():
 def test_one_read_off_rule_and_one_conformal_factor():
     # a chart point is read off its basis [A; B] as B A^(-1) through the
     # inverse that judges A (symspace.chart_point), so solve is left to
-    # the linear systems that are not read-offs and inv to the rules that
-    # judge a matrix; the conformal factor of a map is a trace in
-    # conformal_symplectic alone
-    sites = {"solve": set(), "trace": set(), "inv": set()}
+    # the linear systems that are not read-offs (the Schwarzian and the
+    # Cayley steps), inv to the rule that judges a matrix, and eigh to the
+    # one generalized eigensolve, whose M^(-1) is a product; the conformal
+    # factor of a map is a trace in conformal_symplectic alone
+    sites = {"solve": set(), "trace": set(), "inv": set(), "eigh": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         for name, scope in identifiers(path):
             if name in sites:
                 sites[name].add((path.stem, scope))
     assert sites == {"solve": {("curvature", "matrix_schwarzian"),
-                               ("frames", "reduced_invariants"),
                                ("reconstruct", "integrate_frame")},
                      "trace": {("curvature", "ricci"),
                                ("geom", "centered_schwarzian_det"),
                                ("symspace", "conformal_symplectic")},
-                     "inv": {("symspace", "velocity_form"),
-                             ("symspace", "chart_inverse"),
-                             ("symspace", "definite_eigh")}}
+                     "inv": {("symspace", "chart_inverse")},
+                     "eigh": {("symspace", "definite_eigh")}}
 
 
 def transposed(node):
