@@ -15,8 +15,7 @@ import numpy as np
 from .curvature import matrix_schwarzian
 from .errors import Gates, NoFit, NotGeneralPosition, ZeroDirection
 from .symspace import _maxabs, chart_inverse, symmetrize
-from .tolerances import (FIT_TOL, FLAT_TOL, MEMBER_TOL, MOBIUS_DEN_MIN,
-                         ZERO_FLOOR)
+from .tolerances import FIT_TOL, FLAT_TOL, MEMBER_TOL, ZERO_FLOOR
 
 AT_INFINITY = "at-infinity"
 
@@ -49,59 +48,58 @@ class Cycle:
 
 def is_flat(jets, tol=FLAT_TOL):
     """True iff sup_t ||Schwarzian(S)||_inf <= tol over the sampled jets
-    (matcurve.sample_curve's), which mobius_fit can then fit."""
+    (matcurve.sample_curve's); mobius_fit fits only the scalar Moebius
+    multiples of one direction among them."""
     # matrix_schwarzian reads the verdict on S' that sample_curve made
     return _maxabs(matrix_schwarzian(jets)) <= tol
 
 
+def _lead_one(x):
+    """x over its largest-magnitude entry, a zero written as +0.0."""
+    return x / x.flat[np.argmax(np.abs(x))] + 0.0
+
+
+def _to_zero_one_infinity(x0, x1, x2):
+    """z -> ((z - x0)/(x1 - x0)) / ((z - x2)/(x1 - x2)) as a 2 x 2 matrix:
+    the Moebius map taking x0, x1 and x2 to 0, 1 and infinity."""
+    return np.array([[1.0, -x0], [1.0, -x2]]) / [[x1 - x0], [x1 - x2]]
+
+
 @np.errstate(all="ignore")
 def mobius_fit(jets):
-    """Fit S(t) = ((a t + b)/(c t + d)) S1 to samples of a flat curve.
+    """Fit S(t) = ((a t + b)/(c t + d)) D to samples of a flat curve.
 
-    The common direction S1 is the dominant rank-1 structure of the sample
-    differences (SVD); the scalar factors are then least-squares fitted with
-    a Moebius function of t (homogeneous linear system in a, b, c, d).
-    Returns ((a, b, c, d), S1, residual); coefficients are normalized to
-    unit max-magnitude with positive leading entry.  Computed under
-    np.errstate(all="ignore"): a matrix of either SVD that is not finite
-    raises NoFit, as a residual that is not finite does.
+    D is the last sample minus the first at unit Frobenius norm, and
+    lambda = <S, D> at each sample.  Three values fix a Moebius function
+    (the cross-ratio; Ovsienko & Tabachnikov, Projective Differential
+    Geometry Old and New, ch. 1): (a, b, c, d) takes the first, middle and
+    last t to 0, 1 and infinity, then back to their lambda's by the
+    adjugate of the map taking those there.  Both residuals, of S from
+    lambda D and of lambda, are over max(1, max|S|).  Returns
+    ((a, b, c, d), D, residual), each with its largest-magnitude entry
+    positive, the coefficients at unit max-magnitude.  Computed under
+    np.errstate(all="ignore"): a D or a residual that is not finite raises
+    NoFit.
     """
     ts, mats = jets.t, jets.S
     if ts.size < 4:
         raise NoFit(np.inf, "need at least 4 samples")
-    diffs = (mats[1:] - mats[0]).reshape(ts.size - 1, -1)
-    if not np.isfinite(diffs).all():
-        raise NoFit(np.inf, "sample differences out of float range")
-    _, svals, vt = np.linalg.svd(diffs, full_matrices=False)
-    if svals[0] < ZERO_FLOOR:
-        raise NoFit(np.inf, "samples are constant")
-    direction = vt[0].reshape(mats[0].shape)
-    lead = np.unravel_index(np.argmax(np.abs(direction)), direction.shape)
-    if direction[lead] < 0:
-        direction = -direction
-    direction = symmetrize(direction)
-    dnorm2 = float(np.sum(direction * direction))
-    scale = _maxabs(mats)
-    lam = np.sum(mats * direction, axis=(1, 2)) / dnorm2
-    proj_resid = _maxabs(mats - lam[:, None, None] * direction)
-    if not proj_resid <= FIT_TOL * max(1.0, scale):
+    direction = _lead_one(mats[-1] - mats[0])
+    direction = direction / np.sqrt(np.sum(direction * direction))
+    if not np.isfinite(direction).all():
+        raise NoFit(np.inf, "sample differences zero or out of float range")
+    scale = max(1.0, _maxabs(mats))
+    lam = np.sum(mats * direction, axis=(1, 2))
+    proj_resid = _maxabs(mats - lam[:, None, None] * direction) / scale
+    if not proj_resid <= FIT_TOL:
         raise NoFit(proj_resid, "samples are not scalar multiples of one "
                                 "direction")
-    # lam(t) (c t + d) - (a t + b) = 0: homogeneous least squares in (a,b,c,d)
-    rows = np.column_stack([-ts, -np.ones_like(ts), lam * ts, lam])
-    if not np.isfinite(rows).all():
-        raise NoFit(np.inf, "fit rows out of float range")
-    _, _, vt4 = np.linalg.svd(rows, full_matrices=False)
-    coeffs = vt4[-1]
-    coeffs = coeffs / _maxabs(coeffs)
-    if coeffs[np.argmax(np.abs(coeffs))] < 0:
-        coeffs = -coeffs
-    a, b, c, d = coeffs
-    den = c * ts + d
-    if not np.min(np.abs(den)) >= MOBIUS_DEN_MIN:
-        raise NoFit(np.inf, "fitted denominator vanishes on the samples")
-    resid = float(np.max(np.abs((a * ts + b) / den - lam)))
-    resid = max(resid, proj_resid / max(1.0, scale))
+    ends = [0, ts.size // 2, -1]
+    (p, q), (r, s) = _to_zero_one_infinity(*lam[ends])
+    coeffs = np.array([[s, -q], [-r, p]]) @ _to_zero_one_infinity(*ts[ends])
+    a, b, c, d = _lead_one(coeffs.ravel())
+    resid = max(_maxabs((a * ts + b) / (c * ts + d) - lam) / scale,
+                proj_resid)
     if not resid <= FIT_TOL:
         raise NoFit(resid)
     return (a, b, c, d), direction, resid

@@ -77,19 +77,20 @@ def velocity_form(s1):
     gate on S'.  If cholesky(s1) = L L^T, else cholesky(-s1) (negation is
     exact), succeeds with cond_bound(L, L^(-1)) <= COND_MAX / CERT_MARGIN
     at every sample, that certifies all of them (cond_2(s1) = cond_2(L)^2;
-    the margin covers roundoff) and factor is that L; else one spectrum
-    judges each sample and factor is None.  A factor that succeeds but
-    fails its bound is not followed by the other sign."""
+    the margin covers roundoff) and factor stacks L and L^(-1) on axis -3;
+    else one spectrum judges each sample and factor is None.  A factor
+    that succeeds but fails its bound is not followed by the other sign."""
     s1 = np.asarray(s1, dtype=float)
     for sign in (1, -1):
         try:
             factor = np.linalg.cholesky(s1 if sign > 0 else -s1)
         except np.linalg.LinAlgError:
             continue
-        bound = cond_bound(factor, triangular_inverse(factor))
+        pair = np.stack([factor, triangular_inverse(factor)], -3)
+        bound = cond_bound(factor, pair[..., 1, :, :])
         if (bound <= COND_MAX / CERT_MARGIN).all():
             shape = s1.shape[:-2]
-            return np.ones(shape, bool), np.full(shape, sign), factor
+            return np.ones(shape, bool), np.full(shape, sign), pair
         break
     ev = np.linalg.eigvalsh(s1)
     sign = np.where(ev[..., 0] > 0, 1, np.where(ev[..., -1] < 0, -1, 0))
@@ -140,18 +141,18 @@ def definite_eigh(a, b, factor=None):
     M^T b M = Id, on stacks of symmetric a and positive definite b (else
     LinAlgError): LAPACK sygvd's reduction b = L L^T, (mu, V) =
     eigh(C) of C = L^(-1) a L^(-T), M = L^(-T) V and M^(-1) = V^T L^T.
-    `factor` is L when the caller has it (velocity_form's).  L^(-1) is
-    triangular_inverse's; for n = 2 the eigensolve is one Schur rotation
-    along the sample axis (schur2), else np.linalg.eigh.  M^(-1) is a
-    product, not a solve: as accurate as a solve with M, whatever
-    cond(b), where the equal M^T b loses digits as cond(b) grows."""
-    if factor is None:
-        factor = np.linalg.cholesky(b)
-    l_inv = triangular_inverse(factor)
-    c = symmetrize(l_inv @ a @ l_inv.swapaxes(-1, -2))
+    `factor` stacks L and L^(-1) when the caller has them (velocity_form's);
+    else L^(-1) is triangular_inverse's.  For n = 2 the eigensolve is one Schur
+    rotation along the sample axis (schur2), else np.linalg.eigh.  M^(-1) is a
+    product, not a solve: as accurate as a solve with M, whatever cond(b),
+    where the equal M^T b loses digits as cond(b) grows."""
+    low = np.linalg.cholesky(b) if factor is None else factor[..., 0, :, :]
+    low_inv = (triangular_inverse(low) if factor is None
+               else factor[..., 1, :, :])
+    c = symmetrize(low_inv @ a @ low_inv.swapaxes(-1, -2))
     mu, v = schur2(c) if c.shape[-1] == 2 else np.linalg.eigh(c)
-    return (mu, l_inv.swapaxes(-1, -2) @ v,
-            v.swapaxes(-1, -2) @ factor.swapaxes(-1, -2))
+    return (mu, low_inv.swapaxes(-1, -2) @ v,
+            v.swapaxes(-1, -2) @ low.swapaxes(-1, -2))
 
 
 def schur2(c):

@@ -75,14 +75,13 @@ SKEW_TOL = 1e-10
 
 # sup |Schwarzian| of a flat curve; absolute
 FLAT_TOL = 1e-8
-# Moebius fit residual over max(1, max|S|); relative
+# Moebius fit residuals, of S from lambda D and of lambda from the map, over
+# max(1, max|S|); relative
 FIT_TOL = 1e-8
 # cycle membership residual over max(1, scale of the line); relative
 MEMBER_TOL = 1e-8
-# a direction or a spread of samples below it is zero; absolute
+# a direction below it is zero; absolute
 ZERO_FLOOR = 1e-300
-# |c t + d| of unit-normalized Moebius coefficients, below it NoFit; absolute
-MOBIUS_DEN_MIN = 1e-12
 
 # -- the CLI ------------------------------------------------------------------
 

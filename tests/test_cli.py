@@ -450,7 +450,11 @@ class TestCycle:
         assert code == 0
         payload = json.loads(out)
         assert payload["flat"] is True
-        assert "coeffs" in payload["mobius"]
+        # a line through the chart's infinity: the Moebius map through
+        # three samples is exact, and no zero is written as -0.0
+        assert payload["mobius"]["coeffs"] == [1.0, 0.0, 0.0, 0.4472135955]
+        assert payload["mobius"]["residual"] <= 1e-15
+        assert "-0.0" not in out
 
     def test_curve_is_sampled_once(self, capsys, monkeypatch):
         # is_flat and mobius_fit read one sampling, whose velocity form is

@@ -333,6 +333,22 @@ class TestOneDecompositionOfVelocity:
         # one certificate of S' per analysis
         assert [name for name, _ in calls].count("cholesky") == 2
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_analyze_inverts_the_factor_once(self, monkeypatch, n):
+        # velocity_form's L^(-1) rides in the jets' form to definite_eigh
+        curve = (preset_curve("paper-6.2-ex1") if n == 2 else
+                 admissible_quartics(range(10), n=3, want=1)[0])
+        calls = []
+
+        def counted(factor, _fn=symspace.triangular_inverse):
+            calls.append(factor)
+            return _fn(factor)
+
+        monkeypatch.setattr(symspace, "triangular_inverse", counted)
+        ana = analyze(curve, SampleGrid(0, 1, 201))
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], ana.jets.form[2][:, 0])
+
     def test_roundtrip_solves_three_times(self, monkeypatch):
         # the Schwarzian of each analysis, and the Cayley steps; the
         # rebuilt curve is read off by the inverse that judges its A blocks,

@@ -869,7 +869,12 @@ class TestDefiniteCertificate:
             assert sign == 0 or log_cond > 9.0 - np.log10(n * n)
             return
         assert regular.all() and np.all(got_sign == sign)
-        assert same_bits(factor, np.linalg.cholesky(s if sign > 0 else -s))
+        # L, LAPACK's bit for bit, and beside it L^(-1) of the certificate
+        assert factor.shape == s.shape[:-2] + (2, n, n)
+        assert same_bits(factor[..., 0, :, :],
+                         np.linalg.cholesky(s if sign > 0 else -s))
+        assert same_bits(factor[..., 1, :, :],
+                         triangular_inverse(factor[..., 0, :, :]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]),
