@@ -14,15 +14,17 @@ output files go to a temporary directory.
 
 Before that summary line it prints a ledger: one JSON line per operation
 with its seed, workload, index, class, whether its check passed, its error
-type, its k_err and k_dev, and the first 16 hex digits of the SHA-256 of
-its own result.  `diff` of the output of two trees lists the operations
-that moved.
+type, its k_err and k_dev, a round trip's frame_deviation (None for other
+operations), and the first 16 hex digits of the SHA-256 of its own result.
+The hashes cover results, not ledger fields.  `diff` of the output of two
+trees lists the operations that moved.
 
 With --against FILE, a saved output of this script (another tree's, at the
 same seeds), it then prints the transitions from that ledger to this one,
 grouped by class: pass -> fail and fail -> pass, then on lines of their
 own the changes of error type on an operation that fails at both, and the
-largest k_err and k_dev change of each class that has one; and last one
+largest k_err, k_dev and frame_deviation change of each class that has
+one (a ledger without frame_deviation reads None there); and last one
 summary line of counts: transitions (pass <-> fail only), fail -> fail
 error-type changes, operations whose own SHA-256 changed with no
 transition or type change, and unmatched operations.  A ledger against itself prints only zeros.
@@ -45,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402
 from jacobi.matcurve import CurveJet  # noqa: E402
+from jacobi.reconstruct import RoundtripReport  # noqa: E402
 
 # a fixed name for the run's temporary directory, which CLI messages may
 # contain
@@ -124,6 +127,7 @@ def digest(seeds):
                 ops = (op for ops in w.cycles for op in ops)
                 for index, op in enumerate(ops):
                     outcome, value = run_op(op, tmp)
+                    result = value[1]
                     failed += not outcome.ok
                     count += 1
                     own = hashlib.sha256()
@@ -134,6 +138,9 @@ def digest(seeds):
                         "class": op.cls, "ok": outcome.ok,
                         "error": outcome.error, "k_err": outcome.k_err,
                         "k_dev": outcome.k_dev,
+                        "frame_deviation": (
+                            float(result.frame_deviation)
+                            if isinstance(result, RoundtripReport) else None),
                         "sha256": own.hexdigest()[:16]})
                     print(json.dumps(ledger[-1]))
     return count, failed, h.hexdigest(), ledger
@@ -173,8 +180,8 @@ def transitions(old, new):
                 f"{where} ({a['error']} -> {b['error']})")
         elif a["sha256"] != b["sha256"]:
             quiet += 1
-        for field in ("k_err", "k_dev"):
-            if a[field] is not None and b[field] is not None:
+        for field in ("k_err", "k_dev", "frame_deviation"):
+            if a.get(field) is not None and b.get(field) is not None:
                 change = abs(b[field] - a[field])
                 if change > largest[b["class"]].get(field, (0.0,))[0]:
                     largest[b["class"]][field] = (change, where)

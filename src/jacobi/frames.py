@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenCrossing, Gates, GridMismatch, InflectionPoint
+from .errors import EigenCrossing, Gates, GridMismatch
 from .geom import ArcData
 from .matcurve import finite_diff, spline
-from .symspace import _entrywise, chart_inverse
+from .symspace import _entrywise
 from .tolerances import EQUIV_TOL, MIN_OVERLAP, OVERLAP_SLACK, SIGN_TOL
 
 
@@ -49,19 +49,17 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
 
     Column order is by ascending curvature eigenvalue; the complement spans
     the derivative subspace Sbar = S - 2 S' corr^(-1) S' of the
-    arc-reparametrized curve, corr = S'' - (zeta'/zeta) S'.  No solve is
-    needed: M^T S' M = Id gives M^(-T) = S' M and S'^(-1) = M M^T, so the
-    complement Mbar = (Sbar - S)^(-1) M^(-T) is -1/2 M (M^T corr M) and
-    Sbar Mbar = S Mbar + S' M.  Only corr is gated (InflectionPoint at the
-    earliest sample where it is singular); S' was gated where M was
-    computed (the screen, or ricci), and M^T S' M = Id makes
-    cond(M)^2 = cond(S').
+    arc-reparametrized curve, corr = S'' - (zeta'/zeta) S'.  M^T S' M = Id
+    gives M^(-T) = S' M and S'^(-1) = M M^T, so the complement
+    Mbar = (Sbar - S)^(-1) M^(-T) is -1/2 M (M^T corr M) and
+    Sbar Mbar = S Mbar + S' M: products, so F^T J F = J for every symmetric
+    corr and no gate is needed (a singular corr only takes Sbar out of the
+    chart of S; Sigma and k never read corr).  S' was gated where M was
+    computed (the screen, or ricci): M^T S' M = Id makes cond(M)^2 = cond(S').
     """
     ms, m_inv = _fix_signs(ricci_series.eigvecs, ricci_series.eigvecs_inv,
                            arc.ts)
     corr = jets.S2 - (arc.zeta1 / arc.zeta)[:, None, None] * jets.S1
-    Gates().require(chart_inverse(corr)[1],
-                    lambda i: InflectionPoint(arc.ts[i])).raise_error()
     mbar = -0.5 * (ms @ (ms.swapaxes(-1, -2) @ corr @ ms))
     # filled in place: np.block would also hold its two row blocks
     n = ms.shape[-1]

@@ -249,8 +249,11 @@ class SampleGrid:
     def points(self):
         # linspace's last product may round past the largest float on a
         # span near it; that node is then set to t1
-        with np.errstate(over="ignore"):
-            return np.linspace(self.t0, self.t1, self.m)
+        try:
+            with np.errstate(over="ignore"):
+                return np.linspace(self.t0, self.t1, self.m)
+        except (ValueError, MemoryError, IndexError):  # a size numpy refuses
+            raise DomainError(f"grid too large: m={self.m}") from None
 
 
 @dataclass(frozen=True)

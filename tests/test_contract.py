@@ -74,6 +74,11 @@ VELOCITY_SCHWARZIAN = {"n": 2, "kind": "polynomial", "domain": [0, 1],
                                    [[0], [0, 2e200, 5e299]]]}
 DETERMINANT = {"n": 2, "kind": "polynomial", "domain": [0, 1],
                "entries": [[[0, 1, 5e79], [0]], [[0], [0, 2, 2e80]]]}
+# a grid numpy refuses to build, before it allocates anything: -m 2**60 and
+# -m 2**63 (past numpy's index range) on the command line, and a
+# prescription's "m": 1e300, a whole number to json_integer
+BIG_M = {"n": 2, "grid": {"t0": 0, "t1": 1, "m": 1e300}, "K": [0, -1],
+         "F0": [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]}
 
 
 def entries(n, max_size=4):
@@ -196,6 +201,9 @@ def run_cli(obj, argv):
 @example(RICCI_MEAN, ["analyze", "CURVE", "-m", "21"])
 @example(VELOCITY_SCHWARZIAN, ["analyze", "CURVE", "-m", "21"])
 @example(DETERMINANT, ["analyze", "CURVE", "-m", "21"])
+@example(EX1, ["analyze", "CURVE", "-m", str(2**60)])
+@example(EX1, ["analyze", "CURVE", "-m", str(2**63)])
+@example(BIG_M, ["reconstruct", "CURVE"])
 def test_cli_keeps_the_error_contract(obj, argv):
     code, _, err = run_cli(obj, argv)
     assert code in (0, 1, 2, 3), (code, err)

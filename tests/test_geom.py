@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from jacobi import symspace
 from jacobi.cli import main
 from jacobi.curvature import ricci
-from jacobi.errors import (InflectionPoint, InvalidBasis, JacobiError,
-                           NotAdmissible, RegularityFailure,
-                           RepeatedEigenvalues)
+from jacobi.errors import (InvalidBasis, JacobiError, NotAdmissible,
+                           RegularityFailure, RepeatedEigenvalues)
 from jacobi.geom import (
     SCREEN_ERRORS,
     SCREEN_STEPS,
@@ -311,9 +310,9 @@ class TestOneDecompositionOfVelocity:
         # the Schwarzian's; Sigma is read off with M^(-1), a product
         assert [name for name, _ in calls if name == "solve"] == ["solve"]
         # n = 2: the eigensolve is a Schur rotation on the sample axis, and
-        # the one inverse is the frame's gate on corr
+        # nothing is inverted: the frame is a product in corr
         assert [name for name, _ in calls if name == "eigh"] == []
-        assert [name for name, _ in calls if name == "inv"] == ["inv"]
+        assert [name for name, _ in calls if name == "inv"] == []
         assert ("einsum", 3) not in calls
 
     def test_n3_analysis_calls_eigh_once(self, monkeypatch):
@@ -323,6 +322,7 @@ class TestOneDecompositionOfVelocity:
         analyze(c, SampleGrid(0, 1, 201))
         assert [name for name, _ in calls].count("eigh") == 1
         assert [name for name, _ in calls].count("solve") == 1
+        assert [name for name, _ in calls].count("inv") == 0
 
     def test_roundtrip_takes_no_svd(self, monkeypatch):
         # the chart exits of the rebuilt curve are cleared from A^(-1)
@@ -493,11 +493,6 @@ class TestCertifiedVelocity:
             assert record(curve, grid) == certified
 
 
-@pytest.mark.xfail(strict=True, raises=InflectionPoint, reason=(
-    "known defect, ROADMAP item 8: S''(0) = 0 and the stencil zeta'(0) "
-    "rounds to exactly 0, so corr = S'' - (zeta'/zeta) S' vanishes at t = 0 "
-    "and the frame's InflectionPoint gate rejects a regular point; item "
-    "2(c) deletes that gate"))
 def test_untransformed_tan_base_through_t0():
     # draw_rates(default_rng(12), 3) of the benchmark inputs
     a = np.array([0.40825242299373743, 0.47590690391929075,
@@ -506,6 +501,23 @@ def test_untransformed_tan_base_through_t0():
                 SampleGrid(0.0, 1.0, 201)).reduced.curvatures()
     mu = np.sort(2.0 * a**2)
     k_exact = mu / np.prod(np.abs(mu - mu.mean())) ** (1.0 / a.size)
-    # relative: with the gate removed this draw reads 1.9e-9 against
-    # max k = 2.73
+    # relative: at t = 0, S''(0) = 0 and the stencil zeta'(0) rounds to
+    # exactly 0, so corr = S'' - (zeta'/zeta) S' vanishes there, which the
+    # frame, a product in corr, does not mind; this draw reads 1.9e-9
+    # against max k = 2.73
     assert np.max(np.abs(k - k_exact)) <= 1e-9 * np.max(k_exact)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_untransformed_tan_bases_through_the_window_middle(n):
+    # the benchmark's rates at seeds 0-39 on a window centred at t = 0,
+    # where corr = S'' - (zeta'/zeta) S' can be singular: every draw is
+    # analyzed and reads back its exact curvatures
+    grid = SampleGrid(-0.5, 0.5, 201)
+    worst = {}
+    for seed in range(40):
+        a = BENCH_INPUTS.draw_rates(np.random.default_rng(seed), n)
+        k = analyze(BENCH_INPUTS.tan_base(a), grid).reduced.curvatures()
+        k_exact = BENCH_INPUTS.closed_form_k(a)
+        worst[seed] = np.max(np.abs(k - k_exact)) / np.max(k_exact)
+    assert max(worst.values()) <= 1e-8, worst

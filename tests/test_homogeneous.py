@@ -11,11 +11,17 @@ import scipy.linalg
 from jacobi.frames import equivalent_reduced
 from jacobi.matcurve import SampleGrid, transformed_curve
 from jacobi.pipeline import analyze
+from jacobi.reconstruct import roundtrip
 from jacobi.symspace import random_csp, random_hamiltonian
+from jacobi.tolerances import EQUIV_TOL
 
 from .conftest import homogeneous_curve, homogeneous_draw
 
 GRID = SampleGrid(0.1, 1.0, 201)
+# a window through t = 0, where the frame's corr = S'' - (zeta'/zeta) S'
+# may be singular: the derivative subspace leaves the chart of S there, and
+# the invariants do not notice
+MIDDLE = SampleGrid(-0.5, 0.5, 201)
 
 
 def read_back(ana, sigma, k):
@@ -56,6 +62,33 @@ def test_analyze_reads_back_the_invariants_at_m801(seed, n):
     k_err, sigma_err, zeta_err = errors(curve, sigma, k,
                                         SampleGrid(0.1, 1.0, 801))
     assert k_err <= 1e-7 and sigma_err <= 1e-8 and zeta_err <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("seed", range(10))
+def test_analyze_reads_back_the_invariants_through_t0(seed, n):
+    sigma, k = homogeneous_draw(seed, n)
+    curve = homogeneous_curve(sigma, -k / 2, np.eye(2 * n))
+    k_err, sigma_err, zeta_err = errors(curve, sigma, k, MIDDLE)
+    assert k_err <= 1e-8 and sigma_err <= 1e-8 and zeta_err <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("seed", range(10))
+def test_a_random_start_is_equivalent_through_t0(seed, n):
+    sigma, k = homogeneous_draw(seed, n)
+    ana = analyze(homogeneous_curve(sigma, -k / 2, symplectic_start(seed, n)),
+                  MIDDLE)
+    twin = analyze(homogeneous_curve(sigma, -k / 2, np.eye(2 * n)), MIDDLE)
+    assert equivalent_reduced(twin.reduced, ana.reduced, EQUIV_TOL)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("seed", range(10))
+def test_roundtrip_closes_through_t0(seed, n):
+    sigma, k = homogeneous_draw(seed, n)
+    curve = homogeneous_curve(sigma, -k / 2, np.eye(2 * n))
+    assert roundtrip(curve, MIDDLE).equivalent
 
 
 # (seed, n) of the one draw whose analysis fails with a random F0

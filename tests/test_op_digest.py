@@ -1,10 +1,15 @@
-"""scripts/op_digest.py: the transition report between two ledgers, and the
-hash of the files an operation writes."""
+"""scripts/op_digest.py: the transition report between two ledgers, a
+round trip's frame_deviation in the ledger, and the hash of the files an
+operation writes."""
 
 import hashlib
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
+
+from jacobi.reconstruct import RoundtripReport
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "op_digest.py"
 
@@ -56,6 +61,43 @@ def test_each_kind_of_move_is_counted_once():
             "(InflectionPoint -> NormalizationViolation)") in report
     assert "c5: largest k_dev change 2.000e-09 (seed 1 w op 5)" in report
     assert counts(report) == [2, 1, 1, 2]
+
+
+def test_frame_deviation_changes_are_reported_and_old_ledgers_read_none():
+    old = [line(0), line(1), line(2)]
+    old[0]["frame_deviation"] = 1e-9
+    old[1]["frame_deviation"] = None
+    # op 2's line predates the field
+    new = [line(0), line(1), line(2)]
+    new[0]["frame_deviation"] = 4e-9
+    new[1]["frame_deviation"] = 2e-9
+    new[2]["frame_deviation"] = 5e-9
+    report = OP_DIGEST.transitions(old, new)
+    assert report[:-1] == [
+        "c0: largest frame_deviation change 3.000e-09 (seed 1 w op 0)"]
+    assert counts(report) == [0, 0, 0, 0]
+    # a ledger without the field against one with it, either way round
+    bare = [line(0)]
+    assert counts(OP_DIGEST.transitions(bare, new[:1])) == [0, 0, 0, 0]
+    assert OP_DIGEST.transitions(new[:1], bare)[:-1] == []
+
+
+def test_a_roundtrip_op_writes_its_frame_deviation(monkeypatch):
+    report = RoundtripReport(
+        equivalent=True, sign_pattern=None, k_deviation=0.0,
+        sigma_deviation=None, frame_deviation=np.float64(2e-9),
+        sympl_residual=0.0, warnings=[])
+    ops = [SimpleNamespace(cls=cls, call=lambda r=result: r,
+                           check=lambda result, exc: SimpleNamespace(
+                               ok=True, error=None, k_err=None, k_dev=None))
+           for cls, result in (("roundtrip/x/m201", report),
+                               ("analyze/x", (0, "", "")))]
+    monkeypatch.setattr(OP_DIGEST.workloads, "WORKLOADS", ["w"])
+    monkeypatch.setattr(OP_DIGEST.workloads, "build",
+                        lambda *args: SimpleNamespace(cycles=[ops]))
+    *_, ledger = OP_DIGEST.digest([1])
+    assert [entry["frame_deviation"] for entry in ledger] == [2e-9, None]
+    assert type(ledger[0]["frame_deviation"]) is float
 
 
 def digest_of(op, workdir):

@@ -92,6 +92,22 @@ def test_one_read_off_rule_and_one_conformal_factor():
                      "eigh": {("symspace", "definite_eigh")}}
 
 
+def test_one_inflection_point_raiser():
+    # only the derivative curve's chart point S - 2 S' corr^(-1) S' leaves
+    # the chart where corr is singular; the moving frame is a product in
+    # corr and takes no verdict on it
+    sites = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if any(isinstance(node, ast.ClassDef)
+               and node.name == "InflectionPoint"
+               for node in ast.walk(ast.parse(path.read_text()))):
+            sites.add((path.stem, "<class>"))
+        sites |= {(path.stem, scope) for name, scope in identifiers(path)
+                  if name == "InflectionPoint"}
+    assert sites == {("errors", "<class>"), ("curvature", "<module>"),
+                     ("curvature", "derivative_curve")}
+
+
 def transposed(node):
     """x of a transpose x.T, x.swapaxes(...) or x.transpose(...), else
     None."""
