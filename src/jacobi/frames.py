@@ -7,6 +7,12 @@ orthonormal curvature eigenvectors) and fbar span the derivative subspace
 with the unique complementary basis; the frame evolves by F' = F C with C in
 the block form [[Sigma, K], [Id, Sigma]] when the parameter is the geometric
 arc.
+
+(Sigma, K) read only M and the curvatures, so the analysis computes the
+sign-continuous bases M and M^(-1) (_fix_signs) and hands them to
+reduced_invariants; the whole frame stack (frenet_frame) is built only when
+`Analysis.frame` is first read, and a reconstruction's initial frame from
+the first sample alone (initial_frame).
 """
 
 from __future__ import annotations
@@ -41,6 +47,21 @@ def _fix_signs(ms, m_inv, ts):
     return ms * signs[:, None, :], m_inv * signs[:, :, None]
 
 
+def _frame_blocks(ms, jets, rate):
+    """[[M, Mbar], [S M, S Mbar + S' M]] at each sample of the signed bases
+    ms and the jets, with rate = zeta'/zeta there."""
+    corr = jets.S2 - rate[:, None, None] * jets.S1
+    mbar = -0.5 * (ms @ (ms.swapaxes(-1, -2) @ corr @ ms))
+    # filled in place: np.block would also hold its two row blocks
+    n = ms.shape[-1]
+    fr = np.empty(ms.shape[:-2] + (2 * n, 2 * n))
+    fr[:, :n, :n] = ms
+    fr[:, n:, :n] = jets.S @ ms
+    fr[:, :n, n:] = mbar
+    fr[:, n:, n:] = jets.S @ mbar + jets.S1 @ ms
+    return fr
+
+
 def frenet_frame(jets, ricci_series, arc: ArcData):
     """(frame, M^(-1)): the moving frame at every sample, an (m, 2n, 2n)
     stack of symplectic frames with the sample axis first, and the inverse
@@ -59,16 +80,16 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     """
     ms, m_inv = _fix_signs(ricci_series.eigvecs, ricci_series.eigvecs_inv,
                            arc.ts)
-    corr = jets.S2 - (arc.zeta1 / arc.zeta)[:, None, None] * jets.S1
-    mbar = -0.5 * (ms @ (ms.swapaxes(-1, -2) @ corr @ ms))
-    # filled in place: np.block would also hold its two row blocks
-    n = ms.shape[-1]
-    fr = np.empty(ms.shape[:-2] + (2 * n, 2 * n))
-    fr[:, :n, :n] = ms
-    fr[:, n:, :n] = jets.S @ ms
-    fr[:, :n, n:] = mbar
-    fr[:, n:, n:] = jets.S @ mbar + jets.S1 @ ms
-    return fr, m_inv
+    return _frame_blocks(ms, jets, arc.zeta1 / arc.zeta), m_inv
+
+
+def initial_frame(jets, ricci_series, arc: ArcData):
+    """frenet_frame's frame at the first sample, bit for bit, from that
+    sample alone: the same sign convention and products on one-sample
+    slices."""
+    ms, _ = _fix_signs(ricci_series.eigvecs[:1], ricci_series.eigvecs_inv[:1],
+                       arc.ts[:1])
+    return _frame_blocks(ms, jets[:1], arc.zeta1[:1] / arc.zeta[:1])[0]
 
 
 def cartan_matrix(Sigma, Kdiag):
@@ -120,11 +141,12 @@ class ReducedCartan:
         return -2.0 * self.Kdiag
 
 
-def reduced_invariants(frames, m_inv, arc: ArcData, k):
+def reduced_invariants(ms, m_inv, arc: ArcData, k):
     """Canonical blocks (Sigma, K) of the frame's Cartan matrix
     C = cartan_matrix(Sigma, K): Sigma = skew(M^(-1) M') / (2 zeta), with
-    M the frames' upper left blocks, M' finite-differenced from that
-    sign-continuous series and M^(-1) its inverse (frenet_frame's), and
+    M = ms the sign-continuous bases (the frame's upper left blocks, as
+    _fix_signs returns them), M' finite-differenced from that series and
+    M^(-1) = m_inv its inverse, signed with it, and
     K = -k/2 = -(diag(mu) - sphi Id) / (2 zeta^2) from the absolute
     curvatures k.
 
@@ -134,8 +156,8 @@ def reduced_invariants(frames, m_inv, arc: ArcData, k):
     j's component so the entry at the first such sample is >= 0 and join
     them (a greedy spanning forest: no conflicts, components are disjoint).
     """
-    n = frames.shape[-1] // 2
-    a = m_inv @ finite_diff(frames[:, :n, :n], arc.ts[1] - arc.ts[0], 1)
+    n = ms.shape[-1]
+    a = m_inv @ finite_diff(ms, arc.ts[1] - arc.ts[0], 1)
     sig = (a - a.swapaxes(-1, -2)) / (2.0 * arc.zeta)[:, None, None]
     kd = -k / 2
 

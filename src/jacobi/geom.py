@@ -6,7 +6,7 @@ admissibility screen that opens an Analysis and gates the pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,8 +119,9 @@ class Analysis:
     """Everything computed for one curve over one grid, as sample series.
 
     `screen` sets the fields up to `error`, `pipeline.complete` the
-    (m, 2n, 2n) frame stack `frame` and the ReducedCartan `reduced`.
-    `jets` is the grid's judged jet series, negated when the velocity form
+    ReducedCartan `reduced`; the (m, 2n, 2n) frame stack `frame` is built
+    on first read once `reduced` is set, and None before.  `jets` is the
+    grid's judged jet series, negated when the velocity form
     is negative definite (`flipped`: velocity_sign < 0; the spectrum is
     unchanged, the normalization then well-posed).  `error` is the typed
     error of the first failed step; the fields of the later steps are then
@@ -135,12 +136,23 @@ class Analysis:
     min_eig_gap: float | None = None
     arc: ArcData | None = None
     error: JacobiError | None = None
-    frame: object = None
     reduced: object = None
+    _frame: object = field(default=None, init=False, repr=False,
+                           compare=False)
 
     @property
     def flipped(self):
         return self.velocity_sign < 0
+
+    @property
+    def frame(self):
+        """frenet_frame's (m, 2n, 2n) stack, built on first read and kept;
+        None until `reduced` is set."""
+        if self._frame is None and self.reduced is not None:
+            from .frames import frenet_frame  # frames imports this module
+            self._frame = frenet_frame(self.jets, self.ricci_series,
+                                       self.arc)[0]
+        return self._frame
 
     def report(self):
         """The screen's verdict as the artifacts' `admissibility` dict.

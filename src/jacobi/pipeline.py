@@ -1,9 +1,10 @@
 """End-to-end analysis: sample a curve, diagonalize its curvature, build the
-arc element, the moving frame and the reduced invariant in one call."""
+arc element, the signed eigenvector bases and the reduced invariant in one
+call; the moving frame is built when `Analysis.frame` is first read."""
 
 from __future__ import annotations
 
-from .frames import frenet_frame, reduced_invariants
+from .frames import _fix_signs, reduced_invariants
 from .geom import Analysis, absolute_curvature, screen
 
 
@@ -17,11 +18,13 @@ def analyze(curve, grid):
 
 def complete(ana: Analysis):
     """Frame stages on a screened Analysis, filled in place and returned:
-    the normalization gate, the frame, the reduced invariant.  Re-raises
-    the error a failed screen recorded."""
+    the normalization gate, the sign-continuous bases M and M^(-1) with
+    their eigenvalue-crossing gate, the reduced invariant.  Re-raises the
+    error a failed screen recorded."""
     if ana.error is not None:
         raise ana.error
     k = absolute_curvature(ana.ricci_series, ana.arc)
-    ana.frame, m_inv = frenet_frame(ana.jets, ana.ricci_series, ana.arc)
-    ana.reduced = reduced_invariants(ana.frame, m_inv, ana.arc, k)
+    rs = ana.ricci_series
+    ms, m_inv = _fix_signs(rs.eigvecs, rs.eigvecs_inv, ana.arc.ts)
+    ana.reduced = reduced_invariants(ms, m_inv, ana.arc, k)
     return ana

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import (DomainError, Gates, GridMismatch, InvalidDimension,
                      NotInChart, StepTooCoarse, SymplecticityLoss)
-from .frames import cartan_matrix, equivalent_reduced, invariant_spline
+from .frames import (cartan_matrix, equivalent_reduced, initial_frame,
+                     invariant_spline)
 from .geom import centered_product
 from .matcurve import (SampleGrid, finite_diff, json_array, json_integer,
                        json_numbers, node_curve, require_keys)
@@ -56,7 +57,8 @@ class InvariantPrescription:
         self.Kdiag = np.asarray(self.Kdiag, dtype=float)
         self.F0 = np.asarray(self.F0, dtype=float)
         m = self.ts.size
-        n = self.Kdiag.shape[1]
+        # no n matches a Kdiag that is not 2-D
+        n = self.Kdiag.shape[1] if self.Kdiag.ndim == 2 else None
         if self.Sigma.shape != (m, n, n) or self.Kdiag.shape != (m, n):
             raise GridMismatch("prescription series shapes disagree")
         if not _maxabs(self.Sigma + self.Sigma.swapaxes(-1, -2)) <= SKEW_TOL:
@@ -246,14 +248,17 @@ def arc_uniform_prescription(analysis):
     """Resample an analysis onto a uniform arc-parameter grid.
 
     Sigma and K are spline-resampled as functions of arclength; the initial
-    frame is the analysis frame at the left endpoint (arclength zero).
+    frame is the analysis frame at the left endpoint (arclength zero), built
+    from that sample alone.
     """
     rc = analysis.reduced
     ell = rc.arclength
     tau = np.linspace(0.0, ell[-1], ell.size)
     sig, kd = invariant_spline(ell, rc.Sigma, rc.Kdiag)(tau)
     return InvariantPrescription(ts=tau, Sigma=sig, Kdiag=kd,
-                                 F0=analysis.frame[0])
+                                 F0=initial_frame(analysis.jets,
+                                                  analysis.ricci_series,
+                                                  analysis.arc))
 
 
 def frame_curve(p: InvariantPrescription, frames):

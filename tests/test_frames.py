@@ -7,6 +7,8 @@ from dataclasses import replace
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from jacobi import frames as frames_module
+from jacobi.cli import main
 from jacobi.curvature import derivative_curve
 from jacobi.errors import EigenCrossing, GridMismatch, JacobiError
 from jacobi.frames import (
@@ -17,10 +19,11 @@ from jacobi.frames import (
     invariant_spline,
     reduced_invariants,
 )
-from jacobi.geom import ArcData
+from jacobi.geom import ArcData, screen
 from jacobi.matcurve import (SampleGrid, finite_diff, preset_curve,
                              sample_curve, spline)
-from jacobi.pipeline import analyze
+from jacobi.pipeline import analyze, complete
+from jacobi.reconstruct import arc_uniform_prescription, roundtrip
 from jacobi.symspace import frame_from_chart_pair, is_symplectic_frame
 
 from .conftest import admissible_quartics, random_quartic
@@ -196,12 +199,13 @@ class TestReducedInvariants:
         for c in [preset_curve("paper-6.2-ex1")] + admissible_quartics(
                 range(10), n=3, want=2):
             ana = analyze(c, unit_grid)
-            _, m_inv = frenet_frame(ana.jets, ana.ricci_series, ana.arc)
-            for eps in itertools.product((1.0, -1.0), repeat=ana.reduced.n):
-                # flipping frame columns, and the matching rows of M^(-1),
+            n = ana.reduced.n
+            fr, m_inv = frenet_frame(ana.jets, ana.ricci_series, ana.arc)
+            for eps in itertools.product((1.0, -1.0), repeat=n):
+                # flipping columns of M, and the matching rows of M^(-1),
                 # conjugates Sigma by diag(eps)
-                flipped = ana.frame * np.concatenate([eps, eps])
-                rc = reduced_invariants(flipped, m_inv * np.array(eps)[:, None],
+                rc = reduced_invariants(fr[:, :n, :n] * np.array(eps),
+                                        m_inv * np.array(eps)[:, None],
                                         ana.arc, ana.reduced.curvatures())
                 assert np.allclose(rc.Sigma, ana.reduced.Sigma, atol=1e-12)
                 assert np.array_equal(rc.Kdiag, ana.reduced.Kdiag)
@@ -211,7 +215,7 @@ class TestReducedInvariants:
         # the pair (1, 2) can fix the sign of column 2: Sigma_12 = +0.5
         # whichever sign column 2 comes in with
         for s2 in (1.0, -1.0):
-            rc = reduced_invariants(*synthetic_frame(rotation_m(0.5), s2))
+            rc = reduced_invariants(*synthetic_basis(rotation_m(0.5), s2))
             assert np.allclose(rc.Sigma[:, 1, 2], 0.5, atol=1e-9)
             assert np.max(np.abs(rc.Sigma[:, 0, 1:])) <= 1e-12
 
@@ -229,8 +233,8 @@ class TestReducedInvariants:
         w[np.triu_indices(4, 1)] = upper
         w -= w.T
         ms = np.stack([expm(t * w) for t in np.linspace(0.0, 1.0, 101)])
-        ref = reduced_invariants(*synthetic_frame(ms)).Sigma
-        rc = reduced_invariants(*synthetic_frame(ms * np.array(eps)))
+        ref = reduced_invariants(*synthetic_basis(ms)).Sigma
+        rc = reduced_invariants(*synthetic_basis(ms * np.array(eps)))
         assert np.allclose(rc.Sigma, ref, atol=1e-12)
 
 
@@ -245,23 +249,19 @@ def rotation_m(rate, m=101):
     return ms
 
 
-def synthetic_frame(ms, s_last=1.0):
+def synthetic_basis(ms, s_last=1.0):
     """reduced_invariants arguments for the eigenvector series ms on [0, 1]
-    with zeta = 1 and fixed distinct curvatures: a frame stack whose upper
-    left blocks are ms, the last column multiplied by s_last (the other
-    blocks, which reduced_invariants does not read, are zero), and the
-    inverses of those blocks."""
+    with zeta = 1 and fixed distinct curvatures: ms with its last column
+    multiplied by s_last, and the inverses of its matrices."""
     m, n = ms.shape[:2]
-    frames = np.zeros((m, 2 * n, 2 * n))
-    frames[:, :n, :n] = ms
-    frames[:, :n, n - 1] *= s_last
-    m_inv = np.linalg.inv(frames[:, :n, :n])
+    ms = ms.copy()
+    ms[:, :, n - 1] *= s_last
     ts = np.linspace(0.0, 1.0, m)
     one, zero = np.ones(m), np.zeros(m)
     arc = ArcData(ts=ts, zeta=one, zeta1=zero, zeta2=zero, sphi=zero,
                   arclength=ts)
     k = np.tile(np.arange(n, dtype=float), (m, 1))
-    return frames, m_inv, arc, k
+    return ms, np.linalg.inv(ms), arc, k
 
 
 class TestInvariantSpline:
@@ -324,3 +324,81 @@ def test_block_structure_everywhere(coarse_grid):
             assert np.array_equal(cm[n:, :n], np.eye(n))
             assert np.array_equal(cm[:n, :n], cm[n:, n:])
             assert np.array_equal(cm[:n, n:], np.diag(np.diag(cm[:n, n:])))
+
+
+def frame_builds(monkeypatch):
+    """The argument tuples of every frenet_frame call from here on, through
+    any jacobi module's name for it."""
+    calls, build = [], frames_module.frenet_frame
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "jacobi"
+                and getattr(module, "frenet_frame", None) is build):
+            monkeypatch.setattr(module, "frenet_frame", counted)
+    return calls
+
+
+# n = 2, 3 and 6, and a curve with negative definite velocity (flipped)
+FRAME_CURVES = {
+    "ex1": lambda: preset_curve("paper-6.2-ex1"),
+    "quartic-3": lambda: random_quartic(0, n=3),
+    "quartic-6": lambda: random_quartic(0, n=6),
+    "flipped": lambda: random_quartic(0, n=2, scale=-1.0),
+}
+
+
+class TestFrameOnFirstRead:
+    def test_analyze_compare_and_roundtrip_build_no_frame(
+            self, monkeypatch, capsys, unit_grid):
+        calls = frame_builds(monkeypatch)
+        analyze(preset_curve("paper-6.2-ex1"), unit_grid)
+        assert main(["compare", "paper-6.2-ex1", "paper-6.2-ex1",
+                     "--t0", "0", "--t1", "1"]) == 0
+        capsys.readouterr()
+        assert roundtrip(preset_curve("paper-6.2-ex1"), unit_grid).equivalent
+        assert calls == []
+
+    def test_first_read_builds_one_frame_and_keeps_it(self, monkeypatch,
+                                                      unit_grid):
+        ana = analyze(preset_curve("paper-6.2-ex1"), unit_grid)
+        calls = frame_builds(monkeypatch)
+        frame = ana.frame
+        assert len(calls) == 1
+        assert ana.frame is frame
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", FRAME_CURVES)
+    def test_frame_is_frenet_frames_stack(self, name, unit_grid):
+        ana = analyze(FRAME_CURVES[name](), unit_grid)
+        assert ana.flipped == (name == "flipped")
+        fr, m_inv = frenet_frame(ana.jets, ana.ricci_series, ana.arc)
+        assert ana.frame.dtype == fr.dtype and ana.frame.shape == fr.shape
+        assert ana.frame.tobytes() == fr.tobytes()
+        # the analysis read its reduced invariant off the frame's bases
+        n = ana.reduced.n
+        rc = reduced_invariants(fr[:, :n, :n], m_inv, ana.arc,
+                                ana.reduced.curvatures())
+        assert rc.Sigma.tobytes() == ana.reduced.Sigma.tobytes()
+
+    @pytest.mark.parametrize("name", FRAME_CURVES)
+    def test_initial_frame_is_the_first_frame(self, name, unit_grid):
+        ana = analyze(FRAME_CURVES[name](), unit_grid)
+        f0 = arc_uniform_prescription(ana).F0
+        assert f0.tobytes() == ana.frame[0].tobytes()
+
+    def test_no_frame_before_complete_or_after_a_failed_screen(
+            self, monkeypatch, unit_grid):
+        calls = frame_builds(monkeypatch)
+        failed = screen(preset_curve("affine-line"), unit_grid)
+        assert failed.error is not None and failed.frame is None
+        ana = screen(preset_curve("paper-6.2-ex1"), unit_grid)
+        assert ana.error is None and ana.frame is None
+        assert calls == []
+        # the None read before complete is not kept
+        complete(ana)
+        assert ana.frame.shape == (unit_grid.m, 4, 4)
+        assert len(calls) == 1

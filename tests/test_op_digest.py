@@ -1,6 +1,6 @@
 """scripts/op_digest.py: the transition report between two ledgers, a
-round trip's frame_deviation in the ledger, and the hash of the files an
-operation writes."""
+round trip's frame_deviation in the ledger, the hash of the files an
+operation writes, and the hash of an analysis's frame."""
 
 import hashlib
 import importlib.util
@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from jacobi.matcurve import SampleGrid, preset_curve
+from jacobi.pipeline import analyze
 from jacobi.reconstruct import RoundtripReport
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "op_digest.py"
@@ -147,3 +149,23 @@ def test_a_file_the_op_leaves_alone_is_not_hashed(tmp_path):
     other.mkdir()
     _, without = digest_of(op(writer("{{}}"), other), other)
     assert with_input == without
+
+
+def hashed(value):
+    h = hashlib.sha256()
+    OP_DIGEST.feed(h, value, "w")
+    return h.hexdigest()
+
+
+def test_an_analysis_feeds_its_frame_before_reduced():
+    ana = analyze(preset_curve("paper-6.2-ex1"), SampleGrid(0.0, 1.0, 41))
+    first = hashed(ana)
+    # the frame kept by the first read changes nothing
+    assert ana._frame is not None and hashed(ana) == first
+    # the layout that stored the frame as a field between error and reduced
+    h = hashlib.sha256()
+    h.update(b"Analysis\n")
+    for name in ("curve", "grid", "velocity_sign", "jets", "ricci_series",
+                 "min_eig_gap", "arc", "error", "frame", "reduced"):
+        OP_DIGEST.feed(h, getattr(ana, name), "w")
+    assert h.hexdigest() == first

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobi import reconstruct
-from jacobi.errors import (DomainError, InvalidDimension, JacobiError,
-                           MissingKey, NotInChart, StepTooCoarse,
+from jacobi.errors import (DomainError, GridMismatch, InvalidDimension,
+                           JacobiError, MissingKey, NotInChart, StepTooCoarse,
                            SymplecticityLoss)
 from jacobi.frames import cartan_matrix, equivalent_reduced
 from jacobi.matcurve import (STENCIL_3_WIDE, SampleGrid, _stencil,
@@ -68,6 +68,14 @@ class TestPrescriptionValidation:
                                   Sigma=np.zeros((m, 3, 3)), Kdiag=kd,
                                   F0=np.eye(6))
         assert any("not distinct" in w for w in p.warnings)
+
+    @pytest.mark.parametrize("kdiag", [np.zeros((11, 2, 2)), np.zeros(11),
+                                       np.float64(0.0)])
+    def test_kdiag_not_2d_is_a_grid_mismatch(self, kdiag):
+        with pytest.raises(GridMismatch,
+                           match="prescription series shapes disagree"):
+            InvariantPrescription(np.linspace(0.0, 1.0, 11),
+                                  np.zeros((11, 2, 2)), kdiag, np.eye(4))
 
     def test_f0_of_another_size_rejected(self):
         with pytest.raises(InvalidDimension):
