@@ -58,15 +58,12 @@ WORKDIR = "<workdir>"
 
 def fed_fields(value):
     """Names of the dataclass value's fields in the order they are fed.
-    An Analysis's moving frame is the property `frame`, built on first
+    An Analysis's moving frame is the property `frame`, built on each
     read; it is fed just before `reduced`, where the layout that stored
     the frame as a field had it, so a tree that keeps its bits prints the
-    digest of one with that layout.  The cache field `_frame` is left
-    out: it holds that same frame once read and None before, so feeding
-    it would make the digest depend on whether the frame had been read."""
+    digest of one with that layout."""
     names = [f.name for f in dataclasses.fields(value)]
     if isinstance(value, Analysis):
-        names.remove("_frame")
         names.insert(names.index("reduced"), "frame")
     return names
 

@@ -11,8 +11,8 @@ arc.
 (Sigma, K) read only M and the curvatures, so the analysis computes the
 sign-continuous bases M and M^(-1) (_fix_signs) and hands them to
 reduced_invariants; the whole frame stack (frenet_frame) is built only when
-`Analysis.frame` is first read, and a reconstruction's initial frame from
-the first sample alone (initial_frame).
+`Analysis.frame` is read, on each read, and a reconstruction's initial
+frame from the first sample alone (initial_frame).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenCrossing, Gates, GridMismatch
-from .geom import ArcData
 from .matcurve import finite_diff, spline
 from .symspace import _entrywise
 from .tolerances import EQUIV_TOL, MIN_OVERLAP, OVERLAP_SLACK, SIGN_TOL
@@ -62,7 +61,7 @@ def _frame_blocks(ms, jets, rate):
     return fr
 
 
-def frenet_frame(jets, ricci_series, arc: ArcData):
+def frenet_frame(jets, ricci_series, arc):
     """(frame, M^(-1)): the moving frame at every sample, an (m, 2n, 2n)
     stack of symplectic frames with the sample axis first, and the inverse
     of its upper left block M, which has M^T S' M = Id.  Its upper right
@@ -83,7 +82,7 @@ def frenet_frame(jets, ricci_series, arc: ArcData):
     return _frame_blocks(ms, jets, arc.zeta1 / arc.zeta), m_inv
 
 
-def initial_frame(jets, ricci_series, arc: ArcData):
+def initial_frame(jets, ricci_series, arc):
     """frenet_frame's frame at the first sample, bit for bit, from that
     sample alone: the same sign convention and products on one-sample
     slices."""
@@ -105,7 +104,7 @@ def cartan_matrix(Sigma, Kdiag):
     return c
 
 
-def arc_normalized_frames(frames, arc: ArcData):
+def arc_normalized_frames(frames, arc):
     """Frame series rescaled to the arc parametrization.
 
     The f columns scale by sqrt(zeta) and the fbar columns by 1/sqrt(zeta)
@@ -141,7 +140,7 @@ class ReducedCartan:
         return -2.0 * self.Kdiag
 
 
-def reduced_invariants(ms, m_inv, arc: ArcData, k):
+def reduced_invariants(ms, m_inv, arc, k):
     """Canonical blocks (Sigma, K) of the frame's Cartan matrix
     C = cartan_matrix(Sigma, K): Sigma = skew(M^(-1) M') / (2 zeta), with
     M = ms the sign-continuous bases (the frame's upper left blocks, as

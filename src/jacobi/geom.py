@@ -6,7 +6,7 @@ admissibility screen that opens an Analysis and gates the pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
     RegularityFailure,
     RepeatedEigenvalues,
 )
+from .frames import frenet_frame
 from .matcurve import CurveJet, finite_diff, sample_curve
 from .tolerances import ADM_TOL, NORM_TOL
 
@@ -120,7 +121,7 @@ class Analysis:
 
     `screen` sets the fields up to `error`, `pipeline.complete` the
     ReducedCartan `reduced`; the (m, 2n, 2n) frame stack `frame` is built
-    on first read once `reduced` is set, and None before.  `jets` is the
+    on each read once `reduced` is set, and None before.  `jets` is the
     grid's judged jet series, negated when the velocity form
     is negative definite (`flipped`: velocity_sign < 0; the spectrum is
     unchanged, the normalization then well-posed).  `error` is the typed
@@ -137,8 +138,6 @@ class Analysis:
     arc: ArcData | None = None
     error: JacobiError | None = None
     reduced: object = None
-    _frame: object = field(default=None, init=False, repr=False,
-                           compare=False)
 
     @property
     def flipped(self):
@@ -146,13 +145,11 @@ class Analysis:
 
     @property
     def frame(self):
-        """frenet_frame's (m, 2n, 2n) stack, built on first read and kept;
-        None until `reduced` is set."""
-        if self._frame is None and self.reduced is not None:
-            from .frames import frenet_frame  # frames imports this module
-            self._frame = frenet_frame(self.jets, self.ricci_series,
-                                       self.arc)[0]
-        return self._frame
+        """frenet_frame's (m, 2n, 2n) stack, built on each read; None until
+        `reduced` is set."""
+        if self.reduced is None:
+            return None
+        return frenet_frame(self.jets, self.ricci_series, self.arc)[0]
 
     def report(self):
         """The screen's verdict as the artifacts' `admissibility` dict.

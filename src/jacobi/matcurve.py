@@ -116,7 +116,9 @@ def spline(x, y):
     coefficients and are evaluated in PPoly's order,
     ((c3 + c2 s) + c1 s^2) + c0 s^3, so a query at an interior node returns
     the sample itself.  Every column of y is fitted on its own: a joint
-    spline equals separate ones bit for bit."""
+    spline equals separate ones bit for bit.  x and the queries are scaled
+    by 2^-e (e the exponent of x's span), y by 2^-f (f that of max|y|) and
+    the values back by 2^f: exact, and no product leaves float range."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1:
         raise ValueError("`x` must be 1-dimensional.")
@@ -132,6 +134,9 @@ def spline(x, y):
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("`x` must be strictly increasing sequence.")
+    e = np.frexp(x[-1] - x[0])[1]
+    f = np.frexp(np.max(np.abs(y), initial=0.0))[1]
+    x, dx, y = np.ldexp(x, -e), np.ldexp(dx, -e), np.ldexp(y, -f)
     tail = y.shape[1:]
     y = y.reshape(x.size, -1)
     dxr = dx[:, None]
@@ -161,13 +166,13 @@ def spline(x, y):
 
     def at(q):
         shape = np.shape(q)
-        q = np.asarray(q, dtype=float).ravel()
+        q = np.ldexp(np.asarray(q, dtype=float).ravel(), -e)
         i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
         c0, c1, c2, c3 = coef[:, i]
         u = (q - x[i])[:, None]
         u2 = u * u
-        return (((c3 + c2 * u) + c1 * u2) + c0 * (u2 * u)).reshape(
-            shape + tail)
+        return np.ldexp(((c3 + c2 * u) + c1 * u2) + c0 * (u2 * u),
+                        f).reshape(shape + tail)
 
     return at
 
@@ -671,9 +676,10 @@ def require_keys(obj, paths, what):
             node = node[key]
 
 
-def json_array(value, key):
-    """A JSON value as a float array; a ragged, non-numeric or non-finite
-    value raises InvalidDimension naming its `key`."""
+def json_array(value, key, *shapes):
+    """A JSON number or array as a float array; a ragged, non-numeric or
+    non-finite value, or, when `shapes` are given, a value of another
+    shape, raises InvalidDimension naming its `key` first."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -681,21 +687,10 @@ def json_array(value, key):
             f"{key} is not a rectangular array of numbers") from None
     if not np.isfinite(a).all():
         raise InvalidDimension(f"{key} has entries that are not finite")
+    if shapes and a.shape not in shapes:
+        raise InvalidDimension(
+            f"{key} has shape {a.shape}; expected one of {list(shapes)}")
     return a
-
-
-def json_numbers(value, key, shape):
-    """A JSON number (shape ()) or list of numbers as Python floats; a
-    value of another shape, or not finite, raises InvalidDimension naming
-    its `key`."""
-    try:
-        a = np.asarray(value, dtype=float)
-        if a.shape == shape and np.isfinite(a).all():
-            return a.tolist()
-    except (TypeError, ValueError):
-        pass
-    what = f"a list of {shape[0]} finite numbers" if shape else "a finite number"
-    raise InvalidDimension(f"{key} is not {what}")
 
 
 def json_entries(value, key):
@@ -704,7 +699,7 @@ def json_entries(value, key):
     InvalidDimension naming its `key`."""
     try:
         if value and all(len(row) == len(value) for row in value):
-            return [[json_numbers(c, key, (len(c),)) for c in row]
+            return [[json_array(c, key, (len(c),)).tolist() for c in row]
                     for row in value]
     except (TypeError, InvalidDimension):
         pass
@@ -715,7 +710,7 @@ def json_entries(value, key):
 def json_integer(value, key):
     """A JSON whole number as an int; any other value raises
     InvalidDimension naming its `key`."""
-    x = json_numbers(value, key, ())
+    x = float(json_array(value, key, ()))
     if x != int(x):
         raise InvalidDimension(f"{key} is not a whole number")
     return int(x)
@@ -735,30 +730,31 @@ def curve_from_json(obj):
     if not isinstance(obj, dict):
         raise InvalidDimension("a curve must be a JSON object")
     kind = obj.get("kind")
-    require_keys(obj, REQUIRED_KEYS.get(kind, ()), f"a {kind} curve")
+    if not (isinstance(kind, str) and kind in REQUIRED_KEYS):
+        raise DomainError(f"unknown curve kind {kind!r}")
+    require_keys(obj, REQUIRED_KEYS[kind], f"a {kind} curve")
     if kind == "preset":
         curve = preset_curve(obj["name"])
         # the preset's own domain, before any transform or reparam wraps it
         if "domain" in obj:
-            curve.domain = tuple(json_numbers(obj["domain"], "domain", (2,)))
+            curve.domain = tuple(
+                json_array(obj["domain"], "domain", (2,)).tolist())
     elif kind == "polynomial":
         curve = polynomial_curve(json_entries(obj["entries"], "entries"),
-                                 json_numbers(obj["domain"], "domain", (2,)),
+                                 json_array(obj["domain"], "domain", (2,)),
                                  name=obj.get("name"))
     elif kind == "fourier":
         curve = fourier_curve(
             json_entries(obj["entries"]["cos"], "entries.cos"),
             json_entries(obj["entries"]["sin"], "entries.sin"),
-            json_numbers(obj["domain"], "domain", (2,)),
-            omega=json_numbers(obj.get("omega", 1.0), "omega", ()),
+            json_array(obj["domain"], "domain", (2,)),
+            omega=float(json_array(obj.get("omega", 1.0), "omega", ())),
             name=obj.get("name"),
         )
-    elif kind == "table":
+    else:
         curve = table_curve(json_array(obj["samples"]["t"], "samples.t"),
                             json_array(obj["samples"]["S"], "samples.S"),
                             name=obj.get("name"))
-    else:
-        raise DomainError(f"unknown curve kind {kind!r}")
     if obj.get("n", curve.n) != curve.n:
         raise InvalidDimension(f"n is {obj['n']!r} but the curve has "
                                f"{curve.n}x{curve.n} matrices")
@@ -771,7 +767,7 @@ def curve_from_json(obj):
         require_keys(rp, ("type", "domain"), "a reparam")
 
         def num(key, default):
-            return json_numbers(rp.get(key, default), "reparam." + key, ())
+            return float(json_array(rp.get(key, default), f"reparam.{key}", ()))
 
         if rp["type"] == "affine":
             require_keys(rp, ("a",), "an affine reparam")
@@ -782,6 +778,6 @@ def curve_from_json(obj):
         else:
             raise DomainError(f"unknown reparam type {rp['type']!r}")
         curve = reparametrized_curve(
-            curve, jetf, json_numbers(rp["domain"], "reparam.domain", (2,)),
+            curve, jetf, json_array(rp["domain"], "reparam.domain", (2,)),
             name=curve.name)
     return curve

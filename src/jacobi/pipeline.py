@@ -1,6 +1,6 @@
 """End-to-end analysis: sample a curve, diagonalize its curvature, build the
 arc element, the signed eigenvector bases and the reduced invariant in one
-call; the moving frame is built when `Analysis.frame` is first read."""
+call; the moving frame is built when `Analysis.frame` is read."""
 
 from __future__ import annotations
 

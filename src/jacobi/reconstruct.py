@@ -23,7 +23,7 @@ from .frames import (cartan_matrix, equivalent_reduced, initial_frame,
                      invariant_spline)
 from .geom import centered_product
 from .matcurve import (SampleGrid, finite_diff, json_array, json_integer,
-                       json_numbers, node_curve, require_keys)
+                       node_curve, require_keys)
 from .pipeline import analyze
 from .symspace import (_entrywise, _matrix_maxabs, _maxabs, chart_inverse,
                        chart_point, is_symplectic_frame)
@@ -101,30 +101,25 @@ def prescription_from_json(obj):
     m x n x n series.  K is constant, as a diagonal vector (n) or a full
     diagonal matrix (n x n), or per sample, as diagonal vectors (m x n) or
     matrices (m x n x n); when m = n, an n x n K is the constant matrix.
-    F0 is the 2n x 2n initial frame, row-major (4n^2 numbers).  Any other
-    shape, a NaN or infinite entry (Python's json reads both), a non-numeric
-    n or grid entry or a non-whole n or grid.m raises InvalidDimension, and
-    a missing key MissingKey.
+    F0 is the 2n x 2n initial frame, or its 4n^2 entries row-major; K's
+    and F0's shapes are checked before anything of size n is built.  Any
+    other shape, a NaN or infinite entry (Python's json reads both), a
+    non-numeric n or grid entry or a non-whole n or grid.m raises
+    InvalidDimension naming the key, and a missing key MissingKey.
     """
     require_keys(obj, ("n", "grid.t0", "grid.t1", "grid.m", "K", "F0"),
                  "a prescription")
     n = json_integer(obj["n"], "n")
     g = obj["grid"]
-    grid = SampleGrid(json_numbers(g["t0"], "grid.t0", ()),
-                      json_numbers(g["t1"], "grid.t1", ()),
+    grid = SampleGrid(float(json_array(g["t0"], "grid.t0", ())),
+                      float(json_array(g["t1"], "grid.t1", ())),
                       json_integer(g["m"], "grid.m"))
     ts = grid.points
     m = ts.size
-
-    sig = json_array(obj.get("Sigma", np.zeros((n, n))), "Sigma")
-    k = json_array(obj["K"], "K")
-    f0 = json_array(obj["F0"], "F0").ravel()
-    for name, a, shapes in (("Sigma", sig, [(n, n), (m, n, n)]),
-                            ("K", k, [(n,), (n, n), (m, n), (m, n, n)]),
-                            ("F0", f0, [(4 * n * n,)])):
-        if a.shape not in shapes:
-            raise InvalidDimension(
-                f"{name} has shape {a.shape}; expected one of {shapes}")
+    k = json_array(obj["K"], "K", (n,), (n, n), (m, n), (m, n, n))
+    f0 = json_array(obj["F0"], "F0", (2 * n, 2 * n), (4 * n * n,))
+    sig = json_array(obj.get("Sigma", np.zeros((n, n))), "Sigma", (n, n),
+                     (m, n, n))
     if k.shape in [(n, n), (m, n, n)]:
         k = k.diagonal(axis1=-2, axis2=-1)
     return InvariantPrescription(

@@ -694,7 +694,7 @@ class TestMalformedJson:
         name, message = self.error(capsys, tmp_path, json.dumps(spec),
                                    "reconstruct", "BAD")
         assert (name, message) == ("InvalidDimension",
-                                   "n is not a finite number")
+                                   "n is not a rectangular array of numbers")
 
     @pytest.mark.parametrize("key,n,m", [
         ("n", 2.5, "21.9"), ("grid.m", 2, "21.9"), ("grid.m", 2, 21.9),

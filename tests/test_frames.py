@@ -362,14 +362,15 @@ class TestFrameOnFirstRead:
         assert roundtrip(preset_curve("paper-6.2-ex1"), unit_grid).equivalent
         assert calls == []
 
-    def test_first_read_builds_one_frame_and_keeps_it(self, monkeypatch,
-                                                      unit_grid):
+    def test_each_read_builds_one_frame(self, monkeypatch, unit_grid):
         ana = analyze(preset_curve("paper-6.2-ex1"), unit_grid)
         calls = frame_builds(monkeypatch)
         frame = ana.frame
         assert len(calls) == 1
-        assert ana.frame is frame
-        assert len(calls) == 1
+        # nothing is kept: a second read builds the same bytes again
+        again = ana.frame
+        assert len(calls) == 2
+        assert again is not frame and again.tobytes() == frame.tobytes()
 
     @pytest.mark.parametrize("name", FRAME_CURVES)
     def test_frame_is_frenet_frames_stack(self, name, unit_grid):

@@ -169,6 +169,20 @@ class TestSpline:
         # a query at a node other than the last returns the sample
         assert np.array_equal(spline(x, y)(x[:-1]), y[:-1])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a,b", [(1020, 0), (-1000, 0), (0, 1020),
+                                     (0, -1000), (1016, -1016)])
+    def test_powers_of_two_scale_exactly(self, a, b):
+        # x scaled by 2^a and y by 2^b: the same values times 2^b, bit for
+        # bit, and no product of the fit overflows on a span or samples
+        # near the largest float
+        rng = np.random.default_rng(0)
+        x = np.cumsum(rng.uniform(0.5, 1.0, 21)) / 16
+        y = rng.normal(size=(21, 3))
+        q = rng.uniform(x[0], x[-1], 50)
+        got = spline(np.ldexp(x, a), np.ldexp(y, b))(np.ldexp(q, a))
+        assert np.array_equal(got, np.ldexp(spline(x, y)(q), b))
+
     @pytest.mark.parametrize("x,y", [
         (np.zeros((5, 2)), np.zeros(5)),
         (np.arange(3.0), np.zeros(3)),

@@ -134,12 +134,15 @@ class TestPrescriptionValidation:
         ("grid.m", None), ("grid.m", float("inf")), ("grid.t1", float("nan")),
     ])
     def test_json_scalar_not_a_number_is_named(self, path, value):
+        # json_array's three messages, each starting with the key path
         obj = {"n": 2, "grid": {"t0": 0.0, "t1": 1.0, "m": 7},
                "K": [-0.5, 0.5], "F0": F0_STANDARD.tolist()}
         node, key = (obj["grid"], path[5:]) if "." in path else (obj, path)
         node[key] = value
-        with pytest.raises(InvalidDimension,
-                           match=f"^{path} is not a finite number"):
+        with pytest.raises(InvalidDimension, match=(
+                f"^{path} (is not a rectangular array of numbers$|has "
+                r"entries that are not finite$|has shape \(1,\); expected "
+                r"one of \[\(\)\]$)")):
             prescription_from_json(obj)
 
     @pytest.mark.parametrize("path,value", [
@@ -160,6 +163,15 @@ class TestPrescriptionValidation:
                "K": [-0.5, 0.5], "F0": F0_STANDARD.tolist()}
         p = prescription_from_json(obj)
         assert p.ts.size == 21 and p.Kdiag.shape == (21, 2)
+
+    @pytest.mark.parametrize("n", [1e10, 1e308, -1])
+    def test_json_n_checked_before_anything_is_built(self, n):
+        # numpy refuses these n x n Sigmas before it allocates anything; the
+        # shapes of K and F0 are checked first, on Python ints
+        obj = {"n": n, "grid": {"t0": 0.0, "t1": 1.0, "m": 7},
+               "K": [-0.5, 0.5], "F0": F0_STANDARD.tolist()}
+        with pytest.raises(InvalidDimension, match=r"^K has shape \(2,\)"):
+            prescription_from_json(obj)
 
     @pytest.mark.parametrize("key,value", [
         ("K", np.zeros(3)),
